@@ -6,21 +6,22 @@
 //!   fast path, which must stay within 10% of `bare`;
 //! * `instrumented` — `step_with` carrying real observers (lockstep
 //!   width + VCD), the full observer dispatch cost;
-//! * `compiled` — `Platform::step_tiered` on the compiled hot-block
-//!   tier, replaying translated traces with interpreter fallback.
+//! * `lockstep` — `Platform::run_until` on a lockstep ALU loop, the
+//!   engine's lockstep fast path (the other three step one interpreted
+//!   cycle at a time).
 //!
 //! A regression that reintroduces per-cycle allocation or observer
 //! dispatch on the bare path shows up here directly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ulp_isa::asm::assemble;
-use ulp_platform::{ExecTier, LockstepWidth, Observer, Platform, PlatformConfig, VcdTracer};
+use ulp_platform::{LockstepWidth, Observer, Platform, PlatformConfig, RunProgress, VcdTracer};
 
 /// Cycles stepped per benchmark iteration.
 const CYCLES_PER_ITER: u64 = 1_000;
 
-/// Cycles advanced per compiled-tier iteration (see the compiled bench).
-const COMPILED_CYCLES_PER_ITER: u64 = 10_000;
+/// Cycles advanced per lockstep iteration (one `run_until` slice).
+const LOCKSTEP_CYCLES_PER_ITER: u64 = 10_000;
 
 /// An endless SPMD workload touching every engine phase: per-core
 /// data-dependent spin, a shared `SINC`/`SDEC` barrier, loads and stores.
@@ -47,10 +48,9 @@ spin:   addi r5, #-1       ; data-dependent 1..8 rounds
         br   loop";
 
 /// An endless lockstep hot loop — straight-line ALU work plus a backward
-/// branch, the inner-loop shape of the paper kernels and the compiled
-/// tier's target. (`SPIN_SRC` deliberately diverges and synchronizes, so
-/// it measures the interpreter and the fallback path; this one measures
-/// translated-trace execution.)
+/// branch, the inner-loop shape of the paper kernels. (`SPIN_SRC`
+/// deliberately diverges and synchronizes, so it measures the
+/// interpreter; this one measures the lockstep fast path.)
 const LOCKSTEP_SRC: &str = "
         rdid r1
         mov  r2, r1
@@ -63,18 +63,16 @@ loop:   addi r4, #3
         inc  r4
         br   loop";
 
-fn prepared_platform_on(src: &str, cores: usize, tier: ExecTier) -> Platform {
+fn prepared_platform_on(src: &str, cores: usize) -> Platform {
     let program = assemble(src).expect("benchmark program assembles");
     let cfg = PlatformConfig::paper_with_sync()
         .with_cores(cores)
-        .with_max_cycles(u64::MAX)
-        .with_exec_tier(tier);
+        .with_max_cycles(u64::MAX);
     let mut p = Platform::new(cfg).expect("valid config");
     p.load_program(&program);
-    // Warm past the prologue (and, on the compiled tier, past block
-    // discovery and translation) so every iteration measures steady state.
+    // Warm past the prologue so every iteration measures steady state.
     for _ in 0..512 {
-        p.step_tiered();
+        p.step();
     }
     p
 }
@@ -85,7 +83,7 @@ fn bench_step_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Elements(CYCLES_PER_ITER));
 
     for cores in [2usize, 4, 8] {
-        let mut platform = prepared_platform_on(SPIN_SRC, cores, ExecTier::Interpreted);
+        let mut platform = prepared_platform_on(SPIN_SRC, cores);
         group.bench_function(BenchmarkId::new("bare", cores), |b| {
             b.iter(|| {
                 for _ in 0..CYCLES_PER_ITER {
@@ -97,7 +95,7 @@ fn bench_step_throughput(c: &mut Criterion) {
 
         // Zero observers attached: `step_with(&mut [])` must ride the
         // empty-observer fast path and stay within 10% of `bare`.
-        let mut platform = prepared_platform_on(SPIN_SRC, cores, ExecTier::Interpreted);
+        let mut platform = prepared_platform_on(SPIN_SRC, cores);
         group.bench_function(BenchmarkId::new("observed", cores), |b| {
             b.iter(|| {
                 for _ in 0..CYCLES_PER_ITER {
@@ -107,7 +105,7 @@ fn bench_step_throughput(c: &mut Criterion) {
             })
         });
 
-        let mut platform = prepared_platform_on(SPIN_SRC, cores, ExecTier::Interpreted);
+        let mut platform = prepared_platform_on(SPIN_SRC, cores);
         let mut width = LockstepWidth::new();
         group.bench_function(BenchmarkId::new("instrumented", cores), |b| {
             b.iter(|| {
@@ -123,17 +121,15 @@ fn bench_step_throughput(c: &mut Criterion) {
             })
         });
 
-        // A compiled step may advance a whole lockstep batch, so the
-        // iteration targets a cycle count instead of a step count (the
-        // larger budget keeps the ≤ one-batch overshoot negligible).
-        let mut platform = prepared_platform_on(LOCKSTEP_SRC, cores, ExecTier::Compiled);
-        group.throughput(Throughput::Elements(COMPILED_CYCLES_PER_ITER));
-        group.bench_function(BenchmarkId::new("compiled", cores), |b| {
+        // One unobserved `run_until` slice per iteration: the run loop
+        // batches the loop body and pauses exactly on the limit.
+        let mut platform = prepared_platform_on(LOCKSTEP_SRC, cores);
+        group.throughput(Throughput::Elements(LOCKSTEP_CYCLES_PER_ITER));
+        group.bench_function(BenchmarkId::new("lockstep", cores), |b| {
             b.iter(|| {
-                let target = platform.cycle() + COMPILED_CYCLES_PER_ITER;
-                while platform.cycle() < target {
-                    platform.step_tiered();
-                }
+                let limit = platform.cycle() + LOCKSTEP_CYCLES_PER_ITER;
+                let progress = platform.run_until(limit).expect("endless loop runs");
+                assert_eq!(progress, RunProgress::Paused);
                 platform.cycle()
             })
         });

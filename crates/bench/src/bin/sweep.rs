@@ -14,7 +14,6 @@
 //!                        grids sweep shard size × cores
 //!   --heatmap <window>   attach a per-bank DM heat map to every cell
 //!   --pctrace <limit>    attach a PC trace to every cell
-//!   --exec-tier <tier>   interpreted (default) or compiled
 //!   --threads <n>        worker threads (default: all hardware threads)
 //!   --tenant <id>        tenant the sweep's jobs are submitted as (default 0)
 //!   --checkpoint-every <cycles>  checkpoint every job's platform at this
@@ -51,7 +50,6 @@ use std::io::Write;
 use std::process::ExitCode;
 use ulp_bench::{run_sweep_with, SweepCell, SweepSpec};
 use ulp_kernels::{Benchmark, WorkloadConfig};
-use ulp_platform::ExecTier;
 use ulp_service::{ObserverSelection, TenantId};
 use ulp_telemetry::Telemetry;
 
@@ -126,8 +124,6 @@ const USAGE: &str = "usage: sweep [options]
   --heatmap <window>   attach a per-bank DM heat map to every cell
                        (cycles per row; merged across shards)
   --pctrace <limit>    attach a PC trace to every cell (cycles per shard)
-  --exec-tier <tier>   execution tier for every cell: `interpreted`
-                       (default) or `compiled` (bit-identical, faster)
   --threads <n>        worker threads (default: all hardware threads)
   --tenant <id>        tenant the sweep's jobs are submitted as (default 0)
   --checkpoint-every <cycles>
@@ -155,7 +151,6 @@ struct Options {
     benchmarks: Vec<Benchmark>,
     shard: Vec<Option<usize>>,
     observers: ObserverSelection,
-    exec_tier: ExecTier,
     threads: usize,
     tenant: TenantId,
     checkpoint_every: Option<u64>,
@@ -193,7 +188,6 @@ fn parse_args() -> Result<Options, String> {
         benchmarks: Benchmark::ALL.to_vec(),
         shard: vec![None],
         observers: ObserverSelection::None,
-        exec_tier: ExecTier::Interpreted,
         threads: 0,
         tenant: TenantId::DEFAULT,
         checkpoint_every: None,
@@ -288,11 +282,6 @@ fn parse_args() -> Result<Options, String> {
             "--stats-json" => {
                 opts.stats_json = Some(next_value(&mut args, "--stats-json")?);
             }
-            "--exec-tier" => {
-                opts.exec_tier = next_value(&mut args, "--exec-tier")?
-                    .parse()
-                    .map_err(|e| format!("bad value for --exec-tier: {e}"))?;
-            }
             "--pctrace" => {
                 let limit: usize = next_value(&mut args, "--pctrace")?
                     .parse()
@@ -356,7 +345,6 @@ fn main() -> ExitCode {
         shard_samples: opts.shard,
         workload,
         observers: opts.observers,
-        exec_tier: opts.exec_tier,
         threads: opts.threads,
         // Auto-bounded backpressure queue (four jobs per worker): huge
         // grids are fed at the workers' claim rate.

@@ -24,7 +24,6 @@
 
 use std::sync::Arc;
 use ulp_kernels::{Benchmark, BenchmarkRun, RunnerError, WorkloadConfig};
-use ulp_platform::ExecTier;
 use ulp_power::{Activity, PowerModel};
 use ulp_service::{
     JobError, JobOutput, JobSpec, ObserverSelection, ServiceConfig, ServiceStats, SimService,
@@ -65,9 +64,6 @@ pub struct SweepSpec {
     /// [`MergedArtifacts`] representation — either way
     /// [`SweepCell::artifacts`] carries the result.
     pub observers: ObserverSelection,
-    /// Execution tier of every cell's platform runs (the interpreter by
-    /// default; the compiled tier produces bit-identical cells faster).
-    pub exec_tier: ExecTier,
     /// Worker threads; `0` = one per available hardware thread.
     pub threads: usize,
     /// Bound on the service's queued backlog; `0` = auto (four jobs per
@@ -110,7 +106,6 @@ impl SweepSpec {
             shard_samples: vec![None],
             workload,
             observers: ObserverSelection::None,
-            exec_tier: ExecTier::Interpreted,
             threads: 0,
             queue_capacity: 0,
             tenant: TenantId::DEFAULT,
@@ -342,7 +337,6 @@ pub fn run_sweep_with(
     // so the client-side merge/stream events recorded at cell
     // finalization carry the same tags as the job's lifecycle events.
     let mut cell_job_tags: Vec<Vec<(u64, u8)>> = Vec::with_capacity(coords.len());
-    let tier_code = matches!(spec.exec_tier, ExecTier::Compiled) as u8;
     let client_track = spec.telemetry.track(CLIENT_TRACK);
     for (cell_idx, &(benchmark, with_sync, cores, shard)) in coords.iter().enumerate() {
         let (plan, jobs) = match shard {
@@ -350,7 +344,6 @@ pub fn run_sweep_with(
                 let job = JobSpec::new(benchmark, cores, workload.clone())
                     .with_sync(with_sync)
                     .observers(spec.observers.clone())
-                    .exec_tier(spec.exec_tier)
                     .tenant(spec.tenant);
                 let job = match spec.checkpoint_every {
                     Some(cycles) => job.checkpoint_every(cycles),
@@ -366,7 +359,6 @@ pub fn run_sweep_with(
                 let mut config =
                     ShardRunConfig::new(benchmark, with_sync, cores, spec.workload.clone())
                         .with_observers(spec.observers.clone())
-                        .with_exec_tier(spec.exec_tier)
                         .with_tenant(spec.tenant);
                 if let Some(cycles) = spec.checkpoint_every {
                     config = config.with_checkpoint_every(cycles);
@@ -528,7 +520,7 @@ pub fn run_sweep_with(
             // callback has seen it — stream) for every job of the cell.
             if client_track.is_enabled() {
                 for &(id, priority) in &cell_job_tags[cell_idx] {
-                    client_track.record(EventKind::Merged, id, spec.tenant.0, priority, tier_code);
+                    client_track.record(EventKind::Merged, id, spec.tenant.0, priority);
                 }
             }
             // Errored cells are not streamed (the sweep as a whole
@@ -546,13 +538,7 @@ pub fn run_sweep_with(
             );
             if client_track.is_enabled() {
                 for &(id, priority) in &cell_job_tags[cell_idx] {
-                    client_track.record(
-                        EventKind::Streamed,
-                        id,
-                        spec.tenant.0,
-                        priority,
-                        tier_code,
-                    );
+                    client_track.record(EventKind::Streamed, id, spec.tenant.0, priority);
                 }
             }
         }
@@ -606,7 +592,6 @@ mod tests {
             shard_samples: vec![None],
             workload: WorkloadConfig::quick_test(),
             observers: ObserverSelection::None,
-            exec_tier: ExecTier::Interpreted,
             threads: 0,
             queue_capacity: 0,
             tenant: TenantId::DEFAULT,
@@ -668,7 +653,6 @@ mod tests {
                 ..WorkloadConfig::quick_test()
             },
             observers: ObserverSelection::None,
-            exec_tier: ExecTier::Interpreted,
             threads: 0,
             // A deliberately tiny bound: shard jobs must flow through a
             // saturated bounded queue and still merge bit-exactly.
@@ -711,7 +695,6 @@ mod tests {
             shard_samples: vec![None, Some(24)],
             workload: WorkloadConfig::quick_test(), // n = 48 fits unsharded
             observers: ObserverSelection::None,
-            exec_tier: ExecTier::Interpreted,
             threads: 2,
             queue_capacity: 0,
             tenant: TenantId::DEFAULT,
@@ -752,7 +735,6 @@ mod tests {
             shard_samples: vec![None, Some(24)],
             workload: WorkloadConfig::quick_test(), // n = 48 fits unsharded
             observers: ObserverSelection::BankHeatMap { window: 256 },
-            exec_tier: ExecTier::Interpreted,
             threads: 2,
             queue_capacity: 0,
             tenant: TenantId(3),

@@ -288,9 +288,9 @@ impl Core {
     /// (consumes the fetch cycle, exactly like [`Core::on_fetch_granted`]
     /// minus the decode).
     ///
-    /// Used by the compiled execution tier, whose traces carry the decoded
-    /// form: the caller guarantees `instr` is the decoding of the word at
-    /// the fetch address, so this path cannot fault.
+    /// Used by the platform's lockstep fast path, which decodes an op once
+    /// for the whole group: the caller guarantees `instr` is the decoding
+    /// of the word at the fetch address, so this path cannot fault.
     pub fn on_fetch_granted_decoded(&mut self, instr: Instr) {
         debug_assert!(matches!(self.state, CoreState::Fetch), "not fetching");
         self.cycles += 1;

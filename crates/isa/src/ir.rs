@@ -1,62 +1,31 @@
-//! Decode-to-IR: pre-resolved micro-operations for the compiled
-//! execution tier.
+//! Instruction classes for the simulator's lockstep fast path.
 //!
-//! The interpreter decodes every instruction word on every fetch. The
-//! compiled tier (the `ulp_jit` crate) decodes each hot basic block
-//! *once* into a straight-line sequence of [`MicroOp`]s:
-//! the decoded [`Instr`] plus an [`OpClass`] that tells the execution
-//! engine, without further inspection, whether the operation is safe to
-//! run inside a trace or marks a fidelity boundary where the trace must
-//! end and the interpreter takes over.
+//! The interpreter decodes every instruction word on every fetch. When
+//! every active core fetches one PC, the platform instead decodes the op
+//! once for the whole group and may run a straight line of such ops as one
+//! batch. [`OpClass`] tells it, without further inspection, which ops are
+//! core-local enough for that and which need the full cycle machinery.
 
 use crate::instr::{CsrOp, Instr};
 
-/// How an instruction behaves inside a straight-line trace.
+/// How an instruction interacts with the rest of the platform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Core-local: touches only registers, flags and the sequential PC.
-    /// Always trace-safe.
     Pure,
-    /// A data-memory access (`LD`/`ST`/`LDP`/`STP`). Trace-safe only in
-    /// cycles whose whole DM request set is conflict-free and lock-free
-    /// in the crossbar; otherwise the cycle is a fidelity boundary.
+    /// A data-memory access (`LD`/`ST`/`LDP`/`STP`): goes through the
+    /// D-Xbar, where it may conflict or hit a synchronizer-locked word.
     Mem,
-    /// Redirects the PC (`B<cond>`/`JAL`/`JR`/`JALR`/`IRET`). Core-local
-    /// and therefore trace-executable, but it ends the block: the
-    /// successor PC is only known at run time.
+    /// Redirects the PC (`B<cond>`/`JAL`/`JR`/`JALR`/`IRET`): core-local,
+    /// but the next PC is only known once it has executed.
     Control,
-    /// A hard fidelity boundary (`SINC`/`SDEC`/`SLEEP`/`HALT`): the
-    /// instruction involves the synchronizer, the sleep/wake machinery or
-    /// run termination, so the trace must hand back to the interpreter
-    /// *before* executing it.
+    /// Involves the synchronizer, the sleep/wake machinery or run
+    /// termination (`SINC`/`SDEC`/`SLEEP`/`HALT`).
     Boundary,
 }
 
-/// One pre-resolved micro-operation of a translated block: the decoded
-/// instruction with its trace classification baked in at translation time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MicroOp {
-    /// The decoded instruction, kept verbatim so a trace that bails out
-    /// mid-block leaves the core in an ordinary
-    /// `Execute(instr)` state the interpreter can resume from.
-    pub instr: Instr,
-    /// The trace classification.
-    pub class: OpClass,
-}
-
-impl MicroOp {
-    /// Wraps a decoded instruction with its classification.
-    pub fn new(instr: Instr) -> MicroOp {
-        MicroOp {
-            instr,
-            class: instr.op_class(),
-        }
-    }
-}
-
 impl Instr {
-    /// The instruction's [`OpClass`] — how the compiled tier may treat it
-    /// inside a straight-line trace.
+    /// The instruction's [`OpClass`].
     pub fn op_class(self) -> OpClass {
         match self {
             Instr::Ld { .. } | Instr::St { .. } | Instr::LdP { .. } | Instr::StP { .. } => {

@@ -209,8 +209,8 @@ impl IXbar {
     /// read, exactly as [`IXbar::arbitrate_into`] would grant it —
     /// identical statistics, memory counters and rotating-priority
     /// update — without materializing request or grant buffers. Returns
-    /// the fetched word. This is the uniform-lockstep hot path of the
-    /// compiled execution tier.
+    /// the fetched word. This is the fetch of the platform's lockstep
+    /// fast path.
     pub fn serve_uniform(&mut self, cores: &[usize], addr: u16, imem: &mut BankedMemory) -> u16 {
         let n = cores.len();
         self.stats.requests += n as u64;

@@ -9,15 +9,16 @@
 //!   --dump <addr> <len>  print a data-memory region after the run
 //!   --trace <cycles>     print the per-core fetch-PC trace
 //!   --trace-vcd <file>   write a value-change dump of the run
-//!   --exec-tier <tier>   interpreted (default) or compiled
 //! ```
 //!
 //! Tracing attaches [`PcTrace`] / [`VcdTracer`] observers to the run, so
-//! no custom driver loop is needed and the options combine freely.
+//! no custom driver loop is needed and the options combine freely. An
+//! untraced run takes the engine's lockstep fast path; a traced one
+//! interprets every cycle. Both report identical statistics.
 
 use std::process::ExitCode;
 use ulp_isa::asm::assemble;
-use ulp_platform::{ExecTier, Observer, PcTrace, Platform, PlatformConfig, VcdTracer};
+use ulp_platform::{Observer, PcTrace, Platform, PlatformConfig, VcdTracer};
 
 struct Options {
     path: String,
@@ -27,7 +28,6 @@ struct Options {
     dump: Option<(u16, usize)>,
     trace: usize,
     vcd: Option<String>,
-    exec_tier: ExecTier,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -40,7 +40,6 @@ fn parse_args() -> Result<Options, String> {
         dump: None,
         trace: 0,
         vcd: None,
-        exec_tier: ExecTier::Interpreted,
     };
     let next_num = |args: &mut dyn Iterator<Item = String>, what: &str| {
         args.next()
@@ -60,13 +59,6 @@ fn parse_args() -> Result<Options, String> {
                     args.next()
                         .ok_or_else(|| format!("missing value for {arg}"))?,
                 );
-            }
-            "--exec-tier" => {
-                opts.exec_tier = args
-                    .next()
-                    .ok_or_else(|| "missing value for --exec-tier".to_string())?
-                    .parse()
-                    .map_err(|e| format!("bad value for --exec-tier: {e}"))?;
             }
             "--dump" => {
                 let addr = next_num(&mut args, "--dump addr")? as u16;
@@ -91,9 +83,7 @@ const USAGE: &str = "usage: ulprun <file.s> [options]
   --max-cycles <n>     cycle budget (default 10_000_000)
   --dump <addr> <len>  print a data-memory region after the run
   --trace <cycles>     print the per-core fetch-PC trace
-  --trace-vcd <file>   write a value-change dump of the run
-  --exec-tier <tier>   execution tier: `interpreted` (default) or
-                       `compiled` (bit-identical statistics, faster)";
+  --trace-vcd <file>   write a value-change dump of the run";
 
 fn main() -> ExitCode {
     if std::env::args().any(|a| a == "--help" || a == "-h") {
@@ -126,8 +116,7 @@ fn main() -> ExitCode {
 
     let config = PlatformConfig::paper(opts.with_sync)
         .with_cores(opts.cores)
-        .with_max_cycles(opts.max_cycles)
-        .with_exec_tier(opts.exec_tier);
+        .with_max_cycles(opts.max_cycles);
     let mut platform = match Platform::new(config) {
         Ok(p) => p,
         Err(e) => {
@@ -190,15 +179,6 @@ fn main() -> ExitCode {
         println!(
             "synchronizer: {} batches, {} wakeups, {} releases",
             sync.batches, sync.wakeups, sync.releases
-        );
-    }
-    if opts.exec_tier == ExecTier::Compiled {
-        println!(
-            "jit: {} translations, {} hits, {} compiled cycles, {} fallback cycles",
-            stats.jit.translations,
-            stats.jit.hits,
-            stats.jit.compiled_cycles,
-            stats.jit.fallback_cycles
         );
     }
 

@@ -2,18 +2,19 @@
 //!
 //! A [`Checkpoint`] is the complete architectural and statistical state of
 //! a [`crate::Platform`] between cycles: cores, both memories, crossbar
-//! arbiters, the synchronizer, power-relevant counters, the translation
-//! cache of the compiled tier, and the state of every attached observer
-//! that opts into checkpointing. [`crate::Platform::snapshot`] produces
-//! one, [`crate::Platform::restore`] / [`crate::Platform::restore_from`]
-//! re-apply it, and a resumed run is **bit-identical** to one that never
-//! paused — same `SimStats`, same artifacts, same energy.
+//! arbiters, the synchronizer, power-relevant counters, and the state of
+//! every attached observer that opts into checkpointing.
+//! [`crate::Platform::snapshot`] produces one, [`crate::Platform::restore`]
+//! / [`crate::Platform::restore_from`] re-apply it, and a resumed run is
+//! **bit-identical** to one that never paused — same `SimStats`, same
+//! artifacts, same energy.
 //!
 //! The wire format ([`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`])
 //! is a hand-rolled little-endian encoding: a `ULPK` magic, a schema
-//! version, an FNV-1a hash of the encoded [`PlatformConfig`] (so a blob
-//! restored against the wrong platform shape fails fast with a typed
-//! error instead of garbage state), then the component snapshots. The
+//! version, the body length and an FNV-1a checksum of the body, then the
+//! body itself: the encoded [`PlatformConfig`] and the component
+//! snapshots. The checksum covers every body byte, so a damaged blob
+//! fails with a typed error instead of restoring different state. The
 //! byte-level encoding lives only in this module; the component crates
 //! export plain-data snapshot structs and know nothing about bytes.
 
@@ -21,7 +22,6 @@ use crate::config::PlatformConfig;
 use crate::error::{PlatformError, RestoreError};
 use ulp_cpu::{CoreError, CoreSnapshot, CoreStateSnapshot, CoreStats};
 use ulp_isa::arch;
-use ulp_jit::{ExecTier, JitSnapshot, JitStats};
 use ulp_mem::{
     BankMapping, DXbarSnapshot, DXbarStats, IXbarSnapshot, IXbarStats, MemSnapshot, MemStats,
     ServingPolicy,
@@ -31,7 +31,7 @@ use ulp_sync::{SyncSnapshot, SyncStats};
 /// Version of the checkpoint wire format. Bumped on any layout change;
 /// [`Checkpoint::from_bytes`] rejects other versions with
 /// [`RestoreError::SchemaMismatch`].
-pub const CHECKPOINT_SCHEMA: u32 = 1;
+pub const CHECKPOINT_SCHEMA: u32 = 2;
 
 /// Leading magic of every checkpoint blob.
 const MAGIC: [u8; 4] = *b"ULPK";
@@ -45,7 +45,7 @@ const MAGIC: [u8; 4] = *b"ULPK";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The configuration of the checkpointed platform. Restore adopts it
-    /// wholesale (budget, tier, thresholds); only the *structural* part
+    /// wholesale (cycle budget included); only the *structural* part
     /// (cores, memories, synchronizer, policy) must match the target.
     pub config: PlatformConfig,
     /// Cycles simulated when the snapshot was taken.
@@ -68,37 +68,16 @@ pub struct Checkpoint {
     pub lockstep_sum: u64,
     /// Built-in lockstep-width recorder: counted fetch cycles.
     pub lockstep_cycles: u64,
-    /// Translation-cache state of the compiled tier (hotness counters and
-    /// translated-entry set; traces are re-derived from `imem`).
-    pub jit: JitSnapshot,
-    /// Per-core trace cursors as `(entry pc, offset)`; re-linked to block
-    /// indices on restore so hit accounting stays bit-identical.
-    pub cursors: Vec<Option<(u16, u16)>>,
     /// `(label, state)` of every attached observer that returned state
     /// from `Observer::save_state`.
     pub observers: Vec<(String, Vec<u8>)>,
 }
 
 impl Checkpoint {
-    /// FNV-1a hash of the encoded configuration — the value embedded in
-    /// the blob header and checked by [`Checkpoint::from_bytes`].
-    pub fn config_hash(&self) -> u64 {
-        let mut w = Writer::default();
-        write_config(&mut w, &self.config);
-        fnv1a(&w.buf)
-    }
-
     /// Serializes the checkpoint into the versioned `ULPK` wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut cfg = Writer::default();
-        write_config(&mut cfg, &self.config);
         let mut w = Writer::default();
-        w.bytes(&MAGIC);
-        w.u32(CHECKPOINT_SCHEMA);
-        w.u64(fnv1a(&cfg.buf));
-        w.len(cfg.buf.len());
-        w.bytes(&cfg.buf);
-
+        write_config(&mut w, &self.config);
         w.u64(self.cycle);
         write_fault(&mut w, self.fault);
         w.len(self.cores.len());
@@ -118,18 +97,6 @@ impl Checkpoint {
         }
         w.u64(self.lockstep_sum);
         w.u64(self.lockstep_cycles);
-        write_jit(&mut w, &self.jit);
-        w.len(self.cursors.len());
-        for cursor in &self.cursors {
-            match cursor {
-                None => w.u8(0),
-                Some((pc, off)) => {
-                    w.u8(1);
-                    w.u16(*pc);
-                    w.u16(*off);
-                }
-            }
-        }
         w.len(self.observers.len());
         for (label, state) in &self.observers {
             w.len(label.len());
@@ -137,14 +104,22 @@ impl Checkpoint {
             w.len(state.len());
             w.bytes(state);
         }
-        w.buf
+        let body = w.buf;
+
+        let mut blob = Writer::default();
+        blob.bytes(&MAGIC);
+        blob.u32(CHECKPOINT_SCHEMA);
+        blob.len(body.len());
+        blob.u64(fnv1a(&body));
+        blob.bytes(&body);
+        blob.buf
     }
 
     /// Decodes a blob produced by [`Checkpoint::to_bytes`].
     ///
     /// # Errors
     ///
-    /// * [`RestoreError::Corrupt`] — bad magic, a failed config hash, an
+    /// * [`RestoreError::Corrupt`] — bad magic, a failed checksum, an
     ///   invalid enum tag or trailing garbage;
     /// * [`RestoreError::SchemaMismatch`] — written by another version;
     /// * [`RestoreError::Truncated`] — the blob ends mid-field.
@@ -160,16 +135,20 @@ impl Checkpoint {
                 expected: CHECKPOINT_SCHEMA,
             });
         }
-        let hash = r.u64().ok_or(RestoreError::Truncated)?;
-        let cfg_len = r.len()?;
-        let cfg_bytes = r.take(cfg_len).ok_or(RestoreError::Truncated)?;
-        if fnv1a(cfg_bytes) != hash {
+        let body_len = r.len()?;
+        let checksum = r.u64().ok_or(RestoreError::Truncated)?;
+        let body = r.take(body_len).ok_or(RestoreError::Truncated)?;
+        if !r.done() {
             return Err(RestoreError::Corrupt {
-                what: "config hash",
+                what: "trailing bytes",
             });
         }
-        let config = read_config(&mut Reader::new(cfg_bytes))?;
+        if fnv1a(body) != checksum {
+            return Err(RestoreError::Corrupt { what: "checksum" });
+        }
 
+        let mut r = Reader::new(body);
+        let config = read_config(&mut r)?;
         let cycle = r.u64().ok_or(RestoreError::Truncated)?;
         let fault = read_fault(&mut r)?;
         let num_cores = r.len()?;
@@ -188,20 +167,6 @@ impl Checkpoint {
         };
         let lockstep_sum = r.u64().ok_or(RestoreError::Truncated)?;
         let lockstep_cycles = r.u64().ok_or(RestoreError::Truncated)?;
-        let jit = read_jit(&mut r)?;
-        let ncursors = r.len()?;
-        let mut cursors = Vec::with_capacity(ncursors.min(16));
-        for _ in 0..ncursors {
-            cursors.push(match r.u8().ok_or(RestoreError::Truncated)? {
-                0 => None,
-                1 => {
-                    let pc = r.u16().ok_or(RestoreError::Truncated)?;
-                    let off = r.u16().ok_or(RestoreError::Truncated)?;
-                    Some((pc, off))
-                }
-                _ => return Err(RestoreError::Corrupt { what: "cursor tag" }),
-            });
-        }
         let nobs = r.len()?;
         let mut observers = Vec::with_capacity(nobs.min(64));
         for _ in 0..nobs {
@@ -218,7 +183,7 @@ impl Checkpoint {
         }
         if !r.done() {
             return Err(RestoreError::Corrupt {
-                what: "trailing bytes",
+                what: "body length",
             });
         }
         Ok(Checkpoint {
@@ -233,8 +198,6 @@ impl Checkpoint {
             sync,
             lockstep_sum,
             lockstep_cycles,
-            jit,
-            cursors,
             observers,
         })
     }
@@ -323,7 +286,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// FNV-1a over a byte slice (the config hash in the blob header).
+/// FNV-1a over a byte slice (the body checksum in the blob header). Each
+/// byte step is a bijection of the running hash, so any change confined
+/// to one byte always changes the checksum.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -349,11 +314,6 @@ fn write_config(w: &mut Writer, cfg: &PlatformConfig) {
     w.u64(cfg.dm_words as u64);
     w.u32(cfg.dm_banks as u32);
     w.u64(cfg.max_cycles);
-    w.u8(match cfg.exec_tier {
-        ExecTier::Interpreted => 0,
-        ExecTier::Compiled => 1,
-    });
-    w.u32(cfg.jit_hot_threshold);
 }
 
 fn mapping_tag(m: BankMapping) -> u8 {
@@ -400,17 +360,6 @@ fn read_config(r: &mut Reader) -> Result<PlatformConfig, RestoreError> {
     let dm_words = r.u64().ok_or(RestoreError::Truncated)? as usize;
     let dm_banks = r.u32().ok_or(RestoreError::Truncated)? as usize;
     let max_cycles = r.u64().ok_or(RestoreError::Truncated)?;
-    let exec_tier = match r.u8().ok_or(RestoreError::Truncated)? {
-        0 => ExecTier::Interpreted,
-        1 => ExecTier::Compiled,
-        _ => return Err(RestoreError::Corrupt { what: "exec tier" }),
-    };
-    let jit_hot_threshold = r.u32().ok_or(RestoreError::Truncated)?;
-    if !r.done() {
-        return Err(RestoreError::Corrupt {
-            what: "config length",
-        });
-    }
     Ok(PlatformConfig {
         num_cores,
         synchronizer,
@@ -422,8 +371,6 @@ fn read_config(r: &mut Reader) -> Result<PlatformConfig, RestoreError> {
         dm_words,
         dm_banks,
         max_cycles,
-        exec_tier,
-        jit_hot_threshold,
     })
 }
 
@@ -872,68 +819,6 @@ fn read_sync(r: &mut Reader) -> Result<SyncSnapshot, RestoreError> {
     })
 }
 
-fn write_jit(w: &mut Writer, j: &JitSnapshot) {
-    w.u32(j.hot_threshold);
-    w.len(j.counters.len());
-    for &(word, count) in &j.counters {
-        w.u32(word);
-        w.u32(count);
-    }
-    w.len(j.translated.len());
-    for &pc in &j.translated {
-        w.u16(pc);
-    }
-    w.len(j.untranslatable.len());
-    for &pc in &j.untranslatable {
-        w.u16(pc);
-    }
-    for v in [
-        j.stats.translations,
-        j.stats.hits,
-        j.stats.compiled_cycles,
-        j.stats.fallback_cycles,
-    ] {
-        w.u64(v);
-    }
-}
-
-fn read_jit(r: &mut Reader) -> Result<JitSnapshot, RestoreError> {
-    let hot_threshold = r.u32().ok_or(RestoreError::Truncated)?;
-    let n = r.len()?;
-    let mut counters = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let word = r.u32().ok_or(RestoreError::Truncated)?;
-        let count = r.u32().ok_or(RestoreError::Truncated)?;
-        counters.push((word, count));
-    }
-    let n = r.len()?;
-    let mut translated = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        translated.push(r.u16().ok_or(RestoreError::Truncated)?);
-    }
-    let n = r.len()?;
-    let mut untranslatable = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        untranslatable.push(r.u16().ok_or(RestoreError::Truncated)?);
-    }
-    let mut v = [0u64; 4];
-    for slot in &mut v {
-        *slot = r.u64().ok_or(RestoreError::Truncated)?;
-    }
-    Ok(JitSnapshot {
-        hot_threshold,
-        counters,
-        translated,
-        untranslatable,
-        stats: JitStats {
-            translations: v[0],
-            hits: v[1],
-            compiled_cycles: v[2],
-            fallback_cycles: v[3],
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -941,12 +826,8 @@ mod tests {
     use ulp_isa::asm::assemble;
 
     fn snapshot_mid_run() -> Checkpoint {
-        let mut p = Platform::new(
-            PlatformConfig::paper_with_sync()
-                .with_max_cycles(50_000)
-                .with_exec_tier(ExecTier::Compiled),
-        )
-        .unwrap();
+        let mut p =
+            Platform::new(PlatformConfig::paper_with_sync().with_max_cycles(50_000)).unwrap();
         let program = assemble(
             "       movi r1, #40
              loop:  addi r2, #1
@@ -970,7 +851,6 @@ mod tests {
         let bytes = ckpt.to_bytes();
         let decoded = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(decoded, ckpt);
-        assert_eq!(decoded.config_hash(), ckpt.config_hash());
         assert!(ckpt.cycle >= 60, "snapshot taken mid-run");
     }
 
@@ -1013,17 +893,20 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_config_fails_the_hash() {
+    fn corrupted_body_fails_the_checksum() {
         let ckpt = snapshot_mid_run();
-        let mut bytes = ckpt.to_bytes();
-        // Flip a byte inside the encoded config (header is 4 magic +
-        // 4 schema + 8 hash + 4 length = 20 bytes).
-        bytes[21] ^= 0xFF;
-        assert_eq!(
-            Checkpoint::from_bytes(&bytes),
-            Err(RestoreError::Corrupt {
-                what: "config hash"
-            })
-        );
+        let bytes = ckpt.to_bytes();
+        // The header is 4 magic + 4 schema + 4 length + 8 checksum = 20
+        // bytes; flip one byte of the encoded config and one of the
+        // lockstep counters just before the (empty) observer list.
+        for at in [21, bytes.len() - 5] {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0xFF;
+            assert_eq!(
+                Checkpoint::from_bytes(&bad),
+                Err(RestoreError::Corrupt { what: "checksum" }),
+                "byte {at}"
+            );
+        }
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::error::ConfigError;
 use ulp_isa::arch;
-use ulp_jit::ExecTier;
 use ulp_mem::{BankMapping, ServingPolicy};
 
 /// Configuration of a [`crate::Platform`] instance.
@@ -38,13 +37,6 @@ pub struct PlatformConfig {
     pub dm_banks: usize,
     /// Simulation cycle budget for [`crate::Platform::run`].
     pub max_cycles: u64,
-    /// Execution strategy: the cycle-accurate interpreter (default) or the
-    /// compiled hot-block tier with interpreter fallback. Both produce
-    /// bit-identical architectural state and statistics.
-    pub exec_tier: ExecTier,
-    /// Hotness threshold of the compiled tier: a block entry PC must be
-    /// reached this many times before it is translated.
-    pub jit_hot_threshold: u32,
 }
 
 impl Default for PlatformConfig {
@@ -69,8 +61,6 @@ impl PlatformConfig {
             dm_words: arch::DM_WORDS,
             dm_banks: arch::DM_BANKS,
             max_cycles: 200_000_000,
-            exec_tier: ExecTier::Interpreted,
-            jit_hot_threshold: ulp_jit::DEFAULT_HOT_THRESHOLD,
         }
     }
 
@@ -102,12 +92,6 @@ impl PlatformConfig {
     /// Sets the cycle budget (builder style).
     pub fn with_max_cycles(mut self, cycles: u64) -> PlatformConfig {
         self.max_cycles = cycles;
-        self
-    }
-
-    /// Sets the execution tier (builder style).
-    pub fn with_exec_tier(mut self, tier: ExecTier) -> PlatformConfig {
-        self.exec_tier = tier;
         self
     }
 

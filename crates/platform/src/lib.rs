@@ -54,5 +54,4 @@ pub use error::{ConfigError, PlatformError, RestoreError};
 pub use observer::{BankHeatMap, LockstepWidth, Observer, PcTrace};
 pub use sim::{ObserverHandle, Platform, RunProgress, RunSummary};
 pub use stats::SimStats;
-pub use ulp_jit::{ExecTier, JitStats, TranslationCache};
 pub use vcd::VcdTracer;

@@ -137,7 +137,7 @@ impl LockstepWidth {
     /// Records one perfectly uniform fetch cycle (`width` cores at one
     /// PC) without materializing a request list — what
     /// [`Observer::on_fetch`] would record for such a cycle. Used by the
-    /// compiled tier's lockstep batches.
+    /// engine's lockstep batches.
     pub fn note_uniform(&mut self, width: u64) {
         self.sum += width;
         self.cycles += 1;
@@ -551,7 +551,6 @@ mod tests {
             sync: None,
             lockstep_width_sum: 0,
             lockstep_width_cycles: 0,
-            jit: ulp_jit::JitStats::default(),
         };
         map.on_run_end(&Ok(RunSummary { cycles: 3 }), &stats);
         assert_eq!(map.rows(), &[vec![1, 0, 2, 0], vec![0, 0, 0, 1]]);

@@ -9,8 +9,7 @@ use crate::stats::SimStats;
 use std::fmt;
 use ulp_cpu::{Core, CoreState, MemAccess, SyncRequest, WakeReason};
 use ulp_isa::asm::Program;
-use ulp_isa::OpClass;
-use ulp_jit::{ExecTier, TranslationCache};
+use ulp_isa::{decode, CsrOp, Instr, OpClass};
 use ulp_mem::{
     Access, BankedMemory, DXbar, DXbarOutcome, DmGrant, DmRequest, IXbar, ImGrant, ImRequest,
 };
@@ -123,12 +122,6 @@ pub struct Platform {
     fault: Option<PlatformError>,
     buffers: CycleBuffers,
     lockstep: LockstepWidth,
-    jit: TranslationCache,
-    /// Per-core trace cursor: `(block, offset)` of the micro-op the core
-    /// fetches (or is executing) inside a translated trace. A pure hint —
-    /// every use re-validates it against the core's PC — kept so
-    /// consecutive compiled cycles skip the cache lookup inside a block.
-    cursors: Vec<Option<(u32, u16)>>,
     /// Observers registered through [`Platform::attach`], notified on
     /// every step/run in attach order (before any `*_with` slice). Each
     /// entry keeps the id its [`ObserverHandle`] was minted with.
@@ -174,8 +167,6 @@ impl Platform {
             fault: None,
             buffers: CycleBuffers::new(cfg.num_cores),
             lockstep: LockstepWidth::new(),
-            jit: TranslationCache::new(cfg.jit_hot_threshold),
-            cursors: vec![None; cfg.num_cores],
             attached: Vec::new(),
             next_observer: 0,
             cfg,
@@ -242,26 +233,6 @@ impl Platform {
         self.cfg.max_cycles = budget;
     }
 
-    /// The configured execution tier.
-    pub fn exec_tier(&self) -> ExecTier {
-        self.cfg.exec_tier
-    }
-
-    /// Replaces the execution tier in place. Part of the reuse surface
-    /// alongside [`Platform::set_max_cycles`]: a cached platform can serve
-    /// jobs requesting either tier without being rebuilt. Takes effect on
-    /// the next run.
-    pub fn set_exec_tier(&mut self, tier: ExecTier) {
-        self.cfg.exec_tier = tier;
-        self.cursors.fill(None);
-    }
-
-    /// The translation cache of the compiled tier (hotness counters,
-    /// cached traces, per-run counters).
-    pub fn translation_cache(&self) -> &TranslationCache {
-        &self.jit
-    }
-
     /// Returns the platform to its power-on state — cores reset, memories
     /// zeroed, statistics cleared — while keeping every allocation, so the
     /// instance can run another program without rebuilding. Used by the
@@ -280,12 +251,6 @@ impl Platform {
         self.cycle = 0;
         self.fault = None;
         self.lockstep.reset();
-        // The translation cache intentionally survives reset: reloading the
-        // same kernel must hit the existing traces. Zeroing the IM above
-        // made its fingerprint stale, so flag it for revalidation.
-        self.jit.begin_run();
-        self.jit.mark_im_dirty();
-        self.cursors.fill(None);
     }
 
     /// Loads an assembled program into instruction memory.
@@ -293,13 +258,11 @@ impl Platform {
         for (addr, word) in program.iter() {
             self.imem.poke(addr, word);
         }
-        self.jit.mark_im_dirty();
     }
 
     /// Loads raw words into instruction memory at `base`.
     pub fn load_im(&mut self, base: u16, words: &[u16]) {
         self.imem.load(base, words);
-        self.jit.mark_im_dirty();
     }
 
     /// Loads raw words into data memory at `base`.
@@ -356,6 +319,10 @@ impl Platform {
 
     /// Advances the platform by one clock cycle, notifying any attached
     /// observers. Equivalent to `step_with(&mut [])`.
+    ///
+    /// A step is always exactly one interpreted cycle: only the run loops
+    /// take the lockstep fast path, so a `step()` loop is the reference
+    /// every run is bit-identical to.
     pub fn step(&mut self) {
         self.step_with(&mut []);
     }
@@ -378,9 +345,9 @@ impl Platform {
     pub fn step_with(&mut self, observers: &mut [&mut dyn Observer]) {
         if self.attached.is_empty() {
             if observers.is_empty() {
-                self.step_cycle::<false>(&mut []);
+                self.step_cycle::<false>(&mut [], 0);
             } else {
-                self.step_cycle::<true>(observers);
+                self.step_cycle::<true>(observers, 0);
             }
             return;
         }
@@ -390,7 +357,7 @@ impl Platform {
             .map(|(_, o)| o.as_mut())
             .chain(observers.iter_mut().map(|o| &mut **o))
             .collect();
-        self.step_cycle::<true>(&mut refs);
+        self.step_cycle::<true>(&mut refs, 0);
         drop(refs);
         self.attached = attached;
     }
@@ -398,9 +365,17 @@ impl Platform {
     /// One interpreter cycle. `OBSERVED` gates every observer dispatch at
     /// compile time; the built-in lockstep recorder only implements
     /// `on_fetch`, so that is the one hook the unobserved copy keeps.
-    fn step_cycle<const OBSERVED: bool>(&mut self, observers: &mut [&mut dyn Observer]) {
-        self.cycle += 1;
-        let cycle = self.cycle;
+    ///
+    /// The unobserved copy may instead run a whole lockstep batch (see
+    /// [`Platform::lockstep_batch`]) of up to `batch_limit - cycle`
+    /// cycles, when its phase scan finds every non-halted core fetching
+    /// one PC. `step` passes 0, which never batches.
+    fn step_cycle<const OBSERVED: bool>(
+        &mut self,
+        observers: &mut [&mut dyn Observer],
+        batch_limit: u64,
+    ) {
+        let cycle = self.cycle + 1;
         let mut buf = std::mem::take(&mut self.buffers);
 
         if OBSERVED {
@@ -430,6 +405,9 @@ impl Platform {
         let mut any_sync_issued = false;
         let mut any_sleeping = false;
         let mut any_held = false;
+        // Bitwise OR and AND of the fetch addresses: every fetcher is at
+        // one PC exactly when the two agree.
+        let (mut pc_or, mut pc_and) = (0u16, u16::MAX);
         // Cores whose execute phase is core-local (neither memory nor
         // sync) and completes at the end of the cycle; bit per core id.
         let mut local_done: u32 = 0;
@@ -442,6 +420,8 @@ impl Platform {
             match phase {
                 CoreState::Fetch => {
                     if let Some(addr) = self.cores[i].fetch_request() {
+                        pc_or |= addr;
+                        pc_and &= addr;
                         buf.fetch_reqs.push(ImRequest { core: i, addr });
                     }
                 }
@@ -469,6 +449,22 @@ impl Platform {
                 CoreState::Halted => {}
             }
         }
+
+        // Lockstep: the fetchers share one PC (so there is at least one)
+        // and no other core is anywhere but halted.
+        if !OBSERVED
+            && batch_limit >= cycle
+            && pc_or == pc_and
+            && local_done == 0
+            && buf.sync_reqs.is_empty()
+            && buf.dm_reqs.is_empty()
+            && !(any_sync_issued || any_sleeping || any_held)
+            && self.lockstep_batch(&buf.fetch_reqs, batch_limit)
+        {
+            self.buffers = buf;
+            return;
+        }
+        self.cycle = cycle;
 
         // ---- fetch phase ----------------------------------------------
         self.lockstep.on_fetch(cycle, &buf.fetch_reqs);
@@ -602,6 +598,11 @@ impl Platform {
 
     /// Runs until every core halts. Equivalent to `run_with(&mut [])`.
     ///
+    /// With no observer attached, the run takes the lockstep fast path:
+    /// whenever every non-halted core fetches one PC and the ops ahead are
+    /// core-local, it runs them as one batch, bit-identical to stepping
+    /// the same cycles. Observed runs interpret every cycle.
+    ///
     /// # Errors
     ///
     /// * [`PlatformError::CoreFault`] — a core fetched an illegal word;
@@ -640,8 +641,8 @@ impl Platform {
     /// A paused platform can be resumed with another `run_until` (or
     /// `run`) and/or checkpointed via [`Platform::snapshot`]; slicing a
     /// run this way is **bit-identical** to running it in one piece —
-    /// same architectural state, same [`SimStats`], on both execution
-    /// tiers.
+    /// same architectural state, same [`SimStats`] — and to a
+    /// [`Platform::step`] loop over the same cycles.
     ///
     /// # Errors
     ///
@@ -653,26 +654,6 @@ impl Platform {
     }
 
     fn run_bounded(
-        &mut self,
-        limit: u64,
-        extra: &mut [&mut dyn Observer],
-    ) -> Result<RunProgress, PlatformError> {
-        let observed = !extra.is_empty() || !self.attached.is_empty();
-        if self.cfg.exec_tier == ExecTier::Compiled {
-            if !observed {
-                return self.run_compiled(limit);
-            }
-            // Observer hooks fire every cycle, and every observed cycle is
-            // a fidelity boundary: the whole run stays on the interpreter.
-            let start = self.cycle;
-            let outcome = self.run_interpreted(limit, extra);
-            self.jit.stats_mut().fallback_cycles += self.cycle - start;
-            return outcome;
-        }
-        self.run_interpreted(limit, extra)
-    }
-
-    fn run_interpreted(
         &mut self,
         limit: u64,
         extra: &mut [&mut dyn Observer],
@@ -710,9 +691,11 @@ impl Platform {
                 return Ok(RunProgress::Paused);
             }
             if observers.is_empty() {
-                self.step_cycle::<false>(&mut []);
+                // A lockstep batch stops where the interpreter would: at
+                // the budget or at the slice limit.
+                self.step_cycle::<false>(&mut [], limit.min(self.cfg.max_cycles));
             } else {
-                self.step_cycle::<true>(observers);
+                self.step_cycle::<true>(observers, 0);
             }
             if let Some(fault) = self.fault {
                 break Err(fault);
@@ -733,395 +716,65 @@ impl Platform {
         outcome.map(RunProgress::Done)
     }
 
-    /// The compiled-tier run loop: each iteration either replays one cycle
-    /// through the translated traces or hands exactly one cycle to the
-    /// interpreter (cold code, fidelity boundaries, possible DM conflicts).
-    fn run_compiled(&mut self, limit: u64) -> Result<RunProgress, PlatformError> {
-        self.revalidate_jit();
-        loop {
-            if self.cycle >= self.cfg.max_cycles {
-                return Err(PlatformError::Timeout {
-                    budget: self.cfg.max_cycles,
-                });
-            }
-            if self.cycle >= limit {
-                return Ok(RunProgress::Paused);
-            }
-            if self.step_tier_once(limit) {
-                // A compiled cycle cannot fault, halt the last core or
-                // deadlock — those all live behind fidelity boundaries
-                // that force the interpreter path.
-                continue;
-            }
-            if let Some(fault) = self.fault {
-                return Err(fault);
-            }
-            if self.all_halted() {
-                return Ok(RunProgress::Done(RunSummary { cycles: self.cycle }));
-            }
-            if self.is_deadlocked() {
-                return Err(PlatformError::Deadlock { cycle: self.cycle });
-            }
-        }
-    }
-
-    /// Advances the simulation honoring the configured execution tier: on
-    /// a compiled-tier platform the cycle is replayed through hot traces
-    /// whenever it is trace-safe and interpreted otherwise. Returns whether
-    /// the work executed in the compiled tier (always `false` on an
-    /// interpreted-tier platform).
+    /// The lockstep fast path: `group` is the fetch request of every
+    /// non-halted core, all at one PC, at the start of a cycle that has
+    /// not been counted yet. While the synchronizer is idle and the word
+    /// at the group's PC decodes to a batchable op (see [`batchable`]),
+    /// this runs the op as the interpreter would — one broadcast fetch
+    /// cycle, then one core-local execute cycle — and moves on to the
+    /// next op, never past `limit` cycles (at least one cycle ahead).
+    /// Returns whether it ran; if not, the caller interprets the cycle.
     ///
-    /// A compiled step may advance *more than one cycle*: when every core
-    /// runs the same pure-op trace in lockstep, the whole run executes as
-    /// one batch (check [`Platform::cycle`] for the actual progress).
-    /// External events injected between steps ([`Platform::raise_irq`])
-    /// are polled at the next step, so they land on a batch boundary —
-    /// step-for-step interrupt timing against the interpreter requires
-    /// [`ExecTier::Interpreted`].
-    pub fn step_tiered(&mut self) -> bool {
-        if self.cfg.exec_tier == ExecTier::Compiled {
-            if !self.attached.is_empty() {
-                // Observed cycles are fidelity boundaries: hand the cycle
-                // to the interpreter so every attached hook fires.
-                self.step_with(&mut []);
-                self.jit.stats_mut().fallback_cycles += 1;
-                return false;
-            }
-            self.revalidate_jit();
-            self.step_tier_once(u64::MAX)
-        } else {
-            self.step();
-            false
-        }
-    }
-
-    /// Revalidates the translation cache against the current IM; if the
-    /// cached traces were dropped, the per-core cursors into them die too.
-    fn revalidate_jit(&mut self) {
-        self.jit.revalidate(&self.imem);
-        if self.jit.blocks_cached() == 0 {
-            self.cursors.fill(None);
-        }
-    }
-
-    /// One tiered cycle (cache already revalidated): tries the compiled
-    /// path, falling back to a single unobserved interpreter cycle.
-    /// `limit` caps how far a lockstep batch may advance the cycle count
-    /// (the run-slicing boundary of [`Platform::run_until`]).
-    fn step_tier_once(&mut self, limit: u64) -> bool {
-        // Interrupt polling happens at instruction boundaries before the
-        // fetch phase, exactly like the interpreter cycle. `poll_interrupt`
-        // is idempotent, so the fallback cycle re-polling is harmless; a
-        // redirected core's cursor hint simply fails PC validation.
-        for core in &mut self.cores {
-            core.poll_interrupt();
-        }
-        if self.try_step_compiled(limit) {
-            self.jit.stats_mut().compiled_cycles += 1;
-            return true;
-        }
-        self.cursors.fill(None);
-        self.step_cycle::<false>(&mut []);
-        self.jit.stats_mut().fallback_cycles += 1;
-        false
-    }
-
-    /// Attempts to execute the next cycle entirely inside translated
-    /// traces. Succeeds only when every core's contribution is trace-safe:
-    /// the synchronizer is idle, fetching cores sit on a hot trace,
-    /// executing cores run trace-safe micro-ops, and the data-memory
-    /// request set is conflict-free and lock-free. On success the cycle is
-    /// *replayed* exactly as the interpreter would execute it — same
-    /// crossbar arbitration, same rotating priorities, same counters — so
-    /// all architectural state and statistics stay bit-identical; the only
-    /// work skipped is per-instruction decode and the phase machinery that
-    /// provably does nothing this cycle.
-    fn try_step_compiled(&mut self, limit: u64) -> bool {
+    /// The result is bit-identical to interpreting the same cycles. A
+    /// uniform fetch is the one I-Xbar grant [`IXbar::serve_uniform`]
+    /// replays with the same counters and rotating-priority update; the
+    /// lockstep recorder sees a full-width group; and a pure op touches
+    /// neither crossbar, the data memory nor the synchronizer, whose
+    /// interpreted phases are no-ops in these cycles. Each op is decoded
+    /// once for the whole group, through the uncounted IM backdoor. An
+    /// odd budget ends the batch on a fetch: the op's execute half then
+    /// runs as an ordinary interpreted cycle after the pause.
+    #[inline(never)]
+    fn lockstep_batch(&mut self, group: &[ImRequest], limit: u64) -> bool {
+        let mut pc = group[0].addr;
+        let Some(mut instr) = batchable(self.imem.peek(pc)) else {
+            return false;
+        };
         if self.sync.as_ref().is_some_and(Synchronizer::is_busy) {
             return false;
         }
-        let n = self.cores.len();
-        debug_assert!(n <= 16, "plan scratch is sized for the core-count cap");
-
-        // ---- uniform lockstep batch --------------------------------------
-        // The dominant shape of SPMD hot loops: every non-halted core in
-        // Fetch at the *same* PC. If the trace ahead is a run of pure
-        // (core-local, non-memory) micro-ops, the whole run executes here
-        // — per op one broadcast fetch cycle plus one execute cycle, with
-        // the same statistics the interpreter would record, but without
-        // per-cycle arbitration, request buffers or phase scans.
-        if self.try_step_uniform_batch(limit) {
-            return true;
+        let mut members = [0usize; 16];
+        for (slot, r) in members.iter_mut().zip(group) {
+            *slot = r.core;
         }
-
-        // ---- plan: classify every core's cycle, commit nothing ---------
-        let mut fetchers = [(0usize, 0u32, 0u16); 16];
-        let mut nfetch = 0usize;
-        let mut dm_plan = [(0usize, 0u16, Access::Read); 16];
-        let mut ndm = 0usize;
-        let mut local_done: u32 = 0;
-        let mut any_active = false;
-        for i in 0..n {
-            match self.cores[i].state() {
-                CoreState::Halted => {}
-                CoreState::Fetch => {
-                    any_active = true;
-                    let pc = self.cores[i].pc();
-                    // The cursor is a hint: trust it only if it points at
-                    // this PC inside its trace (traces mirror validated
-                    // IM, so any cursor passing this check is correct).
-                    let cursor = self.cursors[i]
-                        .filter(|&(b, off)| {
-                            let block = self.jit.block(b);
-                            (off as usize) < block.len() && block.start.wrapping_add(off) == pc
-                        })
-                        .or_else(|| self.jit.lookup_hot(pc, &self.imem).map(|b| (b, 0)));
-                    let Some(cur) = cursor else {
-                        return false; // cold code: interpret this cycle
-                    };
-                    self.cursors[i] = Some(cur);
-                    fetchers[nfetch] = (i, cur.0, cur.1);
-                    nfetch += 1;
-                }
-                CoreState::Execute(instr) => {
-                    any_active = true;
-                    match instr.op_class() {
-                        OpClass::Pure | OpClass::Control => local_done |= 1 << i,
-                        OpClass::Mem => {
-                            let r = self.cores[i].mem_request().expect("Mem class requests DM");
-                            let access = match r.access {
-                                MemAccess::Read => Access::Read,
-                                MemAccess::Write(v) => Access::Write(v),
-                            };
-                            dm_plan[ndm] = (i, r.addr, access);
-                            ndm += 1;
-                        }
-                        OpClass::Boundary => return false,
-                    }
-                }
-                // Held, SyncIssued, Sleeping: fidelity boundaries.
-                _ => return false,
-            }
-        }
-        if !any_active {
-            return false;
-        }
-        // The DM request set must be conflict-free: per bank at most one
-        // request unless all of them are same-address reads, and no locked
-        // words. Pairwise is fine at <= 16 requests.
-        for a in 0..ndm {
-            let (_, addr_a, access_a) = dm_plan[a];
-            if self.dmem.is_locked(addr_a) {
-                return false;
-            }
-            for &(_, addr_b, access_b) in &dm_plan[a + 1..ndm] {
-                if self.dmem.bank_of(addr_a) == self.dmem.bank_of(addr_b)
-                    && !(addr_a == addr_b && access_a == Access::Read && access_b == Access::Read)
-                {
-                    return false;
-                }
-            }
-        }
-
-        // ---- commit: replay the exact interpreter cycle ----------------
-        self.cycle += 1;
-        let cycle = self.cycle;
-        let mut buf = std::mem::take(&mut self.buffers);
-
-        // Fetch phase: addresses come from the cores as usual; the real
-        // I-Xbar arbitration keeps rotating priority, conflict accounting
-        // and memory energy counters bit-identical. Only decode is skipped:
-        // granted cores receive the pre-decoded micro-op. (With no fetcher
-        // the interpreter's fetch phase is a no-op: the width recorder
-        // ignores empty cycles and the crossbar grants nothing.)
-        if nfetch > 0 {
-            buf.fetch_reqs.clear();
-            for &(i, _, _) in &fetchers[..nfetch] {
-                buf.fetch_reqs.push(ImRequest {
-                    core: i,
-                    addr: self.cores[i].pc(),
-                });
-            }
-            self.lockstep.on_fetch(cycle, &buf.fetch_reqs);
-            self.ixbar
-                .arbitrate_into(&buf.fetch_reqs, &mut self.imem, &mut buf.im_grants);
-            buf.fetched.fill(false);
-            for g in &buf.im_grants {
-                buf.fetched[g.core] = true;
-            }
-            for &(i, block, off) in &fetchers[..nfetch] {
-                if buf.fetched[i] {
-                    let op = self.jit.block(block).ops[off as usize];
-                    self.cores[i].on_fetch_granted_decoded(op.instr);
-                } else {
-                    self.cores[i].note_fetch_stall();
-                }
-            }
-        }
-
-        // Sync phase: skipped — the synchronizer is idle and no core
-        // issues a sync op, so the interpreter's step would be a no-op.
-
-        // DM phase: the plan guarantees every request is served. (With no
-        // request the interpreter's DM phase is a no-op too: the plan
-        // excludes held cores, so there is nothing to release either.)
-        if ndm > 0 {
-            buf.dm_reqs.clear();
-            for &(i, addr, access) in &dm_plan[..ndm] {
-                buf.dm_reqs.push(DmRequest {
-                    core: i,
-                    pc: self.cores[i].pc(),
-                    addr,
-                    access,
-                });
-            }
-            self.dxbar
-                .arbitrate_into(&buf.dm_reqs, &mut self.dmem, &mut buf.dm_outcome);
-            debug_assert_eq!(
-                buf.dm_outcome.grants.len(),
-                ndm,
-                "conflict-free plan fully served"
-            );
-            debug_assert!(buf.dm_outcome.releases.is_empty());
-            for g in &buf.dm_outcome.grants {
-                match *g {
-                    DmGrant::Complete { core, data } => {
-                        self.cores[core].complete_execute(data);
-                        self.advance_cursor(core);
-                    }
-                    // A hold needs unserved synchronous peers; a
-                    // conflict-free cycle serves everyone.
-                    DmGrant::Hold { .. } => unreachable!("conflict-free cycle cannot hold"),
-                }
-            }
-        }
-
-        // Execute phase: core-local micro-ops complete with no operand.
-        while local_done != 0 {
-            let i = local_done.trailing_zeros() as usize;
-            local_done &= local_done - 1;
-            self.cores[i].complete_execute(None);
-            self.advance_cursor(i);
-        }
-
-        self.buffers = buf;
-        true
-    }
-
-    /// The uniform-lockstep batch: when every non-halted core is fetching
-    /// the same PC on a hot trace whose next micro-ops are a run of
-    /// [`OpClass::Pure`] ops, executes the whole run (capped by the cycle
-    /// budget) in one call. Per op this replays exactly one broadcast
-    /// fetch cycle and one core-local execute cycle — identical memory,
-    /// crossbar, lockstep-width and core counters to the interpreter —
-    /// so architectural state and statistics stay bit-identical. Returns
-    /// whether a batch (≥ 1 op) ran. The batch never advances past
-    /// `limit`, so a sliced run pauses exactly where the interpreter
-    /// would; because each pair of cycles contributes the same counters
-    /// regardless of how the run is split, slicing stays bit-identical.
-    fn try_step_uniform_batch(&mut self, limit: u64) -> bool {
-        let mut active = [0usize; 16];
-        let mut m = 0usize;
-        let mut pc = 0u16;
-        for (i, core) in self.cores.iter().enumerate() {
-            match core.state() {
-                CoreState::Halted => {}
-                CoreState::Fetch => {
-                    if m == 0 {
-                        pc = core.pc();
-                    } else if core.pc() != pc {
-                        return false;
-                    }
-                    active[m] = i;
-                    m += 1;
-                }
-                _ => return false,
-            }
-        }
-        if m == 0 {
-            return false;
-        }
-        // All fetchers share one PC: resolve the trace through the first
-        // core's cursor hint (validated) or the hot-block cache.
-        let leader = active[0];
-        let Some((b, off)) = self.cursors[leader]
-            .filter(|&(b, off)| {
-                let block = self.jit.block(b);
-                (off as usize) < block.len() && block.start.wrapping_add(off) == pc
-            })
-            .or_else(|| self.jit.lookup_hot(pc, &self.imem).map(|b| (b, 0)))
-        else {
-            return false;
-        };
-        let block = self.jit.block(b);
-        // Cap the run so the batch never overshoots the cycle budget or
-        // the caller's slice limit (the interpreter would stop there, one
-        // cycle at a time).
-        let budget_cycles = self.cfg.max_cycles.min(limit).saturating_sub(self.cycle);
-        let run = block.pure_run(off);
-        let k = run.min((budget_cycles / 2) as usize);
-        // An odd budget splits a fetch/execute pair across the slice
-        // boundary: execute the fetch half here (still one broadcast, so
-        // hit accounting matches the unsliced batch) and let the execute
-        // half complete after the pause, exactly as the interpreter would.
-        let split_pair = run > k && budget_cycles > 2 * k as u64;
-        if k == 0 && !split_pair {
-            return false;
-        }
-
-        for step in 0..k {
-            let op = block.ops[off as usize + step];
-            let at = block.start.wrapping_add(off).wrapping_add(step as u16);
+        let members = &members[..group.len()];
+        let width = members.len() as u64;
+        loop {
             // Fetch cycle: one broadcast read serves the whole group.
             self.cycle += 1;
-            self.lockstep.note_uniform(m as u64);
-            self.ixbar.serve_uniform(&active[..m], at, &mut self.imem);
-            for &i in &active[..m] {
-                self.cores[i].on_fetch_granted_decoded(op.instr);
+            self.lockstep.note_uniform(width);
+            self.ixbar.serve_uniform(members, pc, &mut self.imem);
+            for &i in members {
+                self.cores[i].on_fetch_granted_decoded(instr);
             }
-            // Execute cycle: pure ops complete core-locally.
+            if self.cycle == limit {
+                break;
+            }
+            // Execute cycle: the op completes core-locally.
             self.cycle += 1;
-            for &i in &active[..m] {
+            for &i in members {
                 self.cores[i].complete_execute(None);
             }
-        }
-        if split_pair {
-            let op = block.ops[off as usize + k];
-            let at = block.start.wrapping_add(off).wrapping_add(k as u16);
-            self.cycle += 1;
-            self.lockstep.note_uniform(m as u64);
-            self.ixbar.serve_uniform(&active[..m], at, &mut self.imem);
-            // The cursor stays on the op now executing; its completion
-            // (next cycle, possibly after a checkpoint/restore) advances
-            // it, so a resumed run re-enters the trace without a lookup.
-            for &i in &active[..m] {
-                self.cores[i].on_fetch_granted_decoded(op.instr);
-                self.cursors[i] = Some((b, off + k as u16));
+            if self.cycle == limit {
+                break;
             }
-            let jit = self.jit.stats_mut();
-            jit.compiled_cycles += 2 * k as u64; // the caller counts one more
-            return true;
+            pc = self.cores[members[0]].pc();
+            match batchable(self.imem.peek(pc)) {
+                Some(next) => instr = next,
+                None => break,
+            }
         }
-        let end = off + k as u16;
-        let cursor = ((end as usize) < block.len()).then_some((b, end));
-        for &i in &active[..m] {
-            self.cursors[i] = cursor;
-        }
-        let jit = self.jit.stats_mut();
-        jit.compiled_cycles += 2 * k as u64 - 1; // the caller counts one more
         true
-    }
-
-    /// After a compiled execute completion, points the core's cursor at
-    /// the next micro-op of its trace; past the end (including control
-    /// terminators) the cursor dies and the next fetch re-enters through
-    /// the cache at the new PC.
-    fn advance_cursor(&mut self, i: usize) {
-        if let Some((block, off)) = self.cursors[i] {
-            let next = off + 1;
-            self.cursors[i] =
-                ((next as usize) < self.jit.block(block).len()).then_some((block, next));
-        }
     }
 
     /// A deadlock: no core can make progress again — every non-halted core
@@ -1155,7 +808,6 @@ impl Platform {
             sync: self.sync.as_ref().map(|s| *s.stats()),
             lockstep_width_sum: self.lockstep.sum(),
             lockstep_width_cycles: self.lockstep.cycles(),
-            jit: self.jit.stats(),
         }
     }
 
@@ -1163,19 +815,11 @@ impl Platform {
 
     /// Captures the complete state of the platform between cycles: cores,
     /// both memories, crossbar arbiters, the synchronizer, the lockstep
-    /// and power-relevant counters, the translation cache, and the state
-    /// of every attached observer that implements
-    /// [`Observer::save_state`]. Resuming from the checkpoint (on this
-    /// platform or a fresh one) is bit-identical to never pausing.
+    /// and power-relevant counters, and the state of every attached
+    /// observer that implements [`Observer::save_state`]. Resuming from
+    /// the checkpoint (on this platform or a fresh one) is bit-identical
+    /// to never pausing.
     pub fn snapshot(&self) -> Checkpoint {
-        // Trace cursors are stored as (entry pc, offset): block indices
-        // are allocation order and do not survive the restore-time
-        // retranslation, entry PCs do.
-        let cursors = self
-            .cursors
-            .iter()
-            .map(|cursor| cursor.map(|(block, off)| (self.jit.block(block).start, off)))
-            .collect();
         Checkpoint {
             config: self.cfg.clone(),
             cycle: self.cycle,
@@ -1188,8 +832,6 @@ impl Platform {
             sync: self.sync.as_ref().map(Synchronizer::save),
             lockstep_sum: self.lockstep.sum(),
             lockstep_cycles: self.lockstep.cycles(),
-            jit: self.jit.save(),
-            cursors,
             observers: self
                 .attached
                 .iter()
@@ -1216,8 +858,8 @@ impl Platform {
     /// Re-applies a checkpoint onto this platform in place, reusing every
     /// allocation — the migration path for cached platforms: a worker
     /// takes a platform keyed on the same design and adopts a partially
-    /// run job's state. The checkpoint's full configuration (budget,
-    /// tier, thresholds) is adopted; only the *structural* shape (cores,
+    /// run job's state. The checkpoint's full configuration (cycle
+    /// budget included) is adopted; only the *structural* shape (cores,
     /// memory geometry, synchronizer, serving policy) must already match.
     ///
     /// Checkpointed observer state is matched against attached observers
@@ -1250,7 +892,7 @@ impl Platform {
         {
             return Err(RestoreError::ConfigMismatch);
         }
-        if ckpt.cores.len() != self.cores.len() || ckpt.cursors.len() != self.cores.len() {
+        if ckpt.cores.len() != self.cores.len() {
             return Err(RestoreError::Corrupt { what: "core count" });
         }
         if ckpt.sync.is_some() != self.sync.is_some() {
@@ -1291,34 +933,6 @@ impl Platform {
         self.fault = ckpt.fault;
         self.lockstep
             .restore(ckpt.lockstep_sum, ckpt.lockstep_cycles);
-        // The translation cache re-derives its traces from the restored
-        // IM through the uncounted backdoor, so retranslation leaves the
-        // memory counters untouched and statistics stay bit-identical.
-        if !self.jit.restore_from(&ckpt.jit, &self.imem) {
-            return Err(RestoreError::Corrupt {
-                what: "translation cache",
-            });
-        }
-        self.cursors.clear();
-        for cursor in &ckpt.cursors {
-            let mapped = match cursor {
-                None => None,
-                Some((pc, off)) => {
-                    let idx = self
-                        .jit
-                        .block_index_at(*pc)
-                        .filter(|&block| {
-                            let block = self.jit.block(block);
-                            block.start == *pc && (*off as usize) < block.len()
-                        })
-                        .ok_or(RestoreError::Corrupt {
-                            what: "trace cursor",
-                        })?;
-                    Some((idx, *off))
-                }
-            };
-            self.cursors.push(mapped);
-        }
         let mut used = vec![false; self.attached.len()];
         for (label, state) in &ckpt.observers {
             let target = self
@@ -1339,6 +953,24 @@ impl Platform {
         }
         Ok(())
     }
+}
+
+/// The decoded op if `word` may run inside a lockstep batch: an
+/// [`OpClass::Pure`] op that cannot enable interrupts. A run polls
+/// interrupts once per cycle, but a batch only once, at its start; after
+/// that poll no core has an interrupt both pending and enabled, and with
+/// `EI` and `WRSR` left to the interpreter none becomes enabled inside
+/// the batch either.
+fn batchable(word: u16) -> Option<Instr> {
+    let instr = decode(word).ok()?;
+    let enables_irq = matches!(
+        instr,
+        Instr::Csr {
+            op: CsrOp::Ei | CsrOp::WrSr,
+            ..
+        }
+    );
+    (instr.op_class() == OpClass::Pure && !enables_irq).then_some(instr)
 }
 
 #[cfg(test)]

@@ -505,3 +505,172 @@ fn run_summary_matches_cycle_count() {
     assert_eq!(summary.cycles, p.cycle());
     assert!(p.all_halted());
 }
+
+// ---- the lockstep fast path ----------------------------------------------
+
+/// A lockstep loop: six pure ops up to the first `bne`, then four per
+/// iteration.
+const PURE_LOOP_SRC: &str = "
+        rdid r1
+        movi r0, #3
+loop:   addi r2, #1
+        addi r3, #2
+        mov  r4, r2
+        addi r0, #-1
+        bne  loop
+        halt";
+
+/// One unobserved engine step with lockstep batches allowed up to
+/// `limit` cycles; returns how many cycles it advanced.
+fn fast_step(p: &mut Platform, limit: u64) -> u64 {
+    let start = p.cycle();
+    p.step_cycle::<false>(&mut [], limit);
+    p.cycle() - start
+}
+
+/// Cores, memories, crossbars, synchronizer and counters of a platform.
+fn machine(p: &Platform) -> (SimStats, Vec<CoreState>, Vec<Vec<u16>>, Vec<u16>) {
+    let n = p.num_cores();
+    (
+        p.stats(),
+        (0..n).map(|i| p.core(i).state()).collect(),
+        (0..n)
+            .map(|i| Reg::ALL.iter().map(|&r| p.core(i).reg(r)).collect())
+            .collect(),
+        p.dm_slice(0, p.config().dm_words),
+    )
+}
+
+#[test]
+fn lockstep_batch_runs_pure_ops_at_two_cycles_each() {
+    let mut fast = platform(true, PURE_LOOP_SRC);
+    // rdid, movi and the four loop ops; the bne is fetched and executed by
+    // the interpreter, then the next iteration's four ops are one batch.
+    let advanced: Vec<u64> = (0..4).map(|_| fast_step(&mut fast, u64::MAX)).collect();
+    assert_eq!(advanced, [12, 1, 1, 8]);
+    assert!((0..8).all(|i| fast.core(i).pc() == 6 && fast.core(i).state() == CoreState::Fetch));
+
+    let mut stepped = platform(true, PURE_LOOP_SRC);
+    for _ in 0..22 {
+        stepped.step();
+    }
+    assert_eq!(machine(&fast), machine(&stepped));
+    // Eight cores, one broadcast fetch per op.
+    assert_eq!(fast.stats().im.bank_reads, 11);
+    assert_eq!(fast.stats().avg_lockstep_width(), 8.0);
+}
+
+#[test]
+fn lockstep_batch_stops_at_its_limit_mid_op() {
+    // An odd limit ends the batch on a fetch; the op's execute cycle is
+    // left to the next (interpreted) cycle, as a step loop would do it.
+    let mut fast = platform(true, PURE_LOOP_SRC);
+    assert_eq!(fast_step(&mut fast, 5), 5);
+    assert!(matches!(fast.core(0).state(), CoreState::Execute(_)));
+    let mut stepped = platform(true, PURE_LOOP_SRC);
+    for _ in 0..5 {
+        stepped.step();
+    }
+    assert_eq!(machine(&fast), machine(&stepped));
+    assert_eq!(fast_step(&mut fast, 5), 1, "nothing left to batch");
+}
+
+#[test]
+fn lockstep_batch_declines_on_diverged_pcs() {
+    let mut p = platform(true, PURE_LOOP_SRC);
+    p.core_mut(3).set_pc(1);
+    assert_eq!(fast_step(&mut p, u64::MAX), 1);
+}
+
+#[test]
+fn lockstep_batch_declines_while_the_synchronizer_is_busy() {
+    let mut p = platform(true, PURE_LOOP_SRC);
+    let sync = p.sync.as_mut().expect("synchronizer present");
+    let mut busy = sync.save();
+    busy.inflight = Some((SYNC_BASE, 2, 0));
+    sync.load_snapshot(&busy);
+    assert_eq!(fast_step(&mut p, u64::MAX), 1);
+    assert_eq!(p.stats().sync.unwrap().busy_cycles, 1, "sync phase ran");
+    // The RMW has one cycle left; once it commits, batching resumes.
+    assert_eq!(fast_step(&mut p, u64::MAX), 1);
+    assert!(fast_step(&mut p, u64::MAX) > 1);
+}
+
+#[test]
+fn lockstep_batch_declines_on_ops_that_are_not_batchable() {
+    for src in [
+        "ld r1, [r2]\nhalt",
+        "st r1, [r2]\nhalt",
+        "br next\nnext: halt",
+        "sinc #0\nhalt",
+        "halt",
+        // Can enable interrupts: left to the interpreter.
+        "ei\nhalt",
+        "wrsr r0\nhalt",
+    ] {
+        let mut p = platform(true, src);
+        assert_eq!(fast_step(&mut p, u64::MAX), 1, "{src}");
+    }
+}
+
+#[test]
+fn illegal_word_still_faults_after_a_batch() {
+    let mut p = Platform::new(PlatformConfig::paper_with_sync()).unwrap();
+    let nop = ulp_isa::encode(ulp_isa::Instr::Nop).unwrap();
+    p.load_im(0, &[nop, nop, 0xF800]);
+    assert_eq!(fast_step(&mut p, u64::MAX), 4, "the two nops");
+    assert_eq!(fast_step(&mut p, u64::MAX), 1, "the illegal word");
+    let err = p.run().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PlatformError::CoreFault {
+                core: 0,
+                error: ulp_cpu::CoreError::IllegalInstruction {
+                    pc: 2,
+                    word: 0xF800
+                }
+            }
+        ),
+        "{err}"
+    );
+}
+
+#[test]
+fn attached_observer_sees_every_cycle_of_a_lockstep_run() {
+    let mut p = platform(true, PURE_LOOP_SRC);
+    let handle = p.attach(Box::new(CountingObserver::default()));
+    assert_eq!(p.run_until(19).unwrap(), RunProgress::Paused);
+    let counting = p.observer_as::<CountingObserver>(&handle).unwrap();
+    assert_eq!(counting.cycle_starts, 19);
+    assert_eq!(counting.fetch_cycles, p.stats().lockstep_width_cycles);
+}
+
+#[test]
+fn interrupt_enabled_inside_a_lockstep_run_vectors_like_a_step_loop() {
+    // Core 2's interrupt is pending from the start but disabled until
+    // `ei`: the core must vector at the very next fetch, mid-way through
+    // the straight line of pure ops.
+    let src = "
+        br   main
+        br   isr
+main:   movi r1, #1
+        addi r1, #1
+        ei
+        addi r1, #1
+        addi r1, #1
+        halt
+isr:    movi r3, #3
+        iret";
+    let mut fast = platform(true, src);
+    fast.raise_irq(2);
+    fast.run().unwrap();
+    let mut stepped = platform(true, src);
+    stepped.raise_irq(2);
+    while !stepped.all_halted() {
+        stepped.step();
+    }
+    assert_eq!(machine(&fast), machine(&stepped));
+    assert_eq!(fast.core(2).reg(Reg::R3), 3, "handler ran");
+    assert_eq!(fast.core(2).stats().interrupts, 1);
+}

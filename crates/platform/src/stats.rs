@@ -1,7 +1,6 @@
 //! Aggregated simulation statistics — the inputs to the power model.
 
 use ulp_cpu::CoreStats;
-use ulp_jit::JitStats;
 use ulp_mem::{DXbarStats, IXbarStats, MemStats};
 use ulp_sync::SyncStats;
 
@@ -36,10 +35,6 @@ pub struct SimStats {
     pub lockstep_width_sum: u64,
     /// Number of cycles with at least one fetch request (denominator).
     pub lockstep_width_cycles: u64,
-    /// Compiled-tier counters (all zero on interpreted runs). These
-    /// describe the *host execution strategy*, not the simulated machine:
-    /// they are the one field allowed to differ between tiers.
-    pub jit: JitStats,
 }
 
 impl SimStats {
@@ -147,7 +142,6 @@ mod tests {
             sync: None,
             lockstep_width_sum: 600,
             lockstep_width_cycles: 100,
-            jit: JitStats::default(),
         }
     }
 

@@ -253,7 +253,6 @@ mod tests {
             sync: None,
             lockstep_width_sum: 0,
             lockstep_width_cycles: 0,
-            jit: Default::default(),
         };
         let a = Activity::from_stats(&stats);
         assert!((a.ops_per_cycle - 2.0).abs() < 1e-9);

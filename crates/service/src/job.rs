@@ -4,7 +4,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 use ulp_kernels::{Benchmark, BenchmarkRun, RunnerError, WorkloadConfig};
-use ulp_platform::ExecTier;
 
 /// Urgency class of a job. Each worker deque is segregated by priority:
 /// owners and thieves always serve the highest non-empty class first, so a
@@ -122,10 +121,6 @@ pub struct JobSpec {
     /// The tenant the job is submitted on behalf of (quota and fair-share
     /// accounting). Defaults to [`TenantId::DEFAULT`].
     pub tenant: TenantId,
-    /// Execution tier of the platform run: the interpreter by default, or
-    /// the compiled hot-block tier — bit-identical results, faster on
-    /// lockstep-heavy kernels.
-    pub exec_tier: ExecTier,
     /// Checkpoint cadence in simulated cycles. When set, the executing
     /// worker snapshots the platform every `checkpoint_every` cycles
     /// ([`ulp_platform::Platform::snapshot`]), which makes the job
@@ -156,7 +151,6 @@ impl JobSpec {
             priority: Priority::Normal,
             deadline_cycles: None,
             tenant: TenantId::DEFAULT,
-            exec_tier: ExecTier::Interpreted,
             checkpoint_every: None,
         }
     }
@@ -199,14 +193,6 @@ impl JobSpec {
     #[must_use]
     pub fn observers(mut self, observers: ObserverSelection) -> JobSpec {
         self.observers = observers;
-        self
-    }
-
-    /// Selects the execution tier of the platform run (the default is
-    /// [`ExecTier::Interpreted`]).
-    #[must_use]
-    pub fn exec_tier(mut self, tier: ExecTier) -> JobSpec {
-        self.exec_tier = tier;
         self
     }
 

@@ -18,9 +18,7 @@ use ulp_kernels::{
     resume_benchmark_checkpointed, run_benchmark_checkpointed, run_benchmark_reusing_with,
     CheckpointControl, RunnerError,
 };
-use ulp_platform::{
-    BankHeatMap, Checkpoint, ExecTier, PcTrace, Platform, PlatformConfig, VcdTracer,
-};
+use ulp_platform::{BankHeatMap, Checkpoint, PcTrace, Platform, PlatformConfig, VcdTracer};
 use ulp_telemetry::{
     worker_track, Counter, EventKind, Histogram, Telemetry, Track, CLIENT_TRACK, NO_JOB,
 };
@@ -861,10 +859,6 @@ struct ServiceMetrics {
     checkpoint_cycles: Histogram,
     queue_wait_us: Histogram,
     run_us: Histogram,
-    jit_translations: Counter,
-    jit_hits: Counter,
-    jit_compiled_cycles: Counter,
-    jit_fallback_cycles: Counter,
 }
 
 impl ServiceMetrics {
@@ -885,30 +879,13 @@ impl ServiceMetrics {
             checkpoint_cycles: telemetry.histogram("service_checkpoint_cycles"),
             queue_wait_us: telemetry.histogram("service_queue_wait_us"),
             run_us: telemetry.histogram("service_run_us"),
-            jit_translations: telemetry.counter("jit_translations"),
-            jit_hits: telemetry.counter("jit_hits"),
-            jit_compiled_cycles: telemetry.counter("jit_compiled_cycles"),
-            jit_fallback_cycles: telemetry.counter("jit_fallback_cycles"),
         }
     }
 }
 
-/// The telemetry wire code for an execution tier (`JobEvent::exec_tier`).
-fn tier_code(tier: ExecTier) -> u8 {
-    match tier {
-        ExecTier::Interpreted => 0,
-        ExecTier::Compiled => 1,
-    }
-}
-
-/// The telemetry tags of one job spec: (job id, tenant, priority, tier).
-fn event_tags(id: JobId, spec: &JobSpec) -> (u64, u32, u8, u8) {
-    (
-        id,
-        spec.tenant.0,
-        spec.priority.index() as u8,
-        tier_code(spec.exec_tier),
-    )
+/// The telemetry tags of one job spec: (job id, tenant, priority).
+fn event_tags(id: JobId, spec: &JobSpec) -> (u64, u32, u8) {
+    (id, spec.tenant.0, spec.priority.index() as u8)
 }
 
 struct Shared {
@@ -1305,7 +1282,6 @@ impl SimService {
                         NO_JOB,
                         spec.tenant.0,
                         spec.priority.index() as u8,
-                        tier_code(spec.exec_tier),
                     );
                     return Err(SubmitError::QuotaExceeded {
                         tenant: spec.tenant,
@@ -1322,7 +1298,6 @@ impl SimService {
                         NO_JOB,
                         spec.tenant.0,
                         spec.priority.index() as u8,
-                        tier_code(spec.exec_tier),
                     );
                     return Err(SubmitError::AtCapacity {
                         spec,
@@ -1370,11 +1345,11 @@ impl SimService {
         let weight = self.shared.policy(spec.tenant).weight;
         self.shared.metrics.jobs_submitted.inc();
         if self.client_track.is_enabled() {
-            let (job, tenant, priority, tier) = event_tags(id, &spec);
+            let (job, tenant, priority) = event_tags(id, &spec);
             self.client_track
-                .record(EventKind::Submitted, job, tenant, priority, tier);
+                .record(EventKind::Submitted, job, tenant, priority);
             self.client_track
-                .record(EventKind::Queued, job, tenant, priority, tier);
+                .record(EventKind::Queued, job, tenant, priority);
         }
         self.shared.queues[queue].lock().expect("queue lock").push(
             QueuedJob {
@@ -1664,7 +1639,7 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
         }
         let queue_wait = job.enqueued.elapsed();
         let tags = event_tags(job.id, &job.spec);
-        track.record(EventKind::Claimed, tags.0, tags.1, tags.2, tags.3);
+        track.record(EventKind::Claimed, tags.0, tags.1, tags.2);
         shared
             .metrics
             .queue_wait_us
@@ -1678,7 +1653,7 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
             if budget < min_cycles {
                 shared.evictions.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.evictions.inc();
-                track.record(EventKind::Evicted, tags.0, tags.1, tags.2, tags.3);
+                track.record(EventKind::Evicted, tags.0, tags.1, tags.2);
                 release_admission(shared, job.spec.tenant);
                 let _ = results.send(Message::Result(Box::new(JobResult {
                     id: job.id,
@@ -1724,7 +1699,7 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
                         .expect("inflight lock")
                         .take()
                         .expect("parked job is registered in-flight");
-                    track.record(EventKind::Migrated, tags.0, tags.1, tags.2, tags.3);
+                    track.record(EventKind::Migrated, tags.0, tags.1, tags.2);
                     shared.requeue(me, parked);
                     if shared.kill_flags[me].swap(false, Ordering::Relaxed) {
                         // Injected failure: this worker is "lost". The
@@ -1743,16 +1718,9 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
             run_job(&job.spec, &mut cache, shared, &track, tags)
         };
         let run_time = run_start.elapsed();
-        track.record(EventKind::RunEnd, tags.0, tags.1, tags.2, tags.3);
+        track.record(EventKind::RunEnd, tags.0, tags.1, tags.2);
         shared.metrics.run_us.observe(run_time.as_micros() as u64);
         shared.metrics.jobs_completed.inc();
-        if let Ok(out) = &outcome {
-            let jit = &out.run.stats.jit;
-            shared.metrics.jit_translations.add(jit.translations);
-            shared.metrics.jit_hits.add(jit.hits);
-            shared.metrics.jit_compiled_cycles.add(jit.compiled_cycles);
-            shared.metrics.jit_fallback_cycles.add(jit.fallback_cycles);
-        }
         let deadline_missed = match (&outcome, job.spec.deadline_cycles) {
             (Ok(out), Some(budget)) => out.run.stats.cycles > budget,
             _ => false,
@@ -1820,8 +1788,8 @@ fn steal_scan(me: usize, shared: &Shared, high_only: bool, track: &Track) -> Opt
         for job in &mut batch {
             job.stolen = true;
             if track.is_enabled() {
-                let (id, tenant, priority, tier) = event_tags(job.id, &job.spec);
-                track.record(EventKind::Stolen, id, tenant, priority, tier);
+                let (id, tenant, priority) = event_tags(job.id, &job.spec);
+                track.record(EventKind::Stolen, id, tenant, priority);
             }
         }
         let run_now = batch
@@ -1844,40 +1812,36 @@ fn steal_scan(me: usize, shared: &Shared, high_only: bool, track: &Track) -> Opt
 }
 
 /// The worker's platform for `spec`, cache-hit or freshly built, with the
-/// spec's cycle budget and execution tier adopted either way. Shared by
-/// the plain and checkpointed run paths so both count cache traffic and
-/// platform builds identically.
+/// spec's cycle budget adopted either way. Shared by the plain and
+/// checkpointed run paths so both count cache traffic and platform builds
+/// identically.
 fn cached_platform<'c>(
     spec: &JobSpec,
     cache: &'c mut HashMap<(bool, usize), Platform>,
     shared: &Shared,
     track: &Track,
-    tags: (u64, u32, u8, u8),
+    tags: (u64, u32, u8),
 ) -> Result<(bool, &'c mut Platform), RunnerError> {
     use std::collections::hash_map::Entry;
     match cache.entry((spec.with_sync, spec.cores)) {
         Entry::Occupied(e) => {
             shared.cache_hits.fetch_add(1, Ordering::Relaxed);
             shared.metrics.platform_cache_hits.inc();
-            track.record(EventKind::PlatformCacheHit, tags.0, tags.1, tags.2, tags.3);
+            track.record(EventKind::PlatformCacheHit, tags.0, tags.1, tags.2);
             let platform = e.into_mut();
             // Reused platforms keep their allocations but must adopt this
-            // job's cycle budget and execution tier — both differ across
-            // jobs. The translation cache survives, so a compiled-tier job
-            // landing on a warm platform reuses the existing traces.
+            // job's cycle budget, which differs across jobs.
             platform.set_max_cycles(spec.workload.max_cycles);
-            platform.set_exec_tier(spec.exec_tier);
             Ok((true, platform))
         }
         Entry::Vacant(e) => {
             let cfg = PlatformConfig::paper(spec.with_sync)
                 .with_cores(spec.cores)
-                .with_max_cycles(spec.workload.max_cycles)
-                .with_exec_tier(spec.exec_tier);
+                .with_max_cycles(spec.workload.max_cycles);
             let platform = Platform::new(cfg)?;
             shared.platforms_built.fetch_add(1, Ordering::Relaxed);
             shared.metrics.platforms_built.inc();
-            track.record(EventKind::PlatformBuilt, tags.0, tags.1, tags.2, tags.3);
+            track.record(EventKind::PlatformBuilt, tags.0, tags.1, tags.2);
             Ok((false, e.insert(platform)))
         }
     }
@@ -1888,13 +1852,13 @@ fn run_job(
     cache: &mut HashMap<(bool, usize), Platform>,
     shared: &Shared,
     track: &Track,
-    tags: (u64, u32, u8, u8),
+    tags: (u64, u32, u8),
 ) -> (bool, Result<JobOutput, RunnerError>) {
     // The kernels assume one private DM bank per core (≤ 8); larger
     // baseline platforms would build fine but panic the worker inside the
     // kernel runner, so reject the job with an error outcome instead.
     if spec.cores == 0 || spec.cores > 8 {
-        track.record(EventKind::RunStart, tags.0, tags.1, tags.2, tags.3);
+        track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
         return (
             false,
             Err(ulp_platform::ConfigError::BadCoreCount(spec.cores).into()),
@@ -1903,11 +1867,11 @@ fn run_job(
     let (cache_hit, platform) = match cached_platform(spec, cache, shared, track, tags) {
         Ok(pair) => pair,
         Err(err) => {
-            track.record(EventKind::RunStart, tags.0, tags.1, tags.2, tags.3);
+            track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
             return (false, Err(err));
         }
     };
-    track.record(EventKind::RunStart, tags.0, tags.1, tags.2, tags.3);
+    track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
     let outcome = match &spec.observers {
         ObserverSelection::None => {
             run_benchmark_reusing_with(spec.benchmark, platform, &spec.workload, &mut [])
@@ -1956,12 +1920,12 @@ fn run_job_checkpointed(
     cache: &mut HashMap<(bool, usize), Platform>,
     shared: &Shared,
     track: &Track,
-    tags: (u64, u32, u8, u8),
+    tags: (u64, u32, u8),
 ) -> (bool, Result<Option<JobOutput>, RunnerError>) {
     let spec = &job.spec;
     // Same guard as `run_job`: the kernels assume ≤ 8 cores.
     if spec.cores == 0 || spec.cores > 8 {
-        track.record(EventKind::RunStart, tags.0, tags.1, tags.2, tags.3);
+        track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
         return (
             false,
             Err(ulp_platform::ConfigError::BadCoreCount(spec.cores).into()),
@@ -1970,7 +1934,7 @@ fn run_job_checkpointed(
     let (cache_hit, platform) = match cached_platform(spec, cache, shared, track, tags) {
         Ok(pair) => pair,
         Err(err) => {
-            track.record(EventKind::RunStart, tags.0, tags.1, tags.2, tags.3);
+            track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
             return (false, Err(err));
         }
     };
@@ -1989,16 +1953,16 @@ fn run_job_checkpointed(
         }
     };
     if job.resume.is_some() {
-        track.record(EventKind::Restored, tags.0, tags.1, tags.2, tags.3);
+        track.record(EventKind::Restored, tags.0, tags.1, tags.2);
     }
-    track.record(EventKind::RunStart, tags.0, tags.1, tags.2, tags.3);
+    track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
     let every = spec.checkpoint_every.unwrap_or(u64::MAX).max(1);
     let migrations = job.migrations;
     let on_checkpoint = |ckpt: Checkpoint| {
         shared.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
         shared.metrics.checkpoints_taken.inc();
         shared.metrics.checkpoint_cycles.observe(ckpt.cycle);
-        track.record(EventKind::Snapshot, tags.0, tags.1, tags.2, tags.3);
+        track.record(EventKind::Snapshot, tags.0, tags.1, tags.2);
         // Best-effort persistence: the blob backs external inspection
         // and restart tooling; migration itself rides the in-memory
         // checkpoint, so a full disk must not fail the job.

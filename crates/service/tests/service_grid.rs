@@ -84,13 +84,24 @@ fn mixed_size_grid_is_bit_identical_to_serial() {
 fn repeated_key_jobs_hit_the_platform_cache() {
     let workload = quick();
     let mut service = SimService::start(ServiceConfig::builder().workers(1).build());
-    for _ in 0..3 {
+    let plain = JobSpec::new(Benchmark::Sqrt32, 2, workload.clone());
+    // The same job again on the checkpointed run path: every rerun lands
+    // on the cached platform and must reproduce the first run exactly.
+    let checkpointed = plain.clone().checkpoint_every(997);
+    for spec in [
+        &plain,
+        &plain,
+        &plain,
+        &checkpointed,
+        &checkpointed,
+        &checkpointed,
+    ] {
         service
-            .submit(JobSpec::new(Benchmark::Sqrt32, 2, workload.clone()))
+            .submit(spec.clone())
             .expect("unbounded queue admits");
     }
     let results = drain(&mut service);
-    assert_eq!(results.len(), 3);
+    assert_eq!(results.len(), 6);
     let runs: Vec<_> = results
         .iter()
         .map(|r| r.outcome.as_ref().expect("job ran"))
@@ -99,14 +110,18 @@ fn repeated_key_jobs_hit_the_platform_cache() {
         assert_eq!(out.run.stats, runs[0].run.stats, "reuse is deterministic");
         assert_eq!(out.run.outputs, runs[0].run.outputs);
     }
-    // First job builds, the other two reuse.
-    assert_eq!(results.iter().filter(|r| r.cache_hit).count(), 2);
+    // First job builds, the other five reuse.
+    assert_eq!(results.iter().filter(|r| r.cache_hit).count(), 5);
 
     let stats = service.finish();
-    assert_eq!(stats.jobs_run, 3);
+    assert_eq!(stats.jobs_run, 6);
     assert_eq!(stats.platforms_built, 1);
     assert!(
-        stats.platform_cache_hits >= 2,
+        stats.checkpoints_taken >= 3,
+        "checkpointed jobs snapshot: {stats:?}"
+    );
+    assert!(
+        stats.platform_cache_hits >= 5,
         "repeated (design, cores) jobs must hit the cache: {stats:?}"
     );
 }

@@ -12,7 +12,6 @@
 //!   --baseline           run the design without the synchronizer
 //!   --threads <n>        service workers (default: all hardware threads)
 //!   --heatmap <window>   attach a per-bank DM heat map (cycles per row)
-//!   --exec-tier <tier>   interpreted (default) or compiled
 //!   --tenant <id>        tenant the shard jobs are submitted as (default 0)
 //!   --checkpoint-every <cycles>  checkpoint every shard job's platform at
 //!                        this cadence (makes shards migratable)
@@ -33,7 +32,6 @@
 
 use std::process::ExitCode;
 use ulp_kernels::{Benchmark, WorkloadConfig};
-use ulp_platform::ExecTier;
 use ulp_power::PowerModel;
 use ulp_service::{ObserverSelection, TenantId};
 use ulp_shard::{merge_verified, required_halo, ShardPlan, ShardRunConfig, ShardRunner};
@@ -50,8 +48,6 @@ const USAGE: &str = "usage: shard [plan|run] [options]
   --baseline           run the design without the synchronizer
   --threads <n>        service workers (default: all hardware threads)
   --heatmap <window>   attach a per-bank DM heat map (cycles per row)
-  --exec-tier <tier>   execution tier: `interpreted` (default) or
-                       `compiled` (bit-identical statistics, faster)
   --tenant <id>        tenant the shard jobs are submitted as (default 0)
   --checkpoint-every <cycles>
                        checkpoint every shard job's platform at this
@@ -86,7 +82,6 @@ struct Options {
     with_sync: bool,
     threads: usize,
     heatmap: Option<u64>,
-    exec_tier: ExecTier,
     tenant: TenantId,
     checkpoint_every: Option<u64>,
     checkpoint_dir: Option<String>,
@@ -107,7 +102,6 @@ fn parse_args() -> Result<Options, String> {
         with_sync: true,
         threads: 0,
         heatmap: None,
-        exec_tier: ExecTier::Interpreted,
         tenant: TenantId::DEFAULT,
         checkpoint_every: None,
         checkpoint_dir: None,
@@ -155,11 +149,6 @@ fn parse_args() -> Result<Options, String> {
             }
             "--threads" => {
                 opts.threads = parse_num(next_value(&mut args, "--threads")?, "--threads")?;
-            }
-            "--exec-tier" => {
-                opts.exec_tier = next_value(&mut args, "--exec-tier")?
-                    .parse()
-                    .map_err(|e| format!("bad value for --exec-tier: {e}"))?;
             }
             "--tenant" => {
                 opts.tenant =
@@ -276,7 +265,6 @@ fn main() -> ExitCode {
         Telemetry::disabled()
     };
     let mut config = ShardRunConfig::new(opts.benchmark, opts.with_sync, opts.cores, workload)
-        .with_exec_tier(opts.exec_tier)
         .with_tenant(opts.tenant)
         .with_telemetry(telemetry.clone());
     if let Some(window) = opts.heatmap {

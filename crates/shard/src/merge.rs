@@ -265,7 +265,6 @@ pub fn sum_stats(parts: &[&SimStats]) -> SimStats {
         sync: first.sync.map(|_| Default::default()),
         lockstep_width_sum: 0,
         lockstep_width_cycles: 0,
-        jit: Default::default(),
     };
     for (index, part) in parts.iter().enumerate() {
         assert_eq!(
@@ -296,7 +295,6 @@ pub fn sum_stats(parts: &[&SimStats]) -> SimStats {
         }
         total.lockstep_width_sum += part.lockstep_width_sum;
         total.lockstep_width_cycles += part.lockstep_width_cycles;
-        total.jit.merge(&part.jit);
     }
     total
 }

@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use ulp_kernels::{Benchmark, BenchmarkRun, RunnerError, WorkloadConfig};
-use ulp_platform::ExecTier;
 use ulp_service::{
     JobArtifacts, JobError, JobSpec, ObserverSelection, Priority, ServiceConfig, ServiceStats,
     SimService, TenantId,
@@ -29,10 +28,6 @@ pub struct ShardRunConfig {
     /// Instrumentation attached to every shard job (e.g. a
     /// [`ObserverSelection::BankHeatMap`]).
     pub observers: ObserverSelection,
-    /// Execution tier every shard job runs under (results are
-    /// bit-identical across tiers; shards of one recording may therefore
-    /// even mix tiers without affecting the merge).
-    pub exec_tier: ExecTier,
     /// The tenant every shard job is submitted on behalf of — the
     /// recording's owner in a shared, quota-governed pool.
     pub tenant: TenantId,
@@ -79,7 +74,6 @@ impl ShardRunConfig {
             cores,
             workload,
             observers: ObserverSelection::None,
-            exec_tier: ExecTier::Interpreted,
             tenant: TenantId::DEFAULT,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
@@ -94,13 +88,6 @@ impl ShardRunConfig {
     #[must_use]
     pub fn with_observers(mut self, observers: ObserverSelection) -> ShardRunConfig {
         self.observers = observers;
-        self
-    }
-
-    /// Selects the execution tier of every shard job.
-    #[must_use]
-    pub fn with_exec_tier(mut self, tier: ExecTier) -> ShardRunConfig {
-        self.exec_tier = tier;
         self
     }
 
@@ -298,7 +285,6 @@ impl ShardRunner {
                     JobSpec::new(self.config.benchmark, self.config.cores, Arc::new(workload))
                         .with_sync(self.config.with_sync)
                         .observers(self.config.observers.clone())
-                        .exec_tier(self.config.exec_tier)
                         .tenant(self.config.tenant)
                         .priority(Priority::High);
                 match self.config.checkpoint_every {
@@ -352,7 +338,6 @@ impl ShardRunner {
         // Gathering a shard is the merge step of its lifecycle: record it
         // on the client track (workers already traced claim/run).
         let track = self.config.telemetry.track(CLIENT_TRACK);
-        let tier = matches!(self.config.exec_tier, ExecTier::Compiled) as u8;
         for completed in 0..count {
             let result = match service.checked_recv() {
                 Ok(Some(result)) => result,
@@ -373,7 +358,6 @@ impl ShardRunner {
                     result.id,
                     self.config.tenant.0,
                     Priority::High.index() as u8,
-                    tier,
                 );
             }
             slots[index] = Some(match result.outcome {

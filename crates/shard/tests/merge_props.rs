@@ -26,7 +26,6 @@ fn zero_stats(num_cores: usize, cycles: u64) -> SimStats {
         sync: None,
         lockstep_width_sum: 0,
         lockstep_width_cycles: 0,
-        jit: Default::default(),
     }
 }
 

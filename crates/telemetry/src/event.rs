@@ -3,9 +3,9 @@
 //! Every phase transition of a service job is one fixed-size [`JobEvent`]:
 //! a nanosecond timestamp on the sink's shared epoch, the lifecycle
 //! [`EventKind`], the job id, and the scheduling tags (tenant, priority,
-//! execution tier, track). Events are plain `Copy` data — no strings, no
-//! allocation — so recording one is a few stores into a pre-allocated
-//! ring slot and the hot path never touches the heap.
+//! track). Events are plain `Copy` data — no strings, no allocation — so
+//! recording one is a few stores into a pre-allocated ring slot and the
+//! hot path never touches the heap.
 
 /// The track a client-side event is recorded on (submission, merge and
 /// stream events happen on the thread that owns the service handle, not
@@ -121,8 +121,6 @@ pub struct JobEvent {
     /// Priority class index (0 = most urgent), mirroring
     /// `ulp_service::Priority::index`.
     pub priority: u8,
-    /// Execution tier: 0 = interpreted, 1 = compiled.
-    pub exec_tier: u8,
     /// The track the event was recorded on: [`CLIENT_TRACK`] for
     /// client-side events, [`worker_track`]`(i)` for worker `i`.
     pub track: u32,

@@ -28,8 +28,8 @@
 //!
 //! let telemetry = Telemetry::enabled();
 //! let track = telemetry.track(CLIENT_TRACK);
-//! track.record(EventKind::Submitted, 1, 0, 1, 0);
-//! track.record(EventKind::Queued, 1, 0, 1, 0);
+//! track.record(EventKind::Submitted, 1, 0, 1);
+//! track.record(EventKind::Queued, 1, 0, 1);
 //! telemetry.counter("jobs_submitted").inc();
 //! assert_eq!(telemetry.collect(), 2);
 //! let json = telemetry.chrome_trace();
@@ -119,7 +119,7 @@ impl Track {
     /// Records one lifecycle event stamped now. A no-op (single branch)
     /// when telemetry is disabled; drop-and-count when the ring is full.
     #[inline]
-    pub fn record(&self, kind: EventKind, job: u64, tenant: u32, priority: u8, exec_tier: u8) {
+    pub fn record(&self, kind: EventKind, job: u64, tenant: u32, priority: u8) {
         if let Some(inner) = &self.inner {
             inner.ring.push(JobEvent {
                 at_ns: inner.epoch.elapsed().as_nanos() as u64,
@@ -127,7 +127,6 @@ impl Track {
                 job,
                 tenant,
                 priority,
-                exec_tier,
                 track: inner.track,
             });
         }
@@ -327,7 +326,7 @@ mod tests {
         assert!(!t.is_enabled());
         let track = t.track(CLIENT_TRACK);
         assert!(!track.is_enabled());
-        track.record(EventKind::Submitted, 1, 0, 0, 0);
+        track.record(EventKind::Submitted, 1, 0, 0);
         assert_eq!(t.collect(), 0);
         assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 0);
@@ -342,9 +341,9 @@ mod tests {
         let t = Telemetry::enabled();
         let client = t.track(CLIENT_TRACK);
         let worker = t.track(worker_track(0));
-        client.record(EventKind::Submitted, 42, 7, 1, 0);
-        client.record(EventKind::Queued, 42, 7, 1, 0);
-        worker.record(EventKind::Claimed, 42, 7, 1, 1);
+        client.record(EventKind::Submitted, 42, 7, 1);
+        client.record(EventKind::Queued, 42, 7, 1);
+        worker.record(EventKind::Claimed, 42, 7, 1);
         assert_eq!(t.collect(), 3);
         let events = t.events();
         assert_eq!(events.len(), 3);
@@ -354,7 +353,6 @@ mod tests {
             .find(|e| e.kind == EventKind::Claimed)
             .expect("claimed recorded");
         assert_eq!(claimed.track, worker_track(0));
-        assert_eq!(claimed.exec_tier, 1);
         assert_eq!(t.track_count(), 2);
     }
 
@@ -363,7 +361,7 @@ mod tests {
         let t = Telemetry::enabled();
         let track = t.track(CLIENT_TRACK);
         for i in 0..100 {
-            track.record(EventKind::Queued, i, 0, 1, 0);
+            track.record(EventKind::Queued, i, 0, 1);
         }
         let events = t.events();
         for pair in events.windows(2) {
@@ -375,8 +373,7 @@ mod tests {
     fn clones_share_the_sink() {
         let t = Telemetry::enabled();
         let t2 = t.clone();
-        t.track(CLIENT_TRACK)
-            .record(EventKind::Submitted, 1, 0, 0, 0);
+        t.track(CLIENT_TRACK).record(EventKind::Submitted, 1, 0, 0);
         t2.counter("shared").add(5);
         assert_eq!(t2.events().len(), 1);
         assert_eq!(t.counter("shared").get(), 5);
@@ -386,8 +383,7 @@ mod tests {
     fn snapshot_json_shape() {
         let t = Telemetry::enabled();
         t.counter("jobs").add(3);
-        t.track(CLIENT_TRACK)
-            .record(EventKind::Submitted, 1, 0, 0, 0);
+        t.track(CLIENT_TRACK).record(EventKind::Submitted, 1, 0, 0);
         let snap = t.snapshot_json();
         assert!(snap.starts_with("{\"uptime_ns\":"));
         assert!(snap.contains("\"events_collected\":1"));
@@ -408,7 +404,7 @@ mod tests {
         let t = Telemetry::with_capacity(4);
         let track = t.track(CLIENT_TRACK);
         for i in 0..10 {
-            track.record(EventKind::Queued, i, 0, 1, 0);
+            track.record(EventKind::Queued, i, 0, 1);
         }
         assert_eq!(t.dropped(), 6);
         assert_eq!(t.events().len(), 4);

@@ -177,7 +177,6 @@ mod tests {
             job,
             tenant: 0,
             priority: 1,
-            exec_tier: 0,
             track: 0,
         }
     }

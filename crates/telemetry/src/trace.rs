@@ -31,14 +31,6 @@ fn priority_name(p: u8) -> &'static str {
     }
 }
 
-fn tier_name(t: u8) -> &'static str {
-    if t == 1 {
-        "compiled"
-    } else {
-        "interpreted"
-    }
-}
-
 fn args_json(e: &JobEvent) -> String {
     if e.job == NO_JOB {
         format!(
@@ -48,11 +40,10 @@ fn args_json(e: &JobEvent) -> String {
         )
     } else {
         format!(
-            "{{\"job\":{},\"tenant\":{},\"priority\":\"{}\",\"tier\":\"{}\"}}",
+            "{{\"job\":{},\"tenant\":{},\"priority\":\"{}\"}}",
             e.job,
             e.tenant,
-            priority_name(e.priority),
-            tier_name(e.exec_tier)
+            priority_name(e.priority)
         )
     }
 }
@@ -230,7 +221,6 @@ mod tests {
             job,
             tenant: 3,
             priority: 1,
-            exec_tier: 0,
             track,
         }
     }
@@ -296,7 +286,6 @@ mod tests {
             job: NO_JOB,
             tenant: 9,
             priority: 0,
-            exec_tier: 0,
             track: CLIENT_TRACK,
         };
         let json = chrome_trace(&[e], 1, 2);

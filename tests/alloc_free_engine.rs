@@ -2,7 +2,8 @@
 //! the global allocator in a counter, warm a platform past its buffer
 //! growth phase, then step it for thousands of cycles — through fetches,
 //! bank conflicts, synchronizer barriers, sleeps and wakes — and assert
-//! the allocation count does not move.
+//! the allocation count does not move. The same holds for `run_until`
+//! slices over a lockstep loop, which run on the lockstep fast path.
 //!
 //! This file holds exactly one test, so no concurrent test can pollute
 //! the counter.
@@ -10,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use ulp_lockstep::isa::asm::assemble;
-use ulp_lockstep::platform::{ExecTier, Platform, PlatformConfig};
+use ulp_lockstep::platform::{Platform, PlatformConfig, RunProgress};
 
 struct CountingAllocator;
 
@@ -60,6 +61,18 @@ spin:   addi r5, #-1       ; data-dependent 1..8 rounds
         sdec #0
         br   loop";
 
+/// An endless lockstep loop of ALU ops closed by a branch: every op but
+/// the branch is batched.
+const LOCKSTEP_SRC: &str = "
+        rdid r1
+loop:   addi r4, #3
+        mov  r5, r4
+        movi r0, #7
+        and  r5, r0
+        add  r4, r5
+        inc  r4
+        br   loop";
+
 #[test]
 fn steady_state_step_performs_zero_heap_allocations() {
     let program = assemble(SPIN_SRC).expect("program assembles");
@@ -106,28 +119,34 @@ fn steady_state_step_performs_zero_heap_allocations() {
         "barrier sleeps exercised"
     );
 
-    // The compiled tier replays cycles through cached traces; once the
-    // hot blocks are translated (warm-up), tiered stepping is also
-    // allocation-free — both its compiled cycles and its interpreter
-    // fallback cycles.
-    let cfg = PlatformConfig::paper_with_sync()
-        .with_max_cycles(u64::MAX)
-        .with_exec_tier(ExecTier::Compiled);
+    // Unobserved runs batch uniform lockstep runs of pure ops; sliced
+    // `run_until` over an endless lockstep loop exercises batches (odd
+    // slice lengths split a batched op across the pause) and the
+    // interpreted branch cycles between them.
+    let program = assemble(LOCKSTEP_SRC).expect("program assembles");
+    let cfg = PlatformConfig::paper_with_sync().with_max_cycles(u64::MAX);
     let mut platform = Platform::new(cfg).expect("valid config");
     platform.load_program(&program);
-    for _ in 0..2_000 {
-        platform.step_tiered();
-    }
+    let run_slice = |platform: &mut Platform, len: u64| {
+        let limit = platform.cycle() + len;
+        let progress = platform.run_until(limit).expect("endless loop runs");
+        assert_eq!(progress, RunProgress::Paused);
+        assert_eq!(platform.cycle(), limit);
+    };
+    run_slice(&mut platform, 2_000);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let mut compiled = 0u64;
-    for _ in 0..10_000 {
-        compiled += platform.step_tiered() as u64;
+    for len in [1, 2, 3, 997, 2_000, 6_997] {
+        run_slice(&mut platform, len);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(
         after - before,
         0,
-        "Platform::step_tiered allocated in steady state"
+        "Platform::run_until allocated in steady state"
     );
-    assert!(compiled > 0, "the window replayed compiled cycles");
+    let stats = platform.stats();
+    assert!(
+        (stats.avg_lockstep_width() - 8.0).abs() < 1e-9,
+        "the loop stayed in lockstep"
+    );
 }

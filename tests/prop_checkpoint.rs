@@ -3,17 +3,18 @@
 //! byte encoding, restoring into a *fresh* platform (or in place into a
 //! recycled one) and running to completion must be bit-identical to the
 //! golden uninterrupted run — registers, flags, PCs, the whole data
-//! memory, cycle counts, every [`SimStats`] counter *including* the JIT
-//! tier counters, and attached-observer artifacts.
+//! memory, cycle counts, every [`SimStats`] counter, and attached-observer
+//! artifacts. Damaged blobs (bit flips, truncations, inflated length
+//! fields, an older schema) must each fail with a typed [`RestoreError`].
 
 use proptest::prelude::*;
 use ulp_lockstep::isa::{encode, AluOp, Cond, CsrOp, Instr, Reg, ShiftKind, UnaryOp};
 use ulp_lockstep::platform::{
-    BankHeatMap, Checkpoint, ExecTier, PcTrace, Platform, PlatformConfig, RestoreError,
-    RunProgress, SimStats,
+    BankHeatMap, Checkpoint, PcTrace, Platform, PlatformConfig, RestoreError, RunProgress,
+    SimStats, CHECKPOINT_SCHEMA,
 };
 
-/// Strategy: one instruction of an SPMD body — same shape as the exec-tier
+/// Strategy: one instruction of an SPMD body — same shape as the fast-path
 /// differential suite (forward-only skips so every program terminates,
 /// loads/stores confined to the core's private DM bank through `r2`).
 fn body_instr() -> impl Strategy<Value = Instr> {
@@ -71,9 +72,7 @@ fn build_program(body: &[Instr]) -> Vec<u16> {
     words
 }
 
-/// Full machine state after a run. Unlike the cross-tier suite, both runs
-/// here use the *same* tier, so even the JIT counters must match bit for
-/// bit.
+/// Full machine state after a run.
 #[derive(Debug, PartialEq)]
 struct MachineState {
     cycles: u64,
@@ -98,18 +97,15 @@ fn capture(p: &Platform) -> MachineState {
     }
 }
 
-fn config(tier: ExecTier, cores: usize) -> PlatformConfig {
-    let mut cfg = PlatformConfig::paper(true)
+fn config(cores: usize) -> PlatformConfig {
+    PlatformConfig::paper(true)
         .with_cores(cores)
         .with_max_cycles(2_000_000)
-        .with_exec_tier(tier);
-    cfg.jit_hot_threshold = 2;
-    cfg
 }
 
 /// Golden uninterrupted run of `words`.
-fn golden(words: &[u16], tier: ExecTier, cores: usize) -> MachineState {
-    let mut p = Platform::new(config(tier, cores)).expect("valid config");
+fn golden(words: &[u16], cores: usize) -> MachineState {
+    let mut p = Platform::new(config(cores)).expect("valid config");
     p.load_im(0, words);
     p.run().expect("terminates");
     capture(&p)
@@ -117,8 +113,8 @@ fn golden(words: &[u16], tier: ExecTier, cores: usize) -> MachineState {
 
 /// Runs `words` to the pause point, snapshots through the byte encoding,
 /// restores into a fresh platform and finishes the run there.
-fn paused_and_migrated(words: &[u16], tier: ExecTier, cores: usize, pause: u64) -> MachineState {
-    let mut p = Platform::new(config(tier, cores)).expect("valid config");
+fn paused_and_migrated(words: &[u16], cores: usize, pause: u64) -> MachineState {
+    let mut p = Platform::new(config(cores)).expect("valid config");
     p.load_im(0, words);
     match p.run_until(pause).expect("first slice runs") {
         RunProgress::Done(_) => capture(&p),
@@ -137,32 +133,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Restore-at-an-arbitrary-cycle is bit-identical to never pausing,
-    /// on both execution tiers, at 2, 4 and 8 cores.
+    /// at 2, 4 and 8 cores.
     #[test]
     fn restore_mid_run_is_bit_identical(
         body in prop::collection::vec(body_instr(), 1..48),
         pause_seed in any::<u64>(),
     ) {
         let words = build_program(&body);
-        for tier in [ExecTier::Interpreted, ExecTier::Compiled] {
-            for cores in [2usize, 4, 8] {
-                let reference = golden(&words, tier, cores);
-                let pause = 1 + pause_seed % reference.cycles.max(1);
-                let resumed = paused_and_migrated(&words, tier, cores, pause);
-                prop_assert_eq!(
-                    &reference, &resumed,
-                    "tier {:?} cores {} pause {}", tier, cores, pause
-                );
-            }
+        for cores in [2usize, 4, 8] {
+            let reference = golden(&words, cores);
+            let pause = 1 + pause_seed % reference.cycles.max(1);
+            let resumed = paused_and_migrated(&words, cores, pause);
+            prop_assert_eq!(&reference, &resumed, "cores {} pause {}", cores, pause);
         }
     }
 }
 
-/// A hot lockstep loop checkpointed at *every* cycle of its run: the
-/// compiled tier's translation cache, hotness counters and in-flight
-/// trace cursors all survive snapshot/restore bit-exactly.
+/// A lockstep loop checkpointed at *every* cycle of its run: pauses land
+/// inside lockstep batches, between the fetch and the execute cycle of a
+/// batched op, and on the barrier, and every resumed run is bit-exact.
 #[test]
-fn compiled_loop_survives_checkpoint_at_every_cycle() {
+fn lockstep_loop_survives_checkpoint_at_every_cycle() {
     let src = "
         rdid r2
         movi r0, #11
@@ -172,18 +163,12 @@ fn compiled_loop_survives_checkpoint_at_every_cycle() {
         halt
     ";
     let program = ulp_lockstep::isa::asm::assemble(src).expect("valid asm");
-    let mut cfg = PlatformConfig::paper_with_sync().with_exec_tier(ExecTier::Compiled);
-    cfg.jit_hot_threshold = 2;
+    let cfg = PlatformConfig::paper_with_sync();
 
     let mut p = Platform::new(cfg.clone()).expect("valid config");
     p.load_program(&program);
     p.run().expect("terminates");
     let reference = capture(&p);
-    assert!(
-        reference.stats.jit.compiled_cycles > 0,
-        "loop runs compiled"
-    );
-    assert!(reference.stats.jit.hits > 0, "trace is reused");
 
     for pause in 1..reference.cycles {
         let mut q = Platform::new(cfg.clone()).expect("valid config");
@@ -224,8 +209,7 @@ fn restore_in_place_onto_recycled_platform() {
     )
     .expect("valid asm");
 
-    let mut cfg = PlatformConfig::paper_with_sync().with_exec_tier(ExecTier::Compiled);
-    cfg.jit_hot_threshold = 2;
+    let cfg = PlatformConfig::paper_with_sync();
 
     let mut p = Platform::new(cfg.clone()).expect("valid config");
     p.load_program(&job);
@@ -240,7 +224,7 @@ fn restore_in_place_onto_recycled_platform() {
     ));
     let ckpt = q.snapshot();
 
-    // The adopting platform has run (and translated) something else.
+    // The adopting platform has run something else.
     let mut r = Platform::new(cfg).expect("valid config");
     r.load_program(&other);
     r.run().expect("other program terminates");
@@ -344,9 +328,7 @@ fn restore_rejects_structural_mismatch_and_adopts_run_parameters() {
     ",
     )
     .expect("valid asm");
-    let cfg = PlatformConfig::paper_with_sync()
-        .with_max_cycles(123_456)
-        .with_exec_tier(ExecTier::Compiled);
+    let cfg = PlatformConfig::paper_with_sync().with_max_cycles(123_456);
     let mut p = Platform::new(cfg.clone()).expect("valid config");
     p.load_program(&program);
     assert!(matches!(
@@ -360,15 +342,123 @@ fn restore_rejects_structural_mismatch_and_adopts_run_parameters() {
         Platform::new(PlatformConfig::paper_with_sync().with_cores(4)).expect("valid config");
     assert_eq!(small.restore_from(&ckpt), Err(RestoreError::ConfigMismatch));
 
-    // Same structure, different budget/tier: adopted from the checkpoint.
-    let mut q = Platform::new(
-        PlatformConfig::paper_with_sync()
-            .with_max_cycles(50)
-            .with_exec_tier(ExecTier::Interpreted),
-    )
-    .expect("valid config");
+    // Same structure, different budget: adopted from the checkpoint.
+    let mut q =
+        Platform::new(PlatformConfig::paper_with_sync().with_max_cycles(50)).expect("valid config");
     q.restore_from(&ckpt).expect("restore succeeds");
     assert_eq!(q.config().max_cycles, 123_456);
-    assert_eq!(q.config().exec_tier, ExecTier::Compiled);
     q.run().expect("resumed run terminates");
+}
+
+/// A mid-run checkpoint blob of an 8-core synchronized loop (no observers).
+fn mid_run_blob() -> Vec<u8> {
+    let program = ulp_lockstep::isa::asm::assemble(
+        "
+        rdid r2
+        movi r0, #20
+    loop: addi r0, #-1
+        st   r0, [r2]
+        sinc #0
+        bne  loop
+        halt
+    ",
+    )
+    .expect("valid asm");
+    let mut p = Platform::new(PlatformConfig::paper_with_sync()).expect("valid config");
+    p.load_program(&program);
+    assert!(matches!(
+        p.run_until(41).expect("first slice"),
+        RunProgress::Paused
+    ));
+    p.snapshot().to_bytes()
+}
+
+/// Header: magic, schema, body length, body checksum (20 bytes).
+const BODY_LEN_AT: usize = 8;
+const CHECKSUM_AT: usize = 12;
+const BODY_AT: usize = 20;
+
+/// Offsets of length fields in [`mid_run_blob`]: the header's body
+/// length, the core count (after the 40-byte config, the cycle and an
+/// empty fault tag), the first core's register count (after its id) and
+/// the observer count (the blob's last field).
+fn length_fields(blob: &[u8]) -> [usize; 4] {
+    let cores_at = BODY_AT + 40 + 8 + 1;
+    let fields = [BODY_LEN_AT, cores_at, cores_at + 5, blob.len() - 4];
+    let read = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
+    assert_eq!(read(fields[0]) as usize, blob.len() - BODY_AT);
+    assert_eq!(read(fields[1]), 8, "core count");
+    assert_eq!(read(fields[2]), 8, "register count");
+    assert_eq!(read(fields[3]), 0, "observer count");
+    fields
+}
+
+/// FNV-1a, the body checksum of the wire format.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any one to three flipped bits, anywhere in the blob, are caught.
+    #[test]
+    fn bit_flips_are_typed_errors(
+        flips in prop::collection::vec((any::<usize>(), 0u8..8), 1..4),
+    ) {
+        let blob = mid_run_blob();
+        let mut bad = blob.clone();
+        for &(at, bit) in &flips {
+            bad[at % blob.len()] ^= 1 << bit;
+        }
+        prop_assume!(bad != blob);
+        prop_assert!(Checkpoint::from_bytes(&bad).is_err(), "flips {:?} restored", flips);
+    }
+
+    /// Every strict prefix of a blob is `Truncated`.
+    #[test]
+    fn truncations_are_typed_errors(cut in any::<usize>()) {
+        let blob = mid_run_blob();
+        let cut = cut % blob.len();
+        prop_assert_eq!(Checkpoint::from_bytes(&blob[..cut]), Err(RestoreError::Truncated));
+    }
+
+    /// An inflated length field fails the checksum; with the checksum
+    /// patched to match, the decoder itself still rejects it without
+    /// panicking or allocating the claimed size.
+    #[test]
+    fn inflated_length_fields_are_typed_errors(field in 0usize..4, extra in 1u32..=u32::MAX / 2) {
+        let blob = mid_run_blob();
+        let at = length_fields(&blob)[field];
+        let mut bad = blob.clone();
+        let len = u32::from_le_bytes(bad[at..at + 4].try_into().unwrap());
+        bad[at..at + 4].copy_from_slice(&len.wrapping_add(extra).to_le_bytes());
+        let stale = Checkpoint::from_bytes(&bad);
+        if at == BODY_LEN_AT {
+            prop_assert_eq!(stale, Err(RestoreError::Truncated));
+        } else {
+            prop_assert_eq!(stale, Err(RestoreError::Corrupt { what: "checksum" }));
+            let checksum = fnv1a(&bad[BODY_AT..]);
+            bad[CHECKSUM_AT..BODY_AT].copy_from_slice(&checksum.to_le_bytes());
+            prop_assert!(Checkpoint::from_bytes(&bad).is_err(), "field at {} + {}", at, extra);
+        }
+    }
+}
+
+/// A blob written by the previous wire format is refused by version, not
+/// misread.
+#[test]
+fn schema_1_blob_is_a_schema_mismatch() {
+    let mut blob = mid_run_blob();
+    blob[4..8].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        Checkpoint::from_bytes(&blob),
+        Err(RestoreError::SchemaMismatch {
+            found: 1,
+            expected: CHECKPOINT_SCHEMA,
+        })
+    );
+    assert_eq!(CHECKPOINT_SCHEMA, 2);
 }
