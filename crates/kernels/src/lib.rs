@@ -20,7 +20,12 @@
 //!
 //! [`run_benchmark`] executes a benchmark on both platform variants and validates
 //! the outputs *bit-exactly* against the golden models of
-//! [`ulp_biosignal`].
+//! [`ulp_biosignal`]. [`run_benchmark_on`] takes an explicit platform
+//! configuration. Both are short calls into [`run_benchmark_reusing`],
+//! the one run path: it runs on a caller-owned platform, optionally
+//! resumes from a [`ulp_platform::Checkpoint`], and hands a checkpoint
+//! to a callback every `every` cycles (`u64::MAX`: never), which may
+//! park the run ([`CheckpointControl`]).
 //!
 //! ## Example
 //!
@@ -45,9 +50,7 @@ pub use layout::BufferLayout;
 pub use mrpdln_kernel::{mrpdln_source, MrpdlnParams};
 pub use mrpfltr_kernel::{mrpfltr_source, MrpfltrParams};
 pub use runner::{
-    golden_outputs, kernel_source, resume_benchmark_checkpointed, run_benchmark,
-    run_benchmark_checkpointed, run_benchmark_on, run_benchmark_reusing,
-    run_benchmark_reusing_with, Benchmark, BenchmarkRun, CheckpointControl, RunnerError,
-    SourceWindow, WorkloadConfig,
+    golden_outputs, kernel_source, run_benchmark, run_benchmark_on, run_benchmark_reusing,
+    Benchmark, BenchmarkRun, CheckpointControl, RunnerError, SourceWindow, WorkloadConfig,
 };
 pub use sqrt32_kernel::{sqrt32_source, Sqrt32Params};

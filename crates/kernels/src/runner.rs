@@ -13,8 +13,8 @@ use ulp_biosignal::{
 };
 use ulp_isa::asm::{assemble, AsmError};
 use ulp_platform::{
-    Checkpoint, ConfigError, Observer, Platform, PlatformConfig, PlatformError, RestoreError,
-    RunProgress, SimStats,
+    Checkpoint, ConfigError, Platform, PlatformConfig, PlatformError, RestoreError, RunProgress,
+    SimStats,
 };
 
 /// One of the paper's three reference benchmarks (Section II).
@@ -188,7 +188,7 @@ impl WorkloadConfig {
 }
 
 /// Result of one benchmark execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkRun {
     /// Which benchmark ran.
     pub benchmark: Benchmark,
@@ -398,60 +398,89 @@ pub fn run_benchmark(
 ///
 /// # Panics
 ///
-/// Panics if `cfg.n` is outside the buffer layout's capacity or the
-/// platform has more than 8 cores (one private DM bank per core).
+/// See [`run_benchmark_reusing`].
 pub fn run_benchmark_on(
     benchmark: Benchmark,
     platform_cfg: PlatformConfig,
     cfg: &WorkloadConfig,
 ) -> Result<BenchmarkRun, RunnerError> {
     let mut platform = Platform::new(platform_cfg)?;
-    run_benchmark_reusing(benchmark, &mut platform, cfg)
+    let run = run_benchmark_reusing(benchmark, &mut platform, cfg, None, u64::MAX, |_| {
+        CheckpointControl::Continue
+    })?;
+    Ok(run.expect("a run that never checkpoints never parks"))
 }
 
-/// [`run_benchmark_on`] on a caller-owned platform: the platform is
-/// [reset](Platform::reset), loaded and run in place, so its memories and
-/// cycle buffers are reused instead of reallocated. This is what the sweep
-/// runner uses to amortize platform construction over a grid of runs.
+/// Decision returned by the checkpoint callback of
+/// [`run_benchmark_reusing`]: keep running the next slice, or park the
+/// job (the last checkpoint handed to the callback is the resume point).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckpointControl {
+    /// Run the next slice.
+    Continue,
+    /// Stop here; the run resumes later from the checkpoint just taken.
+    Park,
+}
+
+/// Runs `benchmark` on a caller-owned platform, the one job run path.
+///
+/// * Without `resume`, the platform is [reset](Platform::reset) and
+///   loaded in place, so its memories and cycle buffers are reused
+///   instead of reallocated. With `resume`, the platform adopts the
+///   checkpoint instead; it only needs to be structurally compatible,
+///   since the checkpoint carries the whole machine state.
+/// * The run proceeds `every` cycles at a time, and after each slice a
+///   [`Platform::snapshot`] is handed to `on_checkpoint`. Returning
+///   [`CheckpointControl::Park`] abandons the run, yielding `Ok(None)`.
+///   Resuming it later from that checkpoint, on any structurally
+///   identical platform, produces a [`BenchmarkRun`] bit-identical to an
+///   uninterrupted run. `every == u64::MAX` never checkpoints: the run is
+///   a single [`Platform::run_until`], which takes the lockstep fast path
+///   when no observer is attached.
+///
+/// Observers are [attached](Platform::attach) to the platform by the
+/// caller, so their state rides along in the checkpoints. Attach them
+/// *before* resuming so their checkpointed state has somewhere to land.
 ///
 /// # Errors
 ///
-/// See [`run_benchmark`].
+/// See [`run_benchmark`]; additionally any [`RestoreError`] via
+/// [`RunnerError::Restore`].
 ///
 /// # Panics
 ///
-/// Panics if `cfg.n` is outside the buffer layout's capacity or the
-/// platform has more than 8 cores (one private DM bank per core).
+/// Panics if `every == 0`, if `cfg.n` is outside the buffer layout's
+/// capacity, or if the platform has more than 8 cores (one private DM
+/// bank per core).
 pub fn run_benchmark_reusing(
     benchmark: Benchmark,
     platform: &mut Platform,
     cfg: &WorkloadConfig,
-) -> Result<BenchmarkRun, RunnerError> {
-    run_benchmark_reusing_with(benchmark, platform, cfg, &mut [])
-}
-
-/// [`run_benchmark_reusing`] with observers attached to the run: the
-/// benchmark executes through [`Platform::run_with`], so PC traces, VCD
-/// dumps or custom probes can watch a reused-platform run. This is the
-/// execution path of the batch simulation service, whose jobs carry an
-/// observer selection.
-///
-/// # Errors
-///
-/// See [`run_benchmark`].
-///
-/// # Panics
-///
-/// See [`run_benchmark_reusing`].
-pub fn run_benchmark_reusing_with(
-    benchmark: Benchmark,
-    platform: &mut Platform,
-    cfg: &WorkloadConfig,
-    observers: &mut [&mut dyn Observer],
-) -> Result<BenchmarkRun, RunnerError> {
-    let channels = load_workload(benchmark, platform, cfg)?;
-    platform.run_with(observers)?;
-    Ok(collect_run(benchmark, platform, cfg, &channels))
+    resume: Option<&Checkpoint>,
+    every: u64,
+    mut on_checkpoint: impl FnMut(Checkpoint) -> CheckpointControl,
+) -> Result<Option<BenchmarkRun>, RunnerError> {
+    assert!(every > 0, "checkpoint interval must be positive");
+    let channels = match resume {
+        Some(ckpt) => {
+            platform.restore_from(ckpt)?;
+            cfg.channels(ckpt.config.num_cores)
+        }
+        None => load_workload(benchmark, platform, cfg)?,
+    };
+    loop {
+        let limit = platform.cycle().saturating_add(every);
+        match platform.run_until(limit)? {
+            RunProgress::Done(_) => {
+                return Ok(Some(collect_run(benchmark, platform, cfg, &channels)));
+            }
+            RunProgress::Paused => {
+                if on_checkpoint(platform.snapshot()) == CheckpointControl::Park {
+                    return Ok(None);
+                }
+            }
+        }
+    }
 }
 
 /// Resets the platform, assembles and loads the kernel, and loads the
@@ -531,99 +560,6 @@ fn collect_run(
     }
 }
 
-/// Decision returned by the checkpoint callback of
-/// [`run_benchmark_checkpointed`]: keep running the next slice, or park
-/// the job (the last checkpoint handed to the callback is the resume
-/// point).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointControl {
-    /// Run the next slice.
-    Continue,
-    /// Stop here; the run resumes later from the checkpoint just taken.
-    Park,
-}
-
-/// [`run_benchmark_reusing`] sliced into checkpointable pieces: the
-/// benchmark runs `every` cycles at a time, and after each slice a
-/// [`Platform::snapshot`] is handed to `on_checkpoint`. Returning
-/// [`CheckpointControl::Park`] abandons the run (yielding `Ok(None)`);
-/// resuming it later from that checkpoint — on this platform or any
-/// structurally identical one, via [`resume_benchmark_checkpointed`] —
-/// produces a [`BenchmarkRun`] bit-identical to an uninterrupted run.
-///
-/// Observers must be [attached](Platform::attach) rather than passed as a
-/// slice so their state rides along in the checkpoints.
-///
-/// # Errors
-///
-/// See [`run_benchmark`].
-///
-/// # Panics
-///
-/// See [`run_benchmark_reusing`]; additionally panics if `every == 0`.
-pub fn run_benchmark_checkpointed(
-    benchmark: Benchmark,
-    platform: &mut Platform,
-    cfg: &WorkloadConfig,
-    every: u64,
-    on_checkpoint: impl FnMut(Checkpoint) -> CheckpointControl,
-) -> Result<Option<BenchmarkRun>, RunnerError> {
-    let channels = load_workload(benchmark, platform, cfg)?;
-    drive_checkpointed(benchmark, platform, cfg, &channels, every, on_checkpoint)
-}
-
-/// Picks a parked benchmark run back up from its checkpoint and drives it
-/// to completion (still checkpointing every `every` cycles — the resumed
-/// job stays migratable). The platform only needs to be structurally
-/// compatible with the checkpoint; nothing is reloaded, the checkpoint
-/// carries the whole machine state. Attach any observers *before* calling
-/// so their checkpointed state has somewhere to land.
-///
-/// # Errors
-///
-/// See [`run_benchmark`]; additionally any [`RestoreError`] via
-/// [`RunnerError::Restore`].
-///
-/// # Panics
-///
-/// Panics if `every == 0`.
-pub fn resume_benchmark_checkpointed(
-    benchmark: Benchmark,
-    platform: &mut Platform,
-    cfg: &WorkloadConfig,
-    ckpt: &Checkpoint,
-    every: u64,
-    on_checkpoint: impl FnMut(Checkpoint) -> CheckpointControl,
-) -> Result<Option<BenchmarkRun>, RunnerError> {
-    let channels = cfg.channels(ckpt.config.num_cores);
-    platform.restore_from(ckpt)?;
-    drive_checkpointed(benchmark, platform, cfg, &channels, every, on_checkpoint)
-}
-
-fn drive_checkpointed(
-    benchmark: Benchmark,
-    platform: &mut Platform,
-    cfg: &WorkloadConfig,
-    channels: &[EcgSignal],
-    every: u64,
-    mut on_checkpoint: impl FnMut(Checkpoint) -> CheckpointControl,
-) -> Result<Option<BenchmarkRun>, RunnerError> {
-    assert!(every > 0, "checkpoint interval must be positive");
-    loop {
-        let limit = platform.cycle().saturating_add(every);
-        match platform.run_until(limit)? {
-            RunProgress::Done(_) => {
-                return Ok(Some(collect_run(benchmark, platform, cfg, channels)));
-            }
-            RunProgress::Paused => {
-                if on_checkpoint(platform.snapshot()) == CheckpointControl::Park {
-                    return Ok(None);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,7 +624,12 @@ mod tests {
             Platform::new(PlatformConfig::paper(true).with_max_cycles(cfg.max_cycles)).unwrap();
         for benchmark in Benchmark::ALL {
             let fresh = run_benchmark(benchmark, true, &cfg).unwrap();
-            let reused = run_benchmark_reusing(benchmark, &mut platform, &cfg).unwrap();
+            let reused =
+                run_benchmark_reusing(benchmark, &mut platform, &cfg, None, u64::MAX, |_| {
+                    CheckpointControl::Continue
+                })
+                .unwrap()
+                .expect("never parks");
             reused.verify().unwrap();
             assert_eq!(fresh.stats, reused.stats, "{benchmark}");
             assert_eq!(fresh.outputs, reused.outputs, "{benchmark}");
@@ -745,13 +686,19 @@ mod tests {
             Platform::new(PlatformConfig::paper(true).with_max_cycles(cfg.max_cycles)).unwrap();
         let plain = run_benchmark(Benchmark::Mrpfltr, true, &cfg).unwrap();
         let mut checkpoints = 0usize;
-        let sliced =
-            run_benchmark_checkpointed(Benchmark::Mrpfltr, &mut platform, &cfg, 50_000, |_ckpt| {
+        let sliced = run_benchmark_reusing(
+            Benchmark::Mrpfltr,
+            &mut platform,
+            &cfg,
+            None,
+            50_000,
+            |_ckpt| {
                 checkpoints += 1;
                 CheckpointControl::Continue
-            })
-            .unwrap()
-            .expect("run completes");
+            },
+        )
+        .unwrap()
+        .expect("run completes");
         assert!(checkpoints > 0, "run is long enough to checkpoint");
         sliced.verify().unwrap();
         assert_eq!(plain.stats, sliced.stats);
@@ -770,7 +717,7 @@ mod tests {
             // First worker: parks the job at its first checkpoint.
             let mut first = Platform::new(platform_cfg.clone()).unwrap();
             let mut parked = None;
-            let early = run_benchmark_checkpointed(benchmark, &mut first, &cfg, every, |ckpt| {
+            let early = run_benchmark_reusing(benchmark, &mut first, &cfg, None, every, |ckpt| {
                 parked = Some(ckpt);
                 CheckpointControl::Park
             })
@@ -782,12 +729,15 @@ mod tests {
             // Second worker: picks the job up from the checkpoint — after
             // having run something unrelated on its cached platform.
             let mut second = Platform::new(platform_cfg.clone()).unwrap();
-            run_benchmark_reusing(Benchmark::Sqrt32, &mut second, &cfg)
-                .unwrap()
-                .verify()
-                .unwrap();
+            run_benchmark_reusing(Benchmark::Sqrt32, &mut second, &cfg, None, u64::MAX, |_| {
+                CheckpointControl::Continue
+            })
+            .unwrap()
+            .expect("never parks")
+            .verify()
+            .unwrap();
             let resumed =
-                resume_benchmark_checkpointed(benchmark, &mut second, &cfg, &ckpt, every, |_| {
+                run_benchmark_reusing(benchmark, &mut second, &cfg, Some(&ckpt), every, |_| {
                     CheckpointControl::Continue
                 })
                 .unwrap()

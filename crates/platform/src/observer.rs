@@ -228,6 +228,11 @@ impl PcTrace {
     pub fn rows(&self) -> &[Vec<Option<u16>>] {
         &self.rows
     }
+
+    /// Takes the recorded rows by value.
+    pub fn into_rows(self) -> Vec<Vec<Option<u16>>> {
+        self.rows
+    }
 }
 
 fn write_pc_row(w: &mut Writer, row: &[Option<u16>]) {
@@ -375,6 +380,11 @@ impl BankHeatMap {
     /// may cover fewer, flushed at run end), one count per bank.
     pub fn rows(&self) -> &[Vec<u64>] {
         &self.rows
+    }
+
+    /// Takes the completed windows by value.
+    pub fn into_rows(self) -> Vec<Vec<u64>> {
+        self.rows
     }
 
     /// Total served accesses per bank over all recorded windows, the

@@ -128,11 +128,9 @@ pub struct JobSpec {
     /// to queued [`Priority::High`] work, and a killed or panicking
     /// worker's in-flight run is re-queued from its last checkpoint and
     /// finished — bit-identically — by another worker. `None` (the
-    /// default) runs the job in one uninterruptible stint.
-    ///
-    /// [`ObserverSelection::Vcd`] jobs ignore the cadence: the VCD
-    /// tracer's text stream is not part of the platform checkpoint, so
-    /// such jobs always run in one stint.
+    /// default) runs the job in one uninterruptible stint. Every
+    /// [`ObserverSelection`] rides along in the checkpoints, so the
+    /// migrated job's artifacts are bit-identical too.
     pub checkpoint_every: Option<u64>,
 }
 
@@ -270,7 +268,7 @@ impl ObserverSelection {
 
 /// Observer output carried back in a [`JobOutput`], mirroring the job's
 /// [`ObserverSelection`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum JobArtifacts {
     /// No observers were attached.
     #[default]
@@ -324,7 +322,7 @@ impl JobArtifacts {
 }
 
 /// What a successful job produced.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct JobOutput {
     /// Core count the job ran on (mirrors the spec; kept here so a result
     /// is self-describing without the submission side-table).

@@ -48,8 +48,10 @@
 //!   ([`JobResult::migrations`], [`ServiceStats::jobs_migrated`]).
 //! * **Platform caching.** Each worker keeps one [`ulp_platform::Platform`]
 //!   per `(design, cores)` key, reset and reused between jobs
-//!   ([`ulp_kernels::run_benchmark_reusing_with`]) so memories and cycle
-//!   buffers are allocated once per worker, not once per job.
+//!   ([`ulp_kernels::run_benchmark_reusing`]) so memories and cycle
+//!   buffers are allocated once per worker, not once per job. Every job
+//!   takes that one run path, with its observer attached to the platform;
+//!   "no cadence" means a checkpoint interval of `u64::MAX`.
 //! * **Streaming.** Results flow back over a channel the moment a worker
 //!   finishes; long sweeps report incrementally instead of joining at the
 //!   end.

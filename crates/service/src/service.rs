@@ -14,11 +14,10 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use ulp_kernels::{
-    resume_benchmark_checkpointed, run_benchmark_checkpointed, run_benchmark_reusing_with,
-    CheckpointControl, RunnerError,
+use ulp_kernels::{run_benchmark_reusing, CheckpointControl, RunnerError};
+use ulp_platform::{
+    BankHeatMap, Checkpoint, Observer, PcTrace, Platform, PlatformConfig, VcdTracer,
 };
-use ulp_platform::{BankHeatMap, Checkpoint, PcTrace, Platform, PlatformConfig, VcdTracer};
 use ulp_telemetry::{
     worker_track, Counter, EventKind, Histogram, Telemetry, Track, CLIENT_TRACK, NO_JOB,
 };
@@ -493,6 +492,15 @@ pub enum SubmitError {
         /// The quota it hit.
         quota: usize,
     },
+    /// The spec can never run: its workload size is outside the kernel
+    /// layout's capacity. Returned by both submission paths before any
+    /// admission bookkeeping, so the pool is untouched.
+    Invalid {
+        /// The rejected job, returned so the caller can fix and resubmit.
+        spec: JobSpec,
+        /// What is wrong with it.
+        reason: String,
+    },
     /// A worker thread panicked: the pool accepts no further work. Both
     /// submission paths return this rather than blocking on a drain that
     /// can never come.
@@ -507,6 +515,7 @@ impl SubmitError {
         match self {
             SubmitError::AtCapacity { spec, .. } => Some(spec),
             SubmitError::QuotaExceeded { spec, .. } => Some(spec),
+            SubmitError::Invalid { spec, .. } => Some(spec),
             SubmitError::PoolDead => None,
         }
     }
@@ -523,6 +532,7 @@ impl fmt::Display for SubmitError {
                 f,
                 "submission rejected: tenant {tenant} at its quota of {quota} in-flight jobs"
             ),
+            SubmitError::Invalid { reason, .. } => write!(f, "submission rejected: {reason}"),
             SubmitError::PoolDead => write!(f, "submission rejected: a service worker died"),
         }
     }
@@ -1010,8 +1020,11 @@ impl Shared {
 /// queued job whose [`JobSpec::deadline_cycles`] budget provably cannot
 /// be met is evicted ([`JobError::Evicted`]) instead of run. Each worker
 /// keeps one [`Platform`] per `(design, cores)` key and reuses it via
-/// [`ulp_kernels::run_benchmark_reusing_with`], so the dominant
-/// allocations happen once per worker, not once per job. Completed
+/// [`ulp_kernels::run_benchmark_reusing`], so the dominant allocations
+/// happen once per worker, not once per job. Every job runs through that
+/// one path with its observer [attached](Platform::attach); a job
+/// without a [`JobSpec::checkpoint_every`] cadence simply never
+/// checkpoints. Completed
 /// [`JobResult`]s stream back through [`SimService::recv`] as workers
 /// finish them — a client never waits for the whole batch — and carry
 /// per-job queue-wait and run latency; [`ServiceStats`] aggregates them
@@ -1222,14 +1235,11 @@ impl SimService {
     /// # Errors
     ///
     /// [`SubmitError::AtCapacity`] and [`SubmitError::QuotaExceeded`]
-    /// with the spec inside; [`SubmitError::PoolDead`] when a worker
-    /// panicked.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a workload size outside the kernel layout's capacity
-    /// (the kernels would panic the worker on it), so that class of
-    /// invalid submission fails in the submitting thread, not the pool.
+    /// with the spec inside; [`SubmitError::Invalid`], also with the spec
+    /// inside, for a workload size outside the kernel layout's capacity
+    /// (the kernels would panic the worker on it, so that class of
+    /// invalid submission fails in the submitting thread, not the pool);
+    /// [`SubmitError::PoolDead`] when a worker panicked.
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, SubmitError> {
         self.submit_inner(spec, false)
     }
@@ -1243,23 +1253,24 @@ impl SimService {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::PoolDead`] when a worker panicked — the only way a
-    /// blocking submission fails.
-    ///
-    /// # Panics
-    ///
-    /// Like [`SimService::submit`], panics on a workload size outside the
-    /// kernel layout's capacity.
+    /// [`SubmitError::Invalid`] for a spec [`SimService::submit`] would
+    /// reject as invalid, and [`SubmitError::PoolDead`] when a worker
+    /// panicked — the only ways a blocking submission fails.
     pub fn submit_blocking(&mut self, spec: JobSpec) -> Result<JobId, SubmitError> {
         self.submit_inner(spec, true)
     }
 
     fn submit_inner(&mut self, spec: JobSpec, block: bool) -> Result<JobId, SubmitError> {
-        assert!(
-            spec.workload.n >= 4 && spec.workload.n <= ulp_kernels::layout::MAX_N,
-            "job workload n = {} outside supported range",
-            spec.workload.n
-        );
+        let n = spec.workload.n;
+        if !(4..=ulp_kernels::layout::MAX_N).contains(&n) {
+            return Err(SubmitError::Invalid {
+                reason: format!(
+                    "workload n = {n} outside the supported range 4..={}",
+                    ulp_kernels::layout::MAX_N
+                ),
+                spec,
+            });
+        }
         let quota = self.shared.policy(spec.tenant).quota as u64;
         let capacity = self.shared.capacity as u64;
         // Admission control: reserve a backlog slot (and the tenant's
@@ -1673,49 +1684,35 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
                 continue;
             }
         }
-        // A job with a checkpoint cadence runs on the parkable path: the
-        // platform is snapshotted every `checkpoint_every` cycles, and the
-        // snapshot keeps the pool's in-flight registry current so the job
-        // survives this worker. VCD jobs are excluded — the tracer's text
-        // stream is not part of the platform checkpoint.
-        let migratable = job.spec.checkpoint_every.is_some()
-            && !matches!(job.spec.observers, ObserverSelection::Vcd);
+        // A job with a checkpoint cadence is migratable: every snapshot
+        // keeps the pool's in-flight registry current, so the job
+        // survives this worker. Plain jobs stay unregistered, so a
+        // panicking plain job is not requeued.
         let run_start = Instant::now();
-        let (cache_hit, outcome) = if migratable {
+        if job.spec.checkpoint_every.is_some() {
             *shared.inflight[me].lock().expect("inflight lock") = Some(job.clone());
-            let (cache_hit, run) = run_job_checkpointed(me, &job, &mut cache, shared, &track, tags);
-            match run {
-                Ok(Some(output)) => {
-                    shared.inflight[me].lock().expect("inflight lock").take();
-                    (cache_hit, Ok(output))
+        }
+        let (cache_hit, run) = run_job(me, &job, &mut cache, shared, &track, tags);
+        let registered = shared.inflight[me].lock().expect("inflight lock").take();
+        let outcome = match run {
+            Ok(Some(output)) => Ok(output),
+            Err(err) => Err(err),
+            Ok(None) => {
+                // Parked at a checkpoint: re-queue the registry copy (it
+                // carries the latest checkpoint) instead of completing.
+                // No result is sent and the admission slot stays held —
+                // the job is still in the service.
+                let parked = registered.expect("parked job is registered in-flight");
+                track.record(EventKind::Migrated, tags.0, tags.1, tags.2);
+                shared.requeue(me, parked);
+                if shared.kill_flags[me].swap(false, Ordering::Relaxed) {
+                    // Injected failure: this worker is "lost". The
+                    // survivors resume the job from its checkpoint.
+                    shared.workers_died.fetch_add(1, Ordering::Relaxed);
+                    return;
                 }
-                Ok(None) => {
-                    // Parked at a checkpoint: re-queue the registry copy
-                    // (it carries the latest checkpoint) instead of
-                    // completing. No result is sent and the admission
-                    // slot stays held — the job is still in the service.
-                    let parked = shared.inflight[me]
-                        .lock()
-                        .expect("inflight lock")
-                        .take()
-                        .expect("parked job is registered in-flight");
-                    track.record(EventKind::Migrated, tags.0, tags.1, tags.2);
-                    shared.requeue(me, parked);
-                    if shared.kill_flags[me].swap(false, Ordering::Relaxed) {
-                        // Injected failure: this worker is "lost". The
-                        // survivors resume the job from its checkpoint.
-                        shared.workers_died.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    continue;
-                }
-                Err(err) => {
-                    shared.inflight[me].lock().expect("inflight lock").take();
-                    (cache_hit, Err(err))
-                }
+                continue;
             }
-        } else {
-            run_job(&job.spec, &mut cache, shared, &track, tags)
         };
         let run_time = run_start.elapsed();
         track.record(EventKind::RunEnd, tags.0, tags.1, tags.2);
@@ -1812,9 +1809,7 @@ fn steal_scan(me: usize, shared: &Shared, high_only: bool, track: &Track) -> Opt
 }
 
 /// The worker's platform for `spec`, cache-hit or freshly built, with the
-/// spec's cycle budget adopted either way. Shared by the plain and
-/// checkpointed run paths so both count cache traffic and platform builds
-/// identically.
+/// spec's cycle budget adopted either way.
 fn cached_platform<'c>(
     spec: &JobSpec,
     cache: &'c mut HashMap<(bool, usize), Platform>,
@@ -1847,13 +1842,28 @@ fn cached_platform<'c>(
     }
 }
 
+/// Runs one job on the worker's cached platform — the only job run path.
+/// The selected observer is [attached](Platform::attach), so every
+/// checkpoint captures its state, and detached again on every exit, so
+/// the cached platform never leaks it into the worker's next job. A
+/// resumed job ([`QueuedJob::resume`]) restores the platform from its
+/// checkpoint instead of starting over.
+///
+/// A job with a [`JobSpec::checkpoint_every`] cadence snapshots the
+/// platform every that many cycles, keeps the pool's in-flight registry
+/// pointed at the latest checkpoint, and parks (`Ok(None)`) when the
+/// worker is marked for failure or urgent work is queued pool-wide. A
+/// job without one never checkpoints. Results are bit-identical either
+/// way.
 fn run_job(
-    spec: &JobSpec,
+    me: usize,
+    job: &QueuedJob,
     cache: &mut HashMap<(bool, usize), Platform>,
     shared: &Shared,
     track: &Track,
     tags: (u64, u32, u8),
-) -> (bool, Result<JobOutput, RunnerError>) {
+) -> (bool, Result<Option<JobOutput>, RunnerError>) {
+    let spec = &job.spec;
     // The kernels assume one private DM bank per core (≤ 8); larger
     // baseline platforms would build fine but panic the worker inside the
     // kernel runner, so reject the job with an error outcome instead.
@@ -1871,93 +1881,19 @@ fn run_job(
             return (false, Err(err));
         }
     };
-    track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
-    let outcome = match &spec.observers {
-        ObserverSelection::None => {
-            run_benchmark_reusing_with(spec.benchmark, platform, &spec.workload, &mut [])
-                .map(|run| (run, JobArtifacts::None))
-        }
-        ObserverSelection::PcTrace { limit } => {
-            let mut trace = PcTrace::new(*limit);
-            run_benchmark_reusing_with(spec.benchmark, platform, &spec.workload, &mut [&mut trace])
-                .map(|run| (run, JobArtifacts::PcTrace(trace.rows().to_vec())))
-        }
-        ObserverSelection::Vcd => {
-            let mut vcd = VcdTracer::new(platform);
-            run_benchmark_reusing_with(spec.benchmark, platform, &spec.workload, &mut [&mut vcd])
-                .map(|run| (run, JobArtifacts::Vcd(vcd.finish())))
-        }
+    let observer: Option<Box<dyn Observer>> = match &spec.observers {
+        ObserverSelection::None => None,
+        ObserverSelection::PcTrace { limit } => Some(Box::new(PcTrace::new(*limit))),
+        ObserverSelection::Vcd => Some(Box::new(VcdTracer::new(platform))),
         ObserverSelection::BankHeatMap { window } => {
-            let mut map = BankHeatMap::for_dm(platform.config(), *window);
-            run_benchmark_reusing_with(spec.benchmark, platform, &spec.workload, &mut [&mut map])
-                .map(|run| (run, JobArtifacts::BankHeatMap(map.rows().to_vec())))
+            Some(Box::new(BankHeatMap::for_dm(platform.config(), *window)))
         }
     };
-    (
-        cache_hit,
-        outcome.map(|(run, artifacts)| JobOutput {
-            cores: spec.cores,
-            run,
-            artifacts,
-        }),
-    )
-}
-
-/// The parkable run path for migratable jobs: snapshots the platform
-/// every [`JobSpec::checkpoint_every`] cycles, keeps the pool's in-flight
-/// registry pointed at the latest checkpoint, and parks
-/// (`Ok(None)`) when the worker is marked for failure or urgent work is
-/// queued pool-wide. Resumed jobs ([`QueuedJob::resume`]) restore the
-/// platform from their checkpoint instead of starting over; results are
-/// bit-identical to an uninterrupted run either way.
-///
-/// Observers ride the handle API ([`Platform::attach`]) rather than the
-/// borrowed-slice path, so their state is captured by every checkpoint
-/// and survives migration with the job.
-fn run_job_checkpointed(
-    me: usize,
-    job: &QueuedJob,
-    cache: &mut HashMap<(bool, usize), Platform>,
-    shared: &Shared,
-    track: &Track,
-    tags: (u64, u32, u8),
-) -> (bool, Result<Option<JobOutput>, RunnerError>) {
-    let spec = &job.spec;
-    // Same guard as `run_job`: the kernels assume ≤ 8 cores.
-    if spec.cores == 0 || spec.cores > 8 {
-        track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
-        return (
-            false,
-            Err(ulp_platform::ConfigError::BadCoreCount(spec.cores).into()),
-        );
-    }
-    let (cache_hit, platform) = match cached_platform(spec, cache, shared, track, tags) {
-        Ok(pair) => pair,
-        Err(err) => {
-            track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
-            return (false, Err(err));
-        }
-    };
-    // Attached (not slice-borrowed) observers: the checkpoint captures
-    // their state, and on resume `restore_from` reloads it into the
-    // freshly attached instances by label. Detached again below — the
-    // cached platform must not leak this job's observers into later jobs.
-    let handle = match &spec.observers {
-        ObserverSelection::None | ObserverSelection::Vcd => None,
-        ObserverSelection::PcTrace { limit } => {
-            Some(platform.attach(Box::new(PcTrace::new(*limit))))
-        }
-        ObserverSelection::BankHeatMap { window } => {
-            let map = BankHeatMap::for_dm(platform.config(), *window);
-            Some(platform.attach(Box::new(map)))
-        }
-    };
+    let handle = observer.map(|observer| platform.attach(observer));
     if job.resume.is_some() {
         track.record(EventKind::Restored, tags.0, tags.1, tags.2);
     }
     track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
-    let every = spec.checkpoint_every.unwrap_or(u64::MAX).max(1);
-    let migrations = job.migrations;
     let on_checkpoint = |ckpt: Checkpoint| {
         shared.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
         shared.metrics.checkpoints_taken.inc();
@@ -1980,7 +1916,7 @@ fn run_job_checkpointed(
         // times) when urgent work is queued anywhere in the pool, so a
         // High job never waits out a long migratable run.
         let yield_to_high = spec.priority != Priority::High
-            && migrations < MAX_MIGRATIONS
+            && job.migrations < MAX_MIGRATIONS
             && shared.queued_high.load(Ordering::Relaxed) > 0;
         if killed || yield_to_high {
             CheckpointControl::Park
@@ -1988,52 +1924,40 @@ fn run_job_checkpointed(
             CheckpointControl::Continue
         }
     };
-    let run = match job.resume.as_deref() {
-        Some(ckpt) => resume_benchmark_checkpointed(
-            spec.benchmark,
-            platform,
-            &spec.workload,
-            ckpt,
-            every,
-            on_checkpoint,
-        ),
-        None => run_benchmark_checkpointed(
-            spec.benchmark,
-            platform,
-            &spec.workload,
-            every,
-            on_checkpoint,
-        ),
-    };
-    let outcome = match run {
-        Ok(Some(run)) => {
-            let artifacts = match (&spec.observers, &handle) {
-                (ObserverSelection::PcTrace { .. }, Some(handle)) => JobArtifacts::PcTrace(
-                    platform
-                        .observer_as::<PcTrace>(handle)
-                        .map(|trace| trace.rows().to_vec())
-                        .unwrap_or_default(),
-                ),
-                (ObserverSelection::BankHeatMap { .. }, Some(handle)) => JobArtifacts::BankHeatMap(
-                    platform
-                        .observer_as::<BankHeatMap>(handle)
-                        .map(|map| map.rows().to_vec())
-                        .unwrap_or_default(),
-                ),
-                _ => JobArtifacts::None,
-            };
-            Ok(Some(JobOutput {
-                cores: spec.cores,
-                run,
-                artifacts,
-            }))
-        }
-        other => other.map(|_| None),
-    };
-    if let Some(handle) = handle {
-        platform.detach(handle);
-    }
+    let run = run_benchmark_reusing(
+        spec.benchmark,
+        platform,
+        &spec.workload,
+        job.resume.as_deref(),
+        spec.checkpoint_every.unwrap_or(u64::MAX).max(1),
+        on_checkpoint,
+    );
+    let observer = handle.and_then(|handle| platform.detach(handle));
+    let outcome = run.map(|done| {
+        done.map(|run| JobOutput {
+            cores: spec.cores,
+            run,
+            artifacts: observer.map_or(JobArtifacts::None, into_artifacts),
+        })
+    });
     (cache_hit, outcome)
+}
+
+/// The artifact a detached job observer recorded, taken by value.
+fn into_artifacts(observer: Box<dyn Observer>) -> JobArtifacts {
+    let observer: Box<dyn std::any::Any> = observer;
+    let observer = match observer.downcast::<PcTrace>() {
+        Ok(trace) => return JobArtifacts::PcTrace(trace.into_rows()),
+        Err(other) => other,
+    };
+    let observer = match observer.downcast::<VcdTracer>() {
+        Ok(vcd) => return JobArtifacts::Vcd(vcd.finish()),
+        Err(other) => other,
+    };
+    match observer.downcast::<BankHeatMap>() {
+        Ok(map) => JobArtifacts::BankHeatMap(map.into_rows()),
+        Err(_) => unreachable!("job observers are PC traces, VCD tracers or heat maps"),
+    }
 }
 
 #[cfg(test)]
@@ -2108,5 +2032,90 @@ mod tests {
             "balanced braces in {json}"
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    /// The one run path, called directly on one worker cache: for every
+    /// observer selection a checkpointed run equals a plain one (stats,
+    /// outputs and artifacts), a parked run resumed from its registry
+    /// checkpoint equals it too, and no observer stays attached to the
+    /// cached platform after success, park or error.
+    #[test]
+    fn run_job_is_cadence_blind_and_always_detaches() {
+        use ulp_kernels::{Benchmark, WorkloadConfig};
+        use ulp_platform::PlatformError;
+
+        let service = SimService::start(ServiceConfig::builder().workers(1).build());
+        let shared = &*service.shared;
+        let track = shared.telemetry.track(worker_track(0));
+        let mut cache = HashMap::new();
+        let workload = Arc::new(WorkloadConfig::quick_test());
+        let mut short = WorkloadConfig::quick_test();
+        short.max_cycles = 100;
+        let short = Arc::new(short);
+        let queued = |spec: JobSpec| QueuedJob {
+            id: 0,
+            spec,
+            stolen: false,
+            enqueued: Instant::now(),
+            resume: None,
+            migrations: 0,
+        };
+        for observers in [
+            ObserverSelection::None,
+            ObserverSelection::PcTrace { limit: 64 },
+            ObserverSelection::Vcd,
+            ObserverSelection::BankHeatMap { window: 512 },
+        ] {
+            let kind = observers.artifact_kind();
+            let spec = JobSpec::new(Benchmark::Mrpfltr, 2, workload.clone()).observers(observers);
+            // The job's outcome, and how many observers it left attached.
+            let mut run = |job: &QueuedJob| {
+                let outcome = run_job(0, job, &mut cache, shared, &track, (0, 0, 0)).1;
+                (outcome, cache[&(true, 2)].attached_observers())
+            };
+
+            let (plain, left) = run(&queued(spec.clone()));
+            let plain = plain
+                .expect("plain job runs")
+                .expect("a plain job never parks");
+            assert_eq!(plain.artifacts.kind(), kind);
+            assert_eq!(left, 0, "{kind}: leaked after success");
+            let (sliced, left) = run(&queued(spec.clone().checkpoint_every(500)));
+            let sliced = sliced
+                .expect("checkpointed job runs")
+                .expect("an unmarked worker never parks");
+            assert!(plain == sliced, "{kind}: checkpointed run differs");
+            assert_eq!(left, 0, "{kind}: leaked after success");
+
+            // Marked for failure, the worker parks at the first
+            // checkpoint; the registry copy then carries the resume point.
+            let migratable = queued(spec.clone().checkpoint_every(500));
+            *shared.inflight[0].lock().unwrap() = Some(migratable.clone());
+            shared.kill_flags[0].store(true, Ordering::Relaxed);
+            let (parked, left) = run(&migratable);
+            shared.kill_flags[0].store(false, Ordering::Relaxed);
+            assert!(matches!(parked, Ok(None)), "{kind}: parks");
+            assert_eq!(left, 0, "{kind}: leaked after a park");
+            let registered = shared.inflight[0].lock().unwrap().take().unwrap();
+            assert!(registered.resume.is_some(), "{kind}: checkpoint kept");
+            let (resumed, _) = run(&registered);
+            let resumed = resumed
+                .expect("resumed job runs")
+                .expect("resumed job completes");
+            assert!(plain == resumed, "{kind}: resumed run differs");
+
+            // A cycle budget far below the run's length times out.
+            let (failed, left) = run(&queued(
+                JobSpec::new(Benchmark::Mrpfltr, 2, short.clone()).observers(spec.observers),
+            ));
+            assert!(
+                matches!(
+                    failed,
+                    Err(RunnerError::Platform(PlatformError::Timeout { .. }))
+                ),
+                "{kind}: {failed:?}"
+            );
+            assert_eq!(left, 0, "{kind}: leaked after an error");
+        }
     }
 }

@@ -133,6 +133,41 @@ fn rejected_spec_is_returned_for_retry() {
     assert_eq!(stats.rejections, 1);
 }
 
+/// A workload size outside the kernel layout is a typed rejection on
+/// both submission paths, spec handed back, and leaves the pool able to
+/// run valid work.
+#[test]
+fn invalid_workload_size_is_rejected_with_the_spec_returned() {
+    let mut service = bounded_pool(1, 0);
+    for n in [2, ulp_kernels::layout::MAX_N + 1] {
+        for blocking in [false, true] {
+            let spec = JobSpec::new(Benchmark::Sqrt32, 2, workload(n)).tenant(TenantId(5));
+            let rejection = if blocking {
+                service.submit_blocking(spec)
+            } else {
+                service.submit(spec)
+            }
+            .expect_err("invalid size rejected");
+            assert!(rejection.to_string().contains(&format!("n = {n}")));
+            match rejection {
+                SubmitError::Invalid { spec, .. } => {
+                    assert_eq!(spec.workload.n, n);
+                    assert_eq!(spec.tenant, TenantId(5));
+                }
+                other => panic!("expected Invalid, got {other}"),
+            }
+        }
+    }
+    let id = service
+        .submit(JobSpec::new(Benchmark::Sqrt32, 2, workload(48)))
+        .expect("valid job admitted");
+    let result = service.recv().expect("valid job completes");
+    assert_eq!(result.id, id);
+    assert!(result.outcome.is_ok());
+    assert!(service.recv().is_none(), "rejections were never enqueued");
+    assert_eq!(service.finish().jobs_run, 1);
+}
+
 /// Priority ordering: with one worker pinned down by a long normal job, a
 /// high-priority submission must overtake an already-queued backlog of
 /// low-priority jobs.
@@ -496,6 +531,7 @@ proptest! {
                         over_quota += 1;
                     }
                     Err(SubmitError::PoolDead) => panic!("pool died"),
+                    Err(err @ SubmitError::Invalid { .. }) => panic!("{err}"),
                 }
             } else {
                 accepted.push(service.submit_blocking(spec).expect("pool alive"));

@@ -22,16 +22,36 @@ fn long_workload() -> Arc<WorkloadConfig> {
     Arc::new(w)
 }
 
+/// The selected observer's artifact for an MRPFLTR job on `workload`,
+/// run without a checkpoint cadence on a fresh pool: what a migrated run
+/// must reproduce byte for byte.
+fn unmigrated_artifacts(
+    workload: &Arc<WorkloadConfig>,
+    observers: &ObserverSelection,
+) -> JobArtifacts {
+    let mut service = SimService::start(ServiceConfig::builder().workers(1).build());
+    service
+        .submit(JobSpec::new(Benchmark::Mrpfltr, 8, workload.clone()).observers(observers.clone()))
+        .expect("admits");
+    let result = service.recv().expect("reference job completes");
+    service.finish();
+    result.outcome.expect("reference job runs").artifacts
+}
+
 /// Kill a worker mid-shard: its partially-run job re-queues from the
 /// last checkpoint and the surviving worker finishes it bit-identically —
-/// including the attached observer's artifact. Also pins down satellite
+/// including the attached observer's artifact, which must equal the one
+/// the same job produces without a cadence. Also pins down satellite
 /// attribution semantics: the migrated job completes on a different
 /// worker than it started on, yet every latency sample and tenant row is
 /// recorded exactly once, under the job's own tenant and priority.
-#[test]
-fn injected_worker_failure_migrates_in_flight_job_bit_identically() {
-    let workload = long_workload();
+fn injected_failure_migrates_bit_identically(
+    workload: Arc<WorkloadConfig>,
+    observers: ObserverSelection,
+) {
     let golden = run_benchmark(Benchmark::Mrpfltr, true, &workload).expect("golden run");
+    let reference = unmigrated_artifacts(&workload, &observers);
+    assert_eq!(reference.kind(), observers.artifact_kind());
     // ~4 checkpoints per run: the first park loses real progress and the
     // resumed stint still spans several checkpoint boundaries.
     let every = (golden.stats.cycles / 5).max(1);
@@ -46,7 +66,7 @@ fn injected_worker_failure_migrates_in_flight_job_bit_identically() {
             .tenant(tenant)
             .priority(priority)
             .checkpoint_every(every)
-            .observers(ObserverSelection::BankHeatMap { window: 4096 })
+            .observers(observers.clone())
     };
     service
         .submit(spec(TenantId(7), Priority::Low).pinned(0))
@@ -56,7 +76,6 @@ fn injected_worker_failure_migrates_in_flight_job_bit_identically() {
         .expect("admits");
 
     let mut migrated = None;
-    let mut heat_maps = Vec::new();
     for _ in 0..2 {
         let result = service
             .recv()
@@ -68,21 +87,17 @@ fn injected_worker_failure_migrates_in_flight_job_bit_identically() {
         );
         assert_eq!(out.run.outputs, golden.outputs, "outputs bit-identical");
         assert_eq!(out.run.outputs, out.run.expected, "golden model holds");
-        match &out.artifacts {
-            JobArtifacts::BankHeatMap(rows) => heat_maps.push(rows.clone()),
-            other => panic!("expected a heat map, got {}", other.kind()),
-        }
+        // The observer state survived the park/resume round trip inside
+        // the checkpoint.
+        assert!(
+            out.artifacts == reference,
+            "{} artifact differs from the unmigrated run",
+            reference.kind()
+        );
         if result.migrations > 0 {
             migrated = Some(result);
         }
     }
-    // Both jobs ran the same kernel on the same workload, so the heat
-    // maps must match — the migrated job's observer state survived the
-    // park/resume round trip inside the checkpoint.
-    assert_eq!(
-        heat_maps[0], heat_maps[1],
-        "observer artifact survives migration"
-    );
     let migrated = migrated.expect("the killed worker's job was migrated");
     // Started on worker 0 (the killed one — only it parks), completed by
     // the survivor.
@@ -105,6 +120,24 @@ fn injected_worker_failure_migrates_in_flight_job_bit_identically() {
     assert_eq!(stats.per_priority[Priority::Low.index()].samples, 1);
     assert_eq!(stats.per_priority[Priority::Normal.index()].samples, 1);
     assert_eq!(stats.per_priority[Priority::High.index()].samples, 0);
+}
+
+#[test]
+fn injected_worker_failure_migrates_in_flight_job_bit_identically() {
+    injected_failure_migrates_bit_identically(
+        long_workload(),
+        ObserverSelection::BankHeatMap { window: 4096 },
+    );
+}
+
+/// VCD jobs migrate like any other: the tracer's text rides in the
+/// checkpoint, so the resumed dump has no seam. A shorter recording
+/// keeps the dump (every PC and phase change of 8 cores) small.
+#[test]
+fn injected_worker_failure_migrates_vcd_job_bit_identically() {
+    let mut workload = WorkloadConfig::quick_test();
+    workload.n = 64;
+    injected_failure_migrates_bit_identically(Arc::new(workload), ObserverSelection::Vcd);
 }
 
 /// A queued High job preempts a long migratable run at its next

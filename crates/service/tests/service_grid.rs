@@ -85,7 +85,7 @@ fn repeated_key_jobs_hit_the_platform_cache() {
     let workload = quick();
     let mut service = SimService::start(ServiceConfig::builder().workers(1).build());
     let plain = JobSpec::new(Benchmark::Sqrt32, 2, workload.clone());
-    // The same job again on the checkpointed run path: every rerun lands
+    // The same job again with a checkpoint cadence: every rerun lands
     // on the cached platform and must reproduce the first run exactly.
     let checkpointed = plain.clone().checkpoint_every(997);
     for spec in [

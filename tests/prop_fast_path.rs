@@ -10,9 +10,7 @@
 use proptest::prelude::*;
 use ulp_lockstep::cpu::CoreState;
 use ulp_lockstep::isa::{encode, AluOp, Cond, CsrOp, Flags, Instr, Reg, ShiftKind, UnaryOp};
-use ulp_lockstep::kernels::{
-    run_benchmark_checkpointed, Benchmark, CheckpointControl, WorkloadConfig,
-};
+use ulp_lockstep::kernels::{run_benchmark_reusing, Benchmark, CheckpointControl, WorkloadConfig};
 use ulp_lockstep::platform::{Platform, PlatformConfig, RunProgress, SimStats};
 
 /// Cycle budget of the random programs (far above what they need).
@@ -186,9 +184,10 @@ fn loaded_kernel(benchmark: Benchmark, cores: usize, with_sync: bool) -> Platfor
         .with_cores(cores)
         .with_max_cycles(workload.max_cycles);
     let mut p = Platform::new(cfg).expect("valid config");
-    let parked =
-        run_benchmark_checkpointed(benchmark, &mut p, &workload, 1, |_| CheckpointControl::Park)
-            .expect("first cycle runs");
+    let parked = run_benchmark_reusing(benchmark, &mut p, &workload, None, 1, |_| {
+        CheckpointControl::Park
+    })
+    .expect("first cycle runs");
     assert!(parked.is_none(), "{benchmark} parked after one cycle");
     p
 }
