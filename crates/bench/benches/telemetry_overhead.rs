@@ -1,8 +1,9 @@
 //! Telemetry overhead gate: the same mixed service workload timed twice
 //! through one process — once with telemetry disabled (the default
-//! no-op handles) and once with it enabled (per-worker event rings and
-//! live metrics) — and gated on the *ratio* of the two, not an absolute
-//! rate. The disabled path is the zero-cost claim: a single branch per
+//! no-op event tracks; the pool's counters live in a private registry)
+//! and once with it enabled (per-worker event rings and exported
+//! metrics) — and gated on the *ratio* of the two, not an absolute rate.
+//! The disabled path is the zero-cost claim: a single branch per event
 //! record site. The enabled path is the cheap claim: bounded lock-free
 //! rings that drop-and-count rather than block. A ratio above the gate's
 //! tolerance means one of those claims broke.

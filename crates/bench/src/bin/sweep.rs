@@ -41,9 +41,9 @@
 //! on exit, writes every recorded span (queued → claimed → platform →
 //! run, plus steals and merges) as Chrome trace-event JSON. With
 //! `--stream` it also interleaves periodic `{"telemetry":…}` snapshot
-//! lines — counters, gauges, and latency histograms — between the cell
-//! records, so a live consumer can watch queue depth and throughput
-//! evolve. Snapshot lines never collide with the `{"schema":2,…}` cell
+//! lines — the service counters and the queue-wait and run-time
+//! histograms — between the cell records, so a live consumer can watch
+//! throughput and queue wait evolve. Snapshot lines never collide with the `{"schema":2,…}` cell
 //! records: consumers filter on the leading key.
 
 use std::io::Write;

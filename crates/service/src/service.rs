@@ -19,7 +19,7 @@ use ulp_platform::{
     BankHeatMap, Checkpoint, Observer, PcTrace, Platform, PlatformConfig, VcdTracer,
 };
 use ulp_telemetry::{
-    worker_track, Counter, EventKind, Histogram, Telemetry, Track, CLIENT_TRACK, NO_JOB,
+    worker_track, Counter, EventKind, Histogram, Registry, Telemetry, Track, CLIENT_TRACK, NO_JOB,
 };
 
 /// Admission and fair-share policy for one tenant (or the default for
@@ -94,9 +94,11 @@ pub struct ServiceConfig {
     pub tenants: Vec<(TenantId, TenantPolicy)>,
     /// Telemetry sink the pool records into: every job-lifecycle phase
     /// becomes a typed event on the submitting client's or executing
-    /// worker's track, and the scheduler publishes its counters into the
-    /// sink's metrics registry. The default ([`Telemetry::disabled`])
-    /// makes every hook a single branch — no ring, no clock read.
+    /// worker's track, and the pool's counters (`service_<field>` for
+    /// each [`ServiceStats`] counter) live in the sink's metrics
+    /// registry. The default ([`Telemetry::disabled`]) makes every event
+    /// hook a single branch — no ring, no clock read — and keeps the
+    /// counters in a registry private to the pool.
     pub telemetry: Telemetry,
     /// Directory the pool persists checkpoints into: every time a
     /// migratable job checkpoints, the blob
@@ -175,7 +177,11 @@ impl ServiceConfigBuilder {
 
     /// Attaches a telemetry sink (default: [`Telemetry::disabled`]).
     /// Pass [`Telemetry::enabled`] to record job-lifecycle events and
-    /// scheduler metrics; keep a clone of the handle to export them.
+    /// export the pool's counters; keep a clone of the handle to export
+    /// them. Pools started with clones of one enabled handle share their
+    /// counters: registering a name twice returns the same metric, so
+    /// the counters in each pool's [`SimService::stats`] then sum over
+    /// all of them. Give each pool its own handle to keep them apart.
     #[must_use]
     pub fn telemetry(mut self, telemetry: Telemetry) -> ServiceConfigBuilder {
         self.config.telemetry = telemetry;
@@ -847,23 +853,26 @@ enum Message {
     WorkerDied,
 }
 
-/// Pre-registered metric handles the pool publishes into. Resolving the
-/// handles once at startup keeps the hot path free of name lookups; with
-/// disabled telemetry every handle is a no-op and each publish is one
-/// branch.
+/// The pool's counters and histograms: the only place its statistics
+/// live. Each [`ServiceStats`] counter field has one handle here,
+/// registered as `service_<field>`, and [`SimService::stats`] reads
+/// them. Resolving the handles once at startup keeps the hot path free
+/// of name lookups.
 struct ServiceMetrics {
     jobs_submitted: Counter,
-    jobs_completed: Counter,
+    jobs_run: Counter,
     steals: Counter,
     jobs_stolen: Counter,
-    evictions: Counter,
+    steal_batch_max: Counter,
+    rejections: Counter,
     quota_rejections: Counter,
-    capacity_rejections: Counter,
+    evictions: Counter,
     deadline_misses: Counter,
-    platforms_built: Counter,
     platform_cache_hits: Counter,
+    platforms_built: Counter,
     checkpoints_taken: Counter,
     jobs_migrated: Counter,
+    workers_died: Counter,
     /// Simulated cycle each checkpoint was taken at — the distribution
     /// shows how deep into their runs migratable jobs snapshot.
     checkpoint_cycles: Histogram,
@@ -872,23 +881,30 @@ struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
+    /// Registers in the telemetry sink's registry, so snapshots export
+    /// the counters, or in a private one when telemetry is disabled: the
+    /// handles own their cells and keep counting after it is dropped.
     fn new(telemetry: &Telemetry) -> ServiceMetrics {
+        let private = Registry::new();
+        let registry = telemetry.registry().unwrap_or(&private);
         ServiceMetrics {
-            jobs_submitted: telemetry.counter("service_jobs_submitted"),
-            jobs_completed: telemetry.counter("service_jobs_completed"),
-            steals: telemetry.counter("service_steals"),
-            jobs_stolen: telemetry.counter("service_jobs_stolen"),
-            evictions: telemetry.counter("service_evictions"),
-            quota_rejections: telemetry.counter("service_quota_rejections"),
-            capacity_rejections: telemetry.counter("service_capacity_rejections"),
-            deadline_misses: telemetry.counter("service_deadline_misses"),
-            platforms_built: telemetry.counter("service_platforms_built"),
-            platform_cache_hits: telemetry.counter("service_platform_cache_hits"),
-            checkpoints_taken: telemetry.counter("service_checkpoints_taken"),
-            jobs_migrated: telemetry.counter("service_jobs_migrated"),
-            checkpoint_cycles: telemetry.histogram("service_checkpoint_cycles"),
-            queue_wait_us: telemetry.histogram("service_queue_wait_us"),
-            run_us: telemetry.histogram("service_run_us"),
+            jobs_submitted: registry.counter("service_jobs_submitted"),
+            jobs_run: registry.counter("service_jobs_run"),
+            steals: registry.counter("service_steals"),
+            jobs_stolen: registry.counter("service_jobs_stolen"),
+            steal_batch_max: registry.counter("service_steal_batch_max"),
+            rejections: registry.counter("service_rejections"),
+            quota_rejections: registry.counter("service_quota_rejections"),
+            evictions: registry.counter("service_evictions"),
+            deadline_misses: registry.counter("service_deadline_misses"),
+            platform_cache_hits: registry.counter("service_platform_cache_hits"),
+            platforms_built: registry.counter("service_platforms_built"),
+            checkpoints_taken: registry.counter("service_checkpoints_taken"),
+            jobs_migrated: registry.counter("service_jobs_migrated"),
+            workers_died: registry.counter("service_workers_died"),
+            checkpoint_cycles: registry.histogram("service_checkpoint_cycles"),
+            queue_wait_us: registry.histogram("service_queue_wait_us"),
+            run_us: registry.histogram("service_run_us"),
         }
     }
 }
@@ -939,26 +955,13 @@ struct Shared {
     /// Best-effort checkpoint persistence directory (see
     /// [`ServiceConfig::checkpoint_dir`]).
     checkpoint_dir: Option<std::path::PathBuf>,
-    jobs_run: AtomicU64,
-    steals: AtomicU64,
-    jobs_stolen: AtomicU64,
-    steal_batch_max: AtomicU64,
-    rejections: AtomicU64,
-    quota_rejections: AtomicU64,
-    evictions: AtomicU64,
-    deadline_misses: AtomicU64,
-    cache_hits: AtomicU64,
-    platforms_built: AtomicU64,
-    checkpoints_taken: AtomicU64,
-    jobs_migrated: AtomicU64,
-    workers_died: AtomicU64,
     /// Bounded recorders behind [`ServiceStats::latency`],
     /// [`ServiceStats::per_priority`] and [`ServiceStats::per_tenant`].
     latencies: Mutex<LatencyBook>,
-    /// The telemetry sink (possibly disabled) every lifecycle event and
-    /// metric publish goes through.
+    /// The telemetry sink (possibly disabled) every lifecycle event goes
+    /// through.
     telemetry: Telemetry,
-    /// Pre-registered metric handles (no-ops when telemetry is disabled).
+    /// The pool's counters and histograms, behind [`ServiceStats`].
     metrics: ServiceMetrics,
 }
 
@@ -986,7 +989,6 @@ impl Shared {
         if job.spec.priority == Priority::High {
             self.queued_high.fetch_add(1, Ordering::Relaxed);
         }
-        self.jobs_migrated.fetch_add(1, Ordering::Relaxed);
         self.metrics.jobs_migrated.inc();
         let weight = self.policy(job.spec.tenant).weight;
         let target = (from + 1) % self.queues.len();
@@ -1091,19 +1093,6 @@ impl SimService {
             inflight: (0..workers).map(|_| Mutex::new(None)).collect(),
             kill_flags: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             checkpoint_dir: config.checkpoint_dir,
-            jobs_run: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            jobs_stolen: AtomicU64::new(0),
-            steal_batch_max: AtomicU64::new(0),
-            rejections: AtomicU64::new(0),
-            quota_rejections: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            platforms_built: AtomicU64::new(0),
-            checkpoints_taken: AtomicU64::new(0),
-            jobs_migrated: AtomicU64::new(0),
-            workers_died: AtomicU64::new(0),
             latencies: Mutex::new(LatencyBook::default()),
             telemetry,
             metrics,
@@ -1137,7 +1126,7 @@ impl SimService {
                             if !std::thread::panicking() {
                                 return;
                             }
-                            self.shared.workers_died.fetch_add(1, Ordering::Relaxed);
+                            self.shared.metrics.workers_died.inc();
                             let rescued = self.shared.inflight[self.me]
                                 .lock()
                                 .ok()
@@ -1286,7 +1275,6 @@ impl SimService {
                 }
                 if quota != 0 && state.admitted(spec.tenant) >= quota {
                     drop(state);
-                    self.shared.quota_rejections.fetch_add(1, Ordering::Relaxed);
                     self.shared.metrics.quota_rejections.inc();
                     self.client_track.record(
                         EventKind::QuotaRejected,
@@ -1302,8 +1290,7 @@ impl SimService {
                 }
                 if capacity != 0 && state.available >= capacity {
                     drop(state);
-                    self.shared.rejections.fetch_add(1, Ordering::Relaxed);
-                    self.shared.metrics.capacity_rejections.inc();
+                    self.shared.metrics.rejections.inc();
                     self.client_track.record(
                         EventKind::CapacityRejected,
                         NO_JOB,
@@ -1472,21 +1459,22 @@ impl SimService {
             }
         }
         per_tenant.sort_by_key(|t| t.tenant);
+        let m = &self.shared.metrics;
         ServiceStats {
             workers: self.shared.queues.len(),
-            jobs_run: self.shared.jobs_run.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            jobs_stolen: self.shared.jobs_stolen.load(Ordering::Relaxed),
-            steal_batch_max: self.shared.steal_batch_max.load(Ordering::Relaxed),
-            rejections: self.shared.rejections.load(Ordering::Relaxed),
-            quota_rejections: self.shared.quota_rejections.load(Ordering::Relaxed),
-            evictions: self.shared.evictions.load(Ordering::Relaxed),
-            deadline_misses: self.shared.deadline_misses.load(Ordering::Relaxed),
-            platform_cache_hits: self.shared.cache_hits.load(Ordering::Relaxed),
-            platforms_built: self.shared.platforms_built.load(Ordering::Relaxed),
-            checkpoints_taken: self.shared.checkpoints_taken.load(Ordering::Relaxed),
-            jobs_migrated: self.shared.jobs_migrated.load(Ordering::Relaxed),
-            workers_died: self.shared.workers_died.load(Ordering::Relaxed),
+            jobs_run: m.jobs_run.get(),
+            steals: m.steals.get(),
+            jobs_stolen: m.jobs_stolen.get(),
+            steal_batch_max: m.steal_batch_max.get(),
+            rejections: m.rejections.get(),
+            quota_rejections: m.quota_rejections.get(),
+            evictions: m.evictions.get(),
+            deadline_misses: m.deadline_misses.get(),
+            platform_cache_hits: m.platform_cache_hits.get(),
+            platforms_built: m.platforms_built.get(),
+            checkpoints_taken: m.checkpoints_taken.get(),
+            jobs_migrated: m.jobs_migrated.get(),
+            workers_died: m.workers_died.get(),
             latency: book.aggregate.stats(),
             per_priority: std::array::from_fn(|i| book.per_priority[i].stats()),
             per_tenant,
@@ -1662,7 +1650,6 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
         if let Some(budget) = job.spec.deadline_cycles {
             let min_cycles = job.spec.min_run_cycles();
             if budget < min_cycles {
-                shared.evictions.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.evictions.inc();
                 track.record(EventKind::Evicted, tags.0, tags.1, tags.2);
                 release_admission(shared, job.spec.tenant);
@@ -1708,7 +1695,7 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
                 if shared.kill_flags[me].swap(false, Ordering::Relaxed) {
                     // Injected failure: this worker is "lost". The
                     // survivors resume the job from its checkpoint.
-                    shared.workers_died.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.workers_died.inc();
                     return;
                 }
                 continue;
@@ -1717,13 +1704,11 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
         let run_time = run_start.elapsed();
         track.record(EventKind::RunEnd, tags.0, tags.1, tags.2);
         shared.metrics.run_us.observe(run_time.as_micros() as u64);
-        shared.metrics.jobs_completed.inc();
         let deadline_missed = match (&outcome, job.spec.deadline_cycles) {
             (Ok(out), Some(budget)) => out.run.stats.cycles > budget,
             _ => false,
         };
         if deadline_missed {
-            shared.deadline_misses.fetch_add(1, Ordering::Relaxed);
             shared.metrics.deadline_misses.inc();
         }
         shared.latencies.lock().expect("latency lock").record(
@@ -1731,7 +1716,7 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
             job.spec.priority,
             (queue_wait + run_time).as_nanos() as u64,
         );
-        shared.jobs_run.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.jobs_run.inc();
         release_admission(shared, job.spec.tenant);
         // A closed receiver (client finished without draining) is fine —
         // the result is simply discarded.
@@ -1773,15 +1758,9 @@ fn steal_scan(me: usize, shared: &Shared, high_only: bool, track: &Track) -> Opt
         if batch.is_empty() {
             continue;
         }
-        shared.steals.fetch_add(1, Ordering::Relaxed);
-        shared
-            .jobs_stolen
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        shared
-            .steal_batch_max
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
         shared.metrics.steals.inc();
         shared.metrics.jobs_stolen.add(batch.len() as u64);
+        shared.metrics.steal_batch_max.raise_to(batch.len() as u64);
         for job in &mut batch {
             job.stolen = true;
             if track.is_enabled() {
@@ -1820,7 +1799,6 @@ fn cached_platform<'c>(
     use std::collections::hash_map::Entry;
     match cache.entry((spec.with_sync, spec.cores)) {
         Entry::Occupied(e) => {
-            shared.cache_hits.fetch_add(1, Ordering::Relaxed);
             shared.metrics.platform_cache_hits.inc();
             track.record(EventKind::PlatformCacheHit, tags.0, tags.1, tags.2);
             let platform = e.into_mut();
@@ -1834,7 +1812,6 @@ fn cached_platform<'c>(
                 .with_cores(spec.cores)
                 .with_max_cycles(spec.workload.max_cycles);
             let platform = Platform::new(cfg)?;
-            shared.platforms_built.fetch_add(1, Ordering::Relaxed);
             shared.metrics.platforms_built.inc();
             track.record(EventKind::PlatformBuilt, tags.0, tags.1, tags.2);
             Ok((false, e.insert(platform)))
@@ -1895,7 +1872,6 @@ fn run_job(
     }
     track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
     let on_checkpoint = |ckpt: Checkpoint| {
-        shared.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
         shared.metrics.checkpoints_taken.inc();
         shared.metrics.checkpoint_cycles.observe(ckpt.cycle);
         track.record(EventKind::Snapshot, tags.0, tags.1, tags.2);

@@ -6,12 +6,15 @@
 //! latency/tenant attribution follows the *job*, not the workers it
 //! visited.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ulp_kernels::{run_benchmark, Benchmark, WorkloadConfig};
 use ulp_service::{
     JobArtifacts, JobSpec, ObserverSelection, Priority, ServiceConfig, SimService, TenantId,
 };
+use ulp_telemetry::Telemetry;
 
 /// A run long enough (full 256-sample MRPFLTR on 8 cores — many
 /// milliseconds of wall time) that checkpoints, failure injection and
@@ -44,7 +47,9 @@ fn unmigrated_artifacts(
 /// the same job produces without a cadence. Also pins down satellite
 /// attribution semantics: the migrated job completes on a different
 /// worker than it started on, yet every latency sample and tenant row is
-/// recorded exactly once, under the job's own tenant and priority.
+/// recorded exactly once, under the job's own tenant and priority. The
+/// pool runs with telemetry on, and its death, migration and checkpoint
+/// counters must equal the exported `service_<field>` metrics.
 fn injected_failure_migrates_bit_identically(
     workload: Arc<WorkloadConfig>,
     observers: ObserverSelection,
@@ -56,7 +61,11 @@ fn injected_failure_migrates_bit_identically(
     // resumed stint still spans several checkpoint boundaries.
     let every = (golden.stats.cycles / 5).max(1);
 
-    let service_config = ServiceConfig::builder().workers(2).build();
+    let telemetry = Telemetry::enabled();
+    let service_config = ServiceConfig::builder()
+        .workers(2)
+        .telemetry(telemetry.clone())
+        .build();
     let mut service = SimService::start(service_config);
     // Armed before any claim: worker 0 parks its first checkpointable
     // job at that job's first checkpoint and exits.
@@ -120,6 +129,7 @@ fn injected_failure_migrates_bit_identically(
     assert_eq!(stats.per_priority[Priority::Low.index()].samples, 1);
     assert_eq!(stats.per_priority[Priority::Normal.index()].samples, 1);
     assert_eq!(stats.per_priority[Priority::High.index()].samples, 0);
+    common::assert_stats_match_registry(&stats, &telemetry);
 }
 
 #[test]

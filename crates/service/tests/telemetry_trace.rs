@@ -3,7 +3,10 @@
 //! then evicted *or* platform → run-start → run-end) attributed to the
 //! tenant that submitted it, under deterministic smoke shapes and under a
 //! property test that churns random submit/steal/evict/complete
-//! interleavings across 2–4 workers.
+//! interleavings across 2–4 workers. The churn also checks that the
+//! pool's stats and the exported metrics are one store.
+
+mod common;
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -184,7 +187,8 @@ proptest! {
     /// both submit paths. Every accepted job must leave a complete,
     /// well-ordered span set; no event may name the wrong tenant; the
     /// rejection events must match what the client saw; nothing may be
-    /// dropped at these volumes.
+    /// dropped at these volumes; every stats counter must equal its
+    /// `service_<field>` metric.
     #[test]
     fn churned_interleavings_leave_complete_chains_on_the_right_tenants(
         workers in 2usize..=4,
@@ -256,7 +260,8 @@ proptest! {
         evicted.sort_unstable();
         doomed.sort_unstable();
         prop_assert_eq!(&evicted, &doomed, "exactly the infeasible jobs evict");
-        service.finish();
+        let stats = service.finish();
+        common::assert_stats_match_registry(&stats, &telemetry);
 
         prop_assert_eq!(telemetry.dropped(), 0, "nothing drops at these volumes");
         let by_job = events_by_job(&telemetry);

@@ -31,7 +31,7 @@ pub struct ShardRunConfig {
     /// The tenant every shard job is submitted on behalf of — the
     /// recording's owner in a shared, quota-governed pool.
     pub tenant: TenantId,
-    /// Telemetry the run publishes into: each gathered shard records a
+    /// Telemetry the run records into: each gathered shard records a
     /// `merged` event on the client track, and a private pool started by
     /// [`ShardRunner::run_local`] traces its workers through the same
     /// handle. Disabled by default (zero-cost).

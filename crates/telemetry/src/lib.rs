@@ -1,7 +1,8 @@
 //! End-to-end telemetry for the simulation service stack.
 //!
 //! This crate gives the service, shard and sweep layers a shared
-//! observability spine with three pieces:
+//! observability spine with three pieces (all three layers record
+//! events; the service is the only one that publishes metrics):
 //!
 //! - **Job-lifecycle tracing** ([`event`], [`ring`]): every phase of a
 //!   job (submitted → queued → claimed → platform build or cache hit →
@@ -9,18 +10,20 @@
 //!   rejections) is a typed, `Copy` [`JobEvent`] pushed onto a bounded
 //!   lock-free per-track ring. Workers never block and never allocate to
 //!   record; a full ring drops and counts instead.
-//! - **A metrics registry** ([`metrics`]): named counters, gauges and
-//!   bounded log2-bucket histograms behind cheap atomic handles that
-//!   degrade to no-ops when telemetry is disabled.
+//! - **A metrics registry** ([`metrics`]): named counters and bounded
+//!   log2-bucket histograms behind cheap atomic handles. The service
+//!   keeps its counters nowhere else: its stats are a read of these
+//!   handles, which count whether or not telemetry is enabled. With
+//!   telemetry disabled there is no sink registry, so the service
+//!   registers them in a private one that nothing exports.
 //! - **Exporters** ([`trace`], [`Telemetry::snapshot_json`]): Chrome
 //!   trace-event JSON loadable in Perfetto (one named track per worker
 //!   plus a client track), and a compact one-line JSON snapshot suitable
 //!   for interleaving into streaming output.
 //!
 //! The entry point is [`Telemetry`]: a cheap cloneable handle that is
-//! either *disabled* (every operation is a branch on a `None` and
-//! nothing else — the hot path cost the issue budget allows is "within
-//! 5% of baseline", and a skipped branch is far under it) or *enabled*
+//! either *disabled* (every event record is a branch on a `None` and
+//! nothing else, and [`Telemetry::registry`] is `None`) or *enabled*
 //! around a shared [`Sink`].
 //!
 //! ```
@@ -30,8 +33,10 @@
 //! let track = telemetry.track(CLIENT_TRACK);
 //! track.record(EventKind::Submitted, 1, 0, 1);
 //! track.record(EventKind::Queued, 1, 0, 1);
-//! telemetry.counter("jobs_submitted").inc();
+//! let registry = telemetry.registry().expect("enabled");
+//! registry.counter("jobs_submitted").inc();
 //! assert_eq!(telemetry.collect(), 2);
+//! assert!(telemetry.snapshot_json().contains("\"jobs_submitted\":1"));
 //! let json = telemetry.chrome_trace();
 //! assert!(json.contains("\"submitted\""));
 //! ```
@@ -42,7 +47,7 @@ pub mod ring;
 pub mod trace;
 
 pub use event::{worker_track, EventKind, JobEvent, CLIENT_TRACK, NO_JOB};
-pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use metrics::{Counter, Histogram, Registry};
 pub use ring::EventRing;
 pub use trace::{chrome_trace, track_name};
 
@@ -254,25 +259,10 @@ impl Telemetry {
             .sum()
     }
 
-    /// Registers (or re-opens) a counter; no-op handle when disabled.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.sink
-            .as_ref()
-            .map_or_else(Counter::noop, |s| s.registry.counter(name))
-    }
-
-    /// Registers (or re-opens) a gauge; no-op handle when disabled.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.sink
-            .as_ref()
-            .map_or_else(Gauge::noop, |s| s.registry.gauge(name))
-    }
-
-    /// Registers (or re-opens) a histogram; no-op handle when disabled.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.sink
-            .as_ref()
-            .map_or_else(Histogram::noop, |s| s.registry.histogram(name))
+    /// The sink's metrics registry: register metrics here to have them
+    /// exported by [`Telemetry::snapshot_json`]. `None` when disabled.
+    pub fn registry(&self) -> Option<&Registry> {
+        self.sink.as_ref().map(|s| &s.registry)
     }
 
     /// Renders everything collected (after a final drain) as a Chrome
@@ -332,8 +322,7 @@ mod tests {
         assert_eq!(t.dropped(), 0);
         assert_eq!(t.now_ns(), 0);
         assert_eq!(t.snapshot_json(), "{}");
-        t.counter("x").inc();
-        assert_eq!(t.counter("x").get(), 0);
+        assert!(t.registry().is_none());
     }
 
     #[test]
@@ -374,15 +363,15 @@ mod tests {
         let t = Telemetry::enabled();
         let t2 = t.clone();
         t.track(CLIENT_TRACK).record(EventKind::Submitted, 1, 0, 0);
-        t2.counter("shared").add(5);
+        t2.registry().unwrap().counter("shared").add(5);
         assert_eq!(t2.events().len(), 1);
-        assert_eq!(t.counter("shared").get(), 5);
+        assert_eq!(t.registry().unwrap().counter("shared").get(), 5);
     }
 
     #[test]
     fn snapshot_json_shape() {
         let t = Telemetry::enabled();
-        t.counter("jobs").add(3);
+        t.registry().unwrap().counter("jobs").add(3);
         t.track(CLIENT_TRACK).record(EventKind::Submitted, 1, 0, 0);
         let snap = t.snapshot_json();
         assert!(snap.starts_with("{\"uptime_ns\":"));

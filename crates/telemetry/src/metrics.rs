@@ -1,11 +1,11 @@
-//! The metrics registry: counters, gauges and bounded histograms.
+//! The metrics registry: counters and bounded histograms.
 //!
 //! Publishers register a metric once and hold a cheap handle
-//! ([`Counter`], [`Gauge`], [`Histogram`]); the hot path is then a single
-//! relaxed atomic op with no string lookup and no lock. Handles from a
-//! disabled registry are no-ops (their `Option` is `None`), so the same
-//! instrumentation code runs everywhere and costs one branch when
-//! telemetry is off.
+//! ([`Counter`], [`Histogram`]); the hot path is then a single relaxed
+//! atomic op with no string lookup and no lock. A handle owns its cells
+//! through an `Arc`, so it stays live after the [`Registry`] that
+//! created it is dropped: a publisher that counts without exporting
+//! registers into a private registry and simply lets it go.
 //!
 //! Histograms are bounded by construction: power-of-two buckets
 //! (`< 1`, `< 2`, `< 4`, … `< 2^62`, overflow), so a histogram is 64
@@ -13,7 +13,7 @@
 //! allocates and the registry's memory is fixed at registration time.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: value `v` lands in bucket
@@ -22,16 +22,11 @@ use std::sync::{Arc, Mutex};
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// A monotonically increasing counter handle. Cloning shares the
-/// underlying cell; a handle from a disabled registry is a no-op.
-#[derive(Clone, Default)]
-pub struct Counter(Option<Arc<AtomicU64>>);
+/// underlying cell.
+#[derive(Clone)]
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A handle that ignores every increment (disabled telemetry).
-    pub fn noop() -> Counter {
-        Counter(None)
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -41,51 +36,19 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if let Some(cell) = &self.0 {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current value (0 for a no-op handle).
+    /// Raises the value to at least `v` (a high-water mark, which only
+    /// ever rises, so the counter stays monotonic).
+    #[inline]
+    pub fn raise_to(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// The current value.
     pub fn get(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |cell| cell.load(Ordering::Relaxed))
-    }
-}
-
-/// A gauge handle: a value that can move both ways (queue depth,
-/// in-flight jobs). No-op when built from a disabled registry.
-#[derive(Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicI64>>);
-
-impl Gauge {
-    /// A handle that ignores every update (disabled telemetry).
-    pub fn noop() -> Gauge {
-        Gauge(None)
-    }
-
-    /// Sets the gauge to `v`.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if let Some(cell) = &self.0 {
-            cell.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if let Some(cell) = &self.0 {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// The current value (0 for a no-op handle).
-    pub fn get(&self) -> i64 {
-        self.0
-            .as_ref()
-            .map_or(0, |cell| cell.load(Ordering::Relaxed))
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -95,43 +58,35 @@ struct HistogramCells {
     sum: AtomicU64,
 }
 
-/// A bounded log2-bucket histogram handle. Recording is two relaxed
+/// A bounded log2-bucket histogram handle. Recording is three relaxed
 /// atomic adds; memory is fixed at 64 buckets however many samples are
-/// observed. No-op when built from a disabled registry.
-#[derive(Clone, Default)]
-pub struct Histogram(Option<Arc<HistogramCells>>);
+/// observed.
+#[derive(Clone)]
+pub struct Histogram(Arc<HistogramCells>);
 
 fn bucket_of(v: u64) -> usize {
     (64 - v.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1)
 }
 
 impl Histogram {
-    /// A handle that ignores every observation (disabled telemetry).
-    pub fn noop() -> Histogram {
-        Histogram(None)
-    }
-
     /// Records one sample.
     #[inline]
     pub fn observe(&self, v: u64) {
-        if let Some(cells) = &self.0 {
-            cells.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            cells.count.fetch_add(1, Ordering::Relaxed);
-            cells.sum.fetch_add(v, Ordering::Relaxed);
-        }
+        let cells = &self.0;
+        cells.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        cells.count.fetch_add(1, Ordering::Relaxed);
+        cells.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |c| c.count.load(Ordering::Relaxed))
+        self.0.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all samples (saturating only at `u64::MAX` wraparound,
-    /// which a bounded run never reaches).
+    /// Sum of all samples. It wraps past `u64::MAX` (a plain
+    /// `fetch_add`), which a bounded run never reaches.
     pub fn sum(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.sum.load(Ordering::Relaxed))
+        self.0.sum.load(Ordering::Relaxed)
     }
 
     /// An upper bound on the `q`-quantile (`0.0..=1.0`): the exclusive
@@ -139,7 +94,7 @@ impl Histogram {
     /// Returns 0 for an empty histogram. The bound is within 2× of the
     /// true value by construction of the power-of-two buckets.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        let Some(cells) = &self.0 else { return 0 };
+        let cells = &self.0;
         let count = cells.count.load(Ordering::Relaxed);
         if count == 0 {
             return 0;
@@ -159,7 +114,6 @@ impl Histogram {
 
 enum Metric {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Histogram),
 }
 
@@ -183,21 +137,9 @@ impl Registry {
         let mut metrics = self.metrics.lock().expect("metrics registry poisoned");
         match metrics
             .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter(Some(Arc::new(AtomicU64::new(0))))))
+            .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))))
         {
             Metric::Counter(c) => c.clone(),
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
-    }
-
-    /// Registers (or re-opens) a gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut metrics = self.metrics.lock().expect("metrics registry poisoned");
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge(Some(Arc::new(AtomicI64::new(0))))))
-        {
-            Metric::Gauge(g) => g.clone(),
             _ => panic!("metric {name:?} already registered with a different type"),
         }
     }
@@ -206,11 +148,11 @@ impl Registry {
     pub fn histogram(&self, name: &str) -> Histogram {
         let mut metrics = self.metrics.lock().expect("metrics registry poisoned");
         match metrics.entry(name.to_string()).or_insert_with(|| {
-            Metric::Histogram(Histogram(Some(Arc::new(HistogramCells {
+            Metric::Histogram(Histogram(Arc::new(HistogramCells {
                 buckets: std::array::from_fn(|_| AtomicU64::new(0)),
                 count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
-            }))))
+            })))
         }) {
             Metric::Histogram(h) => h.clone(),
             _ => panic!("metric {name:?} already registered with a different type"),
@@ -218,7 +160,7 @@ impl Registry {
     }
 
     /// One JSON object with every registered metric, sorted by name.
-    /// Counters and gauges export their value; histograms export
+    /// Counters export their value; histograms export
     /// `{"count":N,"sum":S,"p50":…,"p95":…,"max":…}` (quantiles are
     /// bucket upper bounds).
     pub fn snapshot_json(&self) -> String {
@@ -231,9 +173,6 @@ impl Registry {
             match metric {
                 Metric::Counter(c) => {
                     out.push_str(&format!("\"{name}\":{}", c.get()));
-                }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!("\"{name}\":{}", g.get()));
                 }
                 Metric::Histogram(h) => {
                     out.push_str(&format!(
@@ -257,22 +196,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn noop_handles_cost_nothing_and_read_zero() {
-        let c = Counter::noop();
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 0);
-        let g = Gauge::noop();
-        g.set(5);
-        g.add(-2);
-        assert_eq!(g.get(), 0);
-        let h = Histogram::noop();
-        h.observe(100);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile_upper_bound(0.5), 0);
-    }
-
-    #[test]
     fn registry_shares_handles_by_name() {
         let reg = Registry::new();
         let a = reg.counter("jobs");
@@ -284,14 +207,26 @@ mod tests {
     }
 
     #[test]
-    fn gauge_moves_both_ways() {
+    fn raise_to_keeps_the_high_water_mark() {
         let reg = Registry::new();
-        let g = reg.gauge("depth");
-        g.add(5);
-        g.add(-3);
-        assert_eq!(g.get(), 2);
-        g.set(-7);
-        assert_eq!(g.get(), -7);
+        let c = reg.counter("batch_max");
+        c.raise_to(3);
+        c.raise_to(1);
+        assert_eq!(c.get(), 3);
+        c.raise_to(5);
+        assert_eq!(c.get(), 5);
+    }
+
+    #[test]
+    fn handles_outlive_their_registry() {
+        let (c, h) = {
+            let reg = Registry::new();
+            (reg.counter("jobs"), reg.histogram("latency"))
+        };
+        c.add(4);
+        h.observe(9);
+        assert_eq!(c.get(), 4);
+        assert_eq!((h.count(), h.sum()), (1, 9));
     }
 
     #[test]
@@ -320,13 +255,13 @@ mod tests {
     fn snapshot_json_is_valid_shape() {
         let reg = Registry::new();
         reg.counter("a").add(7);
-        reg.gauge("b").set(-1);
+        reg.counter("b").add(1);
         let h = reg.histogram("c");
         h.observe(3);
         let json = reg.snapshot_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"a\":7"));
-        assert!(json.contains("\"b\":-1"));
+        assert!(json.contains("\"b\":1"));
         assert!(json.contains("\"c\":{\"count\":1,\"sum\":3,"));
         // Sorted by name: a before b before c.
         let (pa, pb) = (json.find("\"a\"").unwrap(), json.find("\"b\"").unwrap());
