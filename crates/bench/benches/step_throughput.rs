@@ -6,9 +6,9 @@
 //!   fast path, which must stay within 10% of `bare`;
 //! * `instrumented` — `step_with` carrying real observers (lockstep
 //!   width + VCD), the full observer dispatch cost;
-//! * `lockstep` — `Platform::run_until` on a lockstep ALU loop, the
-//!   engine's lockstep fast path (the other three step one interpreted
-//!   cycle at a time).
+//! * `lockstep` — `Platform::run_until` on a lockstep ALU loop closed by
+//!   a branch, which the engine's lockstep fast path runs as one batch
+//!   per slice (the other three step one interpreted cycle at a time).
 //!
 //! A regression that reintroduces per-cycle allocation or observer
 //! dispatch on the bare path shows up here directly.
@@ -48,9 +48,10 @@ spin:   addi r5, #-1       ; data-dependent 1..8 rounds
         br   loop";
 
 /// An endless lockstep hot loop — straight-line ALU work plus a backward
-/// branch, the inner-loop shape of the paper kernels. (`SPIN_SRC`
-/// deliberately diverges and synchronizes, so it measures the
-/// interpreter; this one measures the lockstep fast path.)
+/// branch, the inner-loop shape of the paper kernels; the branch stays
+/// inside the batch. (`SPIN_SRC` deliberately diverges and synchronizes,
+/// so it measures the interpreter; this one measures the lockstep fast
+/// path.)
 const LOCKSTEP_SRC: &str = "
         rdid r1
         mov  r2, r1

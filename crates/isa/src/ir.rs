@@ -2,9 +2,11 @@
 //!
 //! The interpreter decodes every instruction word on every fetch. When
 //! every active core fetches one PC, the platform instead decodes the op
-//! once for the whole group and may run a straight line of such ops as one
-//! batch. [`OpClass`] tells it, without further inspection, which ops are
-//! core-local enough for that and which need the full cycle machinery.
+//! once for the whole group and may run the ops that follow as one batch.
+//! [`OpClass`] tells it, without further inspection, what each op needs:
+//! nothing beyond the core, the data crossbar, a PC known only after
+//! execution, or the synchronizer. A batch carries the first three and
+//! leaves [`OpClass::Boundary`] to the full cycle machinery.
 
 use crate::instr::{CsrOp, Instr};
 
@@ -14,13 +16,15 @@ pub enum OpClass {
     /// Core-local: touches only registers, flags and the sequential PC.
     Pure,
     /// A data-memory access (`LD`/`ST`/`LDP`/`STP`): goes through the
-    /// D-Xbar, where it may conflict or hit a synchronizer-locked word.
+    /// D-Xbar, where it may conflict or hit a synchronizer-locked word, so
+    /// a lockstep group may leave it split.
     Mem,
     /// Redirects the PC (`B<cond>`/`JAL`/`JR`/`JALR`/`IRET`): core-local,
-    /// but the next PC is only known once it has executed.
+    /// but the next PC is only known once it has executed, and may differ
+    /// from core to core.
     Control,
     /// Involves the synchronizer, the sleep/wake machinery or run
-    /// termination (`SINC`/`SDEC`/`SLEEP`/`HALT`).
+    /// termination (`SINC`/`SDEC`/`SLEEP`/`HALT`): never batched.
     Boundary,
 }
 

@@ -1,5 +1,7 @@
 //! Banked word-addressed memory with locking and access statistics.
 
+use crate::fastdiv::Divisor;
+
 /// How word addresses map onto banks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BankMapping {
@@ -17,10 +19,10 @@ pub enum BankMapping {
 impl BankMapping {
     /// The bank `addr` belongs to in a memory of `banks` banks of
     /// `bank_words` words each (addresses wrap modulo the memory size).
-    /// This is the single address-to-bank computation shared by
-    /// [`BankedMemory`] and external bank-attribution observers (e.g. the
-    /// platform's heat map), so a mapping change cannot desynchronize
-    /// them.
+    /// This is the reference address-to-bank computation, used by external
+    /// bank-attribution observers (e.g. the platform's heat map).
+    /// [`BankedMemory::bank_of`] computes the same bank without divisions;
+    /// a test checks the two agree on every address.
     #[inline]
     pub fn bank_of(self, addr: u16, banks: usize, bank_words: usize) -> usize {
         let a = addr as usize % (banks * bank_words);
@@ -103,8 +105,12 @@ pub struct MemSnapshot {
 pub struct BankedMemory {
     words: Vec<u16>,
     banks: usize,
-    bank_words: usize,
     mapping: BankMapping,
+    /// Reciprocal of the word count: the address wrap.
+    len_div: Divisor,
+    /// Reciprocal of the second step of the mapping: `bank_words` for
+    /// [`BankMapping::Blocked`], `banks` for [`BankMapping::Interleaved`].
+    bank_div: Divisor,
     /// Currently locked words. A plain vector (not a set): at most a
     /// handful of words are locked at once (one per in-flight synchronizer
     /// RMW), and lock/unlock must not allocate in steady state.
@@ -118,15 +124,21 @@ impl BankedMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `banks` is zero or does not divide `words`.
+    /// Panics if `words` or `banks` is zero or `banks` does not divide
+    /// `words`.
     pub fn new(words: usize, banks: usize, mapping: BankMapping) -> BankedMemory {
+        assert!(words > 0, "at least one word");
         assert!(banks > 0, "at least one bank");
         assert_eq!(words % banks, 0, "banks must divide the word count");
         BankedMemory {
             words: vec![0; words],
             banks,
-            bank_words: words / banks,
             mapping,
+            len_div: Divisor::new(words),
+            bank_div: Divisor::new(match mapping {
+                BankMapping::Blocked => words / banks,
+                BankMapping::Interleaved => banks,
+            }),
             locked: Vec::new(),
             stats: MemStats::default(),
             per_bank: vec![0; banks],
@@ -153,15 +165,20 @@ impl BankedMemory {
         self.mapping
     }
 
-    /// The bank an address belongs to.
+    /// The bank an address belongs to: [`BankMapping::bank_of`], computed
+    /// with precomputed reciprocals instead of divisions.
     #[inline]
     pub fn bank_of(&self, addr: u16) -> usize {
-        self.mapping.bank_of(addr, self.banks, self.bank_words)
+        let a = self.len_div.rem(addr);
+        usize::from(match self.mapping {
+            BankMapping::Blocked => self.bank_div.div(a),
+            BankMapping::Interleaved => self.bank_div.rem(a),
+        })
     }
 
     #[inline]
     fn index(&self, addr: u16) -> usize {
-        addr as usize % self.words.len()
+        usize::from(self.len_div.rem(addr))
     }
 
     /// Physical read (counted).
@@ -301,6 +318,36 @@ mod tests {
         assert_eq!(m.bank_of(1), 1);
         assert_eq!(m.bank_of(5), 1);
         assert_eq!(m.bank_of(7), 3);
+    }
+
+    /// The division-free `bank_of` and word index agree with the reference
+    /// formulas on every 16-bit address: the paper IM and DM geometries
+    /// under both mappings, and a geometry whose sizes are not powers of
+    /// two.
+    #[test]
+    fn division_free_mapping_matches_the_reference_on_every_address() {
+        for (words, banks) in [(49_152, 8), (32 * 1024, 16), (30_000, 6)] {
+            for mapping in [BankMapping::Blocked, BankMapping::Interleaved] {
+                let mut m = BankedMemory::new(words, banks, mapping);
+                let mut snap = m.save();
+                for (i, w) in snap.words.iter_mut().enumerate() {
+                    *w = i as u16;
+                }
+                assert!(m.load_snapshot(&snap));
+                for addr in 0..=u16::MAX {
+                    assert_eq!(
+                        m.bank_of(addr),
+                        mapping.bank_of(addr, banks, words / banks),
+                        "bank of {addr} in {words}/{banks} {mapping:?}"
+                    );
+                    assert_eq!(
+                        m.peek(addr) as usize,
+                        addr as usize % words,
+                        "word of {addr} in {words}/{banks} {mapping:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

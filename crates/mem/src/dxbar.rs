@@ -10,6 +10,7 @@
 //! served, so the group resumes in lockstep.
 
 use crate::banked::BankedMemory;
+use crate::fastdiv::{rr_distance, rr_next};
 
 /// The direction and payload of a data access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -394,9 +395,9 @@ impl DXbar {
         // — one request per core).
         let ptr = self.rr[bank] % ncores;
         let winner = *eligible()
-            .min_by_key(|r| (r.core + ncores - ptr) % ncores)
+            .min_by_key(|r| rr_distance(r.core, ptr, ncores))
             .expect("bank has unlocked requests");
-        self.rr[bank] = (winner.core + 1) % ncores;
+        self.rr[bank] = rr_next(winner.core, ncores);
 
         match winner.access {
             Access::Write(value) => {

@@ -8,6 +8,7 @@
 //! exactly the conflict behaviour of Section III of the paper.
 
 use crate::banked::BankedMemory;
+use crate::fastdiv::{rr_distance, rr_next};
 
 /// One core's instruction fetch request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,9 +168,9 @@ impl IXbar {
             let winner_core = requests
                 .iter()
                 .map(|r| r.core)
-                .min_by_key(|&c| (c + ncores - ptr) % ncores)
+                .min_by_key(|&c| rr_distance(c, ptr, ncores))
                 .expect("non-empty");
-            self.rr[bank] = (winner_core + 1) % ncores;
+            self.rr[bank] = rr_next(winner_core, ncores);
             let word = imem.read_broadcast(addr, requests.len());
             self.stats.grants += requests.len() as u64;
             self.stats.transfers += requests.len() as u64;
@@ -225,9 +226,9 @@ impl IXbar {
         let winner_core = cores
             .iter()
             .copied()
-            .min_by_key(|&c| (c + ncores - ptr) % ncores)
+            .min_by_key(|&c| rr_distance(c, ptr, ncores))
             .expect("uniform group is non-empty");
-        self.rr[bank] = (winner_core + 1) % ncores;
+        self.rr[bank] = rr_next(winner_core, ncores);
         self.stats.grants += n as u64;
         self.stats.transfers += n as u64;
         imem.read_broadcast(addr, n)
@@ -272,10 +273,10 @@ impl IXbar {
         // (distances are distinct — one request per core).
         let ptr = self.rr[bank] % ncores;
         let winner = in_bank()
-            .min_by_key(|r| (r.core + ncores - ptr) % ncores)
+            .min_by_key(|r| rr_distance(r.core, ptr, ncores))
             .expect("bank has requests");
         let (winner_core, winner_addr) = (winner.core, winner.addr);
-        self.rr[bank] = (winner_core + 1) % ncores;
+        self.rr[bank] = rr_next(winner_core, ncores);
 
         let served = in_bank().filter(|r| r.addr == winner_addr).count();
         let word = imem.read_broadcast(winner_addr, served);

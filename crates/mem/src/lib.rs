@@ -21,6 +21,7 @@
 
 mod banked;
 mod dxbar;
+mod fastdiv;
 mod ixbar;
 #[cfg(test)]
 mod proptests;

@@ -369,7 +369,8 @@ impl Platform {
     /// The unobserved copy may instead run a whole lockstep batch (see
     /// [`Platform::lockstep_batch`]) of up to `batch_limit - cycle`
     /// cycles, when its phase scan finds every non-halted core fetching
-    /// one PC. `step` passes 0, which never batches.
+    /// one PC. `step` passes 0, which never batches. The data-memory phase
+    /// is [`Platform::serve_data`], which the batch runs too.
     fn step_cycle<const OBSERVED: bool>(
         &mut self,
         observers: &mut [&mut dyn Observer],
@@ -429,16 +430,8 @@ impl Platform {
                     let c = &self.cores[i];
                     if let Some(r) = c.sync_request() {
                         buf.sync_reqs.push((i, r));
-                    } else if let Some(r) = c.mem_request() {
-                        buf.dm_reqs.push(DmRequest {
-                            core: i,
-                            pc: c.pc(),
-                            addr: r.addr,
-                            access: match r.access {
-                                MemAccess::Read => Access::Read,
-                                MemAccess::Write(v) => Access::Write(v),
-                            },
-                        });
+                    } else if let Some(r) = dm_request(i, c) {
+                        buf.dm_reqs.push(r);
                     } else {
                         local_done |= 1 << i;
                     }
@@ -459,7 +452,7 @@ impl Platform {
             && buf.sync_reqs.is_empty()
             && buf.dm_reqs.is_empty()
             && !(any_sync_issued || any_sleeping || any_held)
-            && self.lockstep_batch(&buf.fetch_reqs, batch_limit)
+            && self.lockstep_batch(&mut buf, batch_limit)
         {
             self.buffers = buf;
             return;
@@ -552,6 +545,33 @@ impl Platform {
             }
         }
 
+        self.serve_data(&mut buf);
+        if OBSERVED {
+            for o in observers.iter_mut() {
+                o.on_dm(cycle, &buf.dm_reqs, &buf.granted);
+            }
+        }
+
+        // ---- execute phase: everything else -----------------------------
+        while local_done != 0 {
+            let i = local_done.trailing_zeros() as usize;
+            local_done &= local_done - 1;
+            self.cores[i].complete_execute(None);
+        }
+
+        if OBSERVED {
+            for o in observers.iter_mut() {
+                o.on_cycle_end(cycle, &self.cores);
+            }
+        }
+        self.buffers = buf;
+    }
+
+    /// The D-Xbar half of an execute cycle, shared by the interpreter and
+    /// the lockstep batch: arbitrates `buf.dm_reqs`, completes or holds
+    /// every served core (marking it in `buf.granted`), stalls the rest,
+    /// and releases the held cores whose synchronous group drained.
+    fn serve_data(&mut self, buf: &mut CycleBuffers) {
         self.dxbar
             .arbitrate_into(&buf.dm_reqs, &mut self.dmem, &mut buf.dm_outcome);
         buf.granted.fill(false);
@@ -572,36 +592,18 @@ impl Platform {
                 self.cores[r.core].note_mem_stall();
             }
         }
-        if OBSERVED {
-            for o in observers.iter_mut() {
-                o.on_dm(cycle, &buf.dm_reqs, &buf.granted);
-            }
-        }
         for &core in &buf.dm_outcome.releases {
             self.cores[core].release();
         }
-
-        // ---- execute phase: everything else -----------------------------
-        while local_done != 0 {
-            let i = local_done.trailing_zeros() as usize;
-            local_done &= local_done - 1;
-            self.cores[i].complete_execute(None);
-        }
-
-        if OBSERVED {
-            for o in observers.iter_mut() {
-                o.on_cycle_end(cycle, &self.cores);
-            }
-        }
-        self.buffers = buf;
     }
 
     /// Runs until every core halts. Equivalent to `run_with(&mut [])`.
     ///
     /// With no observer attached, the run takes the lockstep fast path:
-    /// whenever every non-halted core fetches one PC and the ops ahead are
-    /// core-local, it runs them as one batch, bit-identical to stepping
-    /// the same cycles. Observed runs interpret every cycle.
+    /// whenever every non-halted core fetches one PC with the synchronizer
+    /// idle, it runs the ops ahead — ALU ops, loads, stores and branches —
+    /// as one batch for as long as the group stays together, bit-identical
+    /// to stepping the same cycles. Observed runs interpret every cycle.
     ///
     /// # Errors
     ///
@@ -716,27 +718,36 @@ impl Platform {
         outcome.map(RunProgress::Done)
     }
 
-    /// The lockstep fast path: `group` is the fetch request of every
-    /// non-halted core, all at one PC, at the start of a cycle that has
-    /// not been counted yet. While the synchronizer is idle and the word
-    /// at the group's PC decodes to a batchable op (see [`batchable`]),
-    /// this runs the op as the interpreter would — one broadcast fetch
-    /// cycle, then one core-local execute cycle — and moves on to the
+    /// The lockstep fast path: `buf.fetch_reqs` is the fetch request of
+    /// every non-halted core, all at one PC, at the start of a cycle that
+    /// has not been counted yet. While the synchronizer is idle and the
+    /// word at the group's PC decodes to a batchable op (see
+    /// [`batchable`]), this runs the op as the interpreter would — one
+    /// broadcast fetch cycle, then one execute cycle — and moves on to the
     /// next op, never past `limit` cycles (at least one cycle ahead).
     /// Returns whether it ran; if not, the caller interprets the cycle.
     ///
     /// The result is bit-identical to interpreting the same cycles. A
     /// uniform fetch is the one I-Xbar grant [`IXbar::serve_uniform`]
-    /// replays with the same counters and rotating-priority update; the
-    /// lockstep recorder sees a full-width group; and a pure op touches
-    /// neither crossbar, the data memory nor the synchronizer, whose
-    /// interpreted phases are no-ops in these cycles. Each op is decoded
-    /// once for the whole group, through the uncounted IM backdoor. An
-    /// odd budget ends the batch on a fetch: the op's execute half then
-    /// runs as an ordinary interpreted cycle after the pause.
+    /// replays with the same counters and rotating-priority update, and
+    /// the lockstep recorder sees a full-width group. A memory op's
+    /// execute cycle runs the interpreter's own data phase
+    /// ([`Platform::serve_data`]), so conflicts, holds, lock stalls and
+    /// broadcasts are the interpreter's; every other op completes
+    /// core-locally. The synchronizer's interpreted phase is a no-op in
+    /// these cycles: it is idle and nothing requests it. Each op is
+    /// decoded once for the whole group, through the uncounted IM
+    /// backdoor.
+    ///
+    /// The batch goes on only while every member is back in `Fetch` at
+    /// one PC after an execute cycle; a branch that diverged or an access
+    /// that stalled or held a core ends it, and the interpreter takes the
+    /// next cycle. An odd budget ends the batch on a fetch: the op's
+    /// execute half then runs as an ordinary interpreted cycle after the
+    /// pause.
     #[inline(never)]
-    fn lockstep_batch(&mut self, group: &[ImRequest], limit: u64) -> bool {
-        let mut pc = group[0].addr;
+    fn lockstep_batch(&mut self, buf: &mut CycleBuffers, limit: u64) -> bool {
+        let mut pc = buf.fetch_reqs[0].addr;
         let Some(mut instr) = batchable(self.imem.peek(pc)) else {
             return false;
         };
@@ -744,10 +755,10 @@ impl Platform {
             return false;
         }
         let mut members = [0usize; 16];
-        for (slot, r) in members.iter_mut().zip(group) {
+        for (slot, r) in members.iter_mut().zip(&buf.fetch_reqs) {
             *slot = r.core;
         }
-        let members = &members[..group.len()];
+        let members = &members[..buf.fetch_reqs.len()];
         let width = members.len() as u64;
         loop {
             // Fetch cycle: one broadcast read serves the whole group.
@@ -760,15 +771,36 @@ impl Platform {
             if self.cycle == limit {
                 break;
             }
-            // Execute cycle: the op completes core-locally.
+            // Execute cycle.
             self.cycle += 1;
-            for &i in members {
-                self.cores[i].complete_execute(None);
+            let class = instr.op_class();
+            if class == OpClass::Mem {
+                buf.dm_reqs.clear();
+                buf.dm_reqs.extend(
+                    members
+                        .iter()
+                        .filter_map(|&i| dm_request(i, &self.cores[i])),
+                );
+                self.serve_data(buf);
+            } else {
+                for &i in members {
+                    self.cores[i].complete_execute(None);
+                }
             }
             if self.cycle == limit {
                 break;
             }
             pc = self.cores[members[0]].pc();
+            // A pure op moves the whole group to the next PC; a branch or
+            // an access may have split it.
+            if class != OpClass::Pure
+                && !members.iter().all(|&i| {
+                    let c = &self.cores[i];
+                    c.state() == CoreState::Fetch && c.pc() == pc
+                })
+            {
+                break;
+            }
             match batchable(self.imem.peek(pc)) {
                 Some(next) => instr = next,
                 None => break,
@@ -955,22 +987,38 @@ impl Platform {
     }
 }
 
-/// The decoded op if `word` may run inside a lockstep batch: an
-/// [`OpClass::Pure`] op that cannot enable interrupts. A run polls
-/// interrupts once per cycle, but a batch only once, at its start; after
-/// that poll no core has an interrupt both pending and enabled, and with
-/// `EI` and `WRSR` left to the interpreter none becomes enabled inside
-/// the batch either.
+/// The D-Xbar request of core `i`, if it is in its execute phase with a
+/// data-memory op.
+fn dm_request(i: usize, core: &Core) -> Option<DmRequest> {
+    let r = core.mem_request()?;
+    Some(DmRequest {
+        core: i,
+        pc: core.pc(),
+        addr: r.addr,
+        access: match r.access {
+            MemAccess::Read => Access::Read,
+            MemAccess::Write(v) => Access::Write(v),
+        },
+    })
+}
+
+/// The decoded op if `word` may run inside a lockstep batch: any op the
+/// group can execute without the synchronizer ([`OpClass::Boundary`] is
+/// left out) that cannot enable interrupts. A run polls interrupts once
+/// per cycle, but a batch only once, at its start; after that poll no
+/// core has an interrupt both pending and enabled, and with `EI`, `WRSR`
+/// and `IRET` left to the interpreter none becomes enabled inside the
+/// batch either.
 fn batchable(word: u16) -> Option<Instr> {
     let instr = decode(word).ok()?;
     let enables_irq = matches!(
         instr,
         Instr::Csr {
-            op: CsrOp::Ei | CsrOp::WrSr,
+            op: CsrOp::Ei | CsrOp::WrSr | CsrOp::Iret,
             ..
         }
     );
-    (instr.op_class() == OpClass::Pure && !enables_irq).then_some(instr)
+    (instr.op_class() != OpClass::Boundary && !enables_irq).then_some(instr)
 }
 
 #[cfg(test)]

@@ -508,8 +508,8 @@ fn run_summary_matches_cycle_count() {
 
 // ---- the lockstep fast path ----------------------------------------------
 
-/// A lockstep loop: six pure ops up to the first `bne`, then four per
-/// iteration.
+/// A lockstep loop: two set-up ops, then three iterations of four pure
+/// ops and the `bne` that closes them.
 const PURE_LOOP_SRC: &str = "
         rdid r1
         movi r0, #3
@@ -544,19 +544,20 @@ fn machine(p: &Platform) -> (SimStats, Vec<CoreState>, Vec<Vec<u16>>, Vec<u16>) 
 #[test]
 fn lockstep_batch_runs_pure_ops_at_two_cycles_each() {
     let mut fast = platform(true, PURE_LOOP_SRC);
-    // rdid, movi and the four loop ops; the bne is fetched and executed by
-    // the interpreter, then the next iteration's four ops are one batch.
-    let advanced: Vec<u64> = (0..4).map(|_| fast_step(&mut fast, u64::MAX)).collect();
-    assert_eq!(advanced, [12, 1, 1, 8]);
-    assert!((0..8).all(|i| fast.core(i).pc() == 6 && fast.core(i).state() == CoreState::Fetch));
+    // rdid, movi and three iterations of the loop with its `bne` (17 ops)
+    // are one batch; the `halt` is fetched and executed by the
+    // interpreter.
+    let advanced: Vec<u64> = (0..3).map(|_| fast_step(&mut fast, u64::MAX)).collect();
+    assert_eq!(advanced, [34, 1, 1]);
+    assert!(fast.all_halted());
 
     let mut stepped = platform(true, PURE_LOOP_SRC);
-    for _ in 0..22 {
+    for _ in 0..36 {
         stepped.step();
     }
     assert_eq!(machine(&fast), machine(&stepped));
     // Eight cores, one broadcast fetch per op.
-    assert_eq!(fast.stats().im.bank_reads, 11);
+    assert_eq!(fast.stats().im.bank_reads, 18);
     assert_eq!(fast.stats().avg_lockstep_width(), 8.0);
 }
 
@@ -599,17 +600,94 @@ fn lockstep_batch_declines_while_the_synchronizer_is_busy() {
 #[test]
 fn lockstep_batch_declines_on_ops_that_are_not_batchable() {
     for src in [
-        "ld r1, [r2]\nhalt",
-        "st r1, [r2]\nhalt",
-        "br next\nnext: halt",
         "sinc #0\nhalt",
         "halt",
         // Can enable interrupts: left to the interpreter.
         "ei\nhalt",
         "wrsr r0\nhalt",
+        "iret\nhalt",
     ] {
         let mut p = platform(true, src);
         assert_eq!(fast_step(&mut p, u64::MAX), 1, "{src}");
+    }
+}
+
+#[test]
+fn lockstep_batch_runs_loads_stores_and_branches() {
+    // Every core reads one word (one broadcast read), writes it (one
+    // write served, seven stalled) or branches the same way: each op
+    // runs inside the batch.
+    for src in [
+        "ld r1, [r2]\nhalt",
+        "st r1, [r2]\nhalt",
+        "br next\nnext: halt",
+    ] {
+        for with_sync in [true, false] {
+            let mut p = platform(with_sync, src);
+            assert_eq!(fast_step(&mut p, u64::MAX), 2, "{src}");
+        }
+    }
+}
+
+/// Takes one fast-path step of `src` on a fresh platform and steps a
+/// twin over the same cycles, asserts both machines agree after the
+/// batch and again once both have run to completion, and returns how
+/// many cycles the batch advanced.
+fn batch_matches_a_step_loop(with_sync: bool, src: &str) -> u64 {
+    let mut fast = platform(with_sync, src);
+    let advanced = fast_step(&mut fast, u64::MAX);
+    let mut stepped = platform(with_sync, src);
+    for _ in 0..advanced {
+        stepped.step();
+    }
+    assert_eq!(machine(&fast), machine(&stepped), "{src}");
+    fast.run().unwrap();
+    while !stepped.all_halted() {
+        stepped.step();
+    }
+    assert_eq!(machine(&fast), machine(&stepped), "{src}");
+    advanced
+}
+
+#[test]
+fn lockstep_batch_ends_after_a_same_bank_store_conflict() {
+    // Eight different words of DM bank 0: one store is served, the other
+    // seven stall (baseline) or wait beside a held core (SyncAware).
+    let src = "
+        rdid r1
+        st   r1, [r1]
+        nop
+        halt";
+    for with_sync in [true, false] {
+        assert_eq!(batch_matches_a_step_loop(with_sync, src), 4);
+        let mut p = platform(with_sync, src);
+        fast_step(&mut p, u64::MAX);
+        let s = p.stats();
+        assert_eq!(s.dxbar.conflict_cycles, 1);
+        assert_eq!(s.dxbar.stalls, 7);
+        assert_eq!(s.dxbar.holds, u64::from(with_sync));
+        assert_eq!(p.core(0).state() == CoreState::Fetch, !with_sync);
+        assert!((1..8).all(|i| matches!(p.core(i).state(), CoreState::Execute(_))));
+        assert_eq!(fast_step(&mut p, u64::MAX), 1, "the group has split");
+    }
+}
+
+#[test]
+fn lockstep_batch_ends_after_a_branch_taken_by_some_cores() {
+    // Core 4 falls through to the nop, the other seven branch past it.
+    let src = "
+        rdid r1
+        cmpi r1, #4
+        bne  skip
+        nop
+skip:   halt";
+    for with_sync in [true, false] {
+        assert_eq!(batch_matches_a_step_loop(with_sync, src), 6);
+        let mut p = platform(with_sync, src);
+        fast_step(&mut p, u64::MAX);
+        assert_eq!(p.core(4).pc(), 3);
+        assert!((0..8).filter(|&i| i != 4).all(|i| p.core(i).pc() == 4));
+        assert_eq!(fast_step(&mut p, u64::MAX), 1, "the group has split");
     }
 }
 
@@ -650,7 +728,7 @@ fn attached_observer_sees_every_cycle_of_a_lockstep_run() {
 fn interrupt_enabled_inside_a_lockstep_run_vectors_like_a_step_loop() {
     // Core 2's interrupt is pending from the start but disabled until
     // `ei`: the core must vector at the very next fetch, mid-way through
-    // the straight line of pure ops.
+    // the straight line of ops after it.
     let src = "
         br   main
         br   isr

@@ -3,7 +3,9 @@
 //! growth phase, then step it for thousands of cycles — through fetches,
 //! bank conflicts, synchronizer barriers, sleeps and wakes — and assert
 //! the allocation count does not move. The same holds for `run_until`
-//! slices over a lockstep loop, which run on the lockstep fast path.
+//! slices over a lockstep loop and over a loaded paper kernel, which run
+//! on the lockstep fast path (the kernel's batches carry loads, stores
+//! and branches).
 //!
 //! This file holds exactly one test, so no concurrent test can pollute
 //! the counter.
@@ -11,6 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use ulp_lockstep::isa::asm::assemble;
+use ulp_lockstep::kernels::{run_benchmark_reusing, Benchmark, CheckpointControl, WorkloadConfig};
 use ulp_lockstep::platform::{Platform, PlatformConfig, RunProgress};
 
 struct CountingAllocator;
@@ -61,8 +64,8 @@ spin:   addi r5, #-1       ; data-dependent 1..8 rounds
         sdec #0
         br   loop";
 
-/// An endless lockstep loop of ALU ops closed by a branch: every op but
-/// the branch is batched.
+/// An endless lockstep loop of ALU ops closed by a branch: one batch runs
+/// it for as long as the slice lasts.
 const LOCKSTEP_SRC: &str = "
         rdid r1
 loop:   addi r4, #3
@@ -119,10 +122,9 @@ fn steady_state_step_performs_zero_heap_allocations() {
         "barrier sleeps exercised"
     );
 
-    // Unobserved runs batch uniform lockstep runs of pure ops; sliced
-    // `run_until` over an endless lockstep loop exercises batches (odd
-    // slice lengths split a batched op across the pause) and the
-    // interpreted branch cycles between them.
+    // Unobserved runs batch uniform lockstep runs; sliced `run_until`
+    // over an endless lockstep loop exercises batches, and odd slice
+    // lengths split a batched op across the pause.
     let program = assemble(LOCKSTEP_SRC).expect("program assembles");
     let cfg = PlatformConfig::paper_with_sync().with_max_cycles(u64::MAX);
     let mut platform = Platform::new(cfg).expect("valid config");
@@ -148,5 +150,43 @@ fn steady_state_step_performs_zero_heap_allocations() {
     assert!(
         (stats.avg_lockstep_width() - 8.0).abs() < 1e-9,
         "the loop stayed in lockstep"
+    );
+
+    // A paper kernel on the sync design: its lockstep stretches are
+    // batches of ALU ops, loads, stores and branches, between the
+    // interpreted barrier cycles.
+    let workload = WorkloadConfig::paper();
+    let cfg = PlatformConfig::paper_with_sync().with_max_cycles(workload.max_cycles);
+    let mut platform = Platform::new(cfg).expect("valid config");
+    let parked =
+        run_benchmark_reusing(Benchmark::Mrpdln, &mut platform, &workload, None, 1, |_| {
+            CheckpointControl::Park
+        })
+        .expect("kernel loads");
+    assert!(parked.is_none(), "parked after its first cycle");
+    // Warm-up: past the barriers where the synchronizer's event lists
+    // grow to the widest merge the kernel makes.
+    run_slice(&mut platform, 100_000);
+    let start = platform.stats();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for len in [1, 2, 3, 997, 2_000, 6_997, 30_000] {
+        run_slice(&mut platform, len);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "Platform::run_until allocated in steady state on a paper kernel"
+    );
+    let stats = platform.stats();
+    assert!(stats.dm.bank_reads > start.dm.bank_reads, "loads exercised");
+    assert!(
+        stats.dm.bank_writes > start.dm.bank_writes,
+        "stores exercised"
+    );
+    assert!(
+        stats.lockstep_width_sum - start.lockstep_width_sum
+            > 7 * (stats.lockstep_width_cycles - start.lockstep_width_cycles),
+        "the kernel ran mostly in lockstep"
     );
 }

@@ -1,5 +1,6 @@
 //! Differential testing of the lockstep fast path: an unobserved `run()`
-//! batches uniform lockstep runs of pure ops, `step()` never does, so a
+//! batches uniform lockstep runs of every op but the synchronizer's —
+//! ALU ops, loads, stores and branches — while `step()` never does, so a
 //! `step()` loop is the reference every run must match bit for bit —
 //! registers, flags, PCs, core states, the whole data memory and every
 //! [`SimStats`] counter, compared with a plain `==`. The subject is
@@ -16,11 +17,17 @@ use ulp_lockstep::platform::{Platform, PlatformConfig, RunProgress, SimStats};
 /// Cycle budget of the random programs (far above what they need).
 const MAX_CYCLES: u64 = 2_000_000;
 
-/// Strategy: one instruction of an SPMD body. Only forward skips (offset
-/// 0 or 1) so every program terminates; loads and stores go through `r2`,
-/// which the prologue points at the core's private DM bank.
+/// Strategy: one instruction of an SPMD body. Only forward skips and
+/// jumps (offset 0 or 1) so every program terminates. Loads and stores
+/// reach every D-Xbar outcome through three base registers the prologue
+/// sets up: `r2` points at the core's private DM bank (no conflict), `r5`
+/// at one word shared by every core (broadcast reads, writes to one
+/// word) and `r6` at a per-core word of one shared bank (same-bank
+/// conflicts: stalls, and SyncAware holds and releases).
 fn body_instr() -> impl Strategy<Value = Instr> {
-    let reg = || prop::sample::select(&[Reg::R0, Reg::R1, Reg::R3, Reg::R4, Reg::R5][..]);
+    // `r7` is also the link register `jal` writes.
+    let reg = || prop::sample::select(&[Reg::R0, Reg::R1, Reg::R3, Reg::R4, Reg::R7][..]);
+    let base = || prop::sample::select(&[Reg::R2, Reg::R5, Reg::R6][..]);
     prop_oneof![
         (prop::sample::select(&AluOp::ALL[..]), reg(), reg()).prop_map(|(op, rd, rs)| Instr::Alu {
             op,
@@ -41,26 +48,21 @@ fn body_instr() -> impl Strategy<Value = Instr> {
             op: CsrOp::RdCyc,
             rd
         }),
-        (reg(), 0i8..=15).prop_map(|(rd, offset)| Instr::Ld {
-            rd,
-            base: Reg::R2,
-            offset
-        }),
-        (reg(), 0i8..=15).prop_map(|(rs, offset)| Instr::St {
-            rs,
-            base: Reg::R2,
-            offset
-        }),
+        (reg(), base(), 0i8..=15).prop_map(|(rd, base, offset)| Instr::Ld { rd, base, offset }),
+        (reg(), base(), 0i8..=15).prop_map(|(rs, base, offset)| Instr::St { rs, base, offset }),
         // Forward-only conditional skips give the cores data-dependent
         // divergence, so batches start, stop and restart mid-program.
         (prop::sample::select(&Cond::ALL[..]), 0i16..=1)
             .prop_map(|(cond, offset)| Instr::Branch { cond, offset }),
+        (0i16..=1).prop_map(|offset| Instr::Jal { offset }),
         Just(Instr::Nop),
     ]
 }
 
-/// Prologue `r2 = id << 11` (private bank base), then the body, then HALT.
-/// The trailing NOP guarantees a skip over HALT still lands on code.
+/// Prologue `r2 = id << 11` (private bank base), `r5 = 0x4000` (a word
+/// of DM bank 8 every core shares) and `r6 = 0x5000 + id` (a distinct
+/// word of DM bank 10 per core), then the body, then HALT. The trailing
+/// NOP guarantees a skip over HALT still lands on code.
 fn build_program(body: &[Instr]) -> Vec<u16> {
     let prologue = [
         Instr::Csr {
@@ -71,6 +73,22 @@ fn build_program(body: &[Instr]) -> Vec<u16> {
             kind: ShiftKind::Shl,
             rd: Reg::R2,
             amount: 11,
+        },
+        Instr::MovI {
+            rd: Reg::R5,
+            imm: 0,
+        },
+        Instr::MovHi {
+            rd: Reg::R5,
+            imm: 0x40,
+        },
+        Instr::Csr {
+            op: CsrOp::RdId,
+            rd: Reg::R6,
+        },
+        Instr::MovHi {
+            rd: Reg::R6,
+            imm: 0x50,
         },
     ];
     let epilogue = [Instr::Halt, Instr::Nop, Instr::Halt];
@@ -146,8 +164,9 @@ fn random_platform(words: &[u16], cores: usize, with_sync: bool) -> Platform {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Arbitrary SPMD programs (private-bank memory traffic, forward
-    /// skips, the cycle counter) give the same machine under `run()`,
+    /// Arbitrary SPMD programs (private, shared-word and same-bank
+    /// memory traffic, forward skips and jumps, the cycle counter) give
+    /// the same machine under `run()`,
     /// under `run_until` slices and under a `step()` loop, at 2, 4 and 8
     /// cores on both designs.
     #[test]
