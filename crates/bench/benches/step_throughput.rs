@@ -7,7 +7,7 @@
 //! * `instrumented` — `step_with` carrying real observers (lockstep
 //!   width + VCD), the full observer dispatch cost;
 //! * `lockstep` — `Platform::run_until` on a lockstep ALU loop closed by
-//!   a branch, which the engine's lockstep fast path runs as one batch
+//!   a branch, which the engine's batched fast path runs as one batch
 //!   per slice (the other three step one interpreted cycle at a time).
 //!
 //! A regression that reintroduces per-cycle allocation or observer

@@ -223,6 +223,12 @@ impl Core {
         self.irq_pending = true;
     }
 
+    /// Whether an interrupt is both pending and enabled: the next poll at
+    /// an instruction boundary ([`Core::poll_interrupt`]) accepts it.
+    pub fn interrupt_ready(&self) -> bool {
+        self.irq_pending && self.ie
+    }
+
     /// Polls for a pending interrupt at an instruction boundary.
     ///
     /// Called by the platform at the start of a cycle for cores in
@@ -288,9 +294,9 @@ impl Core {
     /// (consumes the fetch cycle, exactly like [`Core::on_fetch_granted`]
     /// minus the decode).
     ///
-    /// Used by the platform's lockstep fast path, which decodes an op once
-    /// for the whole group: the caller guarantees `instr` is the decoding
-    /// of the word at the fetch address, so this path cannot fault.
+    /// Used by the platform's batched fast path, which decodes each loaded
+    /// word once: the caller guarantees `instr` is the decoding of the
+    /// word at the fetch address, so this path cannot fault.
     pub fn on_fetch_granted_decoded(&mut self, instr: Instr) {
         debug_assert!(matches!(self.state, CoreState::Fetch), "not fetching");
         self.cycles += 1;

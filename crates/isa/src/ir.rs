@@ -1,8 +1,8 @@
-//! Instruction classes for the simulator's lockstep fast path.
+//! Instruction classes for the simulator's batched fast path.
 //!
-//! The interpreter decodes every instruction word on every fetch. When
-//! every active core fetches one PC, the platform instead decodes the op
-//! once for the whole group and may run the ops that follow as one batch.
+//! The interpreter decodes every instruction word on every fetch. The
+//! platform's batch instead takes each op, decoded once per loaded word,
+//! for a whole group of cores at one PC, and runs the cycles that follow.
 //! [`OpClass`] tells it, without further inspection, what each op needs:
 //! nothing beyond the core, the data crossbar, a PC known only after
 //! execution, or the synchronizer. A batch carries the first three and

@@ -429,14 +429,16 @@ pub enum CheckpointControl {
 ///   instead of reallocated. With `resume`, the platform adopts the
 ///   checkpoint instead; it only needs to be structurally compatible,
 ///   since the checkpoint carries the whole machine state.
-/// * The run proceeds `every` cycles at a time, and after each slice a
-///   [`Platform::snapshot`] is handed to `on_checkpoint`. Returning
-///   [`CheckpointControl::Park`] abandons the run, yielding `Ok(None)`.
-///   Resuming it later from that checkpoint, on any structurally
-///   identical platform, produces a [`BenchmarkRun`] bit-identical to an
-///   uninterrupted run. `every == u64::MAX` never checkpoints: the run is
-///   a single [`Platform::run_until`], which takes the lockstep fast path
-///   when no observer is attached.
+/// * The run proceeds `every` cycles at a time, and after each slice the
+///   paused platform is handed to `on_checkpoint`, which takes its
+///   checkpoint ([`Platform::snapshot`], or [`Platform::snapshot_into`]
+///   a buffer it reuses). Returning [`CheckpointControl::Park`] abandons
+///   the run, yielding `Ok(None)`. Resuming it later from the checkpoint
+///   just taken, on any structurally identical platform, produces a
+///   [`BenchmarkRun`] bit-identical to an uninterrupted run.
+///   `every == u64::MAX` never checkpoints: the run is a single
+///   [`Platform::run_until`], which takes the batched fast path when no
+///   observer is attached.
 ///
 /// Observers are [attached](Platform::attach) to the platform by the
 /// caller, so their state rides along in the checkpoints. Attach them
@@ -458,7 +460,7 @@ pub fn run_benchmark_reusing(
     cfg: &WorkloadConfig,
     resume: Option<&Checkpoint>,
     every: u64,
-    mut on_checkpoint: impl FnMut(Checkpoint) -> CheckpointControl,
+    mut on_checkpoint: impl FnMut(&Platform) -> CheckpointControl,
 ) -> Result<Option<BenchmarkRun>, RunnerError> {
     assert!(every > 0, "checkpoint interval must be positive");
     let channels = match resume {
@@ -475,7 +477,7 @@ pub fn run_benchmark_reusing(
                 return Ok(Some(collect_run(benchmark, platform, cfg, &channels)));
             }
             RunProgress::Paused => {
-                if on_checkpoint(platform.snapshot()) == CheckpointControl::Park {
+                if on_checkpoint(platform) == CheckpointControl::Park {
                     return Ok(None);
                 }
             }
@@ -692,7 +694,7 @@ mod tests {
             &cfg,
             None,
             50_000,
-            |_ckpt| {
+            |_| {
                 checkpoints += 1;
                 CheckpointControl::Continue
             },
@@ -717,8 +719,8 @@ mod tests {
             // First worker: parks the job at its first checkpoint.
             let mut first = Platform::new(platform_cfg.clone()).unwrap();
             let mut parked = None;
-            let early = run_benchmark_reusing(benchmark, &mut first, &cfg, None, every, |ckpt| {
-                parked = Some(ckpt);
+            let early = run_benchmark_reusing(benchmark, &mut first, &cfg, None, every, |p| {
+                parked = Some(p.snapshot());
                 CheckpointControl::Park
             })
             .unwrap();

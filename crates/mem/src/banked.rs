@@ -69,7 +69,7 @@ impl MemStats {
 /// [`BankedMemory::save`] and re-applied by [`BankedMemory::load_snapshot`].
 /// Plain data with public fields: the platform's checkpoint layer owns the
 /// byte-level encoding, this crate only defines *what* the state is.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemSnapshot {
     /// Every word of the memory, in address order.
     pub words: Vec<u16>,
@@ -273,12 +273,18 @@ impl BankedMemory {
     /// of the snapshot — it belongs to the platform configuration the
     /// checkpoint carries separately.
     pub fn save(&self) -> MemSnapshot {
-        MemSnapshot {
-            words: self.words.clone(),
-            locked: self.locked.clone(),
-            stats: self.stats,
-            per_bank: self.per_bank.clone(),
-        }
+        let mut snapshot = MemSnapshot::default();
+        self.save_into(&mut snapshot);
+        snapshot
+    }
+
+    /// [`BankedMemory::save`] into an existing snapshot, reusing its
+    /// allocations.
+    pub fn save_into(&self, snapshot: &mut MemSnapshot) {
+        snapshot.words.clone_from(&self.words);
+        snapshot.locked.clone_from(&self.locked);
+        snapshot.stats = self.stats;
+        snapshot.per_bank.clone_from(&self.per_bank);
     }
 
     /// Re-applies a snapshot taken by [`BankedMemory::save`] onto a memory

@@ -120,7 +120,7 @@ pub struct DXbarOutcome {
 /// scratch buffers are excluded — they are rebuilt every cycle and carry no
 /// history. The serving policy is configuration, not state, and belongs to
 /// the platform configuration a checkpoint carries separately.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DXbarSnapshot {
     /// Rotating-priority pointer per bank.
     pub rr: Vec<usize>,

@@ -77,6 +77,23 @@ pub(crate) fn rr_next(winner: usize, n: usize) -> usize {
     }
 }
 
+/// The smallest [`rr_distance`] from pointer `ptr` among `n` cores of any
+/// core in `members` (bit per core id, every member below `n`, `n <= 64`,
+/// `ptr < n`): the member mask rotated right by `ptr` within `n` bits
+/// puts each member at its distance, so the lowest set bit is the
+/// nearest. `members` must be non-empty.
+#[inline]
+pub(crate) fn rr_min_distance(members: u32, ptr: usize, n: usize) -> u32 {
+    debug_assert!(members != 0 && ptr < n && n <= 64, "operands in range");
+    let m = u64::from(members);
+    let rotated = if ptr == 0 {
+        m
+    } else {
+        m >> ptr | m << (n - ptr)
+    };
+    rotated.trailing_zeros()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,6 +123,19 @@ mod tests {
             let (core, ptr) = (core % n, ptr % n);
             prop_assert_eq!(rr_distance(core, ptr, n), (core + n - ptr) % n);
             prop_assert_eq!(rr_next(core, n), (core + 1) % n);
+        }
+
+        #[test]
+        fn rr_min_distance_is_the_nearest_member(n in 1usize..=64, members in any::<u32>(), ptr in 0usize..64) {
+            let members = if n < 32 { members & ((1 << n) - 1) } else { members };
+            prop_assume!(members != 0);
+            let ptr = ptr % n;
+            let nearest = (0..32usize)
+                .filter(|&c| members & (1 << c) != 0)
+                .map(|c| rr_distance(c, ptr, n))
+                .min()
+                .unwrap();
+            prop_assert_eq!(rr_min_distance(members, ptr, n) as usize, nearest);
         }
     }
 }

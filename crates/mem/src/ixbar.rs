@@ -8,7 +8,7 @@
 //! exactly the conflict behaviour of Section III of the paper.
 
 use crate::banked::BankedMemory;
-use crate::fastdiv::{rr_distance, rr_next};
+use crate::fastdiv::{rr_distance, rr_min_distance, rr_next};
 
 /// One core's instruction fetch request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,6 +26,16 @@ pub struct ImGrant {
     pub core: usize,
     /// The fetched instruction word.
     pub word: u16,
+}
+
+/// A same-address fetch group: every core whose bit is set in `members`
+/// fetches `addr` this cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchGroup {
+    /// The shared fetch address.
+    pub addr: u16,
+    /// The requesting cores, one bit per core id.
+    pub members: u32,
 }
 
 /// Statistics of the instruction crossbar.
@@ -60,7 +70,7 @@ impl IXbarStats {
 /// The complete mutable state of one [`IXbar`]: the rotating-priority
 /// pointers plus the counters. The per-cycle request scratch is excluded —
 /// it is rebuilt from scratch every cycle and carries no history.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IXbarSnapshot {
     /// Rotating-priority pointer per bank.
     pub rr: Vec<usize>,
@@ -205,33 +215,114 @@ impl IXbar {
         self.req_banks = req_banks;
     }
 
-    /// Serves one cycle in which `cores` (each id listed once) all fetch
-    /// the same `addr`: the whole group is granted by a single broadcast
-    /// read, exactly as [`IXbar::arbitrate_into`] would grant it —
+    /// Serves one fetch cycle presented as whole same-address groups,
+    /// exactly as [`IXbar::arbitrate_into`] would serve the same requests:
     /// identical statistics, memory counters and rotating-priority
-    /// update — without materializing request or grant buffers. Returns
-    /// the fetched word. This is the fetch of the platform's lockstep
-    /// fast path.
-    pub fn serve_uniform(&mut self, cores: &[usize], addr: u16, imem: &mut BankedMemory) -> u16 {
-        let n = cores.len();
-        self.stats.requests += n as u64;
-        let ncores = cores
-            .iter()
-            .map(|&c| c + 1)
-            .max()
-            .unwrap_or(0)
-            .max(self.rr.len().min(64));
-        let bank = imem.bank_of(addr);
-        let ptr = self.rr[bank] % ncores;
-        let winner_core = cores
-            .iter()
-            .copied()
-            .min_by_key(|&c| rr_distance(c, ptr, ncores))
-            .expect("uniform group is non-empty");
-        self.rr[bank] = rr_next(winner_core, ncores);
-        self.stats.grants += n as u64;
-        self.stats.transfers += n as u64;
-        imem.read_broadcast(addr, n)
+    /// updates, without materializing request or grant buffers. Returns
+    /// the served groups as a bitmask (bit `g` for `groups[g]`). This is
+    /// the fetch of the platform's batched cycles.
+    ///
+    /// Each group holds at least one core and fetches one address, and no
+    /// two groups share an address. Within a bank, the winning group is the one holding the
+    /// core nearest the bank's priority pointer, found from each group's
+    /// member mask rotated to the pointer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than 32 groups.
+    #[inline]
+    pub fn serve_groups(&mut self, groups: &[FetchGroup], imem: &mut BankedMemory) -> u32 {
+        assert!(groups.len() <= 32, "at most 32 fetch groups");
+        let all = groups.iter().fold(0u32, |m, g| m | g.members);
+        if all == 0 {
+            return 0;
+        }
+        let ncores = ((u32::BITS - all.leading_zeros()) as usize).max(self.rr.len().min(64));
+        if let [group] = groups {
+            // One group: no conflict, the whole group is served.
+            let width = all.count_ones();
+            self.stats.requests += u64::from(width);
+            let bank = imem.bank_of(group.addr);
+            let ptr = wrap_pointer(self.rr[bank], ncores);
+            self.grant(bank, ptr, rr_min_distance(all, ptr, ncores), ncores);
+            self.broadcast(group.addr, width, width, imem);
+            return 1;
+        }
+        self.stats.requests += u64::from(all.count_ones());
+        self.serve_contended(groups, ncores, imem)
+    }
+
+    /// [`IXbar::serve_groups`] for two or more groups: banks with several
+    /// groups serve one and stall the rest.
+    fn serve_contended(
+        &mut self,
+        groups: &[FetchGroup],
+        ncores: usize,
+        imem: &mut BankedMemory,
+    ) -> u32 {
+        let mut banks = [0usize; 32];
+        for (bank, g) in banks.iter_mut().zip(groups) {
+            *bank = imem.bank_of(g.addr);
+        }
+        let mut served = 0u32;
+        let mut pending = ((1u64 << groups.len()) - 1) as u32;
+        while pending != 0 {
+            // The lowest pending group opens its bank; every other
+            // pending group in that bank competes with it.
+            let first = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            let bank = banks[first];
+            let ptr = wrap_pointer(self.rr[bank], ncores);
+            let mut winner = first;
+            let mut best = rr_min_distance(groups[first].members, ptr, ncores);
+            let mut requests = groups[first].members.count_ones();
+            let mut rest = pending;
+            while rest != 0 {
+                let g = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if banks[g] != bank {
+                    continue;
+                }
+                debug_assert_ne!(groups[g].addr, groups[first].addr, "groups are distinct");
+                pending &= !(1 << g);
+                requests += groups[g].members.count_ones();
+                let distance = rr_min_distance(groups[g].members, ptr, ncores);
+                if distance < best {
+                    (winner, best) = (g, distance);
+                }
+            }
+            let width = groups[winner].members.count_ones();
+            if width < requests {
+                self.stats.conflict_cycles += 1;
+            }
+            self.grant(bank, ptr, best, ncores);
+            self.broadcast(groups[winner].addr, width, requests, imem);
+            served |= 1 << winner;
+        }
+        served
+    }
+
+    /// Advances `bank`'s priority pointer past the core at `distance`
+    /// from `ptr`, the winner of a group grant.
+    #[inline]
+    fn grant(&mut self, bank: usize, ptr: usize, distance: u32, ncores: usize) {
+        let winner = ptr + distance as usize;
+        let winner = if winner >= ncores {
+            winner - ncores
+        } else {
+            winner
+        };
+        self.rr[bank] = rr_next(winner, ncores);
+    }
+
+    /// One broadcast read of `addr` serving `width` of the bank's
+    /// `requests` requesters; the rest stall.
+    #[inline]
+    fn broadcast(&mut self, addr: u16, width: u32, requests: u32, imem: &mut BankedMemory) {
+        imem.read_broadcast(addr, width as usize);
+        self.stats.grants += u64::from(width);
+        self.stats.transfers += u64::from(width);
+        self.stats.stalls += u64::from(requests - width);
     }
 
     /// Serves one requested bank: picks the winning address-group by
@@ -288,6 +379,18 @@ impl IXbar {
                 .filter(|r| r.addr == winner_addr)
                 .map(|r| ImGrant { core: r.core, word }),
         );
+    }
+}
+
+/// The priority pointer `ptr` wrapped into `0..ncores`. A pointer is
+/// stored below the core count of the cycle that set it, which is almost
+/// always this cycle's, so the division is rarely needed.
+#[inline]
+fn wrap_pointer(ptr: usize, ncores: usize) -> usize {
+    if ptr < ncores {
+        ptr
+    } else {
+        ptr % ncores
     }
 }
 

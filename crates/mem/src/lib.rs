@@ -30,4 +30,4 @@ pub use banked::{BankMapping, BankedMemory, MemSnapshot, MemStats};
 pub use dxbar::{
     Access, DXbar, DXbarOutcome, DXbarSnapshot, DXbarStats, DmGrant, DmRequest, ServingPolicy,
 };
-pub use ixbar::{IXbar, IXbarSnapshot, IXbarStats, ImGrant, ImRequest};
+pub use ixbar::{FetchGroup, IXbar, IXbarSnapshot, IXbarStats, ImGrant, ImRequest};

@@ -1,7 +1,8 @@
 //! Property-based tests of the crossbar arbitration invariants.
 
 use crate::{
-    Access, BankMapping, BankedMemory, DXbar, DmGrant, DmRequest, IXbar, ImRequest, ServingPolicy,
+    Access, BankMapping, BankedMemory, DXbar, DmGrant, DmRequest, FetchGroup, IXbar, ImRequest,
+    ServingPolicy,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -183,5 +184,46 @@ proptest! {
         }
         prop_assert!(pending.is_empty(), "starved fetches");
         prop_assert_eq!(served.len(), addrs.len());
+    }
+
+    /// Serving a cycle's fetches as whole same-address groups is the
+    /// request-by-request arbitration: the same grants, statistics,
+    /// memory counters and priority pointers, cycle after cycle, on
+    /// either bank mapping and at up to 16 cores.
+    #[test]
+    fn group_grants_match_request_arbitration(
+        cycles in prop::collection::vec(prop::collection::vec(0u16..96, 16), 1..12),
+        interleaved in any::<bool>(),
+    ) {
+        let mapping = if interleaved { BankMapping::Interleaved } else { BankMapping::Blocked };
+        let mut by_request = (IXbar::new(4), BankedMemory::new(64, 4, mapping));
+        let mut by_group = (IXbar::new(4), BankedMemory::new(64, 4, mapping));
+        for fetches in &cycles {
+            let reqs: Vec<ImRequest> = fetches
+                .iter()
+                .enumerate()
+                // Addresses past the 64-word memory stand for "not fetching".
+                .filter(|&(_, &addr)| addr < 64)
+                .map(|(core, &addr)| ImRequest { core, addr })
+                .collect();
+            let mut groups: Vec<FetchGroup> = Vec::new();
+            for r in &reqs {
+                match groups.iter_mut().find(|g| g.addr == r.addr) {
+                    Some(g) => g.members |= 1 << r.core,
+                    None => groups.push(FetchGroup { addr: r.addr, members: 1 << r.core }),
+                }
+            }
+            let grants = by_request.0.arbitrate(&reqs, &mut by_request.1);
+            let served = by_group.0.serve_groups(&groups, &mut by_group.1);
+            let granted = grants.iter().fold(0u32, |m, g| m | 1 << g.core);
+            let served_cores = groups
+                .iter()
+                .enumerate()
+                .filter(|(g, _)| served & (1 << g) != 0)
+                .fold(0u32, |m, (_, g)| m | g.members);
+            prop_assert_eq!(granted, served_cores);
+            prop_assert_eq!(by_request.0.save(), by_group.0.save());
+            prop_assert_eq!(by_request.1.save(), by_group.1.save());
+        }
     }
 }

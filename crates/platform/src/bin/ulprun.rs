@@ -13,7 +13,7 @@
 //!
 //! Tracing attaches [`PcTrace`] / [`VcdTracer`] observers to the run, so
 //! no custom driver loop is needed and the options combine freely. An
-//! untraced run takes the engine's lockstep fast path; a traced one
+//! untraced run takes the engine's batched fast path; a traced one
 //! interprets every cycle. Both report identical statistics.
 
 use std::process::ExitCode;

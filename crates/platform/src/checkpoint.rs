@@ -42,7 +42,10 @@ const MAGIC: [u8; 4] = *b"ULPK";
 /// [`crate::Platform::snapshot`], consumed by
 /// [`crate::Platform::restore_from`], serialized by
 /// [`Checkpoint::to_bytes`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The default is an empty checkpoint: not a restorable state, but a
+/// buffer for [`crate::Platform::snapshot_into`] to fill.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The configuration of the checkpointed platform. Restore adopts it
     /// wholesale (cycle budget included); only the *structural* part
@@ -76,7 +79,26 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serializes the checkpoint into the versioned `ULPK` wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut blob = Vec::new();
+        self.to_bytes_into(&mut blob);
+        blob
+    }
+
+    /// [`Checkpoint::to_bytes`] into `blob` (cleared first), reusing its
+    /// allocation.
+    pub fn to_bytes_into(&self, blob: &mut Vec<u8>) {
+        blob.clear();
+        let mut w = Writer {
+            buf: std::mem::take(blob),
+        };
+        // Header: magic, schema, then the body length and checksum,
+        // filled in once the body is written.
+        w.bytes(&MAGIC);
+        w.u32(CHECKPOINT_SCHEMA);
+        let len_at = w.buf.len();
+        w.len(0);
+        w.u64(0);
+        let body_at = w.buf.len();
         write_config(&mut w, &self.config);
         w.u64(self.cycle);
         write_fault(&mut w, self.fault);
@@ -104,15 +126,11 @@ impl Checkpoint {
             w.len(state.len());
             w.bytes(state);
         }
-        let body = w.buf;
-
-        let mut blob = Writer::default();
-        blob.bytes(&MAGIC);
-        blob.u32(CHECKPOINT_SCHEMA);
-        blob.len(body.len());
-        blob.u64(fnv1a(&body));
-        blob.bytes(&body);
-        blob.buf
+        let body_len = u32::try_from(w.buf.len() - body_at).expect("checkpoint body fits u32");
+        let checksum = fnv1a(&w.buf[body_at..]);
+        w.buf[len_at..len_at + 4].copy_from_slice(&body_len.to_le_bytes());
+        w.buf[len_at + 4..body_at].copy_from_slice(&checksum.to_le_bytes());
+        *blob = w.buf;
     }
 
     /// Decodes a blob produced by [`Checkpoint::to_bytes`].
@@ -852,6 +870,19 @@ mod tests {
         let decoded = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(decoded, ckpt);
         assert!(ckpt.cycle >= 60, "snapshot taken mid-run");
+    }
+
+    #[test]
+    fn serializing_into_a_used_buffer_writes_the_same_blob() {
+        let ckpt = snapshot_mid_run();
+        let mut blob = vec![0xAB; 300_000];
+        ckpt.to_bytes_into(&mut blob);
+        assert_eq!(blob, ckpt.to_bytes());
+        let mut smaller = ckpt.clone();
+        smaller.observers.clear();
+        smaller.to_bytes_into(&mut blob);
+        assert_eq!(blob, smaller.to_bytes());
+        assert_eq!(Checkpoint::from_bytes(&blob).unwrap(), smaller);
     }
 
     #[test]

@@ -109,7 +109,6 @@ pub trait Observer: std::any::Any {
 pub struct LockstepWidth {
     sum: u64,
     cycles: u64,
-    scratch: Vec<u16>,
 }
 
 impl LockstepWidth {
@@ -128,17 +127,17 @@ impl LockstepWidth {
         self.cycles
     }
 
-    /// Clears the recorded totals (the scratch allocation is kept).
+    /// Clears the recorded totals.
     pub fn reset(&mut self) {
         self.sum = 0;
         self.cycles = 0;
     }
 
-    /// Records one perfectly uniform fetch cycle (`width` cores at one
-    /// PC) without materializing a request list — what
+    /// Records one fetch cycle whose largest same-PC group has `width`
+    /// cores, without materializing a request list — what
     /// [`Observer::on_fetch`] would record for such a cycle. Used by the
-    /// engine's lockstep batches.
-    pub fn note_uniform(&mut self, width: u64) {
+    /// engine's batched cycles.
+    pub fn note_width(&mut self, width: u64) {
         self.sum += width;
         self.cycles += 1;
     }
@@ -178,28 +177,18 @@ impl Observer for LockstepWidth {
         if fetch_reqs.is_empty() {
             return;
         }
-        // Perfect lockstep (every requester at one PC) is the dominant
-        // fetch shape — recognise it without sorting.
-        let addr = fetch_reqs[0].addr;
-        if fetch_reqs.iter().all(|r| r.addr == addr) {
-            self.sum += fetch_reqs.len() as u64;
-            self.cycles += 1;
-            return;
-        }
-        self.scratch.clear();
-        self.scratch.extend(fetch_reqs.iter().map(|r| r.addr));
-        self.scratch.sort_unstable();
-        let mut best = 1u64;
-        let mut run = 1u64;
-        for w in self.scratch.windows(2) {
-            if w[0] == w[1] {
-                run += 1;
-                best = best.max(run);
-            } else {
-                run = 1;
+        // The largest same-address multiplicity, without sorting: each
+        // address's first occurrence counts itself and its later
+        // repeats, and the scan stops once no later start can do better.
+        let mut best = 0;
+        for (i, r) in fetch_reqs.iter().enumerate() {
+            if best >= fetch_reqs.len() - i {
+                break;
             }
+            let count = fetch_reqs[i..].iter().filter(|q| q.addr == r.addr).count();
+            best = best.max(count);
         }
-        self.sum += best;
+        self.sum += best as u64;
         self.cycles += 1;
     }
 }
@@ -581,8 +570,8 @@ mod tests {
     fn observer_state_round_trips_and_rejects_bad_geometry() {
         // LockstepWidth.
         let mut w = LockstepWidth::new();
-        w.note_uniform(8);
-        w.note_uniform(4);
+        w.note_width(8);
+        w.note_width(4);
         let state = w.save_state().unwrap();
         let mut w2 = LockstepWidth::new();
         assert!(w2.load_state(&state));

@@ -11,7 +11,8 @@ use ulp_cpu::{Core, CoreState, MemAccess, SyncRequest, WakeReason};
 use ulp_isa::asm::Program;
 use ulp_isa::{decode, CsrOp, Instr, OpClass};
 use ulp_mem::{
-    Access, BankedMemory, DXbar, DXbarOutcome, DmGrant, DmRequest, IXbar, ImGrant, ImRequest,
+    Access, BankedMemory, DXbar, DXbarOutcome, DmGrant, DmRequest, FetchGroup, IXbar, ImGrant,
+    ImRequest,
 };
 use ulp_sync::{SyncEvents, Synchronizer};
 
@@ -105,6 +106,13 @@ impl CycleBuffers {
 /// ([`Platform::load_program`], [`Platform::load_dm`]); [`Platform::run`]
 /// advances the deterministic cycle loop until every core halts.
 ///
+/// [`Platform::step`] interprets exactly one cycle and is the reference.
+/// Unobserved runs take a fast path that is bit-identical to it: they run
+/// whole stretches of cycles as one batch over the groups of cores that
+/// share a PC (see [`Platform::run`]), with sleeping cores riding along,
+/// and interpret only the cycles a batch cannot carry (synchronizer
+/// operations, held cores, interrupts, observers).
+///
 /// The engine itself carries no instrumentation: tracing and visualisation
 /// hook in through [`Observer`]s passed to [`Platform::step_with`] and
 /// [`Platform::run_with`]. The only built-in observer is a
@@ -122,6 +130,12 @@ pub struct Platform {
     fault: Option<PlatformError>,
     buffers: CycleBuffers,
     lockstep: LockstepWidth,
+    /// The decoded-op table over the loaded program: entry `a` is the op
+    /// at IM word `a` if it is batchable (see [`batchable`]), `None` if
+    /// it is not or was never loaded. Built from the words being loaded,
+    /// so it only spans the program; a fetch past its end or at a `None`
+    /// entry is left to the interpreter, which decodes the word itself.
+    decoded: Vec<Option<Instr>>,
     /// Observers registered through [`Platform::attach`], notified on
     /// every step/run in attach order (before any `*_with` slice). Each
     /// entry keeps the id its [`ObserverHandle`] was minted with.
@@ -167,6 +181,7 @@ impl Platform {
             fault: None,
             buffers: CycleBuffers::new(cfg.num_cores),
             lockstep: LockstepWidth::new(),
+            decoded: Vec::new(),
             attached: Vec::new(),
             next_observer: 0,
             cfg,
@@ -251,18 +266,33 @@ impl Platform {
         self.cycle = 0;
         self.fault = None;
         self.lockstep.reset();
+        self.decoded.clear();
     }
 
     /// Loads an assembled program into instruction memory.
     pub fn load_program(&mut self, program: &Program) {
         for (addr, word) in program.iter() {
             self.imem.poke(addr, word);
+            self.note_decoded(addr, word);
         }
     }
 
     /// Loads raw words into instruction memory at `base`.
     pub fn load_im(&mut self, base: u16, words: &[u16]) {
         self.imem.load(base, words);
+        for (i, &word) in words.iter().enumerate() {
+            self.note_decoded(base.wrapping_add(i as u16), word);
+        }
+    }
+
+    /// Enters a word just written to IM address `addr` into the
+    /// decoded-op table, at the word index the memory stores it under.
+    fn note_decoded(&mut self, addr: u16, word: u16) {
+        let index = usize::from(addr) % self.cfg.im_words;
+        if index >= self.decoded.len() {
+            self.decoded.resize(index + 1, None);
+        }
+        self.decoded[index] = batchable(word);
     }
 
     /// Loads raw words into data memory at `base`.
@@ -321,7 +351,7 @@ impl Platform {
     /// observers. Equivalent to `step_with(&mut [])`.
     ///
     /// A step is always exactly one interpreted cycle: only the run loops
-    /// take the lockstep fast path, so a `step()` loop is the reference
+    /// take the batched fast path, so a `step()` loop is the reference
     /// every run is bit-identical to.
     pub fn step(&mut self) {
         self.step_with(&mut []);
@@ -366,11 +396,11 @@ impl Platform {
     /// compile time; the built-in lockstep recorder only implements
     /// `on_fetch`, so that is the one hook the unobserved copy keeps.
     ///
-    /// The unobserved copy may instead run a whole lockstep batch (see
-    /// [`Platform::lockstep_batch`]) of up to `batch_limit - cycle`
-    /// cycles, when its phase scan finds every non-halted core fetching
-    /// one PC. `step` passes 0, which never batches. The data-memory phase
-    /// is [`Platform::serve_data`], which the batch runs too.
+    /// The unobserved copy may instead run a batch (see
+    /// [`Platform::batch`]) of up to `batch_limit - cycle` cycles, right
+    /// after the cycle's interrupt poll. `step` passes 0, which never
+    /// batches. The data-memory phase is [`Platform::serve_data`], which
+    /// the batch runs too.
     fn step_cycle<const OBSERVED: bool>(
         &mut self,
         observers: &mut [&mut dyn Observer],
@@ -392,6 +422,11 @@ impl Platform {
             core.poll_interrupt();
         }
 
+        if !OBSERVED && batch_limit >= cycle && self.batch(&mut buf, batch_limit) {
+            self.buffers = buf;
+            return;
+        }
+
         // Snapshot the phase of every core: each core receives exactly one
         // cycle-consuming call below, based on where it *started* the
         // cycle (fetch completing this cycle executes next cycle). One
@@ -406,9 +441,6 @@ impl Platform {
         let mut any_sync_issued = false;
         let mut any_sleeping = false;
         let mut any_held = false;
-        // Bitwise OR and AND of the fetch addresses: every fetcher is at
-        // one PC exactly when the two agree.
-        let (mut pc_or, mut pc_and) = (0u16, u16::MAX);
         // Cores whose execute phase is core-local (neither memory nor
         // sync) and completes at the end of the cycle; bit per core id.
         let mut local_done: u32 = 0;
@@ -421,8 +453,6 @@ impl Platform {
             match phase {
                 CoreState::Fetch => {
                     if let Some(addr) = self.cores[i].fetch_request() {
-                        pc_or |= addr;
-                        pc_and &= addr;
                         buf.fetch_reqs.push(ImRequest { core: i, addr });
                     }
                 }
@@ -443,20 +473,6 @@ impl Platform {
             }
         }
 
-        // Lockstep: the fetchers share one PC (so there is at least one)
-        // and no other core is anywhere but halted.
-        if !OBSERVED
-            && batch_limit >= cycle
-            && pc_or == pc_and
-            && local_done == 0
-            && buf.sync_reqs.is_empty()
-            && buf.dm_reqs.is_empty()
-            && !(any_sync_issued || any_sleeping || any_held)
-            && self.lockstep_batch(&mut buf, batch_limit)
-        {
-            self.buffers = buf;
-            return;
-        }
         self.cycle = cycle;
 
         // ---- fetch phase ----------------------------------------------
@@ -599,11 +615,19 @@ impl Platform {
 
     /// Runs until every core halts. Equivalent to `run_with(&mut [])`.
     ///
-    /// With no observer attached, the run takes the lockstep fast path:
-    /// whenever every non-halted core fetches one PC with the synchronizer
-    /// idle, it runs the ops ahead — ALU ops, loads, stores and branches —
-    /// as one batch for as long as the group stays together, bit-identical
-    /// to stepping the same cycles. Observed runs interpret every cycle.
+    /// With no observer attached, the run takes the batched fast path. A
+    /// batch starts after a cycle's interrupt poll when the synchronizer
+    /// is idle, no core is held by the D-Xbar or inside a synchronizer
+    /// operation, every executing core holds a batchable op (any op but
+    /// `SINC`, `SDEC`, `SLEEP`, `HALT`, `EI`, `WRSR` and `IRET`), no core
+    /// has an interrupt both pending and enabled, and some core is awake.
+    /// It runs the cycles ahead over the groups of cores that share a PC,
+    /// one I-Xbar grant per bank per cycle, with each sleeping core
+    /// charged its cycle. It ends after a cycle in which a core was held,
+    /// at the cycle budget or slice limit, and before a cycle in which a
+    /// fetching group's op is not batchable or does not decode. A batch is
+    /// bit-identical to stepping the same cycles. Observed runs interpret
+    /// every cycle.
     ///
     /// # Errors
     ///
@@ -718,95 +742,229 @@ impl Platform {
         outcome.map(RunProgress::Done)
     }
 
-    /// The lockstep fast path: `buf.fetch_reqs` is the fetch request of
-    /// every non-halted core, all at one PC, at the start of a cycle that
-    /// has not been counted yet. While the synchronizer is idle and the
-    /// word at the group's PC decodes to a batchable op (see
-    /// [`batchable`]), this runs the op as the interpreter would — one
-    /// broadcast fetch cycle, then one execute cycle — and moves on to the
-    /// next op, never past `limit` cycles (at least one cycle ahead).
-    /// Returns whether it ran; if not, the caller interprets the cycle.
+    /// The batch, the unobserved run's fast path. Called at the start of
+    /// a cycle that has not been counted yet, right after its interrupt
+    /// poll, it runs cycles as the interpreter would, never past `limit`,
+    /// while they can only fetch, execute batchable ops and sleep.
+    /// Returns whether it ran any cycle; if not, the caller interprets
+    /// the cycle.
     ///
-    /// The result is bit-identical to interpreting the same cycles. A
-    /// uniform fetch is the one I-Xbar grant [`IXbar::serve_uniform`]
-    /// replays with the same counters and rotating-priority update, and
-    /// the lockstep recorder sees a full-width group. A memory op's
-    /// execute cycle runs the interpreter's own data phase
-    /// ([`Platform::serve_data`]), so conflicts, holds, lock stalls and
-    /// broadcasts are the interpreter's; every other op completes
-    /// core-locally. The synchronizer's interpreted phase is a no-op in
-    /// these cycles: it is idle and nothing requests it. Each op is
-    /// decoded once for the whole group, through the uncounted IM
-    /// backdoor.
+    /// It starts only when the synchronizer is idle, no core is `Held` or
+    /// `SyncIssued`, no executing core holds a sync op or any other op
+    /// that is not batchable (see [`batchable`]), no core has an
+    /// interrupt both pending and enabled, and at least one core is
+    /// awake. Each cycle then:
     ///
-    /// The batch goes on only while every member is back in `Fetch` at
-    /// one PC after an execute cycle; a branch that diverged or an access
-    /// that stalled or held a core ends it, and the interpreter takes the
-    /// next cycle. An odd budget ends the batch on a fetch: the op's
-    /// execute half then runs as an ordinary interpreted cycle after the
-    /// pause.
+    /// * groups the fetching cores by PC and takes each group's op from
+    ///   the decoded-op table, so a granted group decodes nothing;
+    /// * grants whole groups through one I-Xbar call
+    ///   ([`IXbar::serve_groups`]) and stalls the rest, and records the
+    ///   largest group's width as the lockstep width;
+    /// * executes the cores that started the cycle in `Execute`: memory
+    ///   ops through the interpreter's own data phase
+    ///   ([`Platform::serve_data`]), so conflicts, stalls, holds and
+    ///   broadcasts are the interpreter's, and every other op
+    ///   core-locally;
+    /// * charges each sleeping core its cycle.
+    ///
+    /// The fetch and execute bitmasks carry over to the next cycle. When
+    /// one group holds every awake core and none executes, the batch runs
+    /// whole fetch/execute pairs instead ([`Platform::batch_uniform`], the
+    /// k = 1 case) until a branch or a stall splits the group. The
+    /// synchronizer's interpreted phase is a no-op in these cycles: it is
+    /// idle and nothing requests it. Nothing inside a batch can wake a
+    /// sleeper, put a core to sleep, halt it, fault it or enable an
+    /// interrupt, so one poll at the start covers every batched cycle.
+    ///
+    /// The batch ends after a cycle that held a core (the interpreter
+    /// serves held groups), at `limit`, and before any cycle in which a
+    /// fetch group's op is not batchable or not in the table, so an
+    /// illegal word faults on the interpreter's cycle. An odd limit can
+    /// end it between an op's fetch and its execute cycle.
     #[inline(never)]
-    fn lockstep_batch(&mut self, buf: &mut CycleBuffers, limit: u64) -> bool {
-        let mut pc = buf.fetch_reqs[0].addr;
-        let Some(mut instr) = batchable(self.imem.peek(pc)) else {
-            return false;
-        };
+    fn batch(&mut self, buf: &mut CycleBuffers, limit: u64) -> bool {
         if self.sync.as_ref().is_some_and(Synchronizer::is_busy) {
             return false;
         }
-        let mut members = [0usize; 16];
-        for (slot, r) in members.iter_mut().zip(&buf.fetch_reqs) {
-            *slot = r.core;
-        }
-        let members = &members[..buf.fetch_reqs.len()];
-        let width = members.len() as u64;
-        loop {
-            // Fetch cycle: one broadcast read serves the whole group.
-            self.cycle += 1;
-            self.lockstep.note_uniform(width);
-            self.ixbar.serve_uniform(members, pc, &mut self.imem);
-            for &i in members {
-                self.cores[i].on_fetch_granted_decoded(instr);
-            }
-            if self.cycle == limit {
-                break;
-            }
-            // Execute cycle.
-            self.cycle += 1;
-            let class = instr.op_class();
-            if class == OpClass::Mem {
-                buf.dm_reqs.clear();
-                buf.dm_reqs.extend(
-                    members
-                        .iter()
-                        .filter_map(|&i| dm_request(i, &self.cores[i])),
-                );
-                self.serve_data(buf);
-            } else {
-                for &i in members {
-                    self.cores[i].complete_execute(None);
+        // Bit per core id: fetching, executing, executing a memory op,
+        // and asleep.
+        let (mut fetch, mut exec, mut exec_mem, mut asleep) = (0u32, 0u32, 0u32, 0u32);
+        for (i, core) in self.cores.iter().enumerate() {
+            let bit = 1 << i;
+            match core.state() {
+                CoreState::Fetch => fetch |= bit,
+                CoreState::Execute(instr) if is_batchable(instr) => {
+                    exec |= bit;
+                    if instr.op_class() == OpClass::Mem {
+                        exec_mem |= bit;
+                    }
+                }
+                CoreState::Sleeping => asleep |= bit,
+                CoreState::Halted => continue,
+                CoreState::Execute(_) | CoreState::Held { .. } | CoreState::SyncIssued(_) => {
+                    return false
                 }
             }
-            if self.cycle == limit {
-                break;
-            }
-            pc = self.cores[members[0]].pc();
-            // A pure op moves the whole group to the next PC; a branch or
-            // an access may have split it.
-            if class != OpClass::Pure
-                && !members.iter().all(|&i| {
-                    let c = &self.cores[i];
-                    c.state() == CoreState::Fetch && c.pc() == pc
-                })
-            {
-                break;
-            }
-            match batchable(self.imem.peek(pc)) {
-                Some(next) => instr = next,
-                None => break,
+            if core.interrupt_ready() {
+                return false;
             }
         }
-        true
+        if fetch | exec == 0 {
+            return false;
+        }
+        let start = self.cycle;
+        let mut groups = [FetchGroup {
+            addr: 0,
+            members: 0,
+        }; 16];
+        let mut ops = [Instr::Nop; 16];
+        loop {
+            let mut k = 0;
+            let mut pending = fetch;
+            while pending != 0 {
+                let i = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let pc = self.cores[i].pc();
+                if let Some(g) = groups[..k].iter_mut().find(|g| g.addr == pc) {
+                    g.members |= 1 << i;
+                    continue;
+                }
+                let Some(op) = self.decoded.get(usize::from(pc)).copied().flatten() else {
+                    return self.cycle > start;
+                };
+                groups[k] = FetchGroup {
+                    addr: pc,
+                    members: 1 << i,
+                };
+                ops[k] = op;
+                k += 1;
+            }
+            if k == 1 && exec == 0 {
+                match self.batch_uniform(buf, groups[0], ops[0], asleep, limit) {
+                    Some((f, e)) => {
+                        (fetch, exec, exec_mem) = (f, e, e);
+                        continue;
+                    }
+                    None => return true,
+                }
+            }
+            self.cycle += 1;
+
+            // Fetch: whole groups granted or stalled.
+            let (mut fetched, mut fetched_mem) = (0u32, 0u32);
+            if k > 0 {
+                let width = groups[..k].iter().map(|g| g.members.count_ones());
+                self.lockstep
+                    .note_width(u64::from(width.max().unwrap_or(0)));
+                let mut served = self.ixbar.serve_groups(&groups[..k], &mut self.imem);
+                while served != 0 {
+                    let g = served.trailing_zeros() as usize;
+                    served &= served - 1;
+                    let (members, op) = (groups[g].members, ops[g]);
+                    fetched |= members;
+                    if op.op_class() == OpClass::Mem {
+                        fetched_mem |= members;
+                    }
+                    for_each_bit(members, |i| self.cores[i].on_fetch_granted_decoded(op));
+                }
+                for_each_bit(fetch & !fetched, |i| self.cores[i].note_fetch_stall());
+            }
+
+            // Execute: core-local ops complete, memory ops go through the
+            // D-Xbar.
+            for_each_bit(exec & !exec_mem, |i| self.cores[i].complete_execute(None));
+            let (mut mem_stalled, mut held) = (0u32, false);
+            if exec_mem != 0 {
+                buf.dm_reqs.clear();
+                for_each_bit(exec_mem, |i| {
+                    buf.dm_reqs.extend(dm_request(i, &self.cores[i]))
+                });
+                self.serve_data(buf);
+                mem_stalled = exec_mem;
+                for g in &buf.dm_outcome.grants {
+                    match *g {
+                        DmGrant::Complete { core, .. } => mem_stalled &= !(1 << core),
+                        DmGrant::Hold { .. } => held = true,
+                    }
+                }
+            }
+            for_each_bit(asleep, |i| self.cores[i].note_sleep());
+
+            if held || self.cycle == limit {
+                return true;
+            }
+            fetch = (fetch & !fetched) | (exec & !mem_stalled);
+            exec = fetched | mem_stalled;
+            exec_mem = fetched_mem | mem_stalled;
+        }
+    }
+
+    /// The batch's uniform case: every awake core fetches the op at one
+    /// PC and none executes. Runs fetch/execute pairs, each op's width
+    /// and grant known up front, while the group stays together. Returns
+    /// `None` where the batch ends, or the fetch and (memory) execute
+    /// masks once a memory stall or a branch splits the group.
+    fn batch_uniform(
+        &mut self,
+        buf: &mut CycleBuffers,
+        mut group: FetchGroup,
+        mut op: Instr,
+        asleep: u32,
+        limit: u64,
+    ) -> Option<(u32, u32)> {
+        let members = group.members;
+        let width = u64::from(members.count_ones());
+        loop {
+            self.cycle += 1;
+            self.lockstep.note_width(width);
+            self.ixbar
+                .serve_groups(std::slice::from_ref(&group), &mut self.imem);
+            for_each_bit(members, |i| self.cores[i].on_fetch_granted_decoded(op));
+            for_each_bit(asleep, |i| self.cores[i].note_sleep());
+            if self.cycle == limit {
+                return None;
+            }
+            self.cycle += 1;
+            let class = op.op_class();
+            if class == OpClass::Mem {
+                buf.dm_reqs.clear();
+                for_each_bit(members, |i| {
+                    buf.dm_reqs.extend(dm_request(i, &self.cores[i]))
+                });
+                self.serve_data(buf);
+            } else {
+                for_each_bit(members, |i| self.cores[i].complete_execute(None));
+            }
+            for_each_bit(asleep, |i| self.cores[i].note_sleep());
+            if self.cycle == limit {
+                return None;
+            }
+            if class == OpClass::Mem {
+                let mut completed = 0u32;
+                for g in &buf.dm_outcome.grants {
+                    match *g {
+                        DmGrant::Complete { core, .. } => completed |= 1 << core,
+                        DmGrant::Hold { .. } => return None,
+                    }
+                }
+                if completed != members {
+                    return Some((completed, members & !completed));
+                }
+            }
+            let pc = if class == OpClass::Control {
+                let pc = self.cores[members.trailing_zeros() as usize].pc();
+                let mut split = false;
+                for_each_bit(members, |i| split |= self.cores[i].pc() != pc);
+                if split {
+                    return Some((members, 0));
+                }
+                pc
+            } else {
+                group.addr.wrapping_add(1)
+            };
+            group.addr = pc;
+            op = self.decoded.get(usize::from(pc)).copied().flatten()?;
+        }
     }
 
     /// A deadlock: no core can make progress again — every non-halted core
@@ -852,24 +1010,33 @@ impl Platform {
     /// the checkpoint (on this platform or a fresh one) is bit-identical
     /// to never pausing.
     pub fn snapshot(&self) -> Checkpoint {
-        Checkpoint {
-            config: self.cfg.clone(),
-            cycle: self.cycle,
-            fault: self.fault,
-            cores: self.cores.iter().map(Core::save).collect(),
-            imem: self.imem.save(),
-            dmem: self.dmem.save(),
-            ixbar: self.ixbar.save(),
-            dxbar: self.dxbar.save(),
-            sync: self.sync.as_ref().map(Synchronizer::save),
-            lockstep_sum: self.lockstep.sum(),
-            lockstep_cycles: self.lockstep.cycles(),
-            observers: self
-                .attached
+        let mut ckpt = Checkpoint::default();
+        self.snapshot_into(&mut ckpt);
+        ckpt
+    }
+
+    /// [`Platform::snapshot`] into an existing checkpoint, overwriting all
+    /// of it and reusing its memory images' allocations, so a caller that
+    /// snapshots repeatedly does not allocate and free them every time.
+    pub fn snapshot_into(&self, ckpt: &mut Checkpoint) {
+        ckpt.config.clone_from(&self.cfg);
+        ckpt.cycle = self.cycle;
+        ckpt.fault = self.fault;
+        ckpt.cores.clear();
+        ckpt.cores.extend(self.cores.iter().map(Core::save));
+        self.imem.save_into(&mut ckpt.imem);
+        self.dmem.save_into(&mut ckpt.dmem);
+        ckpt.ixbar = self.ixbar.save();
+        ckpt.dxbar = self.dxbar.save();
+        ckpt.sync = self.sync.as_ref().map(Synchronizer::save);
+        ckpt.lockstep_sum = self.lockstep.sum();
+        ckpt.lockstep_cycles = self.lockstep.cycles();
+        ckpt.observers.clear();
+        ckpt.observers.extend(
+            self.attached
                 .iter()
-                .filter_map(|(_, o)| o.save_state().map(|state| (o.label().to_string(), state)))
-                .collect(),
-        }
+                .filter_map(|(_, o)| o.save_state().map(|state| (o.label().to_string(), state))),
+        );
     }
 
     /// Builds a fresh platform in the checkpointed state. The platform
@@ -943,6 +1110,17 @@ impl Platform {
                 what: "instruction memory",
             });
         }
+        // The table spans the words up to the last non-zero one; the
+        // zero words past it are left to the interpreter, like any word
+        // outside the table.
+        let words = &ckpt.imem.words;
+        let end = words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |last| last + 1);
+        self.decoded.clear();
+        self.decoded
+            .extend(words[..end].iter().map(|&word| batchable(word)));
         if !self.dmem.load_snapshot(&ckpt.dmem) {
             return Err(RestoreError::Corrupt {
                 what: "data memory",
@@ -1002,15 +1180,18 @@ fn dm_request(i: usize, core: &Core) -> Option<DmRequest> {
     })
 }
 
-/// The decoded op if `word` may run inside a lockstep batch: any op the
-/// group can execute without the synchronizer ([`OpClass::Boundary`] is
-/// left out) that cannot enable interrupts. A run polls interrupts once
-/// per cycle, but a batch only once, at its start; after that poll no
-/// core has an interrupt both pending and enabled, and with `EI`, `WRSR`
-/// and `IRET` left to the interpreter none becomes enabled inside the
-/// batch either.
+/// The decoded op if `word` may run inside a batch (see [`is_batchable`]).
 fn batchable(word: u16) -> Option<Instr> {
-    let instr = decode(word).ok()?;
+    decode(word).ok().filter(|&instr| is_batchable(instr))
+}
+
+/// Whether `instr` may run inside a batch: any op the cores can execute
+/// without the synchronizer ([`OpClass::Boundary`] is left out) that
+/// cannot enable interrupts. A run polls interrupts once per cycle, but a
+/// batch only once, at its start; after that poll no awake core has an
+/// interrupt both pending and enabled, and with `EI`, `WRSR` and `IRET`
+/// left to the interpreter none becomes enabled inside the batch either.
+fn is_batchable(instr: Instr) -> bool {
     let enables_irq = matches!(
         instr,
         Instr::Csr {
@@ -1018,7 +1199,16 @@ fn batchable(word: u16) -> Option<Instr> {
             ..
         }
     );
-    (instr.op_class() != OpClass::Boundary && !enables_irq).then_some(instr)
+    instr.op_class() != OpClass::Boundary && !enables_irq
+}
+
+/// Calls `f` with the index of every set bit of `mask`, lowest first.
+#[inline]
+fn for_each_bit(mut mask: u32, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
 }
 
 #[cfg(test)]

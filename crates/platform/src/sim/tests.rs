@@ -577,10 +577,23 @@ fn lockstep_batch_stops_at_its_limit_mid_op() {
 }
 
 #[test]
-fn lockstep_batch_declines_on_diverged_pcs() {
+fn batch_runs_cores_diverged_across_pcs() {
+    // Core 3 starts one op ahead: two fetch groups in one IM bank, served
+    // one per cycle, then apart in phase until the `halt`.
+    let diverge = |p: &mut Platform| p.core_mut(3).set_pc(1);
+    for with_sync in [true, false] {
+        let advanced = batch_matches_a_step_loop_with(with_sync, PURE_LOOP_SRC, diverge);
+        assert!(advanced > 30, "{advanced}");
+    }
     let mut p = platform(true, PURE_LOOP_SRC);
-    p.core_mut(3).set_pc(1);
-    assert_eq!(fast_step(&mut p, u64::MAX), 1);
+    diverge(&mut p);
+    fast_step(&mut p, u64::MAX);
+    let s = p.stats();
+    assert!(
+        s.ixbar.conflict_cycles > 0,
+        "the two groups met in the I-Xbar"
+    );
+    assert!(s.avg_lockstep_width() < 8.0);
 }
 
 #[test]
@@ -634,9 +647,21 @@ fn lockstep_batch_runs_loads_stores_and_branches() {
 /// batch and again once both have run to completion, and returns how
 /// many cycles the batch advanced.
 fn batch_matches_a_step_loop(with_sync: bool, src: &str) -> u64 {
+    batch_matches_a_step_loop_with(with_sync, src, |_| {})
+}
+
+/// [`batch_matches_a_step_loop`] with `setup` applied to both platforms
+/// after loading.
+fn batch_matches_a_step_loop_with(
+    with_sync: bool,
+    src: &str,
+    setup: impl Fn(&mut Platform),
+) -> u64 {
     let mut fast = platform(with_sync, src);
+    setup(&mut fast);
     let advanced = fast_step(&mut fast, u64::MAX);
     let mut stepped = platform(with_sync, src);
+    setup(&mut stepped);
     for _ in 0..advanced {
         stepped.step();
     }
@@ -650,26 +675,39 @@ fn batch_matches_a_step_loop(with_sync: bool, src: &str) -> u64 {
 }
 
 #[test]
-fn lockstep_batch_ends_after_a_same_bank_store_conflict() {
-    // Eight different words of DM bank 0: one store is served, the other
-    // seven stall (baseline) or wait beside a held core (SyncAware).
+fn batch_serves_a_same_bank_store_conflict_like_a_step_loop() {
+    // Eight different words of DM bank 0: one store is served per cycle.
+    // SyncAware holds the first served core, which ends the batch: the
+    // interpreter serves held groups. The baseline lets each served core
+    // run on, so the batch goes on with the group split (served cores
+    // fetching beside stalled ones) until core 0 reaches the `halt`.
     let src = "
         rdid r1
         st   r1, [r1]
         nop
         halt";
-    for with_sync in [true, false] {
-        assert_eq!(batch_matches_a_step_loop(with_sync, src), 4);
-        let mut p = platform(with_sync, src);
-        fast_step(&mut p, u64::MAX);
-        let s = p.stats();
-        assert_eq!(s.dxbar.conflict_cycles, 1);
-        assert_eq!(s.dxbar.stalls, 7);
-        assert_eq!(s.dxbar.holds, u64::from(with_sync));
-        assert_eq!(p.core(0).state() == CoreState::Fetch, !with_sync);
-        assert!((1..8).all(|i| matches!(p.core(i).state(), CoreState::Execute(_))));
-        assert_eq!(fast_step(&mut p, u64::MAX), 1, "the group has split");
-    }
+    assert_eq!(batch_matches_a_step_loop(true, src), 4);
+    let mut p = platform(true, src);
+    fast_step(&mut p, u64::MAX);
+    let s = p.stats();
+    assert_eq!(
+        (s.dxbar.conflict_cycles, s.dxbar.stalls, s.dxbar.holds),
+        (1, 7, 1)
+    );
+    assert!(matches!(p.core(0).state(), CoreState::Held { .. }));
+    assert!((1..8).all(|i| matches!(p.core(i).state(), CoreState::Execute(_))));
+    assert_eq!(fast_step(&mut p, u64::MAX), 1, "held cores are interpreted");
+
+    assert_eq!(batch_matches_a_step_loop(false, src), 6);
+    let mut p = platform(false, src);
+    fast_step(&mut p, u64::MAX);
+    let s = p.stats();
+    assert_eq!(
+        (s.dxbar.conflict_cycles, s.dxbar.stalls, s.dxbar.holds),
+        (3, 18, 0)
+    );
+    assert_eq!(p.core(0).pc(), 3, "core 0 fetches the halt next");
+    assert!((3..8).all(|i| matches!(p.core(i).state(), CoreState::Execute(_))));
 }
 
 #[test]
@@ -751,4 +789,240 @@ isr:    movi r3, #3
     assert_eq!(machine(&fast), machine(&stepped));
     assert_eq!(fast.core(2).reg(Reg::R3), 3, "handler ran");
     assert_eq!(fast.core(2).stats().interrupts, 1);
+}
+
+#[test]
+fn batch_ends_before_a_group_fetches_an_op_it_cannot_batch() {
+    // After the `beq`, core 5 waits at a `halt` beside the other seven
+    // cores' loop: the batch ends before the cycle that fetches it.
+    let src = "
+        rdid r1
+        movi r2, #4
+        cmpi r1, #5
+        beq  park
+loop:   addi r2, #-1
+        bne  loop
+        halt
+park:   halt";
+    for with_sync in [true, false] {
+        assert_eq!(batch_matches_a_step_loop(with_sync, src), 8);
+        let mut p = platform(with_sync, src);
+        fast_step(&mut p, u64::MAX);
+        assert_eq!(p.core(5).pc(), 7);
+        assert_eq!(fast_step(&mut p, u64::MAX), 1, "the halt is interpreted");
+    }
+}
+
+#[test]
+fn batch_ends_after_a_hold_with_the_cores_split_across_pcs() {
+    // Cores 0-3 store to four words of DM bank 0 while cores 4-7 run
+    // nops: SyncAware holds the first served store, mid-way through a
+    // cycle with two groups, and the batch ends there.
+    let src = "
+        rdid r1
+        mov  r2, r1
+        shr  r2, #2
+        cmpi r2, #0
+        beq  low
+        nop
+        nop
+        halt
+low:    st   r1, [r1]
+        halt";
+    let advanced = batch_matches_a_step_loop(true, src);
+    let mut p = platform(true, src);
+    assert_eq!(fast_step(&mut p, u64::MAX), advanced);
+    assert_eq!(p.stats().dxbar.holds, 1);
+    let held = (0..4)
+        .filter(|&i| matches!(p.core(i).state(), CoreState::Held { .. }))
+        .count();
+    assert_eq!(held, 1);
+    assert!((4..8).all(|i| p.core(i).pc() > 4), "the nop group ran too");
+    // The baseline serves the conflict without holding; the served core
+    // then meets the `halt`, which ends the batch on the same cycle.
+    assert_eq!(batch_matches_a_step_loop(false, src), advanced);
+}
+
+#[test]
+fn batch_stops_at_an_odd_limit_with_the_cores_split_across_pcs() {
+    for limit in [5, 7, 13, 29] {
+        let mut fast = platform(false, PURE_LOOP_SRC);
+        let mut stepped = platform(false, PURE_LOOP_SRC);
+        for p in [&mut fast, &mut stepped] {
+            p.core_mut(3).set_pc(1);
+        }
+        assert_eq!(fast_step(&mut fast, limit), limit);
+        for _ in 0..limit {
+            stepped.step();
+        }
+        assert_eq!(machine(&fast), machine(&stepped), "limit {limit}");
+        assert!(
+            (0..8).any(|i| matches!(fast.core(i).state(), CoreState::Execute(_))),
+            "limit {limit} ends between a fetch and its execute"
+        );
+        fast.run().unwrap();
+        while !stepped.all_halted() {
+            stepped.step();
+        }
+        assert_eq!(machine(&fast), machine(&stepped), "limit {limit}");
+    }
+}
+
+#[test]
+fn a_sleeper_with_a_disabled_interrupt_pending_rides_the_batch() {
+    // Core 2 sleeps with its interrupt raised but not enabled, so nothing
+    // can wake it: the batch charges it a sleep cycle per cycle while the
+    // other seven cores spin. With no wake-up left the run deadlocks, on
+    // the same cycle as a step loop.
+    let src = "
+        rdid r1
+        cmpi r1, #2
+        bne  run
+        sleep
+        halt
+run:    movi r3, #20
+spin:   addi r3, #-1
+        bne  spin
+        halt";
+    let mut fast = platform(true, src);
+    fast.raise_irq(2);
+    while !fast.core(2).is_sleeping() {
+        fast_step(&mut fast, u64::MAX);
+    }
+    let advanced = fast_step(&mut fast, u64::MAX);
+    assert!(advanced > 40, "the spin loop is one batch: {advanced}");
+    let mut stepped = platform(true, src);
+    stepped.raise_irq(2);
+    while stepped.cycle() < fast.cycle() {
+        stepped.step();
+    }
+    assert_eq!(machine(&fast), machine(&stepped));
+    assert!(fast.core(2).stats().sleep_cycles >= advanced);
+
+    let err = fast.run().unwrap_err();
+    while !(0..8).all(|i| stepped.core(i).is_halted() || stepped.core(i).is_sleeping()) {
+        stepped.step();
+    }
+    assert_eq!(
+        err,
+        PlatformError::Deadlock {
+            cycle: stepped.cycle()
+        }
+    );
+    assert_eq!(machine(&fast), machine(&stepped));
+}
+
+#[test]
+fn an_illegal_word_as_one_groups_next_op_faults_on_the_step_loops_cycle() {
+    // Core 6 branches to an illegal word while the others run on: the
+    // batch leaves that fetch to the interpreter, which faults on it.
+    let src = "
+        rdid r1
+        cmpi r1, #6
+        beq  bad
+        nop
+        nop
+        halt
+bad:    .word 0xF800";
+    for with_sync in [true, false] {
+        let mut fast = platform(with_sync, src);
+        let err = fast.run().unwrap_err();
+        let mut stepped = platform(with_sync, src);
+        while !stepped.core(6).is_halted() {
+            stepped.step();
+        }
+        assert_eq!(
+            err,
+            PlatformError::CoreFault {
+                core: 6,
+                error: ulp_cpu::CoreError::IllegalInstruction {
+                    pc: 6,
+                    word: 0xF800
+                }
+            }
+        );
+        assert_eq!(machine(&fast), machine(&stepped));
+    }
+}
+
+// ---- the decoded-op table ------------------------------------------------
+
+#[test]
+fn load_im_over_a_loaded_program_replaces_its_ops() {
+    // The loop's `addi r2, #1` becomes `addi r2, #3` after the program is
+    // loaded: the batch must run the new word, as the step loop does.
+    let patch = ulp_isa::encode(ulp_isa::Instr::AddI {
+        rd: Reg::R2,
+        imm: 3,
+    })
+    .unwrap();
+    let mut fast = platform(true, PURE_LOOP_SRC);
+    let mut stepped = platform(true, PURE_LOOP_SRC);
+    for p in [&mut fast, &mut stepped] {
+        p.load_im(2, &[patch]);
+    }
+    fast.run().unwrap();
+    while !stepped.all_halted() {
+        stepped.step();
+    }
+    assert_eq!(machine(&fast), machine(&stepped));
+    assert_eq!(fast.core(0).reg(Reg::R2), 9, "three rounds of +3");
+}
+
+#[test]
+fn restore_from_adopts_the_checkpointed_program() {
+    // Program A's checkpoint restored onto a platform that has program B
+    // loaded (and run): the rest of the run is A's, batched from A's ops.
+    // B spans A's whole image with other ops, so a table left over from
+    // B would run them.
+    let mut a = platform(true, DIVERGENT_SRC);
+    let mut uninterrupted = platform(true, DIVERGENT_SRC);
+    uninterrupted.run().unwrap();
+    assert!(a.run_until(300).unwrap() == RunProgress::Paused);
+    let ckpt = a.snapshot();
+
+    let mut b = platform(true, &format!("{}halt", "addi r7, #1\n".repeat(64)));
+    b.run().unwrap();
+    b.restore_from(&ckpt).unwrap();
+    b.run().unwrap();
+    assert_eq!(machine(&b), machine(&uninterrupted));
+}
+
+#[test]
+fn reset_forgets_the_old_program_ops() {
+    // After a reset, a one-word program runs into zeroed IM (NOPs): the
+    // old program's `addi`s must not run from the table.
+    let mut fast = platform(true, PURE_LOOP_SRC);
+    fast.run().unwrap();
+    fast.reset();
+    fast.set_max_cycles(200);
+    let mut stepped = Platform::new(PlatformConfig::paper(true).with_max_cycles(200)).unwrap();
+    let movi = ulp_isa::encode(ulp_isa::Instr::MovI {
+        rd: Reg::R2,
+        imm: 5,
+    })
+    .unwrap();
+    for p in [&mut fast, &mut stepped] {
+        p.load_im(0, &[movi]);
+    }
+    let err = fast.run().unwrap_err();
+    assert!(matches!(err, PlatformError::Timeout { budget: 200 }));
+    while stepped.cycle() < 200 {
+        stepped.step();
+    }
+    assert_eq!(machine(&fast), machine(&stepped));
+    assert_eq!(fast.core(0).reg(Reg::R2), 5);
+}
+
+#[test]
+fn snapshot_into_a_used_checkpoint_equals_a_fresh_snapshot() {
+    let mut p = platform(true, DIVERGENT_SRC);
+    let mut ckpt = p.snapshot();
+    let mut other = platform(false, PURE_LOOP_SRC);
+    other.run().unwrap();
+    other.snapshot_into(&mut ckpt);
+    assert_eq!(ckpt, other.snapshot());
+    p.run_until(500).unwrap();
+    p.snapshot_into(&mut ckpt);
+    assert_eq!(ckpt, p.snapshot());
 }

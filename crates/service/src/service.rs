@@ -1562,6 +1562,8 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
     // dominant allocations (memories, cycle buffers) happen at most once
     // per key per worker.
     let mut cache: HashMap<(bool, usize), Platform> = HashMap::new();
+    // Checkpoint buffers the worker snapshots into (see `recycle`).
+    let mut spares: Vec<Checkpoint> = Vec::new();
     // The worker's recording handle, resolved once: each event is then a
     // clock read and a lock-free ring push (or one branch when disabled).
     let track = shared.telemetry.track(worker_track(me));
@@ -1679,7 +1681,7 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
         if job.spec.checkpoint_every.is_some() {
             *shared.inflight[me].lock().expect("inflight lock") = Some(job.clone());
         }
-        let (cache_hit, run) = run_job(me, &job, &mut cache, shared, &track, tags);
+        let (cache_hit, run) = run_job(me, &job, &mut cache, &mut spares, shared, &track, tags);
         let registered = shared.inflight[me].lock().expect("inflight lock").take();
         let outcome = match run {
             Ok(Some(output)) => Ok(output),
@@ -1701,6 +1703,7 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
                 continue;
             }
         };
+        recycle(&mut spares, registered.and_then(|job| job.resume));
         let run_time = run_start.elapsed();
         track.record(EventKind::RunEnd, tags.0, tags.1, tags.2);
         shared.metrics.run_us.observe(run_time.as_micros() as u64);
@@ -1819,6 +1822,20 @@ fn cached_platform<'c>(
     }
 }
 
+/// Keeps a checkpoint the in-flight registry let go of as a buffer for
+/// the worker's next snapshot, when no one else holds it (a migrated
+/// job's resume point may still be shared). Two suffice: one being
+/// filled while the registry holds the other. Reusing them keeps the
+/// ~160 KB memory images from being freed and allocated again around
+/// every snapshot.
+fn recycle(spares: &mut Vec<Checkpoint>, ckpt: Option<Arc<Checkpoint>>) {
+    if let Some(ckpt) = ckpt.and_then(Arc::into_inner) {
+        if spares.len() < 2 {
+            spares.push(ckpt);
+        }
+    }
+}
+
 /// Runs one job on the worker's cached platform — the only job run path.
 /// The selected observer is [attached](Platform::attach), so every
 /// checkpoint captures its state, and detached again on every exit, so
@@ -1827,15 +1844,16 @@ fn cached_platform<'c>(
 /// checkpoint instead of starting over.
 ///
 /// A job with a [`JobSpec::checkpoint_every`] cadence snapshots the
-/// platform every that many cycles, keeps the pool's in-flight registry
-/// pointed at the latest checkpoint, and parks (`Ok(None)`) when the
-/// worker is marked for failure or urgent work is queued pool-wide. A
-/// job without one never checkpoints. Results are bit-identical either
-/// way.
+/// platform every that many cycles, into a buffer from `spares`, keeps
+/// the pool's in-flight registry pointed at the latest checkpoint, and
+/// parks (`Ok(None)`) when the worker is marked for failure or urgent
+/// work is queued pool-wide. A job without one never checkpoints.
+/// Results are bit-identical either way.
 fn run_job(
     me: usize,
     job: &QueuedJob,
     cache: &mut HashMap<(bool, usize), Platform>,
+    spares: &mut Vec<Checkpoint>,
     shared: &Shared,
     track: &Track,
     tags: (u64, u32, u8),
@@ -1871,7 +1889,10 @@ fn run_job(
         track.record(EventKind::Restored, tags.0, tags.1, tags.2);
     }
     track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
-    let on_checkpoint = |ckpt: Checkpoint| {
+    let mut blob = Vec::new();
+    let on_checkpoint = |platform: &Platform| {
+        let mut ckpt = spares.pop().unwrap_or_default();
+        platform.snapshot_into(&mut ckpt);
         shared.metrics.checkpoints_taken.inc();
         shared.metrics.checkpoint_cycles.observe(ckpt.cycle);
         track.record(EventKind::Snapshot, tags.0, tags.1, tags.2);
@@ -1879,14 +1900,17 @@ fn run_job(
         // and restart tooling; migration itself rides the in-memory
         // checkpoint, so a full disk must not fail the job.
         if let Some(dir) = &shared.checkpoint_dir {
-            let _ = std::fs::write(dir.join(format!("job-{}.ckpt", tags.0)), ckpt.to_bytes());
+            ckpt.to_bytes_into(&mut blob);
+            let _ = std::fs::write(dir.join(format!("job-{}.ckpt", tags.0)), &blob);
         }
         let ckpt = Arc::new(ckpt);
-        if let Ok(mut slot) = shared.inflight[me].lock() {
-            if let Some(inflight) = slot.as_mut() {
-                inflight.resume = Some(ckpt);
-            }
-        }
+        let replaced = match shared.inflight[me].lock() {
+            Ok(mut slot) => slot
+                .as_mut()
+                .and_then(|inflight| inflight.resume.replace(ckpt)),
+            Err(_) => None,
+        };
+        recycle(spares, replaced);
         let killed = shared.kill_flags[me].load(Ordering::Relaxed);
         // Cooperative yield: a non-urgent job parks (a bounded number of
         // times) when urgent work is queued anywhere in the pool, so a
@@ -2010,6 +2034,21 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
+    /// Only checkpoints no one else holds become spares, and at most two.
+    #[test]
+    fn recycle_keeps_two_unshared_checkpoints() {
+        let mut spares = Vec::new();
+        let shared = Arc::new(Checkpoint::default());
+        let _other_holder = shared.clone();
+        recycle(&mut spares, Some(shared));
+        recycle(&mut spares, None);
+        assert!(spares.is_empty(), "a shared checkpoint is not reused");
+        for _ in 0..3 {
+            recycle(&mut spares, Some(Arc::new(Checkpoint::default())));
+        }
+        assert_eq!(spares.len(), 2);
+    }
+
     /// The one run path, called directly on one worker cache: for every
     /// observer selection a checkpointed run equals a plain one (stats,
     /// outputs and artifacts), a parked run resumed from its registry
@@ -2024,6 +2063,7 @@ mod tests {
         let shared = &*service.shared;
         let track = shared.telemetry.track(worker_track(0));
         let mut cache = HashMap::new();
+        let mut spares = Vec::new();
         let workload = Arc::new(WorkloadConfig::quick_test());
         let mut short = WorkloadConfig::quick_test();
         short.max_cycles = 100;
@@ -2046,7 +2086,7 @@ mod tests {
             let spec = JobSpec::new(Benchmark::Mrpfltr, 2, workload.clone()).observers(observers);
             // The job's outcome, and how many observers it left attached.
             let mut run = |job: &QueuedJob| {
-                let outcome = run_job(0, job, &mut cache, shared, &track, (0, 0, 0)).1;
+                let outcome = run_job(0, job, &mut cache, &mut spares, shared, &track, (0, 0, 0)).1;
                 (outcome, cache[&(true, 2)].attached_observers())
             };
 

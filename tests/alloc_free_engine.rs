@@ -3,9 +3,10 @@
 //! growth phase, then step it for thousands of cycles — through fetches,
 //! bank conflicts, synchronizer barriers, sleeps and wakes — and assert
 //! the allocation count does not move. The same holds for `run_until`
-//! slices over a lockstep loop and over a loaded paper kernel, which run
-//! on the lockstep fast path (the kernel's batches carry loads, stores
-//! and branches).
+//! slices over a lockstep loop and over loaded paper kernels, which run
+//! on the batched fast path: the sync kernel's batches carry loads,
+//! stores and branches beside barrier sleepers, and the baseline
+//! kernel's carry cores split across several PCs.
 //!
 //! This file holds exactly one test, so no concurrent test can pollute
 //! the counter.
@@ -188,5 +189,39 @@ fn steady_state_step_performs_zero_heap_allocations() {
         stats.lockstep_width_sum - start.lockstep_width_sum
             > 7 * (stats.lockstep_width_cycles - start.lockstep_width_cycles),
         "the kernel ran mostly in lockstep"
+    );
+
+    // The same kernel on the baseline design: data-dependent divergence
+    // splits the eight cores across PCs, so the batch runs several fetch
+    // groups per cycle, contending for one IM bank.
+    let cfg = PlatformConfig::paper_without_sync().with_max_cycles(workload.max_cycles);
+    let mut platform = Platform::new(cfg).expect("valid config");
+    let parked =
+        run_benchmark_reusing(Benchmark::Mrpdln, &mut platform, &workload, None, 1, |_| {
+            CheckpointControl::Park
+        })
+        .expect("kernel loads");
+    assert!(parked.is_none(), "parked after its first cycle");
+    run_slice(&mut platform, 100_000);
+    let start = platform.stats();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for len in [1, 2, 3, 997, 2_000, 6_997, 30_000] {
+        run_slice(&mut platform, len);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "Platform::run_until allocated in steady state on a diverged kernel"
+    );
+    let stats = platform.stats();
+    assert!(
+        stats.ixbar.conflict_cycles > start.ixbar.conflict_cycles,
+        "fetch groups met in the I-Xbar"
+    );
+    assert!(
+        stats.lockstep_width_sum - start.lockstep_width_sum
+            < 7 * (stats.lockstep_width_cycles - start.lockstep_width_cycles),
+        "the cores ran split across PCs"
     );
 }
