@@ -926,30 +926,29 @@ impl Platform {
             }
             self.cycle += 1;
             let class = op.op_class();
+            let (mut completed, mut held) = (members, false);
             if class == OpClass::Mem {
                 buf.dm_reqs.clear();
                 for_each_bit(members, |i| {
                     buf.dm_reqs.extend(dm_request(i, &self.cores[i]))
                 });
                 self.serve_data(buf);
+                completed = 0;
+                for g in &buf.dm_outcome.grants {
+                    match *g {
+                        DmGrant::Complete { core, .. } => completed |= 1 << core,
+                        DmGrant::Hold { .. } => held = true,
+                    }
+                }
             } else {
                 for_each_bit(members, |i| self.cores[i].complete_execute(None));
             }
             for_each_bit(asleep, |i| self.cores[i].note_sleep());
-            if self.cycle == limit {
+            if held || self.cycle == limit {
                 return None;
             }
-            if class == OpClass::Mem {
-                let mut completed = 0u32;
-                for g in &buf.dm_outcome.grants {
-                    match *g {
-                        DmGrant::Complete { core, .. } => completed |= 1 << core,
-                        DmGrant::Hold { .. } => return None,
-                    }
-                }
-                if completed != members {
-                    return Some((completed, members & !completed));
-                }
+            if completed != members {
+                return Some((completed, members & !completed));
             }
             let pc = if class == OpClass::Control {
                 let pc = self.cores[members.trailing_zeros() as usize].pc();
