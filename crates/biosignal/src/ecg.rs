@@ -90,14 +90,21 @@ const WAVES: [(f64, f64, f64); 5] = [
     (0.30, 0.070, 0.250),   // T
 ];
 
+/// Uniform draws behind one [`gauss`] deviate.
+const GAUSS_DRAWS: u64 = 12;
+
 /// Approximately standard-normal deviate (Irwin–Hall sum of 12 uniforms).
 fn gauss(rng: &mut StdRng) -> f64 {
     let mut s = 0.0;
-    for _ in 0..12 {
+    for _ in 0..GAUSS_DRAWS {
         s += rng.gen::<f64>();
     }
     s - 6.0
 }
+
+/// How far the ground-truth R apex may lie from its nominal R centre,
+/// in samples.
+const APEX_REACH: usize = 3;
 
 /// Generates one synthetic ECG channel.
 ///
@@ -113,79 +120,18 @@ fn gauss(rng: &mut StdRng) -> f64 {
 /// assert_eq!(sig, generate(&EcgConfig::default(), 1000));
 /// ```
 pub fn generate(cfg: &EcgConfig, n: usize) -> EcgSignal {
-    // Two independent RNG streams: the beat grid is shared by every lead
-    // of a recording, noise and wander phase are lead-specific.
-    let mut beat_rng = StdRng::seed_from_u64(cfg.seed);
-    let mut noise_rng = StdRng::seed_from_u64(cfg.noise_seed);
-    let mut samples = vec![0f64; n];
-    let mut nominal_peaks = Vec::new();
-
-    // Place beats on a jittered RR grid covering the window.
-    let rr_nominal = 60.0 / cfg.heart_rate_bpm;
-    let mut t_beat = 0.3 * rr_nominal; // first R inside the window
-    let t_end = n as f64 / cfg.fs;
-    while t_beat < t_end + 0.5 {
-        let r_idx = (t_beat * cfg.fs).round() as usize;
-        if r_idx < n {
-            nominal_peaks.push(r_idx);
-        }
-        for (amp, width, offset) in WAVES {
-            let centre = t_beat + offset;
-            let lo = ((centre - 4.0 * width) * cfg.fs).floor().max(0.0) as usize;
-            let hi = (((centre + 4.0 * width) * cfg.fs).ceil() as usize).min(n);
-            for (i, s) in samples.iter_mut().enumerate().take(hi).skip(lo) {
-                let t = i as f64 / cfg.fs;
-                let z = (t - centre) / width;
-                *s += cfg.amplitude * amp * (-0.5 * z * z).exp();
-            }
-        }
-        let jitter = 1.0 + cfg.hr_variability * gauss(&mut beat_rng) / 3.0;
-        t_beat += rr_nominal * jitter.clamp(0.5, 1.5);
-    }
-
-    // Ground truth: the apex of the *clean* beat (overlapping Q/S/T waves
-    // can shift it a sample off the nominal R centre).
-    let polarity = if cfg.amplitude < 0.0 { -1.0 } else { 1.0 };
-    let r_peaks: Vec<usize> = nominal_peaks
-        .iter()
-        .map(|&r| {
-            let lo = r.saturating_sub(3);
-            let hi = (r + 3).min(n - 1);
-            (lo..=hi)
-                .max_by(|&a, &b| {
-                    (polarity * samples[a])
-                        .partial_cmp(&(polarity * samples[b]))
-                        .expect("finite samples")
-                })
-                .unwrap_or(r)
-        })
-        .collect();
-
-    // Baseline wander and noise.
-    let phase = noise_rng.gen::<f64>() * std::f64::consts::TAU;
-    for (i, s) in samples.iter_mut().enumerate() {
-        let t = i as f64 / cfg.fs;
-        *s += cfg.baseline_wander * (std::f64::consts::TAU * cfg.wander_freq * t + phase).sin();
-        *s += cfg.noise_rms * gauss(&mut noise_rng);
-    }
-
-    EcgSignal {
-        samples: samples
-            .into_iter()
-            .map(|v| v.round().clamp(-2047.0, 2047.0) as i16)
-            .collect(),
-        r_peaks,
-    }
+    synthesize(cfg, n, 0..n)
 }
 
 /// Generates the window `range` of a `total`-sample recording.
 ///
-/// The full recording is synthesized (generation is deterministic and
-/// cheap next to simulating even one window) and the requested slice is
-/// cut out, so the returned samples are **bit-identical** to the
-/// corresponding region of `generate(cfg, total)` — the property the
-/// workload-sharding subsystem builds on. Ground-truth R peaks falling
-/// inside the window are kept, re-indexed relative to `range.start`.
+/// The samples are **bit-identical** to the corresponding region of
+/// `generate(cfg, total)` — the property the workload-sharding subsystem
+/// builds on — yet cost the window, not the recording: only the beat grid
+/// is walked over the whole recording (one RNG deviate per beat), the
+/// waves, wander and noise are evaluated for the window alone.
+/// Ground-truth R peaks falling inside the window are kept, re-indexed
+/// relative to `range.start`.
 ///
 /// # Panics
 ///
@@ -206,16 +152,86 @@ pub fn generate_window(cfg: &EcgConfig, total: usize, range: std::ops::Range<usi
         range.start <= range.end && range.end <= total,
         "window {range:?} outside recording of {total} samples"
     );
-    let full = generate(cfg, total);
-    EcgSignal {
-        samples: full.samples[range.clone()].to_vec(),
-        r_peaks: full
-            .r_peaks
-            .iter()
-            .filter(|&&r| range.contains(&r))
-            .map(|&r| r - range.start)
-            .collect(),
+    synthesize(cfg, total, range)
+}
+
+/// The window `range` of the `total`-sample recording of `cfg`. Every
+/// sample receives the same floating-point operations in the same order
+/// whatever the window, so windows tile the recording bit for bit.
+fn synthesize(cfg: &EcgConfig, total: usize, range: std::ops::Range<usize>) -> EcgSignal {
+    // Two independent RNG streams: the beat grid is shared by every lead
+    // of a recording, noise and wander phase are lead-specific.
+    let mut beat_rng = StdRng::seed_from_u64(cfg.seed);
+    let mut noise_rng = StdRng::seed_from_u64(cfg.noise_seed);
+
+    // The clean signal covers the window widened by twice the apex reach:
+    // an apex inside the window belongs to a nominal R at most
+    // APEX_REACH samples outside it, whose search looks APEX_REACH
+    // further.
+    let base = range.start.saturating_sub(2 * APEX_REACH);
+    let clean_end = (range.end + 2 * APEX_REACH).min(total);
+    let mut clean = vec![0f64; clean_end - base];
+    let mut nominal_peaks = Vec::new();
+
+    // Place beats on a jittered RR grid covering the recording.
+    let rr_nominal = 60.0 / cfg.heart_rate_bpm;
+    let mut t_beat = 0.3 * rr_nominal; // first R inside the recording
+    let t_end = total as f64 / cfg.fs;
+    while t_beat < t_end + 0.5 {
+        let r_idx = (t_beat * cfg.fs).round() as usize;
+        if r_idx < total && r_idx + APEX_REACH >= range.start && r_idx < range.end + APEX_REACH {
+            nominal_peaks.push(r_idx);
+        }
+        for (amp, width, offset) in WAVES {
+            let centre = t_beat + offset;
+            let lo = ((centre - 4.0 * width) * cfg.fs).floor().max(0.0) as usize;
+            let hi = ((centre + 4.0 * width) * cfg.fs).ceil() as usize;
+            for i in lo.max(base)..hi.min(clean_end) {
+                let t = i as f64 / cfg.fs;
+                let z = (t - centre) / width;
+                clean[i - base] += cfg.amplitude * amp * (-0.5 * z * z).exp();
+            }
+        }
+        let jitter = 1.0 + cfg.hr_variability * gauss(&mut beat_rng) / 3.0;
+        t_beat += rr_nominal * jitter.clamp(0.5, 1.5);
     }
+
+    // Ground truth: the apex of the *clean* beat (overlapping Q/S/T waves
+    // can shift it a sample off the nominal R centre).
+    let polarity = if cfg.amplitude < 0.0 { -1.0 } else { 1.0 };
+    let r_peaks: Vec<usize> = nominal_peaks
+        .iter()
+        .map(|&r| {
+            let lo = r.saturating_sub(APEX_REACH);
+            let hi = (r + APEX_REACH).min(total - 1);
+            (lo..=hi)
+                .max_by(|&a, &b| {
+                    (polarity * clean[a - base])
+                        .partial_cmp(&(polarity * clean[b - base]))
+                        .expect("finite samples")
+                })
+                .unwrap_or(r)
+        })
+        .filter(|r| range.contains(r))
+        .map(|r| r - range.start)
+        .collect();
+
+    // Baseline wander and noise: the phase is the stream's first draw,
+    // then every sample takes one deviate, so the window's noise starts
+    // GAUSS_DRAWS draws per earlier sample further on.
+    let phase = noise_rng.gen::<f64>() * std::f64::consts::TAU;
+    noise_rng.advance(GAUSS_DRAWS * range.start as u64);
+    let samples = range
+        .map(|i| {
+            let mut s = clean[i - base];
+            let t = i as f64 / cfg.fs;
+            s += cfg.baseline_wander * (std::f64::consts::TAU * cfg.wander_freq * t + phase).sin();
+            s += cfg.noise_rms * gauss(&mut noise_rng);
+            s.round().clamp(-2047.0, 2047.0) as i16
+        })
+        .collect();
+
+    EcgSignal { samples, r_peaks }
 }
 
 /// Generates a multi-channel recording: `channels` leads of the same heart
@@ -272,6 +288,8 @@ fn lead_config(cfg: &EcgConfig, ch: usize) -> EcgConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::ops::Range;
 
     #[test]
     fn deterministic_per_seed() {
@@ -384,6 +402,110 @@ mod tests {
                     .collect();
                 assert_eq!(w.r_peaks, expected, "ch {ch} range {range:?}");
             }
+        }
+    }
+
+    /// FNV-1a over every signal's lengths, samples and R peaks.
+    fn digest(signals: &[EcgSignal]) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+            }
+        };
+        for s in signals {
+            eat(&(s.samples.len() as u64).to_le_bytes());
+            for v in &s.samples {
+                eat(&v.to_le_bytes());
+            }
+            eat(&(s.r_peaks.len() as u64).to_le_bytes());
+            for &r in &s.r_peaks {
+                eat(&(r as u64).to_le_bytes());
+            }
+        }
+        h
+    }
+
+    /// The generator's output is pinned: any change to the synthesis
+    /// arithmetic (order of additions, RNG draws, beat grid) changes these
+    /// digests, even where windows still agree with whole recordings.
+    #[test]
+    fn output_digests_are_pinned() {
+        let paper = EcgConfig {
+            independent_channels: true,
+            ..EcgConfig::default()
+        };
+        let paper_digest = digest(&generate_channels(&paper, 8, 256));
+        let long_digest = digest(&generate_channels(&EcgConfig::default(), 8, 16384));
+        assert_eq!(paper_digest, 0x5F33_2FEA_AC13_AD83);
+        assert_eq!(long_digest, 0xED68_500F_BF9E_032B);
+    }
+
+    /// A window `kind` of a `total`-sample recording with R peaks
+    /// `peaks`: 0 empty, 1 from the start, 2 to the end, 3 with an edge
+    /// within [`APEX_REACH`] samples of an R peak, 4 anywhere. `a` and `b`
+    /// pick the positions.
+    fn pick_window(kind: u8, total: usize, peaks: &[usize], a: u64, b: u64) -> Range<usize> {
+        let at = |x: u64| (x % (total as u64 + 1)) as usize;
+        let (lo, hi) = (at(a).min(at(b)), at(a).max(at(b)));
+        match kind {
+            0 => lo..lo,
+            1 => 0..hi,
+            2 => lo..total,
+            3 if !peaks.is_empty() => {
+                let peak = peaks[(a % peaks.len() as u64) as usize];
+                let reach = APEX_REACH as i64;
+                let delta = (b % (2 * reach as u64 + 1)) as i64 - reach;
+                let edge = (peak as i64 + delta).clamp(0, total as i64) as usize;
+                if b & 0x100 == 0 {
+                    edge..edge.max(hi)
+                } else {
+                    lo.min(edge)..edge
+                }
+            }
+            _ => lo..hi,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A window equals the matching slice of the whole recording, R
+        /// peaks re-indexed, across heart rates, jitter, leads of either
+        /// polarity, independent channels and recording lengths.
+        #[test]
+        fn windows_are_slices_of_the_recording(
+            seed in any::<u64>(),
+            noise_seed in any::<u64>(),
+            bpm in 40u32..=180,
+            hrv_permille in 0u32..=200,
+            lead in 0usize..8,
+            independent_channels in any::<bool>(),
+            total in prop_oneof![1usize..64, 1usize..=20_000],
+            kind in 0u8..5,
+            a in any::<u64>(),
+            b in any::<u64>(),
+        ) {
+            let recording = EcgConfig {
+                seed,
+                noise_seed,
+                heart_rate_bpm: f64::from(bpm),
+                hr_variability: f64::from(hrv_permille) / 1000.0,
+                independent_channels,
+                ..EcgConfig::default()
+            };
+            let cfg = lead_config(&recording, lead);
+            let full = generate(&cfg, total);
+            let range = pick_window(kind, total, &full.r_peaks, a, b);
+            let window = generate_window(&cfg, total, range.clone());
+            prop_assert_eq!(&window.samples[..], &full.samples[range.clone()]);
+            let expected: Vec<usize> = full
+                .r_peaks
+                .iter()
+                .filter(|&&r| range.contains(&r))
+                .map(|&r| r - range.start)
+                .collect();
+            prop_assert_eq!(window.r_peaks, expected, "range {:?}", range);
         }
     }
 

@@ -103,8 +103,11 @@ pub struct ServiceConfig {
     /// Directory the pool persists checkpoints into: every time a
     /// migratable job checkpoints, the blob
     /// ([`ulp_platform::Checkpoint::to_bytes`]) is written to
-    /// `job-<id>.ckpt` in this directory, latest-wins. Persistence is
-    /// best-effort — a write failure never fails the job (migration rides
+    /// `job-<id>.ckpt.tmp` in this directory and renamed over
+    /// `job-<id>.ckpt`, latest-wins, so a process crash never leaves a
+    /// truncated blob under the final name (nothing is synced to disk, so
+    /// a power loss still may). Persistence is best-effort — a write
+    /// failure never fails the job (migration rides
     /// the in-memory checkpoint; the files serve external inspection and
     /// restart tooling) — and files are left behind on completion.
     /// `None` (the default) persists nothing.
@@ -1899,9 +1902,18 @@ fn run_job(
         // Best-effort persistence: the blob backs external inspection
         // and restart tooling; migration itself rides the in-memory
         // checkpoint, so a full disk must not fail the job.
+        // The blob goes to a temp file renamed over the final name, so a
+        // crash mid-write never leaves a truncated blob under that name.
         if let Some(dir) = &shared.checkpoint_dir {
             ckpt.to_bytes_into(&mut blob);
-            let _ = std::fs::write(dir.join(format!("job-{}.ckpt", tags.0)), &blob);
+            let path = dir.join(format!("job-{}.ckpt", tags.0));
+            let tmp = path.with_extension("ckpt.tmp");
+            if std::fs::write(&tmp, &blob)
+                .and_then(|()| std::fs::rename(&tmp, &path))
+                .is_err()
+            {
+                let _ = std::fs::remove_file(&tmp);
+            }
         }
         let ckpt = Arc::new(ckpt);
         let replaced = match shared.inflight[me].lock() {

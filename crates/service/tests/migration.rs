@@ -11,6 +11,7 @@ mod common;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ulp_kernels::{run_benchmark, Benchmark, WorkloadConfig};
+use ulp_platform::Checkpoint;
 use ulp_service::{
     JobArtifacts, JobSpec, ObserverSelection, Priority, ServiceConfig, SimService, TenantId,
 };
@@ -224,4 +225,51 @@ fn undisturbed_checkpointable_job_never_migrates() {
     assert!(stats.checkpoints_taken >= 1, "the cadence fired mid-run");
     assert_eq!(stats.jobs_migrated, 0);
     assert_eq!(stats.workers_died, 0);
+}
+
+/// Persisted checkpoints are whole blobs: after a checkpointed run with
+/// a checkpoint directory, every `job-<id>.ckpt` parses and no temp file
+/// of the write-then-rename is left behind.
+#[test]
+fn persisted_checkpoints_parse_and_leave_no_temp_files() {
+    let workload = Arc::new(WorkloadConfig::quick_test());
+    let golden = run_benchmark(Benchmark::Sqrt32, true, &workload).expect("golden run");
+    let dir = std::env::temp_dir().join(format!("ulp-ckpt-dir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("checkpoint dir");
+    let mut service = SimService::start(
+        ServiceConfig::builder()
+            .workers(2)
+            .checkpoint_dir(&dir)
+            .build(),
+    );
+    const JOBS: usize = 4;
+    for _ in 0..JOBS {
+        service
+            .submit(
+                JobSpec::new(Benchmark::Sqrt32, 2, workload.clone())
+                    .checkpoint_every((golden.stats.cycles / 4).max(1)),
+            )
+            .expect("admits");
+    }
+    for _ in 0..JOBS {
+        service
+            .recv()
+            .expect("job completes")
+            .outcome
+            .expect("job runs");
+    }
+    assert!(service.finish().checkpoints_taken >= JOBS as u64);
+
+    let mut blobs = 0;
+    for entry in std::fs::read_dir(&dir).expect("checkpoint dir lists") {
+        let path = entry.expect("dir entry").path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        assert!(name.ends_with(".ckpt"), "stray file {name}");
+        let blob = std::fs::read(&path).expect("blob reads");
+        Checkpoint::from_bytes(&blob).expect("persisted blob parses");
+        blobs += 1;
+    }
+    std::fs::remove_dir_all(&dir).expect("checkpoint dir removed");
+    assert_eq!(blobs, JOBS, "one latest blob per job");
 }
