@@ -2,9 +2,10 @@
 //! second at 2/4/8 cores, in four configurations:
 //!
 //! * `bare` — `Platform::step`, the interpreter;
-//! * `observed` — `Platform::step_with(&mut [])`: the *empty*-observer
-//!   fast path, which must stay within 10% of `bare`;
-//! * `instrumented` — `step_with` carrying real observers (lockstep
+//! * `observed` — `Platform::step` with nothing attached, the same code
+//!   as `bare`. It survives only so the CI baseline keeps its records;
+//!   ROADMAP item 2 retires it;
+//! * `instrumented` — `step` with real observers attached (lockstep
 //!   width + VCD), the full observer dispatch cost;
 //! * `lockstep` — `Platform::run_until` on a lockstep ALU loop closed by
 //!   a branch, which the engine's batched fast path runs as one batch
@@ -15,7 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ulp_isa::asm::assemble;
-use ulp_platform::{LockstepWidth, Observer, Platform, PlatformConfig, RunProgress, VcdTracer};
+use ulp_platform::{LockstepWidth, Platform, PlatformConfig, RunProgress, VcdTracer};
 
 /// Cycles stepped per benchmark iteration.
 const CYCLES_PER_ITER: u64 = 1_000;
@@ -94,30 +95,29 @@ fn bench_step_throughput(c: &mut Criterion) {
             })
         });
 
-        // Zero observers attached: `step_with(&mut [])` must ride the
-        // empty-observer fast path and stay within 10% of `bare`.
+        // Nothing attached: the same code as `bare`.
         let mut platform = prepared_platform_on(SPIN_SRC, cores);
         group.bench_function(BenchmarkId::new("observed", cores), |b| {
             b.iter(|| {
                 for _ in 0..CYCLES_PER_ITER {
-                    platform.step_with(&mut []);
+                    platform.step();
                 }
                 platform.cycle()
             })
         });
 
         let mut platform = prepared_platform_on(SPIN_SRC, cores);
-        let mut width = LockstepWidth::new();
+        platform.attach(Box::new(LockstepWidth::new()));
         group.bench_function(BenchmarkId::new("instrumented", cores), |b| {
             b.iter(|| {
                 // The tracer lives one iteration, so its change-dump text
                 // stays bounded (~one sample's worth) instead of growing
                 // across the whole measurement and skewing later samples.
-                let mut vcd = VcdTracer::new(&platform);
-                let mut observers: [&mut dyn Observer; 2] = [&mut width, &mut vcd];
+                let vcd = platform.attach(Box::new(VcdTracer::new(&platform)));
                 for _ in 0..CYCLES_PER_ITER {
-                    platform.step_with(&mut observers);
+                    platform.step();
                 }
+                platform.detach(vcd);
                 platform.cycle()
             })
         });

@@ -1,4 +1,4 @@
-//! Ablation studies A1–A6 of `DESIGN.md`.
+//! Ablation studies A1–A6.
 //!
 //! Each study isolates one design decision of the paper's platform and
 //! reports its effect on the headline metrics (ops/cycle, IM accesses per

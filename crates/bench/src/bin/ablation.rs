@@ -1,4 +1,4 @@
-//! Runs the ablation studies A1-A6 of DESIGN.md. Pass one of:
+//! Runs the ablation studies A1-A6 of `ulp_bench::ablation`. Pass one of:
 //! im-mapping | policy | cores | voltage | granularity | layout | all
 //! (default).
 

@@ -121,10 +121,9 @@ pub fn gather(config: &WorkloadConfig) -> Result<ExperimentData, RunnerError> {
     })
 }
 
-/// Calibrates the power model exactly as described in `DESIGN.md`: fit the
-/// event energies to the paper's Table I **baseline** column using the
-/// mean measured baseline activity; the improved design's power is then a
-/// prediction from its own activity.
+/// Calibrates the power model: fit the event energies to the paper's
+/// Table I **baseline** column using the mean measured baseline activity;
+/// the improved design's power is then a prediction from its own activity.
 pub fn calibrate(data: &ExperimentData) -> PowerModel {
     let energy = EnergyModel::calibrate(
         &data.mean_baseline(),

@@ -8,7 +8,7 @@
 //! | Table I (power distribution, 8 MOps/s, 1.2 V) | `table1` | [`table1_report`] |
 //! | Fig. 3a/b/c (power vs workload, voltage scaled) | `fig3` | [`fig3_report`] |
 //! | In-text numbers (speed-up, Ops/cycle, access ratios) | `intext` | [`intext_report`] |
-//! | Ablations A1–A6 of `DESIGN.md` | `ablation` | [`ablation`] |
+//! | Ablations A1–A6 | `ablation` | [`ablation`] |
 //! | (benchmark × design × cores) grid, streamed | `sweep` | [`run_sweep`] / [`run_sweep_with`] |
 //! | CI perf-regression gate over `BENCH_*.json` records | `perfgate` | — |
 //!

@@ -18,7 +18,8 @@
 use crate::layout::{self, BufferLayout};
 use std::fmt::Write as _;
 
-/// Where synchronization points are inserted (ablation A5 of `DESIGN.md`).
+/// Where synchronization points are inserted (ablation A5 of
+/// `ulp_bench::ablation`).
 ///
 /// The paper instruments "each data-dependent conditional statement"
 /// (Listing 1) but reports a DM-access increase below 10 %, which implies
@@ -205,28 +206,9 @@ impl AsmBuilder {
     /// erosion/dilation primitive. `src`/`dst` are buffer indices.
     ///
     /// The per-element compare-and-update (the branchy embedded-C idiom)
-    /// is a data-dependent conditional; with `branchless = true` the scan
-    /// instead uses the sign-mask select idiom, which keeps lockstep
-    /// without any synchronization (how a power-aware programmer would
-    /// write a pure min/max scan).
+    /// is a data-dependent conditional, bracketed per sample or per
+    /// element as the [`SyncGranularity`] asks.
     pub fn window_scan(&mut self, src: usize, dst: usize, half: u16, n: u16, max: bool) {
-        self.window_scan_impl(src, dst, half, n, max, false);
-    }
-
-    /// Branch-free variant of [`AsmBuilder::window_scan`].
-    pub fn window_scan_branchless(&mut self, src: usize, dst: usize, half: u16, n: u16, max: bool) {
-        self.window_scan_impl(src, dst, half, n, max, true);
-    }
-
-    fn window_scan_impl(
-        &mut self,
-        src: usize,
-        dst: usize,
-        half: u16,
-        n: u16,
-        max: bool,
-        branchless: bool,
-    ) {
         assert!(half >= 1, "window half-width must be at least 1");
         assert!(n as usize <= layout::MAX_N, "n exceeds buffer capacity");
         let outer = self.fresh("wl");
@@ -237,20 +219,13 @@ impl AsmBuilder {
         let idone = self.fresh("wid");
         let op = if max { "dilation" } else { "erosion" };
         let per_sample = self.options.granularity == SyncGranularity::PerSample;
-        self.comment(&format!(
-            "{op}: buf{src} -> buf{dst}, half={half}, n={n}{}",
-            if branchless { " (branchless)" } else { "" }
-        ));
+        self.comment(&format!("{op}: buf{src} -> buf{dst}, half={half}, n={n}"));
         self.load_buffer_base("r7", "r0", src);
         self.load_buffer_base("r6", "r0", dst);
 
         self.line("clr  r1");
         self.label(&outer);
-        let sample_sp = if per_sample && !branchless {
-            Some(self.section_enter())
-        } else {
-            None
-        };
+        let sample_sp = per_sample.then(|| self.section_enter());
         // lo = max(i - h, 0)
         self.line("mov  r3, r1");
         self.line(&format!("li   r0, {half}"));
@@ -274,34 +249,14 @@ impl AsmBuilder {
         self.line("cmp  r3, r5");
         self.line(&format!("bgt  {idone}"));
         self.line("ldp  r0, [r3]");
-        if branchless {
-            // acc = min(acc, v) without a branch (sign-mask select):
-            //   d = acc - v; mask = d >> 15; acc = v + (d & mask)
-            // and dually for max with mask = ~(d >> 15).
-            self.line("mov  r2, r4");
-            self.line("sub  r2, r0"); // d = acc - v
-            self.line("mov  r4, r2");
-            self.line("asr  r4, #15"); // mask = d < 0 ? 0xFFFF : 0
-            if max {
-                self.line("not  r4"); // select the larger instead
-            }
-            self.line("and  r2, r4"); // d & mask
-            self.line("mov  r4, r0");
-            self.line("add  r4, r2"); // v + (d & mask)
-        } else {
-            // Data-dependent min/max update (Listing 1 of the paper).
-            let element_sp = if per_sample {
-                None
-            } else {
-                Some(self.section_enter())
-            };
-            self.line("cmp  r0, r4");
-            self.line(&format!("{}  {no_upd}", if max { "ble" } else { "bge" }));
-            self.line("mov  r4, r0");
-            self.label(&no_upd);
-            if let Some(sp) = element_sp {
-                self.section_leave(sp);
-            }
+        // Data-dependent min/max update (Listing 1 of the paper).
+        let element_sp = (!per_sample).then(|| self.section_enter());
+        self.line("cmp  r0, r4");
+        self.line(&format!("{}  {no_upd}", if max { "ble" } else { "bge" }));
+        self.line("mov  r4, r0");
+        self.label(&no_upd);
+        if let Some(sp) = element_sp {
+            self.section_leave(sp);
         }
         self.line(&format!("br   {inner}"));
         self.label(&idone);
@@ -519,18 +474,6 @@ mod tests {
         let src = b.into_source();
         assert!(src.contains("sinc #0"));
         assert!(src.contains("sdec #0"));
-        assemble(&src).expect("valid assembly");
-    }
-
-    #[test]
-    fn branchless_scan_needs_no_sync_points() {
-        let mut b = AsmBuilder::new(opts(true));
-        b.prologue();
-        b.window_scan_branchless(0, 1, 2, 16, false);
-        b.epilogue();
-        assert_eq!(b.sync_points(), 0, "no data-dependent control flow");
-        let src = b.into_source();
-        assert!(!src.contains("sinc"));
         assemble(&src).expect("valid assembly");
     }
 

@@ -32,7 +32,7 @@ pub const MAX_N: usize = 300;
 pub const NUM_BUFFERS: usize = 6;
 
 /// How the six per-core signal buffers are placed across the DM banks
-/// (ablation A6 of `DESIGN.md`).
+/// (ablation A6 of `ulp_bench::ablation`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BufferLayout {
     /// Realistic linker packing: buffer `b` of core `c` lives in bank

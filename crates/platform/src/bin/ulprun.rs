@@ -18,7 +18,7 @@
 
 use std::process::ExitCode;
 use ulp_isa::asm::assemble;
-use ulp_platform::{Observer, PcTrace, Platform, PlatformConfig, VcdTracer};
+use ulp_platform::{PcTrace, Platform, PlatformConfig, VcdTracer};
 
 struct Options {
     path: String,
@@ -127,27 +127,26 @@ fn main() -> ExitCode {
     platform.load_program(&program);
 
     // Tracing is plain observation: attach the requested observers and run.
-    let mut pc_trace = (opts.trace > 0).then(|| PcTrace::new(opts.trace));
-    let mut vcd = opts.vcd.as_ref().map(|_| VcdTracer::new(&platform));
-    let mut observers: Vec<&mut dyn Observer> = Vec::new();
-    if let Some(trace) = &mut pc_trace {
-        observers.push(trace);
-    }
-    if let Some(vcd) = &mut vcd {
-        observers.push(vcd);
-    }
-    let outcome = platform.run_with(&mut observers);
+    let pc_trace = (opts.trace > 0).then(|| platform.attach(Box::new(PcTrace::new(opts.trace))));
+    let vcd = opts
+        .vcd
+        .as_ref()
+        .map(|path| (path, platform.attach(Box::new(VcdTracer::new(&platform)))));
+    let outcome = platform.run();
     let stats = platform.stats();
 
-    if let (Some(vcd_path), Some(vcd)) = (&opts.vcd, vcd) {
-        if let Err(e) = std::fs::write(vcd_path, vcd.finish()) {
+    if let Some((vcd_path, handle)) = vcd {
+        let tracer: Box<dyn std::any::Any> = platform.detach(handle).expect("attached above");
+        let tracer = tracer.downcast::<VcdTracer>().expect("a VcdTracer");
+        if let Err(e) = std::fs::write(vcd_path, tracer.finish()) {
             eprintln!("ulprun: cannot write {vcd_path}: {e}");
             return ExitCode::FAILURE;
         }
         eprintln!("wrote {vcd_path}");
     }
 
-    if let Some(trace) = &pc_trace {
+    if let Some(handle) = &pc_trace {
+        let trace = platform.observer_as::<PcTrace>(handle).expect("a PcTrace");
         for (cycle, row) in trace.rows().iter().enumerate() {
             let cells: Vec<String> = row
                 .iter()

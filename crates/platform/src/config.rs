@@ -10,7 +10,7 @@ use ulp_mem::{BankMapping, ServingPolicy};
 /// [`PlatformConfig::paper_with_sync`] (hardware synchronizer + enhanced
 /// D-Xbar serving policy) and [`PlatformConfig::paper_without_sync`]
 /// (the state-of-the-art baseline it improves on). All other fields allow
-/// the ablation studies described in `DESIGN.md`.
+/// the ablation studies A1–A6 of `ulp_bench::ablation`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlatformConfig {
     /// Number of processing cores (1..=16; at most 8 with the

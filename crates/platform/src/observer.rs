@@ -4,9 +4,9 @@
 //! memories, crossbars and the synchronizer, and nothing else. Everything
 //! that *watches* a run — lockstep-width accounting, PC tracing, VCD
 //! dumping, custom experiment probes — implements [`Observer`] and is
-//! passed to [`crate::Platform::step_with`] / [`crate::Platform::run_with`].
-//! Hooks default to no-ops, so an observer only pays for what it overrides,
-//! and a run with no observers pays a handful of empty virtual calls.
+//! registered with [`crate::Platform::attach`]. Hooks default to no-ops,
+//! so an observer only pays for what it overrides, and a platform with no
+//! observer attached runs a copy of the cycle with every hook compiled out.
 //!
 //! Observer output is first-class payload in the layers above the engine:
 //! service jobs select observers per job (`ulp_service::ObserverSelection`)
@@ -23,8 +23,9 @@
 //!
 //! let mut p = Platform::new(PlatformConfig::paper_with_sync()).unwrap();
 //! p.load_program(&assemble("nop\nhalt").unwrap());
-//! let mut trace = PcTrace::new(16);
-//! p.run_with(&mut [&mut trace]).unwrap();
+//! let handle = p.attach(Box::new(PcTrace::new(16)));
+//! p.run().unwrap();
+//! let trace = p.observer_as::<PcTrace>(&handle).unwrap();
 //! assert!(trace.rows()[0].iter().all(|pc| *pc == Some(0)));
 //! ```
 
@@ -42,13 +43,13 @@ use ulp_mem::{BankMapping, DmRequest, ImRequest};
 /// not assume it sees every run from the start: observers can be attached
 /// to a platform that has already stepped.
 ///
-/// Observers are owned by the platform when registered through
-/// [`crate::Platform::attach`] (the preferred path — the engine notifies
-/// them on every `step`/`run`, and they participate in checkpointing via
-/// [`Observer::save_state`] / [`Observer::load_state`]), or borrowed for
-/// a single call through the legacy `*_with` slice parameters. The `Any`
+/// Observers are owned by the platform, registered through
+/// [`crate::Platform::attach`]: the engine notifies them on every
+/// `step`/`run`, and they participate in checkpointing via
+/// [`Observer::save_state`] / [`Observer::load_state`]. The `Any`
 /// supertrait lets callers recover the concrete type of an attached
-/// observer (see [`crate::Platform::observer_as`]).
+/// observer (see [`crate::Platform::observer_as`]) or take it back by
+/// value after [`crate::Platform::detach`].
 pub trait Observer: std::any::Any {
     /// A stable identifier for this observer kind, used to match
     /// checkpointed observer state back to attached observers on restore.
@@ -94,8 +95,10 @@ pub trait Observer: std::any::Any {
     /// End of a cycle, after every phase has been applied.
     fn on_cycle_end(&mut self, _cycle: u64, _cores: &[Core]) {}
 
-    /// End of a [`crate::Platform::run_with`] loop, with the run's outcome
-    /// and final statistics. Not called for manual `step_with` driving.
+    /// End of a [`crate::Platform::run`] or [`crate::Platform::run_until`]
+    /// run, with its outcome and final statistics. Fires only when the run
+    /// truly completes — not when a `run_until` slice pauses, and never
+    /// for manual [`crate::Platform::step`] driving.
     fn on_run_end(&mut self, _outcome: &Result<RunSummary, PlatformError>, _stats: &SimStats) {}
 }
 
@@ -104,7 +107,7 @@ pub trait Observer: std::any::Any {
 ///
 /// [`crate::Platform`] keeps one of these attached by default because
 /// [`SimStats::avg_lockstep_width`] is part of every run's statistics; it
-/// is also usable standalone on top of `step_with`.
+/// is also usable standalone through [`crate::Platform::attach`].
 #[derive(Debug, Clone, Default)]
 pub struct LockstepWidth {
     sum: u64,

@@ -114,10 +114,9 @@ impl CycleBuffers {
 /// operations, held cores, interrupts, observers).
 ///
 /// The engine itself carries no instrumentation: tracing and visualisation
-/// hook in through [`Observer`]s passed to [`Platform::step_with`] and
-/// [`Platform::run_with`]. The only built-in observer is a
-/// [`LockstepWidth`] recorder, because the average lockstep width is part
-/// of [`SimStats`].
+/// hook in through [`Observer`]s registered with [`Platform::attach`].
+/// The only built-in observer is a [`LockstepWidth`] recorder, because
+/// the average lockstep width is part of [`SimStats`].
 pub struct Platform {
     cfg: PlatformConfig,
     cores: Vec<Core>,
@@ -137,8 +136,8 @@ pub struct Platform {
     /// entry is left to the interpreter, which decodes the word itself.
     decoded: Vec<Option<Instr>>,
     /// Observers registered through [`Platform::attach`], notified on
-    /// every step/run in attach order (before any `*_with` slice). Each
-    /// entry keeps the id its [`ObserverHandle`] was minted with.
+    /// every step/run in attach order. Each entry keeps the id its
+    /// [`ObserverHandle`] was minted with.
     attached: Vec<(u64, Box<dyn Observer>)>,
     /// Id for the next [`Platform::attach`] call.
     next_observer: u64,
@@ -189,15 +188,11 @@ impl Platform {
     }
 
     /// Registers an owned observer with the platform. From now on every
-    /// [`Platform::step`] / [`Platform::run`] notifies it (attached
-    /// observers fire in attach order, before any observers passed to the
-    /// legacy `*_with` slice methods), and [`Platform::snapshot`] captures
-    /// its state when it implements [`Observer::save_state`].
-    ///
-    /// This replaces the positional observer-slice plumbing: instead of
-    /// threading `&mut [&mut dyn Observer]` through every call and keeping
-    /// the slice alive across the run, callers hand the observer to the
-    /// platform and read it back through the returned handle
+    /// [`Platform::step`], [`Platform::run`] and [`Platform::run_until`]
+    /// notifies it (observers fire in attach order), and
+    /// [`Platform::snapshot`] captures its state when it implements
+    /// [`Observer::save_state`]. This is the only way to observe a run:
+    /// read the observer back through the returned handle
     /// ([`Platform::observer_as`], [`Platform::detach`]).
     pub fn attach(&mut self, observer: Box<dyn Observer>) -> ObserverHandle {
         let id = self.next_observer;
@@ -347,48 +342,27 @@ impl Platform {
         self.cores.iter().all(|c| c.is_halted())
     }
 
-    /// Advances the platform by one clock cycle, notifying any attached
-    /// observers. Equivalent to `step_with(&mut [])`.
+    /// Advances the platform by one clock cycle, notifying attached
+    /// observers at each hook point (after the built-in lockstep
+    /// recorder).
     ///
     /// A step is always exactly one interpreted cycle: only the run loops
     /// take the batched fast path, so a `step()` loop is the reference
     /// every run is bit-identical to.
+    ///
+    /// The engine itself performs zero heap allocations in steady state,
+    /// with or without attached observers: all per-cycle working sets
+    /// live in buffers owned by the platform and its components, sized
+    /// once and reused every cycle, and observers are dispatched straight
+    /// from the platform's own list. The unobserved cycle is a
+    /// monomorphized copy with every observer hook compiled out.
     pub fn step(&mut self) {
-        self.step_with(&mut []);
-    }
-
-    /// Advances the platform by one clock cycle, notifying attached
-    /// observers and then `observers` at each hook point (after the
-    /// built-in lockstep recorder).
-    ///
-    /// With no observers anywhere, the engine performs zero heap
-    /// allocations in steady state: all per-cycle working sets live in
-    /// buffers owned by the platform and its components, sized once and
-    /// reused every cycle, and the unobserved cycle is a monomorphized
-    /// copy with every observer hook compiled out. (Manually stepping
-    /// with *attached* observers builds a small dispatch list per call;
-    /// the run loops hoist it out of the cycle loop.)
-    ///
-    /// Borrowed observer slices are the legacy registration path — prefer
-    /// [`Platform::attach`], which also integrates the observer with
-    /// checkpointing.
-    pub fn step_with(&mut self, observers: &mut [&mut dyn Observer]) {
         if self.attached.is_empty() {
-            if observers.is_empty() {
-                self.step_cycle::<false>(&mut [], 0);
-            } else {
-                self.step_cycle::<true>(observers, 0);
-            }
+            self.step_cycle::<false>(&mut [], 0);
             return;
         }
         let mut attached = std::mem::take(&mut self.attached);
-        let mut refs: Vec<&mut dyn Observer> = attached
-            .iter_mut()
-            .map(|(_, o)| o.as_mut())
-            .chain(observers.iter_mut().map(|o| &mut **o))
-            .collect();
-        self.step_cycle::<true>(&mut refs, 0);
-        drop(refs);
+        self.step_cycle::<true>(&mut attached, 0);
         self.attached = attached;
     }
 
@@ -403,14 +377,14 @@ impl Platform {
     /// the batch runs too.
     fn step_cycle<const OBSERVED: bool>(
         &mut self,
-        observers: &mut [&mut dyn Observer],
+        observers: &mut [(u64, Box<dyn Observer>)],
         batch_limit: u64,
     ) {
         let cycle = self.cycle + 1;
         let mut buf = std::mem::take(&mut self.buffers);
 
         if OBSERVED {
-            for o in observers.iter_mut() {
+            for (_, o) in observers.iter_mut() {
                 o.on_cycle_start(cycle, &self.cores);
             }
         }
@@ -446,7 +420,7 @@ impl Platform {
         let mut local_done: u32 = 0;
         for (i, phase) in buf.phases.iter().enumerate() {
             if OBSERVED {
-                for o in observers.iter_mut() {
+                for (_, o) in observers.iter_mut() {
                     o.on_core_phase(cycle, i, self.cores[i].pc(), *phase);
                 }
             }
@@ -478,7 +452,7 @@ impl Platform {
         // ---- fetch phase ----------------------------------------------
         self.lockstep.on_fetch(cycle, &buf.fetch_reqs);
         if OBSERVED {
-            for o in observers.iter_mut() {
+            for (_, o) in observers.iter_mut() {
                 o.on_fetch(cycle, &buf.fetch_reqs);
             }
         }
@@ -563,7 +537,7 @@ impl Platform {
 
         self.serve_data(&mut buf);
         if OBSERVED {
-            for o in observers.iter_mut() {
+            for (_, o) in observers.iter_mut() {
                 o.on_dm(cycle, &buf.dm_reqs, &buf.granted);
             }
         }
@@ -576,7 +550,7 @@ impl Platform {
         }
 
         if OBSERVED {
-            for o in observers.iter_mut() {
+            for (_, o) in observers.iter_mut() {
                 o.on_cycle_end(cycle, &self.cores);
             }
         }
@@ -613,7 +587,9 @@ impl Platform {
         }
     }
 
-    /// Runs until every core halts. Equivalent to `run_with(&mut [])`.
+    /// Runs until every core halts, notifying attached observers every
+    /// cycle and once more (via [`Observer::on_run_end`]) when the run
+    /// ends. Equivalent to `run_until(u64::MAX)`.
     ///
     /// With no observer attached, the run takes the batched fast path. A
     /// batch starts after a cycle's interrupt poll when the synchronizer
@@ -636,24 +612,7 @@ impl Platform {
     ///   synchronizer idle (e.g. an unbalanced check-out);
     /// * [`PlatformError::Timeout`] — the configured cycle budget ran out.
     pub fn run(&mut self) -> Result<RunSummary, PlatformError> {
-        self.run_with(&mut [])
-    }
-
-    /// Runs until every core halts, notifying attached observers, then
-    /// `observers`, every cycle and once more (via
-    /// [`Observer::on_run_end`]) when the loop exits.
-    ///
-    /// Borrowed observer slices are the legacy registration path — prefer
-    /// [`Platform::attach`] and plain [`Platform::run`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Platform::run`].
-    pub fn run_with(
-        &mut self,
-        observers: &mut [&mut dyn Observer],
-    ) -> Result<RunSummary, PlatformError> {
-        match self.run_bounded(u64::MAX, observers)? {
+        match self.run_until(u64::MAX)? {
             RunProgress::Done(summary) => Ok(summary),
             RunProgress::Paused => unreachable!("unbounded run cannot pause"),
         }
@@ -676,26 +635,8 @@ impl Platform {
     /// precedence: a platform at its budget reports
     /// [`PlatformError::Timeout`], never `Paused`.
     pub fn run_until(&mut self, limit: u64) -> Result<RunProgress, PlatformError> {
-        self.run_bounded(limit, &mut [])
-    }
-
-    fn run_bounded(
-        &mut self,
-        limit: u64,
-        extra: &mut [&mut dyn Observer],
-    ) -> Result<RunProgress, PlatformError> {
-        if self.attached.is_empty() {
-            return self.run_loop(limit, extra);
-        }
         let mut attached = std::mem::take(&mut self.attached);
-        let outcome = {
-            let mut refs: Vec<&mut dyn Observer> = attached
-                .iter_mut()
-                .map(|(_, o)| o.as_mut())
-                .chain(extra.iter_mut().map(|o| &mut **o))
-                .collect();
-            self.run_loop(limit, &mut refs)
-        };
+        let outcome = self.run_loop(limit, &mut attached);
         self.attached = attached;
         outcome
     }
@@ -703,7 +644,7 @@ impl Platform {
     fn run_loop(
         &mut self,
         limit: u64,
-        observers: &mut [&mut dyn Observer],
+        observers: &mut [(u64, Box<dyn Observer>)],
     ) -> Result<RunProgress, PlatformError> {
         let outcome = loop {
             if self.cycle >= self.cfg.max_cycles {
@@ -735,7 +676,7 @@ impl Platform {
         };
         if !observers.is_empty() {
             let stats = self.stats();
-            for o in observers.iter_mut() {
+            for (_, o) in observers.iter_mut() {
                 o.on_run_end(&outcome, &stats);
             }
         }

@@ -340,9 +340,9 @@ fn single_core_platform_works() {
 #[test]
 fn pc_trace_records_fetches() {
     let mut p = platform(true, LOCKSTEP_SRC);
-    let mut trace = crate::PcTrace::new(6);
-    p.run_with(&mut [&mut trace]).unwrap();
-    let trace = trace.rows();
+    let handle = p.attach(Box::new(crate::PcTrace::new(6)));
+    p.run().unwrap();
+    let trace = p.observer_as::<crate::PcTrace>(&handle).unwrap().rows();
     assert_eq!(trace.len(), 6);
     // Cycle 1: every core fetches address 0.
     assert!(trace[0].iter().all(|pc| *pc == Some(0)));
@@ -392,14 +392,18 @@ fn observed_run_is_bit_identical_to_bare_run() {
     let bare_stats = bare.stats();
 
     let mut observed = platform(true, DIVERGENT_SRC);
-    let mut counting = CountingObserver::default();
-    let mut trace = crate::PcTrace::new(128);
-    let mut vcd = crate::VcdTracer::new(&observed);
-    let mut width = crate::LockstepWidth::new();
-    observed
-        .run_with(&mut [&mut counting, &mut trace, &mut vcd, &mut width])
-        .unwrap();
+    let counting = observed.attach(Box::new(CountingObserver::default()));
+    let trace = observed.attach(Box::new(crate::PcTrace::new(128)));
+    let vcd = observed.attach(Box::new(crate::VcdTracer::new(&observed)));
+    let width = observed.attach(Box::new(crate::LockstepWidth::new()));
+    observed.run().unwrap();
     let observed_stats = observed.stats();
+    let counting = observed.observer_as::<CountingObserver>(&counting).unwrap();
+    let trace = observed.observer_as::<crate::PcTrace>(&trace).unwrap();
+    let vcd = observed.observer_as::<crate::VcdTracer>(&vcd).unwrap();
+    let width = observed
+        .observer_as::<crate::LockstepWidth>(&width)
+        .unwrap();
 
     assert_eq!(
         bare_stats, observed_stats,
@@ -436,10 +440,11 @@ fn deadlock_still_fires_with_observers_attached() {
         halt
 stop:   halt";
     let mut p = platform(true, src);
-    let mut counting = CountingObserver::default();
-    let mut vcd = crate::VcdTracer::new(&p);
-    let err = p.run_with(&mut [&mut counting, &mut vcd]).unwrap_err();
+    let counting = p.attach(Box::new(CountingObserver::default()));
+    p.attach(Box::new(crate::VcdTracer::new(&p)));
+    let err = p.run().unwrap_err();
     assert!(matches!(err, PlatformError::Deadlock { .. }), "{err}");
+    let counting = p.observer_as::<CountingObserver>(&counting).unwrap();
     assert_eq!(counting.run_ends, 1);
     assert_eq!(counting.last_outcome_ok, Some(false));
 }
@@ -448,9 +453,10 @@ stop:   halt";
 fn timeout_still_fires_with_observers_attached() {
     let mut p = Platform::new(PlatformConfig::paper_with_sync().with_max_cycles(100)).unwrap();
     p.load_program(&assemble("loop: br loop").unwrap());
-    let mut counting = CountingObserver::default();
-    let err = p.run_with(&mut [&mut counting]).unwrap_err();
+    let counting = p.attach(Box::new(CountingObserver::default()));
+    let err = p.run().unwrap_err();
     assert!(matches!(err, PlatformError::Timeout { budget: 100 }));
+    let counting = p.observer_as::<CountingObserver>(&counting).unwrap();
     assert_eq!(counting.cycle_starts, 100, "ran exactly the budget");
     assert_eq!(counting.last_outcome_ok, Some(false));
 }
@@ -760,6 +766,18 @@ fn attached_observer_sees_every_cycle_of_a_lockstep_run() {
     let counting = p.observer_as::<CountingObserver>(&handle).unwrap();
     assert_eq!(counting.cycle_starts, 19);
     assert_eq!(counting.fetch_cycles, p.stats().lockstep_width_cycles);
+    assert_eq!(counting.run_ends, 0, "a pause is not a run end");
+
+    // Finish in more slices: `on_run_end` fires once, at the real end.
+    let mut limit = 19;
+    while p.run_until(limit + 7).unwrap() == RunProgress::Paused {
+        limit += 7;
+    }
+    assert!(limit > 19, "the run took more than one further slice");
+    let counting = p.observer_as::<CountingObserver>(&handle).unwrap();
+    assert_eq!(counting.run_ends, 1);
+    assert_eq!(counting.last_outcome_ok, Some(true));
+    assert_eq!(counting.cycle_starts, p.stats().cycles);
 }
 
 #[test]

@@ -64,10 +64,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for with_sync in [true, false] {
         let mut platform = Platform::new(PlatformConfig::paper(with_sync))?;
         platform.load_program(&program);
-        let mut trace = PcTrace::new(64);
-        platform.run_with(&mut [&mut trace])?;
+        let handle = platform.attach(Box::new(PcTrace::new(64)));
+        platform.run()?;
         render(
-            &trace,
+            platform.observer_as(&handle).expect("attached above"),
             if with_sync {
                 "improved design (SDEC barrier restores lockstep)"
             } else {

@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use ulp_lockstep::isa::asm::assemble;
 use ulp_lockstep::kernels::{run_benchmark_reusing, Benchmark, CheckpointControl, WorkloadConfig};
-use ulp_lockstep::platform::{Platform, PlatformConfig, RunProgress};
+use ulp_lockstep::platform::{LockstepWidth, Platform, PlatformConfig, RunProgress};
 
 struct CountingAllocator;
 
@@ -100,18 +100,21 @@ fn steady_state_step_performs_zero_heap_allocations() {
         "Platform::step allocated in steady state"
     );
 
-    // The empty-observer fast path: `step_with(&mut [])` takes the same
-    // observer-free engine as `step()` and must be just as allocation-free.
+    // Observed stepping: with an observer attached, `step()` dispatches
+    // over the platform's own observer list and builds nothing per call.
+    let handle = platform.attach(Box::new(LockstepWidth::new()));
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..10_000 {
-        platform.step_with(&mut []);
+        platform.step();
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(
         after - before,
         0,
-        "Platform::step_with(&mut []) allocated in steady state"
+        "Platform::step with an attached observer allocated in steady state"
     );
+    let width = platform.observer_as::<LockstepWidth>(&handle).unwrap();
+    assert!(width.cycles() > 0, "the attached observer saw the steps");
 
     // Sanity: the measured window really exercised the machine.
     let stats = platform.stats();

@@ -35,9 +35,10 @@ fn run(with_sync: bool) -> (Platform, PcTrace) {
         .with_max_cycles(100_000);
     let mut platform = Platform::new(config).expect("valid config");
     platform.load_program(&program);
-    let mut trace = PcTrace::new(512);
-    platform.run_with(&mut [&mut trace]).expect("program halts");
-    (platform, trace)
+    let handle = platform.attach(Box::new(PcTrace::new(512)));
+    platform.run().expect("program halts");
+    let trace: Box<dyn std::any::Any> = platform.detach(handle).expect("attached above");
+    (platform, *trace.downcast::<PcTrace>().expect("a PcTrace"))
 }
 
 /// Rows of the fetch trace classified per cycle: `Together(pc)` means both
