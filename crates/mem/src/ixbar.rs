@@ -1,32 +1,16 @@
 //! The instruction crossbar (I-Xbar).
 //!
-//! Each cycle, every fetching core presents its PC. Requests are grouped
-//! per bank; within a bank, all requests for the *same* address merge into
-//! one physical access whose data is **broadcast** to every requester. When
-//! a bank faces several distinct addresses, one address-group is served per
-//! cycle (rotating priority) and the remaining cores stall, clock-gated —
-//! exactly the conflict behaviour of Section III of the paper.
+//! Each cycle, every fetching core presents its PC, and the cores that
+//! fetch the *same* address form one [`FetchGroup`]: one physical access
+//! whose data is **broadcast** to every member. When a bank faces several
+//! groups, one group is served per cycle (rotating priority) and the
+//! remaining cores stall, clock-gated — exactly the conflict behaviour of
+//! Section III of the paper. [`IXbar::serve_groups`] is the one arbiter;
+//! the platform's interpreter and its batched cycles both fetch through
+//! it.
 
 use crate::banked::BankedMemory;
-use crate::fastdiv::{rr_distance, rr_min_distance, rr_next};
-
-/// One core's instruction fetch request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImRequest {
-    /// Requesting core id.
-    pub core: usize,
-    /// Word address (the core's PC).
-    pub addr: u16,
-}
-
-/// A granted fetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImGrant {
-    /// Served core id.
-    pub core: usize,
-    /// The fetched instruction word.
-    pub word: u16,
-}
+use crate::fastdiv::{rr_min_distance, rr_next};
 
 /// A same-address fetch group: every core whose bit is set in `members`
 /// fetches `addr` this cycle.
@@ -68,8 +52,7 @@ impl IXbarStats {
 }
 
 /// The complete mutable state of one [`IXbar`]: the rotating-priority
-/// pointers plus the counters. The per-cycle request scratch is excluded —
-/// it is rebuilt from scratch every cycle and carries no history.
+/// pointers plus the counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IXbarSnapshot {
     /// Rotating-priority pointer per bank.
@@ -82,9 +65,6 @@ pub struct IXbarSnapshot {
 #[derive(Debug, Clone)]
 pub struct IXbar {
     rr: Vec<usize>,
-    /// Scratch: bank of each request, resolved once per cycle so the
-    /// per-bank passes never recompute the address mapping.
-    req_banks: Vec<usize>,
     stats: IXbarStats,
 }
 
@@ -93,7 +73,6 @@ impl IXbar {
     pub fn new(banks: usize) -> IXbar {
         IXbar {
             rr: vec![0; banks],
-            req_banks: Vec::new(),
             stats: IXbarStats::default(),
         }
     }
@@ -130,102 +109,16 @@ impl IXbar {
         true
     }
 
-    /// Arbitrates one cycle of fetch requests against the instruction
-    /// memory, returning the granted fetches.
-    ///
-    /// Convenience wrapper around [`IXbar::arbitrate_into`] that allocates
-    /// a fresh grant buffer per call.
-    pub fn arbitrate(&mut self, requests: &[ImRequest], imem: &mut BankedMemory) -> Vec<ImGrant> {
-        let mut grants = Vec::with_capacity(requests.len());
-        self.arbitrate_into(requests, imem, &mut grants);
-        grants
-    }
-
-    /// Arbitrates one cycle of fetch requests against the instruction
-    /// memory, writing the granted fetches into `grants` (cleared first).
-    /// Ungranted requesters stall.
-    ///
-    /// Within each bank exactly one address-group is served per cycle; the
-    /// group is chosen by rotating priority so no core starves. The method
-    /// performs no heap allocation beyond growing `grants` up to the core
-    /// count, so a caller that reuses the buffer runs allocation-free.
-    pub fn arbitrate_into(
-        &mut self,
-        requests: &[ImRequest],
-        imem: &mut BankedMemory,
-        grants: &mut Vec<ImGrant>,
-    ) {
-        grants.clear();
-        self.stats.requests += requests.len() as u64;
-        if requests.is_empty() {
-            return;
-        }
-        let banks = imem.banks();
-        let ncores = requests
-            .iter()
-            .map(|r| r.core + 1)
-            .max()
-            .unwrap_or(0)
-            .max(self.rr.len().min(64));
-
-        // Lockstep fast path: every requester at the *same* address is the
-        // dominant cycle shape of SPMD code — one bank, one address-group,
-        // no conflict, everyone served by a single broadcast read.
-        let addr = requests[0].addr;
-        if requests.iter().all(|r| r.addr == addr) {
-            let bank = imem.bank_of(addr);
-            let ptr = self.rr[bank] % ncores;
-            let winner_core = requests
-                .iter()
-                .map(|r| r.core)
-                .min_by_key(|&c| rr_distance(c, ptr, ncores))
-                .expect("non-empty");
-            self.rr[bank] = rr_next(winner_core, ncores);
-            let word = imem.read_broadcast(addr, requests.len());
-            self.stats.grants += requests.len() as u64;
-            self.stats.transfers += requests.len() as u64;
-            grants.extend(requests.iter().map(|r| ImGrant { core: r.core, word }));
-            return;
-        }
-
-        let mut req_banks = std::mem::take(&mut self.req_banks);
-        req_banks.clear();
-        req_banks.extend(requests.iter().map(|r| imem.bank_of(r.addr)));
-
-        // Request bitmap: visit only the banks that actually have a request
-        // this cycle (in ascending order, like a full sweep would) instead
-        // of scanning every bank of the memory.
-        if banks <= u128::BITS as usize {
-            let mut pending: u128 = 0;
-            for &b in &req_banks {
-                pending |= 1 << b;
-            }
-            while pending != 0 {
-                let bank = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                self.serve_bank(bank, ncores, requests, &req_banks, imem, grants);
-            }
-        } else {
-            for bank in 0..banks {
-                if req_banks.contains(&bank) {
-                    self.serve_bank(bank, ncores, requests, &req_banks, imem, grants);
-                }
-            }
-        }
-        self.req_banks = req_banks;
-    }
-
-    /// Serves one fetch cycle presented as whole same-address groups,
-    /// exactly as [`IXbar::arbitrate_into`] would serve the same requests:
-    /// identical statistics, memory counters and rotating-priority
-    /// updates, without materializing request or grant buffers. Returns
-    /// the served groups as a bitmask (bit `g` for `groups[g]`). This is
-    /// the fetch of the platform's batched cycles.
+    /// Serves one fetch cycle presented as whole same-address groups and
+    /// returns the served groups as a bitmask (bit `g` for `groups[g]`).
+    /// The members of the other groups stall. The caller reads the served
+    /// words itself; the arbiter only counts the accesses.
     ///
     /// Each group holds at least one core and fetches one address, and no
-    /// two groups share an address. Within a bank, the winning group is the one holding the
-    /// core nearest the bank's priority pointer, found from each group's
-    /// member mask rotated to the pointer.
+    /// two groups share an address. Per bank, the core nearest the bank's
+    /// rotating-priority pointer wins, found from each group's member mask
+    /// rotated to the pointer; its whole group is served by one broadcast
+    /// read, and the pointer moves past it. Performs no heap allocation.
     ///
     /// # Panics
     ///
@@ -324,62 +217,6 @@ impl IXbar {
         self.stats.transfers += u64::from(width);
         self.stats.stalls += u64::from(requests - width);
     }
-
-    /// Serves one requested bank: picks the winning address-group by
-    /// rotating priority, performs the (broadcast) read and emits the
-    /// grants. `req_banks[i]` must be the bank of `requests[i]`.
-    fn serve_bank(
-        &mut self,
-        bank: usize,
-        ncores: usize,
-        requests: &[ImRequest],
-        req_banks: &[usize],
-        imem: &mut BankedMemory,
-        grants: &mut Vec<ImGrant>,
-    ) {
-        let in_bank = || {
-            requests
-                .iter()
-                .zip(req_banks)
-                .filter(move |&(_, &b)| b == bank)
-                .map(|(r, _)| r)
-        };
-        let mut count = 0usize;
-        let mut first_addr = None;
-        let mut conflict = false;
-        for r in in_bank() {
-            count += 1;
-            match first_addr {
-                None => first_addr = Some(r.addr),
-                Some(a) if a != r.addr => conflict = true,
-                Some(_) => {}
-            }
-        }
-        if conflict {
-            self.stats.conflict_cycles += 1;
-        }
-        // Rotating priority: the first requesting core at or after the
-        // pointer picks the winning address-group. Computed in one pass as
-        // the requester with the smallest distance from the pointer
-        // (distances are distinct — one request per core).
-        let ptr = self.rr[bank] % ncores;
-        let winner = in_bank()
-            .min_by_key(|r| rr_distance(r.core, ptr, ncores))
-            .expect("bank has requests");
-        let (winner_core, winner_addr) = (winner.core, winner.addr);
-        self.rr[bank] = rr_next(winner_core, ncores);
-
-        let served = in_bank().filter(|r| r.addr == winner_addr).count();
-        let word = imem.read_broadcast(winner_addr, served);
-        self.stats.grants += served as u64;
-        self.stats.transfers += served as u64;
-        self.stats.stalls += (count - served) as u64;
-        grants.extend(
-            in_bank()
-                .filter(|r| r.addr == winner_addr)
-                .map(|r| ImGrant { core: r.core, word }),
-        );
-    }
 }
 
 /// The priority pointer `ptr` wrapped into `0..ncores`. A pointer is
@@ -398,26 +235,33 @@ fn wrap_pointer(ptr: usize, ncores: usize) -> usize {
 mod tests {
     use super::*;
     use crate::banked::BankMapping;
+    use crate::proptests::{fetch_groups, served_cores};
 
     fn imem() -> BankedMemory {
-        let mut m = BankedMemory::new(1024, 8, BankMapping::Blocked);
-        for a in 0..1024u16 {
-            m.poke(a, a ^ 0xA5A5);
-        }
-        m
+        BankedMemory::new(1024, 8, BankMapping::Blocked)
+    }
+
+    /// Serves one cycle of `(core, addr)` fetches, grouped by address in
+    /// request order, and returns the granted cores as a bitmask.
+    fn serve(xbar: &mut IXbar, fetches: &[(usize, u16)], m: &mut BankedMemory) -> u32 {
+        let groups = fetch_groups(fetches);
+        served_cores(&groups, xbar.serve_groups(&groups, m))
     }
 
     #[test]
     fn lockstep_fetch_broadcasts() {
         let mut m = imem();
         let mut xbar = IXbar::new(8);
-        let reqs: Vec<ImRequest> = (0..8).map(|core| ImRequest { core, addr: 100 }).collect();
-        let grants = xbar.arbitrate(&reqs, &mut m);
-        assert_eq!(grants.len(), 8, "all eight cores served at once");
-        assert!(grants.iter().all(|g| g.word == 100 ^ 0xA5A5));
+        let fetches: Vec<(usize, u16)> = (0..8).map(|core| (core, 100)).collect();
+        assert_eq!(
+            serve(&mut xbar, &fetches, &mut m),
+            0xFF,
+            "all eight cores served at once"
+        );
         assert_eq!(m.stats().bank_reads, 1, "single physical access");
         assert_eq!(m.stats().broadcast_extra, 7);
         assert_eq!(xbar.stats().stalls, 0);
+        assert_eq!(xbar.stats().grants, 8);
     }
 
     #[test]
@@ -425,14 +269,9 @@ mod tests {
         let mut m = imem();
         let mut xbar = IXbar::new(8);
         // All addresses in bank 0 (blocked: bank = addr / 128) but distinct.
-        let reqs: Vec<ImRequest> = (0..4)
-            .map(|core| ImRequest {
-                core,
-                addr: core as u16,
-            })
-            .collect();
-        let grants = xbar.arbitrate(&reqs, &mut m);
-        assert_eq!(grants.len(), 1, "one address-group per cycle");
+        let fetches: Vec<(usize, u16)> = (0..4).map(|core| (core, core as u16)).collect();
+        let granted = serve(&mut xbar, &fetches, &mut m);
+        assert_eq!(granted.count_ones(), 1, "one address-group per cycle");
         assert_eq!(xbar.stats().stalls, 3);
         assert_eq!(xbar.stats().conflict_cycles, 1);
     }
@@ -442,13 +281,8 @@ mod tests {
         let mut m = imem();
         let mut xbar = IXbar::new(8);
         // Blocked mapping, 1024/8 = 128 words per bank.
-        let reqs = vec![
-            ImRequest { core: 0, addr: 0 },
-            ImRequest { core: 1, addr: 128 },
-            ImRequest { core: 2, addr: 256 },
-        ];
-        let grants = xbar.arbitrate(&reqs, &mut m);
-        assert_eq!(grants.len(), 3);
+        let granted = serve(&mut xbar, &[(0, 0), (1, 128), (2, 256)], &mut m);
+        assert_eq!(granted, 0b111);
         assert_eq!(m.stats().bank_reads, 3);
         assert_eq!(xbar.stats().conflict_cycles, 0);
     }
@@ -457,16 +291,13 @@ mod tests {
     fn round_robin_is_fair() {
         let mut m = imem();
         let mut xbar = IXbar::new(8);
-        let reqs = vec![
-            ImRequest { core: 0, addr: 1 },
-            ImRequest { core: 1, addr: 2 },
-        ];
-        let first = xbar.arbitrate(&reqs, &mut m);
-        assert_eq!(first[0].core, 0, "pointer starts at core 0");
-        let second = xbar.arbitrate(&reqs, &mut m);
-        assert_eq!(second[0].core, 1, "pointer advanced past previous winner");
-        let third = xbar.arbitrate(&reqs, &mut m);
-        assert_eq!(third[0].core, 0);
+        let fetches = [(0, 1), (1, 2)];
+        let first = serve(&mut xbar, &fetches, &mut m);
+        assert_eq!(first, 1 << 0, "pointer starts at core 0");
+        let second = serve(&mut xbar, &fetches, &mut m);
+        assert_eq!(second, 1 << 1, "pointer advanced past previous winner");
+        let third = serve(&mut xbar, &fetches, &mut m);
+        assert_eq!(third, 1 << 0);
     }
 
     #[test]
@@ -474,27 +305,18 @@ mod tests {
         let mut m = imem();
         let mut xbar = IXbar::new(8);
         // Cores 0/2 at one address, cores 1/3 at another, same bank.
-        let reqs = vec![
-            ImRequest { core: 0, addr: 5 },
-            ImRequest { core: 1, addr: 9 },
-            ImRequest { core: 2, addr: 5 },
-            ImRequest { core: 3, addr: 9 },
-        ];
-        let grants = xbar.arbitrate(&reqs, &mut m);
-        let served: Vec<usize> = grants.iter().map(|g| g.core).collect();
-        assert_eq!(served, vec![0, 2], "the whole winning group is served");
+        let granted = serve(&mut xbar, &[(0, 5), (1, 9), (2, 5), (3, 9)], &mut m);
+        assert_eq!(granted, 0b0101, "the whole winning group is served");
         assert_eq!(m.stats().bank_reads, 1);
+        assert_eq!(xbar.stats().stalls, 2);
     }
 
     #[test]
     fn snapshot_round_trip_preserves_rotation() {
         let mut m = imem();
         let mut xbar = IXbar::new(8);
-        let reqs = vec![
-            ImRequest { core: 0, addr: 1 },
-            ImRequest { core: 1, addr: 2 },
-        ];
-        xbar.arbitrate(&reqs, &mut m);
+        let fetches = [(0, 1), (1, 2)];
+        serve(&mut xbar, &fetches, &mut m);
         let snap = xbar.save();
 
         let mut restored = IXbar::new(8);
@@ -502,8 +324,7 @@ mod tests {
         assert_eq!(restored.stats(), xbar.stats());
         // The restored arbiter continues the rotation exactly where the
         // original would: core 1 wins the next conflict.
-        let next = restored.arbitrate(&reqs, &mut m);
-        assert_eq!(next[0].core, 1);
+        assert_eq!(serve(&mut restored, &fetches, &mut m), 1 << 1);
         assert!(!IXbar::new(4).load_snapshot(&snap), "bank count mismatch");
     }
 
@@ -511,14 +332,22 @@ mod tests {
     fn interleaved_mapping_separates_consecutive_addresses() {
         let mut m = BankedMemory::new(1024, 8, BankMapping::Interleaved);
         let mut xbar = IXbar::new(8);
-        let reqs: Vec<ImRequest> = (0..8)
-            .map(|core| ImRequest {
-                core,
-                addr: core as u16, // eight consecutive addresses -> eight banks
-            })
-            .collect();
-        let grants = xbar.arbitrate(&reqs, &mut m);
-        assert_eq!(grants.len(), 8, "no conflicts under interleaving");
+        // Eight consecutive addresses -> eight banks.
+        let fetches: Vec<(usize, u16)> = (0..8).map(|core| (core, core as u16)).collect();
+        assert_eq!(
+            serve(&mut xbar, &fetches, &mut m),
+            0xFF,
+            "no conflicts under interleaving"
+        );
         assert_eq!(xbar.stats().conflict_cycles, 0);
+    }
+
+    #[test]
+    fn an_empty_cycle_serves_nothing() {
+        let mut m = imem();
+        let mut xbar = IXbar::new(8);
+        assert_eq!(xbar.serve_groups(&[], &mut m), 0);
+        assert_eq!(*xbar.stats(), IXbarStats::default());
+        assert_eq!(m.stats().bank_reads, 0);
     }
 }

@@ -6,9 +6,10 @@
 //! * [`BankedMemory`] — a word-addressed memory divided into banks, with a
 //!   configurable [`BankMapping`], word-level locking (for the
 //!   synchronizer's atomic read-modify-write) and access statistics;
-//! * [`IXbar`] — the instruction crossbar: per-bank arbitration in which
-//!   same-address fetches from several cores merge into a *single*
-//!   physical bank access broadcast to all of them;
+//! * [`IXbar`] — the instruction crossbar: the cores fetching one address
+//!   form a [`FetchGroup`] served by a *single* physical bank access
+//!   broadcast to all of them, one group per bank per cycle
+//!   ([`IXbar::serve_groups`]);
 //! * [`DXbar`] — the data crossbar with the same broadcast capability plus
 //!   the paper's **enhanced data-serving policy** ([`ServingPolicy`],
 //!   Section IV): when PC-synchronous cores conflict in a bank, cores that
@@ -30,4 +31,4 @@ pub use banked::{BankMapping, BankedMemory, MemSnapshot, MemStats};
 pub use dxbar::{
     Access, DXbar, DXbarOutcome, DXbarSnapshot, DXbarStats, DmGrant, DmRequest, ServingPolicy,
 };
-pub use ixbar::{FetchGroup, IXbar, IXbarSnapshot, IXbarStats, ImGrant, ImRequest};
+pub use ixbar::{FetchGroup, IXbar, IXbarSnapshot, IXbarStats};

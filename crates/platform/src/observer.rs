@@ -35,7 +35,7 @@ use crate::error::PlatformError;
 use crate::sim::RunSummary;
 use crate::stats::SimStats;
 use ulp_cpu::{Core, CoreState};
-use ulp_mem::{BankMapping, DmRequest, ImRequest};
+use ulp_mem::{BankMapping, DmRequest, FetchGroup};
 
 /// Hooks into the deterministic cycle loop.
 ///
@@ -82,9 +82,11 @@ pub trait Observer: std::any::Any {
     /// decides which engine call the core receives), with its current PC.
     fn on_core_phase(&mut self, _cycle: u64, _core: usize, _pc: u16, _phase: CoreState) {}
 
-    /// The cycle's instruction-fetch requests, before arbitration. Empty
-    /// when no core is in its fetch phase.
-    fn on_fetch(&mut self, _cycle: u64, _fetch_reqs: &[ImRequest]) {}
+    /// The cycle's instruction fetches before arbitration, as groups of
+    /// cores fetching the same address, in order of each group's lowest
+    /// core id. Called every cycle; empty when no core is in its fetch
+    /// phase.
+    fn on_fetch(&mut self, _cycle: u64, _groups: &[FetchGroup]) {}
 
     /// The cycle's data-memory requests after D-Xbar arbitration:
     /// `granted[core]` is `true` for the cores whose request in `dm_reqs`
@@ -137,9 +139,8 @@ impl LockstepWidth {
     }
 
     /// Records one fetch cycle whose largest same-PC group has `width`
-    /// cores, without materializing a request list — what
-    /// [`Observer::on_fetch`] would record for such a cycle. Used by the
-    /// engine's batched cycles.
+    /// cores. Used by the engine's uniform batched cycles, which know the
+    /// width up front.
     pub fn note_width(&mut self, width: u64) {
         self.sum += width;
         self.cycles += 1;
@@ -176,23 +177,11 @@ impl Observer for LockstepWidth {
         true
     }
 
-    fn on_fetch(&mut self, _cycle: u64, fetch_reqs: &[ImRequest]) {
-        if fetch_reqs.is_empty() {
-            return;
+    #[inline]
+    fn on_fetch(&mut self, _cycle: u64, groups: &[FetchGroup]) {
+        if let Some(width) = groups.iter().map(|g| g.members.count_ones()).max() {
+            self.note_width(u64::from(width));
         }
-        // The largest same-address multiplicity, without sorting: each
-        // address's first occurrence counts itself and its later
-        // repeats, and the scan stops once no later start can do better.
-        let mut best = 0;
-        for (i, r) in fetch_reqs.iter().enumerate() {
-            if best >= fetch_reqs.len() - i {
-                break;
-            }
-            let count = fetch_reqs[i..].iter().filter(|q| q.addr == r.addr).count();
-            best = best.max(count);
-        }
-        self.sum += best as u64;
-        self.cycles += 1;
     }
 }
 
@@ -506,12 +495,12 @@ mod tests {
     #[test]
     fn lockstep_width_counts_largest_group() {
         let mut w = LockstepWidth::new();
-        let req = |core, addr| ImRequest { core, addr };
+        let group = |addr, members| FetchGroup { addr, members };
         w.on_fetch(1, &[]);
         assert_eq!(w.cycles(), 0, "empty fetch cycles are not counted");
-        w.on_fetch(2, &[req(0, 5), req(1, 5), req(2, 9)]);
+        w.on_fetch(2, &[group(5, 0b011), group(9, 0b100)]);
         assert_eq!((w.sum(), w.cycles()), (2, 1));
-        w.on_fetch(3, &[req(0, 1), req(1, 2), req(2, 3)]);
+        w.on_fetch(3, &[group(1, 0b001), group(2, 0b010), group(3, 0b100)]);
         assert_eq!((w.sum(), w.cycles()), (3, 2));
         w.reset();
         assert_eq!((w.sum(), w.cycles()), (0, 0));

@@ -10,10 +10,7 @@ use std::fmt;
 use ulp_cpu::{Core, CoreState, MemAccess, SyncRequest, WakeReason};
 use ulp_isa::asm::Program;
 use ulp_isa::{decode, CsrOp, Instr, OpClass};
-use ulp_mem::{
-    Access, BankedMemory, DXbar, DXbarOutcome, DmGrant, DmRequest, FetchGroup, IXbar, ImGrant,
-    ImRequest,
-};
+use ulp_mem::{Access, BankedMemory, DXbar, DXbarOutcome, DmGrant, DmRequest, FetchGroup, IXbar};
 use ulp_sync::{SyncEvents, Synchronizer};
 
 /// Outcome of a completed run.
@@ -65,12 +62,6 @@ pub struct ObserverHandle {
 struct CycleBuffers {
     /// Phase of every core at the start of the cycle.
     phases: Vec<CoreState>,
-    /// Fetch requests of cores in their fetch phase.
-    fetch_reqs: Vec<ImRequest>,
-    /// Granted fetches (filled by the I-Xbar).
-    im_grants: Vec<ImGrant>,
-    /// Cores whose fetch was granted this cycle.
-    fetched: Vec<bool>,
     /// `SINC`/`SDEC` requests of cores in their execute phase.
     sync_reqs: Vec<(usize, SyncRequest)>,
     /// Events produced by the synchronizer (filled by `step_into`).
@@ -87,9 +78,6 @@ impl CycleBuffers {
     fn new(num_cores: usize) -> CycleBuffers {
         CycleBuffers {
             phases: Vec::with_capacity(num_cores),
-            fetch_reqs: Vec::with_capacity(num_cores),
-            im_grants: Vec::with_capacity(num_cores),
-            fetched: vec![false; num_cores],
             sync_reqs: Vec::with_capacity(num_cores),
             sync_events: SyncEvents::default(),
             dm_reqs: Vec::with_capacity(num_cores),
@@ -367,8 +355,12 @@ impl Platform {
     }
 
     /// One interpreter cycle. `OBSERVED` gates every observer dispatch at
-    /// compile time; the built-in lockstep recorder only implements
-    /// `on_fetch`, so that is the one hook the unobserved copy keeps.
+    /// compile time. The built-in lockstep recorder is not dispatched to:
+    /// both copies feed it the cycle's fetch groups directly.
+    ///
+    /// The fetch phase groups the fetching cores by PC and grants whole
+    /// groups through [`IXbar::serve_groups`], as the batch does; each
+    /// granted core decodes the word it was served.
     ///
     /// The unobserved copy may instead run a batch (see
     /// [`Platform::batch`]) of up to `batch_limit - cycle` cycles, right
@@ -409,7 +401,11 @@ impl Platform {
         // nothing for them.
         buf.phases.clear();
         buf.phases.extend(self.cores.iter().map(|c| c.state()));
-        buf.fetch_reqs.clear();
+        let mut groups = [FetchGroup {
+            addr: 0,
+            members: 0,
+        }; 16];
+        let (mut k, mut fetching) = (0, 0u32);
         buf.sync_reqs.clear();
         buf.dm_reqs.clear();
         let mut any_sync_issued = false;
@@ -426,9 +422,8 @@ impl Platform {
             }
             match phase {
                 CoreState::Fetch => {
-                    if let Some(addr) = self.cores[i].fetch_request() {
-                        buf.fetch_reqs.push(ImRequest { core: i, addr });
-                    }
+                    fetching |= 1 << i;
+                    join_group(&mut groups, &mut k, self.cores[i].pc(), i);
                 }
                 CoreState::Execute(_) => {
                     let c = &self.cores[i];
@@ -450,30 +445,36 @@ impl Platform {
         self.cycle = cycle;
 
         // ---- fetch phase ----------------------------------------------
-        self.lockstep.on_fetch(cycle, &buf.fetch_reqs);
+        let groups = &groups[..k];
+        self.lockstep.on_fetch(cycle, groups);
         if OBSERVED {
             for (_, o) in observers.iter_mut() {
-                o.on_fetch(cycle, &buf.fetch_reqs);
+                o.on_fetch(cycle, groups);
             }
         }
 
-        self.ixbar
-            .arbitrate_into(&buf.fetch_reqs, &mut self.imem, &mut buf.im_grants);
-        buf.fetched.fill(false);
-        for g in &buf.im_grants {
-            buf.fetched[g.core] = true;
-            if let Err(error) = self.cores[g.core].on_fetch_granted(g.word) {
-                self.fault.get_or_insert(PlatformError::CoreFault {
-                    core: g.core,
-                    error,
-                });
-            }
+        let mut served = self.ixbar.serve_groups(groups, &mut self.imem);
+        // Of several cores faulting in one cycle, the one reported is the
+        // first granted in bank order, then core order.
+        let mut fault: Option<(usize, PlatformError)> = None;
+        while served != 0 {
+            let group = groups[served.trailing_zeros() as usize];
+            served &= served - 1;
+            fetching &= !group.members;
+            let word = self.imem.peek(group.addr);
+            for_each_bit(group.members, |i| {
+                if let Err(error) = self.cores[i].on_fetch_granted(word) {
+                    let bank = self.imem.bank_of(group.addr);
+                    if fault.is_none_or(|(first, _)| bank < first) {
+                        fault = Some((bank, PlatformError::CoreFault { core: i, error }));
+                    }
+                }
+            });
         }
-        for r in &buf.fetch_reqs {
-            if !buf.fetched[r.core] {
-                self.cores[r.core].note_fetch_stall();
-            }
+        if let Some((_, error)) = fault {
+            self.fault.get_or_insert(error);
         }
+        for_each_bit(fetching, |i| self.cores[i].note_fetch_stall());
 
         // ---- execute phase: synchronization ISE ------------------------
         if let Some(sync) = &mut self.sync {
@@ -766,19 +767,12 @@ impl Platform {
                 let i = pending.trailing_zeros() as usize;
                 pending &= pending - 1;
                 let pc = self.cores[i].pc();
-                if let Some(g) = groups[..k].iter_mut().find(|g| g.addr == pc) {
-                    g.members |= 1 << i;
-                    continue;
+                if join_group(&mut groups, &mut k, pc, i) {
+                    let Some(op) = self.decoded.get(usize::from(pc)).copied().flatten() else {
+                        return self.cycle > start;
+                    };
+                    ops[k - 1] = op;
                 }
-                let Some(op) = self.decoded.get(usize::from(pc)).copied().flatten() else {
-                    return self.cycle > start;
-                };
-                groups[k] = FetchGroup {
-                    addr: pc,
-                    members: 1 << i,
-                };
-                ops[k] = op;
-                k += 1;
             }
             if k == 1 && exec == 0 {
                 match self.batch_uniform(buf, groups[0], ops[0], asleep, limit) {
@@ -794,9 +788,7 @@ impl Platform {
             // Fetch: whole groups granted or stalled.
             let (mut fetched, mut fetched_mem) = (0u32, 0u32);
             if k > 0 {
-                let width = groups[..k].iter().map(|g| g.members.count_ones());
-                self.lockstep
-                    .note_width(u64::from(width.max().unwrap_or(0)));
+                self.lockstep.on_fetch(self.cycle, &groups[..k]);
                 let mut served = self.ixbar.serve_groups(&groups[..k], &mut self.imem);
                 while served != 0 {
                     let g = served.trailing_zeros() as usize;
@@ -1140,6 +1132,23 @@ fn is_batchable(instr: Instr) -> bool {
         }
     );
     instr.op_class() != OpClass::Boundary && !enables_irq
+}
+
+/// Adds `core`, fetching `addr`, to the group among `groups[..*k]` that
+/// fetches `addr`, or opens group `*k` for it. Returns whether it opened
+/// one.
+#[inline]
+fn join_group(groups: &mut [FetchGroup; 16], k: &mut usize, addr: u16, core: usize) -> bool {
+    if let Some(g) = groups[..*k].iter_mut().find(|g| g.addr == addr) {
+        g.members |= 1 << core;
+        return false;
+    }
+    groups[*k] = FetchGroup {
+        addr,
+        members: 1 << core,
+    };
+    *k += 1;
+    true
 }
 
 /// Calls `f` with the index of every set bit of `mask`, lowest first.

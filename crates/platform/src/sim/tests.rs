@@ -370,8 +370,8 @@ impl crate::Observer for CountingObserver {
     fn on_core_phase(&mut self, _cycle: u64, _core: usize, _pc: u16, _phase: CoreState) {
         self.core_phases += 1;
     }
-    fn on_fetch(&mut self, _cycle: u64, fetch_reqs: &[ulp_mem::ImRequest]) {
-        if !fetch_reqs.is_empty() {
+    fn on_fetch(&mut self, _cycle: u64, groups: &[FetchGroup]) {
+        if !groups.is_empty() {
             self.fetch_cycles += 1;
         }
     }
@@ -961,6 +961,53 @@ bad:    .word 0xF800";
         );
         assert_eq!(machine(&fast), machine(&stepped));
     }
+}
+
+#[test]
+fn a_one_cycle_double_fault_reports_the_lowest_banks_core() {
+    // On interleaved IM, core 0 falls through to an illegal word in
+    // bank 3 while core 1 branches to one in bank 1, in the same cycle.
+    // Both fetches are granted; the fault reported is the one granted
+    // first, in bank order: core 1's.
+    let src = "
+        rdid r1
+        cmpi r1, #1
+        beq  one
+        .word 0xF800
+        nop
+        nop
+        nop
+        nop
+        nop
+one:    .word 0xF800";
+    let mut cfg = PlatformConfig::paper_with_sync().with_cores(2);
+    cfg.im_mapping = ulp_mem::BankMapping::Interleaved;
+    let expected = PlatformError::CoreFault {
+        core: 1,
+        error: ulp_cpu::CoreError::IllegalInstruction {
+            pc: 9,
+            word: 0xF800,
+        },
+    };
+    let mut fast = Platform::new(cfg.clone()).unwrap();
+    fast.load_program(&assemble(src).unwrap());
+    assert_eq!(fast.run().unwrap_err(), expected);
+
+    let mut stepped = Platform::new(cfg).unwrap();
+    stepped.load_program(&assemble(src).unwrap());
+    let mut steps = 0;
+    while stepped.fault.is_none() {
+        stepped.step();
+        steps += 1;
+    }
+    assert_eq!(stepped.fault, Some(expected));
+    assert_eq!(steps, fast.cycle());
+    assert!(
+        stepped.core(0).is_halted() && stepped.core(1).is_halted(),
+        "both fetches were granted"
+    );
+    assert_eq!(stepped.stats().ixbar.grants, fast.stats().ixbar.grants);
+    assert_eq!(machine(&fast), machine(&stepped));
 }
 
 // ---- the decoded-op table ------------------------------------------------

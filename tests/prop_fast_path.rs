@@ -10,12 +10,16 @@
 //! execute cycle of a batched op. The programs are random SPMD bodies,
 //! the paper's Listing-1 shape (`SINC`/`SDEC` barriers around
 //! data-dependent spins, so cores sleep beside running groups), and
-//! either with interrupts raised at slice boundaries.
+//! either with interrupts raised at slice boundaries. Each random case
+//! draws the IM bank mapping too: interleaved IM puts consecutive words
+//! in different banks, so cycles serve fetch groups in several banks at
+//! once.
 
 use proptest::prelude::*;
 use ulp_lockstep::cpu::CoreState;
 use ulp_lockstep::isa::{encode, AluOp, Cond, CsrOp, Flags, Instr, Reg, ShiftKind, UnaryOp};
 use ulp_lockstep::kernels::{run_benchmark_reusing, Benchmark, CheckpointControl, WorkloadConfig};
+use ulp_lockstep::mem::BankMapping;
 use ulp_lockstep::platform::{Platform, PlatformConfig, RunProgress, SimStats};
 
 /// Cycle budget of the random programs (far above what they need).
@@ -328,12 +332,19 @@ fn stepped(mut p: Platform) -> MachineState {
     capture(&p)
 }
 
+/// Slice boundaries at which the interrupt runs may raise an interrupt.
+/// Past them the slices go on without interrupts: a core interrupted more
+/// often than its handler takes (short slices, each with an interrupt)
+/// would never leave the handler, and the run would never end.
+const IRQ_BOUNDARIES: usize = 64;
+
 /// The reference with interrupts: a `step()` loop that raises core
 /// `irq % cores`'s interrupt line at the end of every slice that has one,
-/// with the slices cycled, until every core halts.
+/// with the slices cycled, until every core halts. Only the first
+/// [`IRQ_BOUNDARIES`] boundaries raise interrupts.
 fn stepped_with_irqs(mut p: Platform, slices: &[(u64, Option<usize>)]) -> MachineState {
     let cores = p.num_cores();
-    for &(len, irq) in slices.iter().cycle() {
+    for (boundary, &(len, irq)) in slices.iter().cycle().enumerate() {
         let limit = p.cycle() + len;
         while p.cycle() < limit && !p.all_halted() {
             assert!(p.cycle() < p.config().max_cycles, "reference terminates");
@@ -342,7 +353,7 @@ fn stepped_with_irqs(mut p: Platform, slices: &[(u64, Option<usize>)]) -> Machin
         if p.all_halted() {
             break;
         }
-        if let Some(core) = irq {
+        if let Some(core) = irq.filter(|_| boundary < IRQ_BOUNDARIES) {
             p.raise_irq(core % cores);
         }
     }
@@ -353,13 +364,13 @@ fn stepped_with_irqs(mut p: Platform, slices: &[(u64, Option<usize>)]) -> Machin
 /// `run_until` slices.
 fn sliced_with_irqs(mut p: Platform, slices: &[(u64, Option<usize>)]) -> MachineState {
     let cores = p.num_cores();
-    for &(len, irq) in slices.iter().cycle() {
+    for (boundary, &(len, irq)) in slices.iter().cycle().enumerate() {
         let limit = p.cycle() + len;
         match p.run_until(limit).expect("sliced run succeeds") {
             RunProgress::Done(_) => break,
             RunProgress::Paused => assert_eq!(p.cycle(), limit, "pause lands on the limit"),
         }
-        if let Some(core) = irq {
+        if let Some(core) = irq.filter(|_| boundary < IRQ_BOUNDARIES) {
             p.raise_irq(core % cores);
         }
     }
@@ -382,10 +393,16 @@ fn sliced(mut p: Platform, slices: &[u64]) -> MachineState {
     capture(&p)
 }
 
-fn random_platform(words: &[u16], cores: usize, with_sync: bool) -> Platform {
-    let cfg = PlatformConfig::paper(with_sync)
+/// Strategy: the IM bank mapping, the paper's blocked one or interleaved.
+fn im_mapping() -> impl Strategy<Value = BankMapping> {
+    prop::sample::select(&[BankMapping::Blocked, BankMapping::Interleaved][..])
+}
+
+fn random_platform(words: &[u16], cores: usize, with_sync: bool, im: BankMapping) -> Platform {
+    let mut cfg = PlatformConfig::paper(with_sync)
         .with_cores(cores)
         .with_max_cycles(MAX_CYCLES);
+    cfg.im_mapping = im;
     let mut p = Platform::new(cfg).expect("valid config");
     p.load_im(0, words);
     p
@@ -398,24 +415,25 @@ proptest! {
     /// memory traffic, forward skips and jumps, the cycle counter) give
     /// the same machine under `run()`,
     /// under `run_until` slices and under a `step()` loop, at 2, 4 and 8
-    /// cores on both designs.
+    /// cores on both designs, on either IM bank mapping.
     #[test]
     fn run_and_sliced_runs_match_a_step_loop(
         body in prop::collection::vec(body_instr(), 1..60),
         slices in prop::collection::vec(1u64..40, 1..6),
+        im in im_mapping(),
     ) {
         let words = build_program(&body);
         for cores in [2usize, 4, 8] {
             for with_sync in [true, false] {
-                let reference = stepped(random_platform(&words, cores, with_sync));
-                let mut p = random_platform(&words, cores, with_sync);
+                let reference = stepped(random_platform(&words, cores, with_sync, im));
+                let mut p = random_platform(&words, cores, with_sync, im);
                 let summary = p.run().expect("run terminates");
                 prop_assert_eq!(summary.cycles, reference.cycles);
                 prop_assert_eq!(
                     &reference, &capture(&p),
                     "run(), cores {} sync {}", cores, with_sync
                 );
-                let subject = sliced(random_platform(&words, cores, with_sync), &slices);
+                let subject = sliced(random_platform(&words, cores, with_sync, im), &slices);
                 prop_assert_eq!(
                     &reference, &subject,
                     "run_until {:?}, cores {} sync {}", slices, cores, with_sync
@@ -428,23 +446,24 @@ proptest! {
     /// cores sleep at the check-out beside groups still spinning, and the
     /// spinning groups split and merge across PCs — give the same machine
     /// under `run()`, under `run_until` slices and under a `step()` loop,
-    /// at 2, 4 and 8 cores on both designs.
+    /// at 2, 4 and 8 cores on both designs, on either IM bank mapping.
     #[test]
     fn listing1_programs_match_a_step_loop(
         program in listing1(),
         slices in prop::collection::vec(1u64..40, 1..6),
+        im in im_mapping(),
     ) {
         let words = encode_all(&program);
         for cores in [2usize, 4, 8] {
             for with_sync in [true, false] {
-                let reference = stepped(random_platform(&words, cores, with_sync));
-                let mut p = random_platform(&words, cores, with_sync);
+                let reference = stepped(random_platform(&words, cores, with_sync, im));
+                let mut p = random_platform(&words, cores, with_sync, im);
                 p.run().expect("run terminates");
                 prop_assert_eq!(
                     &reference, &capture(&p),
                     "run(), cores {} sync {}", cores, with_sync
                 );
-                let subject = sliced(random_platform(&words, cores, with_sync), &slices);
+                let subject = sliced(random_platform(&words, cores, with_sync, im), &slices);
                 prop_assert_eq!(
                     &reference, &subject,
                     "run_until {:?}, cores {} sync {}", slices, cores, with_sync
@@ -453,8 +472,8 @@ proptest! {
         }
     }
 
-    /// Interrupts raised on random cores at random slice boundaries, with
-    /// interrupts enabled from the start, land on the same cycles under
+    /// Interrupts raised on random cores at random slice boundaries (the
+    /// first [`IRQ_BOUNDARIES`]), with interrupts enabled from the start, land on the same cycles under
     /// `run_until` slices as under a `step()` loop: on random SPMD bodies
     /// and on Listing-1 programs, whose barrier sleepers keep a raised
     /// interrupt pending until the synchronizer wakes them.
@@ -465,12 +484,13 @@ proptest! {
             listing1(),
         ],
         slices in prop::collection::vec((1u64..40, prop::sample::select(&[None, Some(0usize), Some(1), Some(2), Some(5), Some(7)][..])), 1..8),
+        im in im_mapping(),
     ) {
         let words = with_interrupts(&main);
         for cores in [2usize, 8] {
             for with_sync in [true, false] {
-                let reference = stepped_with_irqs(random_platform(&words, cores, with_sync), &slices);
-                let subject = sliced_with_irqs(random_platform(&words, cores, with_sync), &slices);
+                let reference = stepped_with_irqs(random_platform(&words, cores, with_sync, im), &slices);
+                let subject = sliced_with_irqs(random_platform(&words, cores, with_sync, im), &slices);
                 prop_assert_eq!(
                     &reference, &subject,
                     "slices {:?}, cores {} sync {}", slices, cores, with_sync
