@@ -332,19 +332,40 @@ fn stepped(mut p: Platform) -> MachineState {
     capture(&p)
 }
 
-/// Slice boundaries at which the interrupt runs may raise an interrupt.
-/// Past them the slices go on without interrupts: a core interrupted more
-/// often than its handler takes (short slices, each with an interrupt)
-/// would never leave the handler, and the run would never end.
-const IRQ_BOUNDARIES: usize = 64;
+/// Cycles one interrupt can keep a core among `cores` from its program,
+/// at most: the handler's three instructions (`b`, `addi`, `iret`), each
+/// a fetch and an execute cycle plus up to `cores - 1` cycles stalled
+/// behind other cores' fetches in its I-Xbar bank (the rotating pointer
+/// serves every other requester at most once first), and a fetch of the
+/// program stalled as long before the interrupt cut it off.
+fn irq_cost(cores: usize) -> u64 {
+    let stall = cores as u64 - 1;
+    3 * (2 + stall) + stall
+}
+
+/// Whether `slices`, cycled on `cores` cores, can keep a core in its
+/// interrupt handler forever. A raised line is taken right after the
+/// handler's `iret`, so a core interrupted more often than the handler
+/// takes never runs its program again and the run never ends. A core
+/// whose interrupts per slice cycle cost fewer cycles than the cycle
+/// lasts runs its program in every cycle, so its run ends.
+fn may_livelock(slices: &[(u64, Option<usize>)], cores: usize) -> bool {
+    let period: u64 = slices.iter().map(|&(len, _)| len).sum();
+    (0..cores).any(|core| {
+        let irqs = slices
+            .iter()
+            .filter(|&&(_, irq)| irq.is_some_and(|i| i % cores == core))
+            .count() as u64;
+        irqs * irq_cost(cores) >= period
+    })
+}
 
 /// The reference with interrupts: a `step()` loop that raises core
 /// `irq % cores`'s interrupt line at the end of every slice that has one,
-/// with the slices cycled, until every core halts. Only the first
-/// [`IRQ_BOUNDARIES`] boundaries raise interrupts.
+/// with the slices cycled, until every core halts.
 fn stepped_with_irqs(mut p: Platform, slices: &[(u64, Option<usize>)]) -> MachineState {
     let cores = p.num_cores();
-    for (boundary, &(len, irq)) in slices.iter().cycle().enumerate() {
+    for &(len, irq) in slices.iter().cycle() {
         let limit = p.cycle() + len;
         while p.cycle() < limit && !p.all_halted() {
             assert!(p.cycle() < p.config().max_cycles, "reference terminates");
@@ -353,7 +374,7 @@ fn stepped_with_irqs(mut p: Platform, slices: &[(u64, Option<usize>)]) -> Machin
         if p.all_halted() {
             break;
         }
-        if let Some(core) = irq.filter(|_| boundary < IRQ_BOUNDARIES) {
+        if let Some(core) = irq {
             p.raise_irq(core % cores);
         }
     }
@@ -364,13 +385,13 @@ fn stepped_with_irqs(mut p: Platform, slices: &[(u64, Option<usize>)]) -> Machin
 /// `run_until` slices.
 fn sliced_with_irqs(mut p: Platform, slices: &[(u64, Option<usize>)]) -> MachineState {
     let cores = p.num_cores();
-    for (boundary, &(len, irq)) in slices.iter().cycle().enumerate() {
+    for &(len, irq) in slices.iter().cycle() {
         let limit = p.cycle() + len;
         match p.run_until(limit).expect("sliced run succeeds") {
             RunProgress::Done(_) => break,
             RunProgress::Paused => assert_eq!(p.cycle(), limit, "pause lands on the limit"),
         }
-        if let Some(core) = irq.filter(|_| boundary < IRQ_BOUNDARIES) {
+        if let Some(core) = irq {
             p.raise_irq(core % cores);
         }
     }
@@ -472,11 +493,12 @@ proptest! {
         }
     }
 
-    /// Interrupts raised on random cores at random slice boundaries (the
-    /// first [`IRQ_BOUNDARIES`]), with interrupts enabled from the start, land on the same cycles under
+    /// Interrupts raised on random cores at random slice boundaries, with
+    /// interrupts enabled from the start, land on the same cycles under
     /// `run_until` slices as under a `step()` loop: on random SPMD bodies
     /// and on Listing-1 programs, whose barrier sleepers keep a raised
-    /// interrupt pending until the synchronizer wakes them.
+    /// interrupt pending until the synchronizer wakes them. Core counts
+    /// that the slice list [`may_livelock`] are skipped.
     #[test]
     fn interrupts_at_slice_boundaries_match_a_step_loop(
         main in prop_oneof![
@@ -488,6 +510,10 @@ proptest! {
     ) {
         let words = with_interrupts(&main);
         for cores in [2usize, 8] {
+            // Slice lists that can livelock a core have no end to compare.
+            if may_livelock(&slices, cores) {
+                continue;
+            }
             for with_sync in [true, false] {
                 let reference = stepped_with_irqs(random_platform(&words, cores, with_sync, im), &slices);
                 let subject = sliced_with_irqs(random_platform(&words, cores, with_sync, im), &slices);
