@@ -10,16 +10,13 @@
 //!
 //! Not a criterion harness: the gated quantity is a ratio of two
 //! measurements that must share a process (same platform caches, same
-//! thermal state, interleaved rounds), so the bench writes its perf-gate
-//! record directly, mirroring the criterion shim's `BENCH_*.json` format
-//! with `"lower_is_better":true` and a per-record `"tolerance"`.
-//!
-//! Honours the shared bench environment:
-//! * `ULP_BENCH_QUICK=1` — fewer rounds (CI smoke sizing).
-//! * `ULP_BENCH_JSON_DIR=<dir>` — write `BENCH_checkpoint_overhead_*.json`.
+//! thermal state, interleaved rounds). The bench prints the ratio and
+//! exits non-zero above [`MAX_RATIO`]; `ULP_BENCH_QUICK=1` runs fewer
+//! rounds (CI sizing).
+
+mod common;
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use ulp_kernels::{run_benchmark_on, Benchmark, WorkloadConfig};
 use ulp_platform::PlatformConfig;
 use ulp_service::{JobSpec, ServiceConfig, SimService};
@@ -29,9 +26,8 @@ use ulp_service::{JobSpec, ServiceConfig, SimService};
 const WORKERS: usize = 1;
 
 /// The acceptance bound: a checkpointed job may cost at most 10% over an
-/// identical job without checkpoints. The record carries this tolerance
-/// so the gate applies it instead of its 20% default.
-const RATIO_TOLERANCE: f64 = 0.10;
+/// identical job without checkpoints.
+const MAX_RATIO: f64 = 1.10;
 
 /// Checkpoints per job: enough that the snapshot cost is really in the
 /// measurement (one per job would mostly gate the cadence arithmetic),
@@ -74,27 +70,9 @@ fn run_batch(service: &mut SimService, specs: &[JobSpec]) {
     }
 }
 
-/// Writes one perf-gate record, mirroring the criterion shim's escaping
-/// and `BENCH_<label>.json` naming (the label is ASCII-clean, so the
-/// shim's collision hash is unnecessary).
-fn emit_record(dir: &std::path::Path, label: &str, value: f64, tolerance: f64) {
-    let sanitized: String = label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    let record = format!(
-        "{{\"label\":\"{label}\",\"value\":{value:.4},\"lower_is_better\":true,\
-         \"tolerance\":{tolerance}}}\n"
-    );
-    let path = dir.join(format!("BENCH_{sanitized}.json"));
-    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, record)) {
-        eprintln!("checkpoint_overhead: cannot write {}: {e}", path.display());
-    }
-}
-
 fn main() {
-    let quick = std::env::var_os("ULP_BENCH_QUICK").is_some();
-    let (jobs, rounds) = if quick { (8, 100) } else { (8, 200) };
+    let jobs = 8;
+    let rounds = if criterion::quick_mode() { 100 } else { 200 };
     let workload = workload();
     // Cadence from the job's real cycle count — on the same 2-core
     // platform shape the jobs run on — so the checkpointed side takes
@@ -112,38 +90,14 @@ fn main() {
     let mut plain = SimService::start(ServiceConfig::builder().workers(WORKERS).build());
     let mut ckpt = SimService::start(ServiceConfig::builder().workers(WORKERS).build());
 
-    // Warm both pools (platform construction is one-off and identical),
-    // then measure in adjacent pairs: machine noise drifts over time, so
-    // a round's plain and checkpointed batches share the same noise phase
-    // and their *ratio* is far tighter than either absolute time.
+    // Warm both pools: platform construction is one-off and identical.
     run_batch(&mut plain, &plain_grid);
     run_batch(&mut ckpt, &ckpt_grid);
-    let mut best_plain = Duration::MAX;
-    let mut best_ckpt = Duration::MAX;
-    let mut ratios = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        // Alternate which pool runs first so any systematic first/second
-        // position bias cancels across rounds instead of loading one side
-        // of every ratio.
-        let (plain_elapsed, ckpt_elapsed) = if round.is_multiple_of(2) {
-            let t = Instant::now();
-            run_batch(&mut plain, &plain_grid);
-            let plain_elapsed = t.elapsed();
-            let t = Instant::now();
-            run_batch(&mut ckpt, &ckpt_grid);
-            (plain_elapsed, t.elapsed())
-        } else {
-            let t = Instant::now();
-            run_batch(&mut ckpt, &ckpt_grid);
-            let ckpt_elapsed = t.elapsed();
-            let t = Instant::now();
-            run_batch(&mut plain, &plain_grid);
-            (t.elapsed(), ckpt_elapsed)
-        };
-        best_plain = best_plain.min(plain_elapsed);
-        best_ckpt = best_ckpt.min(ckpt_elapsed);
-        ratios.push(ckpt_elapsed.as_secs_f64() / plain_elapsed.as_secs_f64());
-    }
+    let ratio = common::measure(
+        rounds,
+        || common::timed(|| run_batch(&mut ckpt, &ckpt_grid)),
+        || common::timed(|| run_batch(&mut plain, &plain_grid)),
+    );
     // The checkpointed pool must actually have been snapshotting, or the
     // ratio gates nothing.
     let stats = ckpt.finish();
@@ -155,32 +109,18 @@ fn main() {
     );
     assert_eq!(stats.jobs_migrated, 0, "no migration traffic in this bench");
 
-    // Interquartile mean of the per-round ratios: drops the rounds where
-    // one side caught a descheduling spike, averages the stable middle.
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let quartile = ratios.len() / 4;
-    let middle = &ratios[quartile..ratios.len() - quartile];
-    let ratio = middle.iter().sum::<f64>() / middle.len() as f64;
-
     println!(
         "checkpoint_overhead: {} jobs x {} rounds on {} workers, {} snapshots/job \
-         (every {} cycles): plain {:.3} ms, checkpointed {:.3} ms, ratio {:.4}",
+         (every {} cycles): plain {:.3} ms, checkpointed {:.3} ms",
         jobs,
         rounds,
         WORKERS,
         CHECKPOINTS_PER_JOB,
         every,
-        best_plain.as_secs_f64() * 1e3,
-        best_ckpt.as_secs_f64() * 1e3,
-        ratio,
+        ratio.best_reference.as_secs_f64() * 1e3,
+        ratio.best_subject.as_secs_f64() * 1e3,
     );
-
-    if let Some(dir) = std::env::var_os("ULP_BENCH_JSON_DIR") {
-        emit_record(
-            &std::path::PathBuf::from(dir),
-            "checkpoint_overhead/ratio",
-            ratio,
-            RATIO_TOLERANCE,
-        );
+    if !common::check("checkpoint_overhead", ratio.value, 0.0..=MAX_RATIO) {
+        std::process::exit(1);
     }
 }

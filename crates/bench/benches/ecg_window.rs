@@ -9,16 +9,13 @@
 //!
 //! Not a criterion harness: the gated quantity is a ratio of two
 //! measurements that must share a process (same thermal state,
-//! interleaved rounds), so the bench writes its perf-gate record
-//! directly, mirroring the criterion shim's `BENCH_*.json` format with
-//! `"lower_is_better":true` and a per-record `"tolerance"`.
-//!
-//! Honours the shared bench environment:
-//! * `ULP_BENCH_QUICK=1` — fewer rounds (CI smoke sizing).
-//! * `ULP_BENCH_JSON_DIR=<dir>` — write `BENCH_ecg_window_ratio.json`.
+//! interleaved rounds). The bench prints the ratio and exits non-zero
+//! above [`MAX_RATIO`]; `ULP_BENCH_QUICK=1` runs fewer rounds (CI
+//! sizing).
+
+mod common;
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 use ulp_biosignal::{generate_channels, generate_channels_window, EcgConfig};
 
 /// Leads of the recording: one per core of the paper's platform.
@@ -31,40 +28,17 @@ const WINDOW: usize = 300;
 /// Syntheses per timed sample, so one sample spans milliseconds.
 const REPS: usize = 16;
 
-/// Gate headroom over the baseline ratio of 1.0: the window may cost at
-/// most twice a standalone recording of its length.
-const RATIO_TOLERANCE: f64 = 1.0;
-
-/// Writes one perf-gate record, mirroring the criterion shim's escaping
-/// and `BENCH_<label>.json` naming (the label is ASCII-clean, so the
-/// shim's collision hash is unnecessary).
-fn emit_record(dir: &std::path::Path, label: &str, value: f64, tolerance: f64) {
-    let sanitized: String = label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    let record = format!(
-        "{{\"label\":\"{label}\",\"value\":{value:.4},\"lower_is_better\":true,\
-         \"tolerance\":{tolerance}}}\n"
-    );
-    let path = dir.join(format!("BENCH_{sanitized}.json"));
-    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, record)) {
-        eprintln!("ecg_window: cannot write {}: {e}", path.display());
-    }
-}
+/// The window may cost at most twice a standalone recording of its
+/// length.
+const MAX_RATIO: f64 = 2.0;
 
 /// Wall time of [`REPS`] calls of `synth`.
-fn time(synth: impl Fn()) -> Duration {
-    let t = Instant::now();
-    for _ in 0..REPS {
-        synth();
-    }
-    t.elapsed()
+fn time(synth: impl Fn()) -> std::time::Duration {
+    common::timed(|| (0..REPS).for_each(|_| synth()))
 }
 
 fn main() {
-    let quick = std::env::var_os("ULP_BENCH_QUICK").is_some();
-    let rounds = if quick { 40 } else { 200 };
+    let rounds = if criterion::quick_mode() { 40 } else { 200 };
     // The benchmark's recording shape: independent per-lead sources.
     let cfg = EcgConfig {
         independent_channels: true,
@@ -84,45 +58,16 @@ fn main() {
 
     window();
     standalone();
-    let mut best_window = Duration::MAX;
-    let mut best_standalone = Duration::MAX;
-    let mut ratios = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        // Alternate which side runs first so a first/second position bias
-        // cancels across rounds instead of loading one side of every ratio.
-        let (w, s) = if round.is_multiple_of(2) {
-            let w = time(window);
-            (w, time(standalone))
-        } else {
-            let s = time(standalone);
-            (time(window), s)
-        };
-        best_window = best_window.min(w);
-        best_standalone = best_standalone.min(s);
-        ratios.push(w.as_secs_f64() / s.as_secs_f64());
-    }
-
-    // Interquartile mean of the per-round ratios: drops the rounds where
-    // one side caught a descheduling spike, averages the stable middle.
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let quartile = ratios.len() / 4;
-    let middle = &ratios[quartile..ratios.len() - quartile];
-    let ratio = middle.iter().sum::<f64>() / middle.len() as f64;
+    let ratio = common::measure(rounds, || time(window), || time(standalone));
 
     println!(
         "ecg_window: {LEADS} leads, last {WINDOW} of {RECORDING} samples vs a \
          standalone {WINDOW}-sample recording, {rounds} rounds x {REPS}: \
-         window {:.3} ms, standalone {:.3} ms, ratio {ratio:.4}",
-        best_window.as_secs_f64() * 1e3 / REPS as f64,
-        best_standalone.as_secs_f64() * 1e3 / REPS as f64,
+         window {:.3} ms, standalone {:.3} ms",
+        ratio.best_subject.as_secs_f64() * 1e3 / REPS as f64,
+        ratio.best_reference.as_secs_f64() * 1e3 / REPS as f64,
     );
-
-    if let Some(dir) = std::env::var_os("ULP_BENCH_JSON_DIR") {
-        emit_record(
-            &std::path::PathBuf::from(dir),
-            "ecg_window/ratio",
-            ratio,
-            RATIO_TOLERANCE,
-        );
+    if !common::check("ecg_window", ratio.value, 0.0..=MAX_RATIO) {
+        std::process::exit(1);
     }
 }

@@ -1,23 +1,16 @@
 //! Latency benchmark of the batch simulation service: drive a *bounded*
 //! [`SimService`] to saturation with a mixed-priority grid and record the
 //! end-to-end latency distribution (queue wait + run time) the pool's own
-//! [`ServiceStats`] report. Where `service_throughput` tracks how many
-//! jobs per second the scheduler moves, this tracks what one job *feels*:
-//! the p50 tells the common case, the p95 the tail that determines usable
+//! [`ServiceStats`] report. This tracks what one job *feels*: the p50
+//! tells the common case, the p95 the tail that determines usable
 //! capacity under sustained traffic.
 //!
 //! Not a criterion harness: criterion measures iteration wall time, but
-//! the quantity gated here is the per-job latency percentile, which only
-//! the service itself can attribute (queue wait is accumulated inside the
-//! pool). The bench therefore writes its `BENCH_*.json` records directly,
-//! mirroring the criterion shim's format with two extras the perf gate
-//! understands: `"lower_is_better":true` (latency regressions are
-//! *increases*) and a per-record `"tolerance"` (latency tails are noisier
-//! than throughput means, so they get more headroom than the default 20%).
-//!
-//! Honours the shared bench environment:
-//! * `ULP_BENCH_QUICK=1` — fewer jobs (CI smoke sizing).
-//! * `ULP_BENCH_JSON_DIR=<dir>` — write `BENCH_service_latency_*.json`.
+//! the quantity reported here is the per-job latency percentile, which
+//! only the service itself can attribute (queue wait is accumulated
+//! inside the pool). A report, not a gate: an absolute latency means
+//! something only on the machine that measured it. `ULP_BENCH_QUICK=1`
+//! runs fewer jobs (CI sizing).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,11 +23,6 @@ const WORKERS: usize = 2;
 /// Queue bound: deep enough to keep every worker busy, shallow enough
 /// that the blocking submit path is really exercised at saturation.
 const QUEUE_CAPACITY: usize = 8;
-
-/// Per-record tolerances for the gate: the median is fairly stable, the
-/// tail much noisier under CI scheduling jitter.
-const P50_TOLERANCE: f64 = 0.60;
-const P95_TOLERANCE: f64 = 0.80;
 
 /// The smallest workload the kernels support, so per-job latency is
 /// dominated by service mechanics plus a short simulation — the shape of
@@ -60,31 +48,12 @@ fn spec(i: usize, workload: &Arc<WorkloadConfig>) -> JobSpec {
         .priority(priority)
 }
 
-/// Writes one perf-gate record, mirroring the criterion shim's escaping
-/// and `BENCH_<label>.json` naming (labels here are ASCII-clean, so the
-/// shim's collision hash is unnecessary).
-fn emit_record(dir: &std::path::Path, label: &str, value_us: f64, tolerance: f64) {
-    let sanitized: String = label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    let record = format!(
-        "{{\"label\":\"{label}\",\"value\":{value_us:.3},\"lower_is_better\":true,\
-         \"tolerance\":{tolerance}}}\n"
-    );
-    let path = dir.join(format!("BENCH_{sanitized}.json"));
-    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, record)) {
-        eprintln!("service_latency: cannot write {}: {e}", path.display());
-    }
-}
-
 fn as_us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
 }
 
 fn main() {
-    let quick = std::env::var_os("ULP_BENCH_QUICK").is_some();
-    let jobs: usize = if quick { 72 } else { 288 };
+    let jobs: usize = if criterion::quick_mode() { 72 } else { 288 };
     let workload = tiny_workload();
 
     let mut service = SimService::start(
@@ -144,20 +113,4 @@ fn main() {
         stats.steals,
         stats.deadline_misses,
     );
-
-    if let Some(dir) = std::env::var_os("ULP_BENCH_JSON_DIR") {
-        let dir = std::path::PathBuf::from(dir);
-        emit_record(
-            &dir,
-            "service_latency/p50_us",
-            as_us(stats.latency.p50),
-            P50_TOLERANCE,
-        );
-        emit_record(
-            &dir,
-            "service_latency/p95_us",
-            as_us(stats.latency.p95),
-            P95_TOLERANCE,
-        );
-    }
 }

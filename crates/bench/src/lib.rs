@@ -10,7 +10,7 @@
 //! | In-text numbers (speed-up, Ops/cycle, access ratios) | `intext` | [`intext_report`] |
 //! | Ablations A1–A6 | `ablation` | [`ablation`] |
 //! | (benchmark × design × cores) grid, streamed | `sweep` | [`run_sweep`] / [`run_sweep_with`] |
-//! | CI perf-regression gate over `BENCH_*.json` records | `perfgate` | — |
+//! | CI perf gates: same-process ratios that exit non-zero out of bounds | benches `fast_path`, `telemetry_overhead`, `checkpoint_overhead`, `ecg_window` | — |
 //!
 //! The flow mirrors the paper: run the three ECG benchmarks on both
 //! designs ([`gather`]), calibrate the event-energy model against the

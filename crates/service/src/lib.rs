@@ -61,8 +61,8 @@
 //!   ([`TenantStats`]), next to jobs run, steal events and batch sizes,
 //!   capacity and quota rejections, evictions, deadline misses,
 //!   platform-cache hits and platforms built, so scheduling quality *and*
-//!   tail latency are measurable (the `service_throughput` and
-//!   `service_latency` benches gate both in CI).
+//!   tail latency are measurable (the `service_latency` bench reports
+//!   the percentiles of a saturated pool).
 //!
 //! Observer output rides back on every result as [`JobArtifacts`],
 //! mirroring the spec's [`ObserverSelection`]; artifacts are first-class

@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: the paper's qualitative claims asserted
 //! end to end at realistic signal lengths.
 
-use ulp_lockstep::kernels::{run_benchmark, Benchmark, WorkloadConfig};
+use ulp_lockstep::kernels::{run_benchmark, run_benchmark_on, Benchmark, WorkloadConfig};
+use ulp_lockstep::platform::PlatformConfig;
 use ulp_lockstep::power::{Activity, PowerModel};
 
 /// A mid-size workload: long enough for the baseline's divergence to
@@ -14,17 +15,75 @@ fn midsize() -> WorkloadConfig {
     }
 }
 
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One paper cell at [`midsize`]: kernel, synchronizer, cores, then its
+/// cycle count, an FNV-1a digest of its full `SimStats` (its `Debug`
+/// text) and one of its outputs (every core's words, little-endian).
+type Cell = (Benchmark, bool, usize, u64, u64, u64);
+
+/// Every paper cell, cycle for cycle. An intentional model change
+/// updates this table in the same change; the failure message prints the
+/// recomputed table.
+#[rustfmt::skip]
+const PINNED: [Cell; 18] = [
+    (Benchmark::Mrpfltr, true, 2, 148161, 0xb142cacb3bde6421, 0xc94ace6cb12938e0),
+    (Benchmark::Mrpfltr, true, 4, 189041, 0x31039b6d9c72c9ba, 0x4c2f39e8b2be6563),
+    (Benchmark::Mrpfltr, true, 8, 205651, 0x72246070093928d2, 0x3fe87cfd415a475f),
+    (Benchmark::Mrpfltr, false, 2, 131328, 0x9607dcc5a6c00c96, 0xc94ace6cb12938e0),
+    (Benchmark::Mrpfltr, false, 4, 226082, 0x95cbffa41bf1c90b, 0x4c2f39e8b2be6563),
+    (Benchmark::Mrpfltr, false, 8, 332989, 0xa424de281607bcbe, 0x3fe87cfd415a475f),
+    (Benchmark::Mrpdln, true, 2, 140227, 0x545a98656b219fdc, 0xf41a42f3f6e1b1f7),
+    (Benchmark::Mrpdln, true, 4, 140314, 0xdc30d5315e01f1ce, 0x54d557e97b568b86),
+    (Benchmark::Mrpdln, true, 8, 140452, 0x4e382eb5778ecce4, 0x58f65eceb3127524),
+    (Benchmark::Mrpdln, false, 2, 139371, 0xb9316c9308e0c8eb, 0xf41a42f3f6e1b1f7),
+    (Benchmark::Mrpdln, false, 4, 188845, 0x8cfc97656d9886df, 0x54d557e97b568b86),
+    (Benchmark::Mrpdln, false, 8, 229869, 0xa204b45558b0b106, 0x58f65eceb3127524),
+    (Benchmark::Sqrt32, true, 2, 125812, 0x74e9f71b6490547d, 0xee448d1dd512b66d),
+    (Benchmark::Sqrt32, true, 4, 144269, 0x75c64473df039013, 0x73ff10a18fd4b033),
+    (Benchmark::Sqrt32, true, 8, 152687, 0xd87366220bf265ef, 0x7fb1926485d30a13),
+    (Benchmark::Sqrt32, false, 2, 125044, 0xda62187841749d17, 0xee448d1dd512b66d),
+    (Benchmark::Sqrt32, false, 4, 223430, 0xba22a99187ad74a4, 0x73ff10a18fd4b033),
+    (Benchmark::Sqrt32, false, 8, 227025, 0x17744c8763d1ac2a, 0x7fb1926485d30a13),
+];
+
 #[test]
 fn all_outputs_bit_exact_at_midsize() {
     let cfg = midsize();
-    for benchmark in Benchmark::ALL {
-        for with_sync in [true, false] {
-            let run = run_benchmark(benchmark, with_sync, &cfg)
-                .unwrap_or_else(|e| panic!("{benchmark} sync={with_sync}: {e}"));
-            run.verify()
-                .unwrap_or_else(|e| panic!("{benchmark} sync={with_sync}: {e}"));
-        }
-    }
+    let cells: Vec<Cell> = PINNED
+        .iter()
+        .map(|&(benchmark, with_sync, cores, ..)| {
+            let what = format!("{benchmark} sync={with_sync} cores={cores}");
+            let platform = PlatformConfig::paper(with_sync)
+                .with_cores(cores)
+                .with_max_cycles(cfg.max_cycles);
+            let run = run_benchmark_on(benchmark, platform, &cfg)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            run.verify().unwrap_or_else(|e| panic!("{what}: {e}"));
+            let stats = fnv1a(format!("{:?}", run.stats).into_bytes());
+            let outputs = fnv1a(run.outputs.iter().flatten().flat_map(|w| w.to_le_bytes()));
+            (
+                benchmark,
+                with_sync,
+                cores,
+                run.stats.cycles,
+                stats,
+                outputs,
+            )
+        })
+        .collect();
+    let table: String = cells
+        .iter()
+        .map(|&(b, sync, cores, cycles, stats, outputs)| {
+            format!("    (Benchmark::{b:?}, {sync}, {cores}, {cycles}, {stats:#018x}, {outputs:#018x}),\n")
+        })
+        .collect();
+    assert_eq!(cells, PINNED, "recomputed table:\n{table}");
 }
 
 #[test]

@@ -16,6 +16,7 @@
 //! once.
 
 use proptest::prelude::*;
+use std::ops::Range;
 use ulp_lockstep::cpu::CoreState;
 use ulp_lockstep::isa::{encode, AluOp, Cond, CsrOp, Flags, Instr, Reg, ShiftKind, UnaryOp};
 use ulp_lockstep::kernels::{run_benchmark_reusing, Benchmark, CheckpointControl, WorkloadConfig};
@@ -265,10 +266,14 @@ fn listing1() -> impl Strategy<Value = Vec<Instr>> {
         .prop_map(|(iters, step, mask, pre, post)| listing1_program(iters, step, mask, &pre, &post))
 }
 
+/// Where [`with_interrupts`] puts `main`.
+const MAIN_BASE: u16 = 3;
+
 /// `main` behind an interrupt vector table and an `EI`: the reset
-/// vector jumps to `ei` and on into `main`, the interrupt vector to a
-/// handler that counts in `r7` and returns. `main` must be
-/// position-independent (every branch in it is relative).
+/// vector jumps to `ei` and on into `main` at [`MAIN_BASE`], the
+/// interrupt vector to a handler after `main` that counts in `r7` and
+/// returns. `main` must be position-independent (every branch in it is
+/// relative).
 fn with_interrupts(main: &[Instr]) -> Vec<u16> {
     let mut p = vec![
         Instr::Branch {
@@ -332,53 +337,54 @@ fn stepped(mut p: Platform) -> MachineState {
     capture(&p)
 }
 
-/// Cycles one interrupt can keep a core among `cores` from its program,
-/// at most: the handler's three instructions (`b`, `addi`, `iret`), each
-/// a fetch and an execute cycle plus up to `cores - 1` cycles stalled
-/// behind other cores' fetches in its I-Xbar bank (the rotating pointer
-/// serves every other requester at most once first), and a fetch of the
-/// program stalled as long before the interrupt cut it off.
-fn irq_cost(cores: usize) -> u64 {
-    let stall = cores as u64 - 1;
-    3 * (2 + stall) + stall
-}
-
-/// Whether `slices`, cycled on `cores` cores, can keep a core in its
-/// interrupt handler forever. A raised line is taken right after the
-/// handler's `iret`, so a core interrupted more often than the handler
-/// takes never runs its program again and the run never ends. A core
-/// whose interrupts per slice cycle cost fewer cycles than the cycle
-/// lasts runs its program in every cycle, so its run ends.
-fn may_livelock(slices: &[(u64, Option<usize>)], cores: usize) -> bool {
-    let period: u64 = slices.iter().map(|&(len, _)| len).sum();
-    (0..cores).any(|core| {
-        let irqs = slices
-            .iter()
-            .filter(|&&(_, irq)| irq.is_some_and(|i| i % cores == core))
-            .count() as u64;
-        irqs * irq_cost(cores) >= period
-    })
-}
-
 /// The reference with interrupts: a `step()` loop that raises core
 /// `irq % cores`'s interrupt line at the end of every slice that has one,
-/// with the slices cycled, until every core halts.
-fn stepped_with_irqs(mut p: Platform, slices: &[(u64, Option<usize>)]) -> MachineState {
+/// with the slices cycled, until every core halts. `main` is where
+/// [`with_interrupts`] put the program.
+///
+/// `None` when the slices livelock the machine: after some core took an
+/// interrupt, a whole slice cycle passes in which no core runs an
+/// instruction of `main`. A line raised during a handler is taken right
+/// after its `iret`, so a core interrupted more often than its handler
+/// round trip takes never runs its program again. Once every other core
+/// has halted or sleeps at a barrier it waits on, nothing in `main` runs
+/// and such a run never ends. A core merely slowed by its handler still
+/// lets the others run, so it is not taken for a livelock.
+fn stepped_with_irqs(
+    mut p: Platform,
+    slices: &[(u64, Option<usize>)],
+    main: Range<u16>,
+) -> Option<MachineState> {
     let cores = p.num_cores();
-    for &(len, irq) in slices.iter().cycle() {
-        let limit = p.cycle() + len;
-        while p.cycle() < limit && !p.all_halted() {
-            assert!(p.cycle() < p.config().max_cycles, "reference terminates");
-            p.step();
+    loop {
+        let interrupted = (0..cores).any(|i| p.core(i).stats().interrupts > 0);
+        let mut ran = false;
+        for &(len, irq) in slices {
+            let limit = p.cycle() + len;
+            while p.cycle() < limit && !p.all_halted() {
+                assert!(p.cycle() < p.config().max_cycles, "reference terminates");
+                p.step();
+                // The PC stays on an instruction until it completes, so a
+                // core executing at a PC in `main` runs the program.
+                ran |= (0..cores).any(|i| {
+                    let core = p.core(i);
+                    matches!(
+                        core.state(),
+                        CoreState::Execute(_) | CoreState::Held { .. } | CoreState::SyncIssued(_)
+                    ) && main.contains(&core.pc())
+                });
+            }
+            if p.all_halted() {
+                return Some(capture(&p));
+            }
+            if let Some(core) = irq {
+                p.raise_irq(core % cores);
+            }
         }
-        if p.all_halted() {
-            break;
-        }
-        if let Some(core) = irq {
-            p.raise_irq(core % cores);
+        if interrupted && !ran {
+            return None;
         }
     }
-    capture(&p)
 }
 
 /// The subject with interrupts: [`stepped_with_irqs`] driven by
@@ -497,8 +503,8 @@ proptest! {
     /// interrupts enabled from the start, land on the same cycles under
     /// `run_until` slices as under a `step()` loop: on random SPMD bodies
     /// and on Listing-1 programs, whose barrier sleepers keep a raised
-    /// interrupt pending until the synchronizer wakes them. Core counts
-    /// that the slice list [`may_livelock`] are skipped.
+    /// interrupt pending until the synchronizer wakes them. Runs that the
+    /// slice list livelocks (see [`stepped_with_irqs`]) are skipped.
     #[test]
     fn interrupts_at_slice_boundaries_match_a_step_loop(
         main in prop_oneof![
@@ -509,14 +515,15 @@ proptest! {
         im in im_mapping(),
     ) {
         let words = with_interrupts(&main);
+        let main = MAIN_BASE..MAIN_BASE + main.len() as u16;
         for cores in [2usize, 8] {
-            // Slice lists that can livelock a core have no end to compare.
-            if may_livelock(&slices, cores) {
-                continue;
-            }
             for with_sync in [true, false] {
-                let reference = stepped_with_irqs(random_platform(&words, cores, with_sync, im), &slices);
-                let subject = sliced_with_irqs(random_platform(&words, cores, with_sync, im), &slices);
+                let platform = || random_platform(&words, cores, with_sync, im);
+                // A livelocked run has no end to compare.
+                let Some(reference) = stepped_with_irqs(platform(), &slices, main.clone()) else {
+                    continue;
+                };
+                let subject = sliced_with_irqs(platform(), &slices);
                 prop_assert_eq!(
                     &reference, &subject,
                     "slices {:?}, cores {} sync {}", slices, cores, with_sync
