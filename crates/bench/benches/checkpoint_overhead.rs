@@ -8,11 +8,10 @@
 //! throughput at a sane cadence, so opting shards into migration is not
 //! a performance decision.
 //!
-//! Not a criterion harness: the gated quantity is a ratio of two
-//! measurements that must share a process (same platform caches, same
-//! thermal state, interleaved rounds). The bench prints the ratio and
-//! exits non-zero above [`MAX_RATIO`]; `ULP_BENCH_QUICK=1` runs fewer
-//! rounds (CI sizing).
+//! The gated quantity is a ratio of two measurements that must share a
+//! process (same platform caches, same thermal state, interleaved
+//! rounds). The bench prints the ratio and exits non-zero above
+//! [`MAX_RATIO`]; `ULP_BENCH_QUICK=1` runs fewer rounds (CI sizing).
 
 mod common;
 
@@ -72,7 +71,7 @@ fn run_batch(service: &mut SimService, specs: &[JobSpec]) {
 
 fn main() {
     let jobs = 8;
-    let rounds = if criterion::quick_mode() { 100 } else { 200 };
+    let rounds = if ulp_bench::quick_mode() { 100 } else { 200 };
     let workload = workload();
     // Cadence from the job's real cycle count — on the same 2-core
     // platform shape the jobs run on — so the checkpointed side takes

@@ -8,8 +8,8 @@
 //! The bench exits non-zero when a ratio leaves its band, so running it
 //! is the gate.
 //!
-//! Quick mode (CI sizing) is `criterion::quick_mode`, the criterion
-//! stand-in's own parse of `ULP_BENCH_QUICK`.
+//! Quick mode (CI sizing) is [`ulp_bench::quick_mode`], the one parse
+//! of `ULP_BENCH_QUICK`.
 
 use std::ops::RangeInclusive;
 use std::time::{Duration, Instant};

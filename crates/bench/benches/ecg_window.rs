@@ -7,11 +7,10 @@
 //! over the whole recording. Synthesizing the whole recording and
 //! slicing it reads about 50 here; the gate fails above 2.
 //!
-//! Not a criterion harness: the gated quantity is a ratio of two
-//! measurements that must share a process (same thermal state,
-//! interleaved rounds). The bench prints the ratio and exits non-zero
-//! above [`MAX_RATIO`]; `ULP_BENCH_QUICK=1` runs fewer rounds (CI
-//! sizing).
+//! The gated quantity is a ratio of two measurements that must share a
+//! process (same thermal state, interleaved rounds). The bench prints
+//! the ratio and exits non-zero above [`MAX_RATIO`]; `ULP_BENCH_QUICK=1`
+//! runs fewer rounds (CI sizing).
 
 mod common;
 
@@ -38,7 +37,7 @@ fn time(synth: impl Fn()) -> std::time::Duration {
 }
 
 fn main() {
-    let rounds = if criterion::quick_mode() { 40 } else { 200 };
+    let rounds = if ulp_bench::quick_mode() { 40 } else { 200 };
     // The benchmark's recording shape: independent per-lead sources.
     let cfg = EcgConfig {
         independent_channels: true,

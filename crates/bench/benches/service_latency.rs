@@ -5,12 +5,11 @@
 //! tells the common case, the p95 the tail that determines usable
 //! capacity under sustained traffic.
 //!
-//! Not a criterion harness: criterion measures iteration wall time, but
-//! the quantity reported here is the per-job latency percentile, which
-//! only the service itself can attribute (queue wait is accumulated
-//! inside the pool). A report, not a gate: an absolute latency means
-//! something only on the machine that measured it. `ULP_BENCH_QUICK=1`
-//! runs fewer jobs (CI sizing).
+//! The quantity reported is the per-job latency percentile, which only
+//! the service itself can attribute (queue wait is accumulated inside
+//! the pool). A report, not a gate: an absolute latency means something
+//! only on the machine that measured it. `ULP_BENCH_QUICK=1` runs fewer
+//! jobs (CI sizing).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,7 +52,7 @@ fn as_us(d: Duration) -> f64 {
 }
 
 fn main() {
-    let jobs: usize = if criterion::quick_mode() { 72 } else { 288 };
+    let jobs: usize = if ulp_bench::quick_mode() { 72 } else { 288 };
     let workload = tiny_workload();
 
     let mut service = SimService::start(

@@ -8,11 +8,10 @@
 //! rings that drop-and-count rather than block. A ratio above
 //! [`MAX_RATIO`] means one of those claims broke.
 //!
-//! Not a criterion harness: the gated quantity is a ratio of two
-//! measurements that must share a process (same platform caches, same
-//! thermal state, interleaved rounds). The bench prints the ratio and
-//! exits non-zero when it fails; `ULP_BENCH_QUICK=1` runs fewer rounds
-//! (CI sizing).
+//! The gated quantity is a ratio of two measurements that must share a
+//! process (same platform caches, same thermal state, interleaved
+//! rounds). The bench prints the ratio and exits non-zero when it fails;
+//! `ULP_BENCH_QUICK=1` runs fewer rounds (CI sizing).
 
 mod common;
 
@@ -72,7 +71,7 @@ fn main() {
     // noise phase and its ratio is clean); many rounds then feed the
     // interquartile mean, which converges as 1/sqrt(rounds).
     let jobs = 8;
-    let rounds = if criterion::quick_mode() { 100 } else { 200 };
+    let rounds = if ulp_bench::quick_mode() { 100 } else { 200 };
     let workload = tiny_workload();
     let grid = specs(jobs, &workload);
 

@@ -34,3 +34,28 @@ pub use sweep::{
     run_sweep, run_sweep_with, SweepCell, SweepProgress, SweepResults, SweepSpec,
     PAPER_WORKLOAD_MOPS,
 };
+
+/// Whether `ULP_BENCH_QUICK` asks the perf gates for their abbreviated CI
+/// sizing (fewer rounds). Unset, empty and `0` mean off, anything else on.
+pub fn quick_mode() -> bool {
+    quick_value(std::env::var("ULP_BENCH_QUICK").ok().as_deref())
+}
+
+/// [`quick_mode`] for a given value of the variable.
+fn quick_value(value: Option<&str>) -> bool {
+    value.is_some_and(|v| !v.is_empty() && v != "0")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quick_mode_is_off_when_unset_empty_or_zero() {
+        assert!(!quick_value(None));
+        assert!(!quick_value(Some("")));
+        assert!(!quick_value(Some("0")));
+        assert!(quick_value(Some("1")));
+        assert!(quick_value(Some("yes")));
+    }
+}

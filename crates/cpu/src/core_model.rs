@@ -381,6 +381,13 @@ impl Core {
             !instr.is_sync(),
             "sync instructions complete via complete_sync"
         );
+        self.execute(instr, read);
+    }
+
+    /// The execute cycle of `instr`, which the core holds in
+    /// [`CoreState::Execute`].
+    #[inline(always)]
+    fn execute(&mut self, instr: Instr, read: Option<u16>) {
         self.cycles += 1;
         self.stats.active_cycles += 1;
         self.apply(instr, read);
@@ -595,8 +602,77 @@ impl Core {
         true
     }
 
+    // ---- lockstep groups ----------------------------------------------------
+
+    /// [`Core::on_fetch_granted_decoded`] for every core in `members` (bit
+    /// `i` stands for `cores[i]`): a lockstep group served by one broadcast
+    /// fetch of `op`.
+    pub fn fetch_group(cores: &mut [Core], mut members: u32, op: Instr) {
+        while members != 0 {
+            cores[members.trailing_zeros() as usize].on_fetch_granted_decoded(op);
+            members &= members - 1;
+        }
+    }
+
+    /// [`Core::complete_execute`]`(None)` for every core in `members` (bit
+    /// `i` stands for `cores[i]`), each of which executes `op`: a lockstep
+    /// group's core-local execute cycle.
+    ///
+    /// The op is matched once. Each arm runs a loop over the members whose
+    /// body is [`Core::complete_execute`]'s own semantics inlined for that
+    /// op, so the group pays one dispatch instead of one per core, and the
+    /// ops keep a single definition. Memory ops, `SLEEP` and `HALT` take a
+    /// generic loop; a memory op's completion needs its grant's data, so
+    /// the platform completes those per core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is `SINC`/`SDEC`, or, like
+    /// [`Core::complete_execute`]`(None)`, if it is a load.
+    pub fn execute_group(cores: &mut [Core], members: u32, op: Instr) {
+        assert!(
+            !op.is_sync(),
+            "sync instructions complete via complete_sync"
+        );
+        // Each arm passes its op rebuilt as a literal of its variant: with
+        // the lane inlined, `apply`'s match folds to that variant's body.
+        let lanes = Core::execute_lanes;
+        match op {
+            Instr::Nop => lanes(cores, members, Instr::Nop),
+            Instr::Alu { op, rd, rs } => lanes(cores, members, Instr::Alu { op, rd, rs }),
+            Instr::AddI { rd, imm } => lanes(cores, members, Instr::AddI { rd, imm }),
+            Instr::CmpI { rd, imm } => lanes(cores, members, Instr::CmpI { rd, imm }),
+            Instr::MovI { rd, imm } => lanes(cores, members, Instr::MovI { rd, imm }),
+            Instr::MovHi { rd, imm } => lanes(cores, members, Instr::MovHi { rd, imm }),
+            Instr::Shift { kind, rd, amount } => {
+                lanes(cores, members, Instr::Shift { kind, rd, amount })
+            }
+            Instr::Unary { op, rd } => lanes(cores, members, Instr::Unary { op, rd }),
+            Instr::Branch { cond, offset } => lanes(cores, members, Instr::Branch { cond, offset }),
+            Instr::Jal { offset } => lanes(cores, members, Instr::Jal { offset }),
+            Instr::Jr { rs } => lanes(cores, members, Instr::Jr { rs }),
+            Instr::Jalr { rs } => lanes(cores, members, Instr::Jalr { rs }),
+            Instr::Csr { op, rd } => lanes(cores, members, Instr::Csr { op, rd }),
+            _ => lanes(cores, members, op),
+        }
+    }
+
+    /// The loop of one [`Core::execute_group`] arm. Written without a
+    /// closure: one closure shared by every arm would be one out-of-line
+    /// body, and the op would be matched again per core.
+    #[inline(always)]
+    fn execute_lanes(cores: &mut [Core], mut members: u32, op: Instr) {
+        while members != 0 {
+            let core = &mut cores[members.trailing_zeros() as usize];
+            members &= members - 1;
+            debug_assert_eq!(core.state, CoreState::Execute(op), "not executing the op");
+            core.execute(op, None);
+        }
+    }
+
     // ---- instruction semantics ---------------------------------------------
 
+    #[inline(always)]
     fn apply(&mut self, instr: Instr, read: Option<u16>) {
         self.stats.retired += 1;
         if instr.is_useful_op() {

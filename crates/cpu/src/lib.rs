@@ -45,6 +45,8 @@
 
 mod core_model;
 mod exec;
+#[cfg(test)]
+mod proptests;
 mod simple;
 mod stats;
 mod types;

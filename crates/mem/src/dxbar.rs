@@ -234,22 +234,111 @@ impl DXbar {
     /// cycle and the cores to release. All scratch state is reused across
     /// calls, so a caller that reuses `outcome` runs allocation-free in
     /// steady state.
+    ///
+    /// A cycle in which no request can be refused or held (every request
+    /// alone in its bank, no requested word locked, no core held) is
+    /// served in one pass; every other cycle goes through the per-bank
+    /// arbitration. Both give the same grants, pointers, memory traffic
+    /// and counters.
     pub fn arbitrate_into(
         &mut self,
         requests: &[DmRequest],
         dmem: &mut BankedMemory,
         outcome: &mut DXbarOutcome,
     ) {
+        let ncores = self.begin_cycle(requests, outcome);
+        if !self.serve_conflict_free(requests, ncores, dmem, outcome) {
+            self.serve_per_bank(requests, ncores, dmem, outcome);
+        }
+    }
+
+    /// [`DXbar::arbitrate_into`] without the conflict-free pass: the
+    /// reference the pass is tested against.
+    #[cfg(test)]
+    pub(crate) fn arbitrate_per_bank_into(
+        &mut self,
+        requests: &[DmRequest],
+        dmem: &mut BankedMemory,
+        outcome: &mut DXbarOutcome,
+    ) {
+        let ncores = self.begin_cycle(requests, outcome);
+        self.serve_per_bank(requests, ncores, dmem, outcome);
+    }
+
+    /// Clears `outcome`, counts the cycle's requests and returns the
+    /// number of cores the rotating priority ranks over.
+    fn begin_cycle(&mut self, requests: &[DmRequest], outcome: &mut DXbarOutcome) -> usize {
         outcome.grants.clear();
         outcome.releases.clear();
         self.stats.requests += requests.len() as u64;
-        let banks = dmem.banks();
-        let ncores = requests
+        requests
             .iter()
             .map(|r| r.core + 1)
             .max()
             .unwrap_or(1)
-            .max(self.rr.len());
+            .max(self.rr.len())
+    }
+
+    /// Serves the cycle in one pass when no request can be refused or
+    /// held: every request is alone in its bank, no requested word is
+    /// locked and no core is held. Then each bank's pointer moves past its
+    /// only requester, each read is a broadcast to one core, and every
+    /// request completes in bank order, as the per-bank path would serve
+    /// them. Returns `false`, having changed nothing, otherwise.
+    fn serve_conflict_free(
+        &mut self,
+        requests: &[DmRequest],
+        ncores: usize,
+        dmem: &mut BankedMemory,
+        outcome: &mut DXbarOutcome,
+    ) -> bool {
+        if dmem.banks() > u128::BITS as usize || self.held_pc.iter().any(Option::is_some) {
+            return false;
+        }
+        // The index of the request in each requested bank; below 128,
+        // since no two requests share a bank.
+        let mut in_bank = [0u8; u128::BITS as usize];
+        let mut requested: u128 = 0;
+        for (i, r) in requests.iter().enumerate() {
+            let bank = dmem.bank_of(r.addr);
+            if requested & 1 << bank != 0 || dmem.is_locked(r.addr) {
+                return false;
+            }
+            requested |= 1 << bank;
+            in_bank[bank] = i as u8;
+        }
+        while requested != 0 {
+            let bank = requested.trailing_zeros() as usize;
+            requested &= requested - 1;
+            let r = requests[usize::from(in_bank[bank])];
+            self.rr[bank] = rr_next(r.core, ncores);
+            let data = match r.access {
+                Access::Write(value) => {
+                    dmem.write(r.addr, value);
+                    None
+                }
+                Access::Read => Some(dmem.read_broadcast(r.addr, 1)),
+            };
+            outcome
+                .grants
+                .push(DmGrant::Complete { core: r.core, data });
+        }
+        self.stats.grants += requests.len() as u64;
+        self.stats.transfers += requests.len() as u64;
+        true
+    }
+
+    /// The general cycle: per requested bank, picks and serves one
+    /// address group, then applies the serving policy's holds and
+    /// releases.
+    fn serve_per_bank(
+        &mut self,
+        requests: &[DmRequest],
+        ncores: usize,
+        dmem: &mut BankedMemory,
+        outcome: &mut DXbarOutcome,
+    ) {
+        let banks = dmem.banks();
 
         // ---- per-bank arbitration: pick and serve one address-group ----
         let mut serve = std::mem::take(&mut self.serve);

@@ -1,8 +1,8 @@
 //! Property-based tests of the crossbar arbitration invariants.
 
 use crate::{
-    Access, BankMapping, BankedMemory, DXbar, DmGrant, DmRequest, FetchGroup, IXbar, IXbarSnapshot,
-    ServingPolicy,
+    Access, BankMapping, BankedMemory, DXbar, DXbarOutcome, DXbarSnapshot, DmGrant, DmRequest,
+    FetchGroup, IXbar, IXbarSnapshot, ServingPolicy,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -134,6 +134,74 @@ pub(crate) fn served_cores(groups: &[FetchGroup], served: u32) -> u32 {
         .fold(0, |mask, (_, g)| mask | g.members)
 }
 
+/// One core's D-Xbar draw for a cycle: whether it requests, its PC, an
+/// address seed, write or read with the value, and whether its word is
+/// locked.
+type DmDraw = (u8, u16, u16, bool, u16);
+
+/// A cycle of D-Xbar requests: a layout selector and one draw per core.
+fn dm_cycle() -> impl Strategy<Value = (u8, Vec<DmDraw>)> {
+    (
+        any::<u8>(),
+        prop::collection::vec(
+            (
+                any::<u8>(),
+                0u16..3,
+                any::<u16>(),
+                any::<bool>(),
+                any::<u16>(),
+            ),
+            8,
+        ),
+    )
+}
+
+/// The cycle's requests from its draws, leaving out `held` cores (they
+/// have no request while held). Under the disjoint layouts every core
+/// addresses its own bank of a 16-bank memory, in an order rotated and
+/// strided by the selector so bank order is not always core order; the
+/// shared layout puts every address in three banks. Draws whose lock bit
+/// is set lock their word in `mems`.
+fn dm_requests_of(
+    (layout, draws): &(u8, Vec<DmDraw>),
+    held: &[Option<u16>],
+    mems: [&mut BankedMemory; 2],
+) -> Vec<DmRequest> {
+    let [a, b] = mems;
+    let mut reqs = Vec::new();
+    for (core, &(sel, pc, seed, write, value)) in draws.iter().enumerate() {
+        if sel % 4 == 0 || held.get(core).copied().flatten().is_some() {
+            continue;
+        }
+        let addr = if layout % 3 != 0 {
+            let stride = [1, 3, 5, 7][usize::from(*layout / 3) % 4];
+            let bank = (core * stride + usize::from(*layout)) % 16;
+            // Word `seed % 256` of the bank under either mapping.
+            match a.mapping() {
+                BankMapping::Blocked => (bank * 256) as u16 + seed % 256,
+                BankMapping::Interleaved => (seed % 256) * 16 + bank as u16,
+            }
+        } else {
+            (seed % 3) * 1031 + seed % 4
+        };
+        if sel % 16 == 1 {
+            a.lock_word(addr);
+            b.lock_word(addr);
+        }
+        reqs.push(DmRequest {
+            core,
+            pc,
+            addr,
+            access: if write {
+                Access::Write(value)
+            } else {
+                Access::Read
+            },
+        });
+    }
+    reqs
+}
+
 fn granted_core(g: &DmGrant) -> usize {
     match g {
         DmGrant::Complete { core, .. } | DmGrant::Hold { core, .. } => *core,
@@ -229,6 +297,50 @@ proptest! {
         prop_assert!(pending.is_empty(), "starved requests: {:?}", pending);
         prop_assert!(held.is_empty(), "cores stuck in hold: {:?}", held);
         prop_assert_eq!(completed.len(), reqs.len());
+    }
+
+    /// `arbitrate_into`, conflict-free pass included, is the per-bank
+    /// arbitration alone: the same outcome, memory contents and counters,
+    /// and arbiter state (pointers, held cores, counters), cycle after
+    /// cycle, under both policies and mappings, from random pointers and
+    /// held cores, with locked words and with requests in shared and in
+    /// disjoint banks.
+    #[test]
+    fn conflict_free_pass_matches_per_bank_arbitration(
+        cycles in prop::collection::vec(dm_cycle(), 1..16),
+        sync_aware in any::<bool>(),
+        interleaved in any::<bool>(),
+        rr in prop::collection::vec(0usize..8, 16),
+        held in prop::collection::vec((0u8..4, 0u16..3), 8),
+    ) {
+        let policy = if sync_aware { ServingPolicy::SyncAware } else { ServingPolicy::Baseline };
+        let mapping = if interleaved { BankMapping::Interleaved } else { BankMapping::Blocked };
+        let mut start = DXbarSnapshot { rr, ..DXbarSnapshot::default() };
+        if sync_aware {
+            // A held core waits for its group's other members; one that is
+            // never requested again stays held, as a core would.
+            start.held_pc = held.iter().map(|&(h, pc)| (h == 0).then_some(pc)).collect();
+        }
+        let mut mem = BankedMemory::new(4096, 16, mapping);
+        for a in 0..4096u16 {
+            mem.poke(a, a.wrapping_mul(7));
+        }
+        let mut fast = (DXbar::new(16, policy), mem.clone(), DXbarOutcome::default());
+        let mut reference = (DXbar::new(16, policy), mem, DXbarOutcome::default());
+        prop_assert!(fast.0.load_snapshot(&start) && reference.0.load_snapshot(&start));
+        for cycle in &cycles {
+            let held_pc = fast.0.save().held_pc;
+            let reqs = dm_requests_of(cycle, &held_pc, [&mut fast.1, &mut reference.1]);
+            fast.0.arbitrate_into(&reqs, &mut fast.1, &mut fast.2);
+            reference.0.arbitrate_per_bank_into(&reqs, &mut reference.1, &mut reference.2);
+            prop_assert_eq!(&fast.2, &reference.2, "outcome of {:?}", reqs);
+            prop_assert_eq!(fast.1.save(), reference.1.save());
+            prop_assert_eq!(fast.0.save(), reference.0.save());
+            for r in &reqs {
+                fast.1.unlock_word(r.addr);
+                reference.1.unlock_word(r.addr);
+            }
+        }
     }
 
     /// The I-Xbar serves every fetch exactly once across repeated cycles,

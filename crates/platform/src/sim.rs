@@ -798,7 +798,7 @@ impl Platform {
                     if op.op_class() == OpClass::Mem {
                         fetched_mem |= members;
                     }
-                    for_each_bit(members, |i| self.cores[i].on_fetch_granted_decoded(op));
+                    Core::fetch_group(&mut self.cores, members, op);
                 }
                 for_each_bit(fetch & !fetched, |i| self.cores[i].note_fetch_stall());
             }
@@ -834,9 +834,13 @@ impl Platform {
 
     /// The batch's uniform case: every awake core fetches the op at one
     /// PC and none executes. Runs fetch/execute pairs, each op's width
-    /// and grant known up front, while the group stays together. Returns
-    /// `None` where the batch ends, or the fetch and (memory) execute
-    /// masks once a memory stall or a branch splits the group.
+    /// and grant known up front, while the group stays together. The
+    /// group is the unit of execution: each op is delivered to all
+    /// members at once ([`Core::fetch_group`]) and, unless it is a memory
+    /// op, executed with one dispatch for the whole group
+    /// ([`Core::execute_group`]). Returns `None` where the batch ends, or
+    /// the fetch and (memory) execute masks once a memory stall or a
+    /// branch splits the group.
     fn batch_uniform(
         &mut self,
         buf: &mut CycleBuffers,
@@ -852,7 +856,7 @@ impl Platform {
             self.lockstep.note_width(width);
             self.ixbar
                 .serve_groups(std::slice::from_ref(&group), &mut self.imem);
-            for_each_bit(members, |i| self.cores[i].on_fetch_granted_decoded(op));
+            Core::fetch_group(&mut self.cores, members, op);
             for_each_bit(asleep, |i| self.cores[i].note_sleep());
             if self.cycle == limit {
                 return None;
@@ -874,7 +878,7 @@ impl Platform {
                     }
                 }
             } else {
-                for_each_bit(members, |i| self.cores[i].complete_execute(None));
+                Core::execute_group(&mut self.cores, members, op);
             }
             for_each_bit(asleep, |i| self.cores[i].note_sleep());
             if held || self.cycle == limit {

@@ -1,8 +1,11 @@
 //! Cross-crate integration tests: the paper's qualitative claims asserted
 //! end to end at realistic signal lengths.
 
-use ulp_lockstep::kernels::{run_benchmark, run_benchmark_on, Benchmark, WorkloadConfig};
-use ulp_lockstep::platform::PlatformConfig;
+use ulp_lockstep::kernels::{
+    run_benchmark, run_benchmark_on, run_benchmark_reusing, Benchmark, CheckpointControl,
+    WorkloadConfig,
+};
+use ulp_lockstep::platform::{Platform, PlatformConfig};
 use ulp_lockstep::power::{Activity, PowerModel};
 
 /// A mid-size workload: long enough for the baseline's divergence to
@@ -84,6 +87,54 @@ fn all_outputs_bit_exact_at_midsize() {
         })
         .collect();
     assert_eq!(cells, PINNED, "recomputed table:\n{table}");
+}
+
+/// The cycle every [`PINNED_BLOBS`] cell is parked at: mid-run for each
+/// of them at [`midsize`].
+const PARK_AT: u64 = 70_000;
+
+/// Every 8-core paper cell parked at [`PARK_AT`]: kernel, synchronizer,
+/// then an FNV-1a digest of its `Checkpoint::to_bytes()` blob. The blob
+/// holds the whole platform state, so an engine change that is not
+/// bit-identical in any register, counter, arbiter pointer or memory word
+/// changes it, as does any change of the wire format.
+#[rustfmt::skip]
+const PINNED_BLOBS: [(Benchmark, bool, u64); 6] = [
+    (Benchmark::Mrpfltr, true, 0x44ac51b14cc6d108),
+    (Benchmark::Mrpfltr, false, 0x0573bf84bf836c30),
+    (Benchmark::Mrpdln, true, 0xe18858631d050704),
+    (Benchmark::Mrpdln, false, 0x1b5736a4160a5d16),
+    (Benchmark::Sqrt32, true, 0x0c612378cca5c7c2),
+    (Benchmark::Sqrt32, false, 0x9b77edac03377f63),
+];
+
+#[test]
+fn checkpoint_blobs_bit_exact_at_midsize() {
+    let cfg = midsize();
+    let blobs: Vec<(Benchmark, bool, u64)> = PINNED_BLOBS
+        .iter()
+        .map(|&(benchmark, with_sync, _)| {
+            let platform = PlatformConfig::paper(with_sync)
+                .with_cores(8)
+                .with_max_cycles(cfg.max_cycles);
+            let mut p = Platform::new(platform).expect("valid config");
+            let done = run_benchmark_reusing(benchmark, &mut p, &cfg, None, PARK_AT, |_| {
+                CheckpointControl::Park
+            })
+            .unwrap_or_else(|e| panic!("{benchmark} sync={with_sync}: {e}"));
+            assert!(
+                done.is_none(),
+                "{benchmark} sync={with_sync} ends before the park"
+            );
+            assert_eq!(p.cycle(), PARK_AT);
+            (benchmark, with_sync, fnv1a(p.snapshot().to_bytes()))
+        })
+        .collect();
+    let table: String = blobs
+        .iter()
+        .map(|&(b, sync, blob)| format!("    (Benchmark::{b:?}, {sync}, {blob:#018x}),\n"))
+        .collect();
+    assert_eq!(blobs, PINNED_BLOBS, "recomputed table:\n{table}");
 }
 
 #[test]
