@@ -13,7 +13,7 @@
 //!                        entry of `none` runs the single-window cell), so
 //!                        grids sweep shard size × cores
 //!   --heatmap <window>   attach a per-bank DM heat map to every cell
-//!   --pctrace <limit>    attach a PC trace to every cell
+//!   --pctrace <limit>    attach a PC trace to every cell (not with --heatmap)
 //!   --threads <n>        worker threads (default: all hardware threads)
 //!   --tenant <id>        tenant the sweep's jobs are submitted as (default 0)
 //!   --checkpoint-every <cycles>  checkpoint every job's platform at this
@@ -123,7 +123,8 @@ const USAGE: &str = "usage: sweep [options]
                        merges the partial results
   --heatmap <window>   attach a per-bank DM heat map to every cell
                        (cycles per row; merged across shards)
-  --pctrace <limit>    attach a PC trace to every cell (cycles per shard)
+  --pctrace <limit>    attach a PC trace to every cell (cycles per shard;
+                       not with --heatmap)
   --threads <n>        worker threads (default: all hardware threads)
   --tenant <id>        tenant the sweep's jobs are submitted as (default 0)
   --checkpoint-every <cycles>
@@ -142,6 +143,10 @@ const USAGE: &str = "usage: sweep [options]
   --stats-json <path>  write the final service stats (schema 3, with
                        per-tenant rows and migration counters) as one
                        JSON object";
+
+/// Every job carries one observer selection, so the two observer flags
+/// cannot be combined.
+const OBSERVER_CLASH: &str = "--heatmap and --pctrace cannot be combined";
 
 struct Options {
     smoke: bool,
@@ -179,7 +184,8 @@ fn parse_list<T>(
     Ok(items)
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Parses the arguments after the program name.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         smoke: false,
         stream: false,
@@ -195,7 +201,6 @@ fn parse_args() -> Result<Options, String> {
         trace_out: None,
         stats_json: None,
     };
-    let mut args = std::env::args().skip(1);
     let next_value = |args: &mut dyn Iterator<Item = String>, what: &str| {
         args.next()
             .ok_or_else(|| format!("missing value for {what}"))
@@ -262,6 +267,9 @@ fn parse_args() -> Result<Options, String> {
                 if window == 0 {
                     return Err("heat-map window must be positive".into());
                 }
+                if matches!(opts.observers, ObserverSelection::PcTrace { .. }) {
+                    return Err(OBSERVER_CLASH.into());
+                }
                 opts.observers = ObserverSelection::BankHeatMap { window };
             }
             "--checkpoint-every" => {
@@ -289,10 +297,16 @@ fn parse_args() -> Result<Options, String> {
                 if limit == 0 {
                     return Err("PC-trace limit must be positive".into());
                 }
+                if matches!(opts.observers, ObserverSelection::BankHeatMap { .. }) {
+                    return Err(OBSERVER_CLASH.into());
+                }
                 opts.observers = ObserverSelection::PcTrace { limit };
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
+    }
+    if opts.checkpoint_dir.is_some() && opts.checkpoint_every.is_none() {
+        return Err("--checkpoint-dir requires --checkpoint-every".into());
     }
     Ok(opts)
 }
@@ -302,7 +316,7 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let opts = match parse_args() {
+    let opts = match parse_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("sweep: {e}");
@@ -327,11 +341,6 @@ fn main() -> ExitCode {
     } else {
         Telemetry::disabled()
     };
-    if opts.checkpoint_dir.is_some() && opts.checkpoint_every.is_none() {
-        eprintln!("sweep: --checkpoint-dir requires --checkpoint-every");
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    }
     if let Some(dir) = &opts.checkpoint_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("sweep: creating --checkpoint-dir {dir}: {e}");
@@ -346,9 +355,6 @@ fn main() -> ExitCode {
         workload,
         observers: opts.observers,
         threads: opts.threads,
-        // Auto-bounded backpressure queue (four jobs per worker): huge
-        // grids are fed at the workers' claim rate.
-        queue_capacity: 0,
         tenant: opts.tenant,
         telemetry: telemetry.clone(),
         checkpoint_every: opts.checkpoint_every,
@@ -524,4 +530,46 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn heatmap_and_pctrace_are_rejected_together_in_either_order() {
+        for args in [
+            ["--heatmap", "64", "--pctrace", "5"],
+            ["--pctrace", "5", "--heatmap", "64"],
+        ] {
+            let err = parse(&args).err().expect("the clash is a usage error");
+            assert_eq!(err, OBSERVER_CLASH, "{args:?}");
+        }
+        let heatmap = parse(&["--heatmap", "64"]).expect("one observer flag parses");
+        assert!(matches!(
+            heatmap.observers,
+            ObserverSelection::BankHeatMap { window: 64 }
+        ));
+        let pctrace = parse(&["--pctrace", "5", "--pctrace", "7"]).expect("repeats parse");
+        assert!(matches!(
+            pctrace.observers,
+            ObserverSelection::PcTrace { limit: 7 }
+        ));
+    }
+
+    #[test]
+    fn checkpoint_dir_requires_checkpoint_every() {
+        let err = parse(&["--checkpoint-dir", "ckpt"])
+            .err()
+            .expect("a directory without a cadence is a usage error");
+        assert!(err.contains("--checkpoint-every"), "{err}");
+        let opts = parse(&["--checkpoint-dir", "ckpt", "--checkpoint-every", "100"])
+            .expect("a directory with a cadence parses");
+        assert_eq!(opts.checkpoint_every, Some(100));
+        assert_eq!(opts.checkpoint_dir.as_deref(), Some("ckpt"));
+    }
 }

@@ -64,13 +64,12 @@ pub struct SweepSpec {
     /// [`MergedArtifacts`] representation — either way
     /// [`SweepCell::artifacts`] carries the result.
     pub observers: ObserverSelection,
-    /// Worker threads; `0` = one per available hardware thread.
+    /// Worker threads; `0` = one per available hardware thread. The
+    /// service's queued backlog is bounded at four jobs per worker, and
+    /// the sweep submits through the *blocking* bounded path, so a huge
+    /// grid throttles to the workers' claim rate instead of materializing
+    /// its whole job list as queued backlog.
     pub threads: usize,
-    /// Bound on the service's queued backlog; `0` = auto (four jobs per
-    /// worker). The sweep submits through the service's *blocking*
-    /// bounded path, so a huge grid throttles to the workers' claim rate
-    /// instead of materializing its whole job list as queued backlog.
-    pub queue_capacity: usize,
     /// Tenant every job of the sweep is submitted as — the grid's owner
     /// when several sweeps share one pool, and the identity the service's
     /// per-tenant latency rows are keyed by.
@@ -107,7 +106,6 @@ impl SweepSpec {
             workload,
             observers: ObserverSelection::None,
             threads: 0,
-            queue_capacity: 0,
             tenant: TenantId::DEFAULT,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
@@ -397,14 +395,9 @@ pub fn run_sweep_with(
     // at the workers' claim rate. Shard jobs run at elevated priority
     // (see `ShardRunner::job_specs`), so a sharded cell's merge is never
     // starved behind normal-priority single cells.
-    let capacity = if spec.queue_capacity == 0 {
-        workers * 4
-    } else {
-        spec.queue_capacity
-    };
     let mut builder = ServiceConfig::builder()
         .workers(workers)
-        .queue_capacity(capacity)
+        .queue_capacity(workers * 4)
         .telemetry(spec.telemetry.clone());
     if let Some(dir) = &spec.checkpoint_dir {
         builder = builder.checkpoint_dir(dir.clone());
@@ -593,7 +586,6 @@ mod tests {
             workload: WorkloadConfig::quick_test(),
             observers: ObserverSelection::None,
             threads: 0,
-            queue_capacity: 0,
             tenant: TenantId::DEFAULT,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
@@ -653,10 +645,10 @@ mod tests {
                 ..WorkloadConfig::quick_test()
             },
             observers: ObserverSelection::None,
-            threads: 0,
-            // A deliberately tiny bound: shard jobs must flow through a
-            // saturated bounded queue and still merge bit-exactly.
-            queue_capacity: 2,
+            // One worker bounds the queue at four jobs: the 14 shard jobs
+            // must flow through a saturated bounded queue and still merge
+            // bit-exactly.
+            threads: 1,
             tenant: TenantId::DEFAULT,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
@@ -664,6 +656,11 @@ mod tests {
         };
         let results = run_sweep(&spec).expect("sharded sweep runs");
         assert_eq!(results.cells.len(), 4);
+        assert_eq!(results.threads_used, 1);
+        assert_eq!(
+            results.service.jobs_run, 14,
+            "(4 + 3 shards) x 2 core counts"
+        );
         for cell in &results.cells {
             assert!(cell.shard_samples.is_some());
             // verify() compares the stitched outputs against the
@@ -696,7 +693,6 @@ mod tests {
             workload: WorkloadConfig::quick_test(), // n = 48 fits unsharded
             observers: ObserverSelection::None,
             threads: 2,
-            queue_capacity: 0,
             tenant: TenantId::DEFAULT,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
@@ -736,7 +732,6 @@ mod tests {
             workload: WorkloadConfig::quick_test(), // n = 48 fits unsharded
             observers: ObserverSelection::BankHeatMap { window: 256 },
             threads: 2,
-            queue_capacity: 0,
             tenant: TenantId(3),
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,

@@ -30,8 +30,8 @@ struct Options {
     vcd: Option<String>,
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut args = std::env::args().skip(1);
+/// Parses the arguments after the program name.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         path: String::new(),
         with_sync: true,
@@ -61,9 +61,15 @@ fn parse_args() -> Result<Options, String> {
                 );
             }
             "--dump" => {
-                let addr = next_num(&mut args, "--dump addr")? as u16;
-                let len = next_num(&mut args, "--dump len")? as usize;
-                opts.dump = Some((addr, len));
+                let addr = next_num(&mut args, "--dump addr")?;
+                let len = next_num(&mut args, "--dump len")?;
+                // The dump must stay inside the 16-bit data address space.
+                if addr > u64::from(u16::MAX) || len > (1 << 16) - addr {
+                    return Err(format!(
+                        "--dump {addr} {len} runs past the last data address 0xffff"
+                    ));
+                }
+                opts.dump = Some((addr as u16, len as usize));
             }
             other if opts.path.is_empty() && !other.starts_with('-') => {
                 opts.path = other.to_string();
@@ -90,7 +96,7 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let opts = match parse_args() {
+    let opts = match parse_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("ulprun: {e}");
@@ -192,4 +198,32 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn dump_must_stay_inside_the_data_address_space() {
+        for (addr, len) in [
+            ("65536", "1"),
+            ("65535", "2"),
+            ("0", "65537"),
+            ("1", "18446744073709551615"),
+        ] {
+            let err = parse(&["p.s", "--dump", addr, len])
+                .err()
+                .expect("an out-of-range dump is a usage error");
+            assert!(err.contains("0xffff"), "{addr} {len}: {err}");
+        }
+        for (addr, len, want) in [("65535", "1", (0xffff, 1)), ("0", "65536", (0, 65536))] {
+            let opts = parse(&["p.s", "--dump", addr, len]).expect("an in-range dump parses");
+            assert_eq!(opts.dump, Some(want), "{addr} {len}");
+        }
+    }
 }

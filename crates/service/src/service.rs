@@ -421,8 +421,8 @@ impl ServiceStats {
 
     /// The full snapshot as one JSON object (schema 3: checkpoint and
     /// migration counters next to the schema-2 per-tenant rows), for the
-    /// `--stats-json` flag of the sweep and shard CLIs and any other
-    /// scripted consumer. Durations are nanoseconds; priority rows are
+    /// `--stats-json` flag of the sweep CLI and any other scripted
+    /// consumer. Durations are nanoseconds; priority rows are
     /// keyed `"high"`/`"normal"`/`"low"`; tenant rows are sorted by
     /// tenant id.
     pub fn to_json(&self) -> String {
@@ -1199,8 +1199,8 @@ impl SimService {
     /// takes a checkpoint (idle, or running only non-migratable jobs)
     /// keeps the flag armed until it does.
     ///
-    /// Meant for recovery tests and the CI migration smoke; a pool needs
-    /// at least two workers for the killed worker's backlog to drain.
+    /// Meant for recovery tests; a pool needs at least two workers for
+    /// the killed worker's backlog to drain.
     pub fn inject_worker_failure(&self, worker: usize) {
         let n = self.shared.kill_flags.len();
         self.shared.kill_flags[worker % n].store(true, Ordering::Relaxed);

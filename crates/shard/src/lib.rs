@@ -31,6 +31,11 @@
 //! run's `verify()` checks exactly that, and the crate's equivalence
 //! tests assert it across shard sizes and core counts.
 //!
+//! [`ShardRunner::run`] executes on a caller-owned service (a shared
+//! pool, or one armed for fault injection); [`ShardRunner::run_local`]
+//! starts a private pool sized to the plan. On the command line, the
+//! `sweep` bin's `--shard` axis drives this pipeline.
+//!
 //! ```no_run
 //! use ulp_kernels::{Benchmark, WorkloadConfig};
 //! use ulp_shard::{merge_verified, ShardPlan, ShardRunConfig, ShardRunner};

@@ -6,8 +6,8 @@ use std::fmt;
 use std::sync::Arc;
 use ulp_kernels::{Benchmark, BenchmarkRun, RunnerError, WorkloadConfig};
 use ulp_service::{
-    JobArtifacts, JobError, JobSpec, ObserverSelection, Priority, ServiceConfig, ServiceStats,
-    SimService, TenantId,
+    JobArtifacts, JobError, JobSpec, ObserverSelection, Priority, ServiceConfig, SimService,
+    TenantId,
 };
 use ulp_telemetry::{EventKind, Telemetry, CLIENT_TRACK};
 
@@ -32,9 +32,9 @@ pub struct ShardRunConfig {
     /// recording's owner in a shared, quota-governed pool.
     pub tenant: TenantId,
     /// Telemetry the run records into: each gathered shard records a
-    /// `merged` event on the client track, and a private pool started by
-    /// [`ShardRunner::run_local`] traces its workers through the same
-    /// handle. Disabled by default (zero-cost).
+    /// `merged` event on the client track, and the pool
+    /// [`ShardRunner::run_local`] starts traces its workers through the
+    /// same handle. Disabled by default (zero-cost).
     pub telemetry: Telemetry,
     /// Checkpoint cadence in simulated cycles: `Some(n)` makes every
     /// shard job migratable ([`JobSpec::checkpoint_every`]) — it
@@ -43,21 +43,6 @@ pub struct ShardRunConfig {
     /// checkpoint instead of restarting. `None` (the default) runs
     /// shards without checkpoints.
     pub checkpoint_every: Option<u64>,
-    /// Directory the private [`ShardRunner::run_local`] pool persists
-    /// checkpoint blobs into ([`ServiceConfig::checkpoint_dir`];
-    /// best-effort, latest-wins per job). Ignored by
-    /// [`ShardRunner::run`], which executes on a caller-owned service.
-    pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Fault injection for the private [`ShardRunner::run_local`] pool:
-    /// `Some(w)` marks worker `w` for failure before any shard is
-    /// submitted ([`ulp_service::SimService::inject_worker_failure`]).
-    /// The worker parks its first migratable shard at that shard's first
-    /// checkpoint and exits; the pool is sized to at least two workers so
-    /// the survivors finish the recording. Requires
-    /// [`ShardRunConfig::checkpoint_every`] to have any effect — without
-    /// checkpoints the flag is never observed. Ignored by
-    /// [`ShardRunner::run`].
-    pub inject_failure: Option<usize>,
 }
 
 impl ShardRunConfig {
@@ -77,8 +62,6 @@ impl ShardRunConfig {
             tenant: TenantId::DEFAULT,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
-            checkpoint_dir: None,
-            inject_failure: None,
         }
     }
 
@@ -100,8 +83,8 @@ impl ShardRunConfig {
     }
 
     /// Attaches a telemetry handle: gathered shards record `merged`
-    /// events, and a private [`ShardRunner::run_local`] pool traces its
-    /// workers into the same sink.
+    /// events, and the [`ShardRunner::run_local`] pool traces its workers
+    /// into the same sink.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> ShardRunConfig {
         self.telemetry = telemetry;
@@ -113,24 +96,6 @@ impl ShardRunConfig {
     #[must_use]
     pub fn with_checkpoint_every(mut self, cycles: u64) -> ShardRunConfig {
         self.checkpoint_every = Some(cycles.max(1));
-        self
-    }
-
-    /// Persists checkpoint blobs under `dir` on the private
-    /// [`ShardRunner::run_local`] pool — see
-    /// [`ShardRunConfig::checkpoint_dir`].
-    #[must_use]
-    pub fn with_checkpoint_dir(mut self, dir: impl Into<std::path::PathBuf>) -> ShardRunConfig {
-        self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Marks worker `worker` of the private [`ShardRunner::run_local`]
-    /// pool for failure before the first shard is submitted — see
-    /// [`ShardRunConfig::inject_failure`].
-    #[must_use]
-    pub fn with_injected_failure(mut self, worker: usize) -> ShardRunConfig {
-        self.inject_failure = Some(worker);
         self
     }
 }
@@ -391,52 +356,23 @@ impl ShardRunner {
 
     /// [`ShardRunner::run`] on a private pool of `threads` workers
     /// (`0` = one per available hardware thread), capped at the shard
-    /// count.
+    /// count. The pool records into the configuration's telemetry.
     ///
     /// # Errors
     ///
     /// See [`ShardRunner::run`].
     pub fn run_local(self, threads: usize) -> Result<ShardedRun, ShardError> {
-        self.run_local_with_stats(threads).map(|(run, _)| run)
-    }
-
-    /// [`ShardRunner::run_local`], also returning the private pool's
-    /// final [`ServiceStats`] — the shard CLI surfaces the per-tenant
-    /// latency rows from here.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardRunner::run`].
-    pub fn run_local_with_stats(
-        self,
-        threads: usize,
-    ) -> Result<(ShardedRun, ServiceStats), ShardError> {
         let workers = ServiceConfig::builder()
             .workers(threads)
             .build()
             .resolved_workers()
-            .min(self.plan.len())
-            // An injected failure costs one worker: keep at least two so
-            // the survivors can finish the recording (a one-worker pool
-            // with its only worker killed would strand the re-queued
-            // shard).
-            .max(if self.config.inject_failure.is_some() {
-                2
-            } else {
-                1
-            });
-        let telemetry = self.config.telemetry.clone();
-        let mut builder = ServiceConfig::builder()
-            .workers(workers)
-            .telemetry(telemetry);
-        if let Some(dir) = &self.config.checkpoint_dir {
-            builder = builder.checkpoint_dir(dir.clone());
-        }
-        let mut service = SimService::start(builder.build());
-        if let Some(worker) = self.config.inject_failure {
-            service.inject_worker_failure(worker);
-        }
-        let run = self.run(&mut service)?;
-        Ok((run, service.finish()))
+            .min(self.plan.len());
+        let mut service = SimService::start(
+            ServiceConfig::builder()
+                .workers(workers)
+                .telemetry(self.config.telemetry.clone())
+                .build(),
+        );
+        self.run(&mut service)
     }
 }

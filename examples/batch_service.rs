@@ -39,7 +39,7 @@ fn streaming_grid_demo() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Arc::new(WorkloadConfig::quick_test());
     // An enabled handle traces every job's lifecycle into per-worker
     // rings; `telemetry.chrome_trace()` would render them as a
-    // Perfetto-loadable file (the sweep/shard bins expose that as
+    // Perfetto-loadable file (the sweep bin exposes that as
     // `--trace-out`). The default is `Telemetry::disabled()` — zero cost.
     let telemetry = Telemetry::enabled();
     let mut service = SimService::start(
