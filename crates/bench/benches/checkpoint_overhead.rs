@@ -3,8 +3,7 @@
 //! [`ulp_service::JobSpec::checkpoint_every`]) and once on the
 //! checkpointed path (several mid-run platform snapshots per job) — and
 //! gated on the *ratio* of the two. Checkpointing buys migratability:
-//! urgent work can preempt at a snapshot and a lost worker's job resumes
-//! on a survivor. The acceptance claim is that this costs at most 10%
+//! a lost worker's job resumes on a survivor. The acceptance claim is that this costs at most 10%
 //! throughput at a sane cadence, so opting shards into migration is not
 //! a performance decision.
 //!

@@ -1,5 +1,5 @@
 //! Latency benchmark of the batch simulation service: drive a *bounded*
-//! [`SimService`] to saturation with a mixed-priority grid and record the
+//! [`SimService`] to saturation with a mixed-size grid and record the
 //! end-to-end latency distribution (queue wait + run time) the pool's own
 //! [`ServiceStats`] report. This tracks what one job *feels*: the p50
 //! tells the common case, the p95 the tail that determines usable
@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use ulp_kernels::{Benchmark, WorkloadConfig};
-use ulp_service::{JobSpec, Priority, ServiceConfig, SimService};
+use ulp_service::{JobSpec, ServiceConfig, SimService};
 
 /// Workers in the pool; small so queueing (not just run time) is visible.
 const WORKERS: usize = 2;
@@ -33,18 +33,10 @@ fn tiny_workload() -> Arc<WorkloadConfig> {
 }
 
 /// One mixed-grid job: mostly cheap 2-core cells with a heavier 8-core
-/// cell every third job, alternating designs, and every fourth job at
-/// high priority — the traffic mix the scheduler is hardened for.
+/// cell every third job, alternating designs.
 fn spec(i: usize, workload: &Arc<WorkloadConfig>) -> JobSpec {
     let cores = if i.is_multiple_of(3) { 8 } else { 2 };
-    let priority = if i.is_multiple_of(4) {
-        Priority::High
-    } else {
-        Priority::Normal
-    };
-    JobSpec::new(Benchmark::Sqrt32, cores, workload.clone())
-        .with_sync(i.is_multiple_of(2))
-        .priority(priority)
+    JobSpec::new(Benchmark::Sqrt32, cores, workload.clone()).with_sync(i.is_multiple_of(2))
 }
 
 fn as_us(d: Duration) -> f64 {
@@ -102,7 +94,7 @@ fn main() {
 
     println!(
         "service_latency: {} jobs on {} workers (queue capacity {}): \
-         p50 {:.1} us, p95 {:.1} us, max {:.1} us ({} steal events, {} deadline misses)",
+         p50 {:.1} us, p95 {:.1} us, max {:.1} us ({} steal events)",
         jobs,
         stats.workers,
         QUEUE_CAPACITY,
@@ -110,6 +102,5 @@ fn main() {
         as_us(stats.latency.p95),
         as_us(stats.latency.max),
         stats.steals,
-        stats.deadline_misses,
     );
 }

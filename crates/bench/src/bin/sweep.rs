@@ -15,7 +15,6 @@
 //!   --heatmap <window>   attach a per-bank DM heat map to every cell
 //!   --pctrace <limit>    attach a PC trace to every cell (not with --heatmap)
 //!   --threads <n>        worker threads (default: all hardware threads)
-//!   --tenant <id>        tenant the sweep's jobs are submitted as (default 0)
 //!   --checkpoint-every <cycles>  checkpoint every job's platform at this
 //!                        cadence (jobs become migratable)
 //!   --checkpoint-dir <path>  persist each job's latest checkpoint blob
@@ -43,21 +42,20 @@
 //! `--stream` it also interleaves periodic `{"telemetry":…}` snapshot
 //! lines — the service counters and the queue-wait and run-time
 //! histograms — between the cell records, so a live consumer can watch
-//! throughput and queue wait evolve. Snapshot lines never collide with the `{"schema":2,…}` cell
-//! records: consumers filter on the leading key.
+//! throughput and queue wait evolve. Snapshot lines never collide with
+//! the `{"schema":3,…}` cell records: consumers filter on the leading key.
 
 use std::io::Write;
 use std::process::ExitCode;
 use ulp_bench::{run_sweep_with, SweepCell, SweepSpec};
 use ulp_kernels::{Benchmark, WorkloadConfig};
-use ulp_service::{ObserverSelection, TenantId};
+use ulp_service::ObserverSelection;
 use ulp_telemetry::Telemetry;
 
-/// One completed cell as a JSON-lines record (`--stream`, schema 2: adds
-/// `schema` and `tenant` over the schema-less v1 records). `emitted` and
-/// `total` number the *emitted* records: gapless from 1, reaching `total`
-/// exactly when every cell of the grid ran and verified.
-fn json_line(cell: &SweepCell, tenant: TenantId, emitted: usize, total: usize) -> String {
+/// One completed cell as a JSON-lines record (`--stream`, schema 3).
+/// `emitted` and `total` number the *emitted* records: gapless from 1,
+/// reaching `total` exactly when every cell of the grid ran and verified.
+fn json_line(cell: &SweepCell, emitted: usize, total: usize) -> String {
     let shard = match cell.shard_samples {
         Some(s) => format!("\"shard\":{s},"),
         None => String::new(),
@@ -87,8 +85,8 @@ fn json_line(cell: &SweepCell, tenant: TenantId, emitted: usize, total: usize) -
     };
     format!(
         concat!(
-            "{{\"schema\":2,\"benchmark\":\"{}\",\"design\":\"{}\",",
-            "\"cores\":{},\"tenant\":{},{}",
+            "{{\"schema\":3,\"benchmark\":\"{}\",\"design\":\"{}\",",
+            "\"cores\":{},{}",
             "\"cycles\":{},\"ops_per_cycle\":{:.4},\"lockstep_width\":{:.4},",
             "\"im_accesses\":{},{}{}\"completed\":{},\"total\":{}}}"
         ),
@@ -99,7 +97,6 @@ fn json_line(cell: &SweepCell, tenant: TenantId, emitted: usize, total: usize) -
             "baseline"
         },
         cell.cores,
-        tenant,
         shard,
         cell.run.stats.cycles,
         cell.run.stats.ops_per_cycle(),
@@ -126,12 +123,11 @@ const USAGE: &str = "usage: sweep [options]
   --pctrace <limit>    attach a PC trace to every cell (cycles per shard;
                        not with --heatmap)
   --threads <n>        worker threads (default: all hardware threads)
-  --tenant <id>        tenant the sweep's jobs are submitted as (default 0)
   --checkpoint-every <cycles>
                        checkpoint every job's platform at this cadence in
                        simulated cycles — jobs become migratable: a lost
-                       or preempted worker's in-flight job re-queues from
-                       its latest checkpoint, bit-identically
+                       worker's in-flight job re-queues from its latest
+                       checkpoint, bit-identically
   --checkpoint-dir <path>
                        persist each job's latest checkpoint blob as
                        job-<id>.ckpt under this directory (best-effort;
@@ -140,9 +136,8 @@ const USAGE: &str = "usage: sweep [options]
                        JSON file on exit (Perfetto loadable, one track
                        per worker; with --stream also interleaves
                        periodic {\"telemetry\":...} snapshot lines)
-  --stats-json <path>  write the final service stats (schema 3, with
-                       per-tenant rows and migration counters) as one
-                       JSON object";
+  --stats-json <path>  write the final service stats (schema 4, with
+                       migration counters) as one JSON object";
 
 /// Every job carries one observer selection, so the two observer flags
 /// cannot be combined.
@@ -157,7 +152,6 @@ struct Options {
     shard: Vec<Option<usize>>,
     observers: ObserverSelection,
     threads: usize,
-    tenant: TenantId,
     checkpoint_every: Option<u64>,
     checkpoint_dir: Option<String>,
     trace_out: Option<String>,
@@ -195,7 +189,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         shard: vec![None],
         observers: ObserverSelection::None,
         threads: 0,
-        tenant: TenantId::DEFAULT,
         checkpoint_every: None,
         checkpoint_dir: None,
         trace_out: None,
@@ -220,13 +213,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                 opts.threads = next_value(&mut args, "--threads")?
                     .parse()
                     .map_err(|e| format!("bad value for --threads: {e}"))?;
-            }
-            "--tenant" => {
-                opts.tenant = TenantId(
-                    next_value(&mut args, "--tenant")?
-                        .parse()
-                        .map_err(|e| format!("bad value for --tenant: {e}"))?,
-                );
             }
             "--cores" => {
                 opts.cores = parse_list(&next_value(&mut args, "--cores")?, "--cores", |s| {
@@ -355,7 +341,6 @@ fn main() -> ExitCode {
         workload,
         observers: opts.observers,
         threads: opts.threads,
-        tenant: opts.tenant,
         telemetry: telemetry.clone(),
         checkpoint_every: opts.checkpoint_every,
         checkpoint_dir: opts.checkpoint_dir.as_ref().map(std::path::PathBuf::from),
@@ -393,7 +378,6 @@ fn main() -> ExitCode {
     }
     let cells = spec.len();
     let stream = opts.stream;
-    let tenant = opts.tenant;
     let start = std::time::Instant::now();
     let mut emitted = 0;
     let results = match run_sweep_with(&spec, |cell, progress| {
@@ -411,7 +395,7 @@ fn main() -> ExitCode {
             let mut out = std::io::stdout().lock();
             // Flush per record so a consumer sees cells as they finish,
             // not when the sweep exits.
-            writeln!(out, "{}", json_line(cell, tenant, emitted, progress.total))
+            writeln!(out, "{}", json_line(cell, emitted, progress.total))
                 .and_then(|()| out.flush())
                 .ok();
             // Interleave a metrics snapshot every few records (and on the

@@ -27,7 +27,6 @@ use ulp_kernels::{Benchmark, BenchmarkRun, RunnerError, WorkloadConfig};
 use ulp_power::{Activity, PowerModel};
 use ulp_service::{
     JobError, JobOutput, JobSpec, ObserverSelection, ServiceConfig, ServiceStats, SimService,
-    TenantId,
 };
 use ulp_shard::{MergedArtifacts, ShardPlan, ShardRunConfig, ShardRunner, ShardedRun};
 use ulp_telemetry::{EventKind, Telemetry, CLIENT_TRACK};
@@ -70,10 +69,6 @@ pub struct SweepSpec {
     /// grid throttles to the workers' claim rate instead of materializing
     /// its whole job list as queued backlog.
     pub threads: usize,
-    /// Tenant every job of the sweep is submitted as — the grid's owner
-    /// when several sweeps share one pool, and the identity the service's
-    /// per-tenant latency rows are keyed by.
-    pub tenant: TenantId,
     /// Telemetry sink the sweep's private service pool records into
     /// (disabled by default — every hook is then a single branch). Pass
     /// an enabled handle and keep a clone: the sweep adds client-side
@@ -83,10 +78,9 @@ pub struct SweepSpec {
     pub telemetry: Telemetry,
     /// Checkpoint cadence in simulated cycles: `Some(n)` makes every
     /// cell's jobs migratable ([`ulp_service::JobSpec::checkpoint_every`]) —
-    /// each job snapshots its platform every `n` cycles, so urgent work
-    /// can preempt long cells at a checkpoint and a lost worker's
-    /// in-flight job resumes on a survivor, with bit-identical results
-    /// either way. `None` (the default) runs without checkpoints.
+    /// each job snapshots its platform every `n` cycles, so a lost
+    /// worker's in-flight job resumes on a survivor with bit-identical
+    /// results. `None` (the default) runs without checkpoints.
     pub checkpoint_every: Option<u64>,
     /// Directory the sweep's service pool persists checkpoint blobs into
     /// ([`ulp_service::ServiceConfig::checkpoint_dir`]; best-effort,
@@ -106,7 +100,6 @@ impl SweepSpec {
             workload,
             observers: ObserverSelection::None,
             threads: 0,
-            tenant: TenantId::DEFAULT,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
             checkpoint_dir: None,
@@ -331,18 +324,17 @@ pub fn run_sweep_with(
     let mut states = Vec::with_capacity(coords.len());
     let mut specs: Vec<JobSpec> = Vec::new();
     let mut job_map: Vec<(usize, usize)> = Vec::new();
-    // Telemetry tags of every cell's jobs — (job id, priority index) —
-    // so the client-side merge/stream events recorded at cell
-    // finalization carry the same tags as the job's lifecycle events.
-    let mut cell_job_tags: Vec<Vec<(u64, u8)>> = Vec::with_capacity(coords.len());
+    // Job ids of every cell (contiguous: ids follow submission order),
+    // for the client-side merge/stream events recorded at cell
+    // finalization.
+    let mut cell_jobs: Vec<std::ops::Range<u64>> = Vec::with_capacity(coords.len());
     let client_track = spec.telemetry.track(CLIENT_TRACK);
     for (cell_idx, &(benchmark, with_sync, cores, shard)) in coords.iter().enumerate() {
         let (plan, jobs) = match shard {
             None => {
                 let job = JobSpec::new(benchmark, cores, workload.clone())
                     .with_sync(with_sync)
-                    .observers(spec.observers.clone())
-                    .tenant(spec.tenant);
+                    .observers(spec.observers.clone());
                 let job = match spec.checkpoint_every {
                     Some(cycles) => job.checkpoint_every(cycles),
                     None => job,
@@ -356,8 +348,7 @@ pub fn run_sweep_with(
                     });
                 let mut config =
                     ShardRunConfig::new(benchmark, with_sync, cores, spec.workload.clone())
-                        .with_observers(spec.observers.clone())
-                        .with_tenant(spec.tenant);
+                        .with_observers(spec.observers.clone());
                 if let Some(cycles) = spec.checkpoint_every {
                     config = config.with_checkpoint_every(cycles);
                 }
@@ -372,13 +363,12 @@ pub fn run_sweep_with(
             remaining: jobs.len(),
             error: None,
         });
-        let mut tags = Vec::with_capacity(jobs.len());
+        let first = specs.len() as u64;
         for (slot, job) in jobs.into_iter().enumerate() {
             job_map.push((cell_idx, slot));
-            tags.push((specs.len() as u64, job.priority.index() as u8));
             specs.push(job);
         }
-        cell_job_tags.push(tags);
+        cell_jobs.push(first..specs.len() as u64);
         plans.push(plan);
     }
 
@@ -392,9 +382,7 @@ pub fn run_sweep_with(
         .max(1);
     // Submit through the bounded path: the blocking `submit` below parks
     // this thread whenever the backlog hits capacity, so the grid is fed
-    // at the workers' claim rate. Shard jobs run at elevated priority
-    // (see `ShardRunner::job_specs`), so a sharded cell's merge is never
-    // starved behind normal-priority single cells.
+    // at the workers' claim rate.
     let mut builder = ServiceConfig::builder()
         .workers(workers)
         .queue_capacity(workers * 4)
@@ -425,12 +413,8 @@ pub fn run_sweep_with(
         match result.outcome {
             Ok(out) => state.outputs[slot] = Some(out),
             // Keep the first error per cell; remaining shards still run.
-            // Sweep jobs carry no deadline, so eviction cannot occur.
             Err(JobError::Run(e)) => {
                 state.error.get_or_insert(e);
-            }
-            Err(JobError::Evicted { .. }) => {
-                unreachable!("sweep jobs are submitted without deadlines")
             }
         }
         state.remaining -= 1;
@@ -511,10 +495,8 @@ pub fn run_sweep_with(
             // The cell's jobs merged into one result: record the
             // client-side lifecycle tail (merge, then — once the
             // callback has seen it — stream) for every job of the cell.
-            if client_track.is_enabled() {
-                for &(id, priority) in &cell_job_tags[cell_idx] {
-                    client_track.record(EventKind::Merged, id, spec.tenant.0, priority);
-                }
+            for id in cell_jobs[cell_idx].clone() {
+                client_track.record(EventKind::Merged, id);
             }
             // Errored cells are not streamed (the sweep as a whole
             // returns their error), so `completed` counts exactly the
@@ -529,10 +511,8 @@ pub fn run_sweep_with(
                     index: cell_idx,
                 },
             );
-            if client_track.is_enabled() {
-                for &(id, priority) in &cell_job_tags[cell_idx] {
-                    client_track.record(EventKind::Streamed, id, spec.tenant.0, priority);
-                }
+            for id in cell_jobs[cell_idx].clone() {
+                client_track.record(EventKind::Streamed, id);
             }
         }
         cells[cell_idx] = Some(cell);
@@ -586,7 +566,6 @@ mod tests {
             workload: WorkloadConfig::quick_test(),
             observers: ObserverSelection::None,
             threads: 0,
-            tenant: TenantId::DEFAULT,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
             checkpoint_dir: None,
@@ -649,7 +628,6 @@ mod tests {
             // must flow through a saturated bounded queue and still merge
             // bit-exactly.
             threads: 1,
-            tenant: TenantId::DEFAULT,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
             checkpoint_dir: None,
@@ -693,7 +671,6 @@ mod tests {
             workload: WorkloadConfig::quick_test(), // n = 48 fits unsharded
             observers: ObserverSelection::None,
             threads: 2,
-            tenant: TenantId::DEFAULT,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
             checkpoint_dir: None,
@@ -732,7 +709,6 @@ mod tests {
             workload: WorkloadConfig::quick_test(), // n = 48 fits unsharded
             observers: ObserverSelection::BankHeatMap { window: 256 },
             threads: 2,
-            tenant: TenantId(3),
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
             checkpoint_dir: None,

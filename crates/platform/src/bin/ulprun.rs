@@ -80,6 +80,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     if opts.path.is_empty() {
         return Err("no input file".into());
     }
+    // A core count the platform rejects (1..=8 with the synchronizer,
+    // 1..=16 without) is bad usage, caught before the source is read.
+    PlatformConfig::paper(opts.with_sync)
+        .with_cores(opts.cores)
+        .validate()
+        .map_err(|e| format!("--cores {}: {e}", opts.cores))?;
     Ok(opts)
 }
 
@@ -224,6 +230,27 @@ mod tests {
         for (addr, len, want) in [("65535", "1", (0xffff, 1)), ("0", "65536", (0, 65536))] {
             let opts = parse(&["p.s", "--dump", addr, len]).expect("an in-range dump parses");
             assert_eq!(opts.dump, Some(want), "{addr} {len}");
+        }
+    }
+
+    #[test]
+    fn cores_must_fit_the_platform() {
+        for args in [
+            &["p.s", "--cores", "0"][..],
+            &["p.s", "--cores", "9"],
+            &["p.s", "--cores", "17", "--no-sync"],
+        ] {
+            let err = parse(args)
+                .err()
+                .expect("a bad core count is a usage error");
+            assert!(err.starts_with("--cores"), "{args:?}: {err}");
+        }
+        for (args, cores) in [
+            (&["p.s", "--cores", "1"][..], 1),
+            (&["p.s", "--cores", "8"], 8),
+            (&["p.s", "--no-sync", "--cores", "16"], 16),
+        ] {
+            assert_eq!(parse(args).expect("a valid core count parses").cores, cores);
         }
     }
 }

@@ -2,49 +2,30 @@
 //!
 //! A long-lived front-end over the cycle engine: clients submit
 //! [`JobSpec`]s (benchmark + platform design + core count + workload +
-//! tenant + observer selection) to a [`SimService`] and receive
-//! [`JobResult`]s as a stream, in completion order. The pool is built for
-//! *grids* — the (benchmark × design × cores) sweeps that every
-//! experiment in this repository runs — and for mixed multi-tenant
-//! traffic in particular:
+//! observer selection) to a [`SimService`] and receive [`JobResult`]s as a
+//! stream, in completion order. The pool is built for *grids* — the
+//! (benchmark × design × cores) sweeps that every experiment in this
+//! repository runs:
 //!
-//! * **Tenants, quotas and fair share.** Every job carries a
-//!   [`TenantId`]; a [`TenantPolicy`] gives a tenant an admission quota
-//!   (max in-flight + queued jobs, enforced at submission) and a
-//!   fair-share weight. Within a priority class workers claim by
-//!   weighted deficit round-robin across per-tenant FIFO lanes, so one
-//!   tenant's burst cannot starve another tenant's queue wait.
-//! * **Priorities.** Every job carries a [`Priority`] class; queued
-//!   `High` jobs are claimed before queued `Normal` and `Low` ones, so a
-//!   blocked client's urgent work (e.g. the shards a recording merge
-//!   waits on) overtakes a deep background backlog.
-//! * **Deadlines and eviction.** A job may carry a simulated-cycle
-//!   budget ([`JobSpec::deadline_cycles`]); runs that exceed it are
-//!   flagged as deadline misses, and a tenant's eligible jobs are served
-//!   earliest-deadline-first. A queued job whose budget provably cannot
-//!   be met ([`JobSpec::min_run_cycles`]) is *evicted* with a typed
-//!   outcome ([`JobError::Evicted`]) instead of run to certain failure.
+//! * **Half-batch work stealing.** Jobs land on per-worker FIFO deques
+//!   (round-robin or pinned); an owner claims the front of its own
+//!   deque, and an idle worker steals the older half of a victim's deque
+//!   in one lock acquisition, runs its front job and relocates the rest
+//!   to its own deque — so a 2-core SQRT32 cell finishing early frees its
+//!   worker to steal the tail of an 8-core full-signal MRPDLN backlog.
 //! * **Bounded queues with backpressure.** With a
 //!   [`ServiceConfig::queue_capacity`] bound, [`SimService::submit`]
-//!   rejects at capacity or quota with a typed [`SubmitError`] carrying
-//!   the spec back for retry, and [`SimService::submit_blocking`] parks
-//!   until admission succeeds — sustained traffic cannot grow an
-//!   unbounded backlog.
-//! * **Half-batch work stealing.** Jobs land on per-worker priority
-//!   deques (round-robin or pinned); idle workers steal half of every
-//!   tenant lane of a victim's highest class in one lock acquisition,
-//!   relocating the surplus to their own deque — so a 2-core SQRT32 cell
-//!   finishing early frees its worker to steal the tail of an 8-core
-//!   full-signal MRPDLN backlog without skewing the per-tenant balance.
+//!   rejects at capacity with a typed [`SubmitError`] carrying the spec
+//!   back for retry, and [`SimService::submit_blocking`] parks until the
+//!   backlog drains — sustained traffic cannot grow an unbounded backlog.
 //! * **Checkpoints and mid-run migration.** A job with
 //!   [`JobSpec::checkpoint_every`] snapshots its platform every N cycles
-//!   ([`ulp_platform::Checkpoint`]); at a checkpoint the worker can
-//!   *park* the run — to yield to queued `High` work, or because the
-//!   worker was killed ([`SimService::inject_worker_failure`], or a
-//!   panic recovered by the pool) — and the partially-run job re-queues
-//!   from its latest checkpoint for any worker to resume. Migrated
-//!   results are bit-identical to uninterrupted ones, observer state
-//!   included, and latency/tenant attribution follows the job
+//!   ([`ulp_platform::Checkpoint`]); when its worker is killed
+//!   ([`SimService::inject_worker_failure`], or a panic recovered by the
+//!   pool) the worker *parks* the run at a checkpoint and the
+//!   partially-run job re-queues from there for any worker to resume.
+//!   Migrated results are bit-identical to uninterrupted ones, observer
+//!   state included, and latency attribution follows the job
 //!   ([`JobResult::migrations`], [`ServiceStats::jobs_migrated`]).
 //! * **Platform caching.** Each worker keeps one [`ulp_platform::Platform`]
 //!   per `(design, cores)` key, reset and reused between jobs
@@ -56,13 +37,12 @@
 //!   finishes; long sweeps report incrementally instead of joining at the
 //!   end.
 //! * **Observability.** Every [`JobResult`] carries queue-wait and run
-//!   latency; [`ServiceStats`] aggregates p50/p95/max latency
-//!   ([`LatencyStats`]) pooled, per priority class and per tenant
-//!   ([`TenantStats`]), next to jobs run, steal events and batch sizes,
-//!   capacity and quota rejections, evictions, deadline misses,
-//!   platform-cache hits and platforms built, so scheduling quality *and*
-//!   tail latency are measurable (the `service_latency` bench reports
-//!   the percentiles of a saturated pool).
+//!   latency; [`ServiceStats`] pools p50/p95/max latency
+//!   ([`LatencyStats`]) next to jobs run, steal events and batch sizes,
+//!   capacity rejections, platform-cache hits and platforms built, so
+//!   scheduling quality *and* tail latency are measurable (the
+//!   `service_latency` bench reports the percentiles of a saturated
+//!   pool).
 //!
 //! Observer output rides back on every result as [`JobArtifacts`],
 //! mirroring the spec's [`ObserverSelection`]; artifacts are first-class
@@ -78,13 +58,10 @@
 mod job;
 mod service;
 
-pub use job::{
-    JobArtifacts, JobError, JobId, JobOutput, JobResult, JobSpec, ObserverSelection, Priority,
-    TenantId,
-};
+pub use job::{JobArtifacts, JobError, JobId, JobOutput, JobResult, JobSpec, ObserverSelection};
 pub use service::{
     LatencyStats, PoolDied, ServiceConfig, ServiceConfigBuilder, ServiceStats, SimService,
-    SubmitError, TenantPolicy, TenantStats, LATENCY_WINDOW,
+    SubmitError, LATENCY_WINDOW,
 };
 
 #[cfg(test)]
@@ -242,10 +219,6 @@ mod tests {
             let result = service.recv().expect("job completes");
             let err = result.outcome.expect_err("bad core count must error");
             assert!(
-                !err.is_eviction(),
-                "a bad core count is a run error, not an eviction"
-            );
-            assert!(
                 err.to_string().contains("core count"),
                 "unexpected error: {err}"
             );
@@ -256,22 +229,5 @@ mod tests {
             stats.platforms_built, 0,
             "no platform is built for bad specs"
         );
-    }
-
-    #[test]
-    fn config_builder_resolves_policies() {
-        let config = ServiceConfig::builder()
-            .workers(3)
-            .queue_capacity(16)
-            .default_policy(TenantPolicy::quota(4))
-            .tenant(TenantId(1), TenantPolicy::quota(2).with_weight(5))
-            .tenant(TenantId(1), TenantPolicy::quota(3)) // replaces
-            .build();
-        assert_eq!(config.workers, 3);
-        assert_eq!(config.queue_capacity, 16);
-        assert_eq!(config.policy(TenantId(1)).quota, 3);
-        assert_eq!(config.policy(TenantId(1)).weight, 1);
-        assert_eq!(config.policy(TenantId(9)).quota, 4, "default applies");
-        assert_eq!(config.resolved_workers(), 3);
     }
 }

@@ -1,15 +1,12 @@
 //! The batch simulation service: a long-lived worker pool with per-worker
-//! platform caches, bounded tenant-fair priority deques with work
-//! stealing, and streamed results.
+//! platform caches, one bounded FIFO deque per worker with work stealing,
+//! and streamed results.
 
-use crate::job::{
-    JobArtifacts, JobError, JobId, JobOutput, JobResult, JobSpec, ObserverSelection, Priority,
-    TenantId,
-};
+use crate::job::{JobArtifacts, JobError, JobId, JobOutput, JobResult, JobSpec, ObserverSelection};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -22,60 +19,16 @@ use ulp_telemetry::{
     worker_track, Counter, EventKind, Histogram, Registry, Telemetry, Track, CLIENT_TRACK, NO_JOB,
 };
 
-/// Admission and fair-share policy for one tenant (or the default for
-/// tenants without an explicit entry): how many of its jobs may be in the
-/// service at once, and how large its slice of the scheduler's weighted
-/// deficit round-robin is relative to other tenants in the same priority
-/// class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantPolicy {
-    /// Max jobs the tenant may have in the service at once (queued +
-    /// running + completed-but-unreceived results do not count — a slot
-    /// frees the moment the worker finishes the job). `0` = unlimited.
-    pub quota: usize,
-    /// Fair-share weight inside a priority class: a tenant with weight 2
-    /// is served two jobs per round for every one job of a weight-1
-    /// tenant. `0` behaves as `1`.
-    pub weight: u32,
-}
-
-impl Default for TenantPolicy {
-    /// Unlimited quota, weight 1.
-    fn default() -> TenantPolicy {
-        TenantPolicy {
-            quota: 0,
-            weight: 1,
-        }
-    }
-}
-
-impl TenantPolicy {
-    /// A policy with quota `quota` (`0` = unlimited) and weight 1.
-    pub fn quota(quota: usize) -> TenantPolicy {
-        TenantPolicy { quota, weight: 1 }
-    }
-
-    /// Sets the fair-share weight.
-    #[must_use]
-    pub fn with_weight(mut self, weight: u32) -> TenantPolicy {
-        self.weight = weight;
-        self
-    }
-}
-
-/// Pool shape and tenant policy of a [`SimService`]. Built with
-/// [`ServiceConfig::builder`]:
+/// Pool shape of a [`SimService`]. Built with [`ServiceConfig::builder`]:
 ///
 /// ```
-/// use ulp_service::{ServiceConfig, TenantId, TenantPolicy};
+/// use ulp_service::ServiceConfig;
 ///
 /// let config = ServiceConfig::builder()
 ///     .workers(4)
 ///     .queue_capacity(64)
-///     .tenant(TenantId(1), TenantPolicy::quota(8).with_weight(2))
 ///     .build();
-/// assert_eq!(config.policy(TenantId(1)).quota, 8);
-/// assert_eq!(config.policy(TenantId(2)).quota, 0); // default: unlimited
+/// assert_eq!(config.resolved_workers(), 4);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
@@ -87,11 +40,6 @@ pub struct ServiceConfig {
     /// blocks until the backlog drains to the watermark (half the
     /// capacity).
     pub queue_capacity: usize,
-    /// Policy for tenants without an explicit [`ServiceConfig::tenants`]
-    /// entry. The `Default` default is unlimited quota, weight 1.
-    pub default_policy: TenantPolicy,
-    /// Per-tenant policy overrides.
-    pub tenants: Vec<(TenantId, TenantPolicy)>,
     /// Telemetry sink the pool records into: every job-lifecycle phase
     /// becomes a typed event on the submitting client's or executing
     /// worker's track, and the pool's counters (`service_<field>` for
@@ -116,20 +64,11 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// Starts building a configuration (all-default: auto-sized pool,
-    /// unbounded queue, unlimited quotas, equal weights).
+    /// unbounded queue, telemetry disabled, no checkpoint persistence).
     pub fn builder() -> ServiceConfigBuilder {
         ServiceConfigBuilder {
             config: ServiceConfig::default(),
         }
-    }
-
-    /// The policy governing `tenant`: its override, or the default.
-    pub fn policy(&self, tenant: TenantId) -> TenantPolicy {
-        self.tenants
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, p)| *p)
-            .unwrap_or(self.default_policy)
     }
 
     /// The concrete pool size this configuration resolves to: `workers`,
@@ -170,14 +109,6 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Policy for tenants without an explicit [`ServiceConfigBuilder::tenant`]
-    /// entry (default: unlimited quota, weight 1).
-    #[must_use]
-    pub fn default_policy(mut self, policy: TenantPolicy) -> ServiceConfigBuilder {
-        self.config.default_policy = policy;
-        self
-    }
-
     /// Attaches a telemetry sink (default: [`Telemetry::disabled`]).
     /// Pass [`Telemetry::enabled`] to record job-lifecycle events and
     /// export the pool's counters; keep a clone of the handle to export
@@ -196,17 +127,6 @@ impl ServiceConfigBuilder {
     #[must_use]
     pub fn checkpoint_dir(mut self, dir: impl Into<std::path::PathBuf>) -> ServiceConfigBuilder {
         self.config.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets (or replaces) the policy for one tenant.
-    #[must_use]
-    pub fn tenant(mut self, tenant: TenantId, policy: TenantPolicy) -> ServiceConfigBuilder {
-        if let Some(entry) = self.config.tenants.iter_mut().find(|(t, _)| *t == tenant) {
-            entry.1 = policy;
-        } else {
-            self.config.tenants.push((tenant, policy));
-        }
         self
     }
 
@@ -238,8 +158,7 @@ pub struct LatencyStats {
     pub samples: u64,
     /// Median end-to-end latency (nearest-rank, recent window).
     pub p50: Duration,
-    /// 95th-percentile end-to-end latency (nearest-rank, recent window —
-    /// the tail CI gates on).
+    /// 95th-percentile end-to-end latency (nearest-rank, recent window).
     pub p95: Duration,
     /// Worst end-to-end latency ever observed (not windowed).
     pub max: Duration,
@@ -311,52 +230,13 @@ impl LatencyRing {
     }
 }
 
-/// All of the pool's latency recorders, updated together on every
-/// completion: the lifetime aggregate, one ring per priority class, and
-/// one ring per tenant that has completed a job.
-#[derive(Clone, Default)]
-struct LatencyBook {
-    aggregate: LatencyRing,
-    per_priority: [LatencyRing; Priority::LEVELS],
-    per_tenant: Vec<(TenantId, LatencyRing)>,
-}
-
-impl LatencyBook {
-    fn record(&mut self, tenant: TenantId, priority: Priority, nanos: u64) {
-        self.aggregate.record(nanos);
-        self.per_priority[priority.index()].record(nanos);
-        match self.per_tenant.iter_mut().find(|(t, _)| *t == tenant) {
-            Some((_, ring)) => ring.record(nanos),
-            None => {
-                let mut ring = LatencyRing::default();
-                ring.record(nanos);
-                self.per_tenant.push((tenant, ring));
-            }
-        }
-    }
-}
-
-/// Per-tenant slice of [`ServiceStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantStats {
-    /// The tenant the row describes.
-    pub tenant: TenantId,
-    /// High-water mark of the tenant's jobs in the service at once
-    /// (queued + running) — never exceeds the tenant's configured quota.
-    pub peak_admitted: u64,
-    /// End-to-end latency distribution of the tenant's completed jobs;
-    /// `latency.samples` is the tenant's completed-job count.
-    pub latency: LatencyStats,
-}
-
 /// Scheduling observability: what the pool did. Snapshot via
 /// [`SimService::stats`], final values from [`SimService::finish`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Jobs executed to completion (success or error; evicted jobs are
-    /// counted in [`ServiceStats::evictions`] instead).
+    /// Jobs executed to completion (success or error).
     pub jobs_run: u64,
     /// Steal events: times an idle worker took a half-batch from another
     /// worker's deque.
@@ -369,14 +249,6 @@ pub struct ServiceStats {
     /// Non-blocking submissions rejected at queue capacity
     /// ([`SubmitError::AtCapacity`]).
     pub rejections: u64,
-    /// Non-blocking submissions rejected because the tenant was at its
-    /// quota ([`SubmitError::QuotaExceeded`]).
-    pub quota_rejections: u64,
-    /// Queued jobs evicted because their deadline budget provably could
-    /// not be met ([`JobError::Evicted`]).
-    pub evictions: u64,
-    /// Completed jobs whose run exceeded their simulated-cycle deadline.
-    pub deadline_misses: u64,
     /// Jobs served from a worker's platform cache.
     pub platform_cache_hits: u64,
     /// Platforms constructed across all workers (the cache misses).
@@ -385,73 +257,32 @@ pub struct ServiceStats {
     /// ([`JobSpec::checkpoint_every`]).
     pub checkpoints_taken: u64,
     /// Times a partially-run job was parked at a checkpoint and
-    /// re-queued — cooperative yields to [`Priority::High`] work plus
-    /// in-flight jobs recovered from killed workers. A job migrated
-    /// twice counts twice.
+    /// re-queued: in-flight jobs recovered from killed or panicked
+    /// workers. A job migrated twice counts twice.
     pub jobs_migrated: u64,
     /// Worker threads lost over the pool's lifetime: injected failures
     /// ([`SimService::inject_worker_failure`]) and panics. Deaths whose
     /// in-flight job was recovered do not kill the pool — the remaining
     /// workers keep draining the queue.
     pub workers_died: u64,
-    /// End-to-end latency distribution of completed jobs, pooled over
-    /// every class and tenant.
+    /// End-to-end latency distribution of completed jobs.
     pub latency: LatencyStats,
-    /// Latency distribution per priority class, indexed by
-    /// [`Priority::index`] (0 = High).
-    pub per_priority: [LatencyStats; Priority::LEVELS],
-    /// Latency distribution and admission high-water mark per tenant,
-    /// sorted by tenant id. Tenants appear once they have submitted a
-    /// job.
-    pub per_tenant: Vec<TenantStats>,
     /// Wall time since the pool started.
     pub wall: Duration,
 }
 
 impl ServiceStats {
-    /// The per-tenant row for `tenant`, if it has submitted any job.
-    pub fn tenant(&self, tenant: TenantId) -> Option<&TenantStats> {
-        self.per_tenant.iter().find(|t| t.tenant == tenant)
-    }
-
-    /// The latency distribution of one priority class.
-    pub fn priority_latency(&self, priority: Priority) -> &LatencyStats {
-        &self.per_priority[priority.index()]
-    }
-
-    /// The full snapshot as one JSON object (schema 3: checkpoint and
-    /// migration counters next to the schema-2 per-tenant rows), for the
+    /// The full snapshot as one JSON object (schema 4), for the
     /// `--stats-json` flag of the sweep CLI and any other scripted
-    /// consumer. Durations are nanoseconds; priority rows are
-    /// keyed `"high"`/`"normal"`/`"low"`; tenant rows are sorted by
-    /// tenant id.
+    /// consumer. Durations are nanoseconds.
     pub fn to_json(&self) -> String {
-        let per_priority: Vec<String> = ["high", "normal", "low"]
-            .iter()
-            .zip(self.per_priority.iter())
-            .map(|(name, stats)| format!("\"{name}\":{}", stats.to_json()))
-            .collect();
-        let per_tenant: Vec<String> = self
-            .per_tenant
-            .iter()
-            .map(|row| {
-                format!(
-                    "{{\"tenant\":{},\"peak_admitted\":{},\"latency\":{}}}",
-                    row.tenant.0,
-                    row.peak_admitted,
-                    row.latency.to_json()
-                )
-            })
-            .collect();
         format!(
             concat!(
-                "{{\"schema\":3,\"workers\":{},\"jobs_run\":{},\"steals\":{},",
+                "{{\"schema\":4,\"workers\":{},\"jobs_run\":{},\"steals\":{},",
                 "\"jobs_stolen\":{},\"steal_batch_max\":{},\"rejections\":{},",
-                "\"quota_rejections\":{},\"evictions\":{},\"deadline_misses\":{},",
                 "\"platform_cache_hits\":{},\"platforms_built\":{},",
                 "\"checkpoints_taken\":{},\"jobs_migrated\":{},\"workers_died\":{},",
-                "\"latency\":{},\"per_priority\":{{{}}},\"per_tenant\":[{}],",
-                "\"wall_ns\":{}}}"
+                "\"latency\":{},\"wall_ns\":{}}}"
             ),
             self.workers,
             self.jobs_run,
@@ -459,17 +290,12 @@ impl ServiceStats {
             self.jobs_stolen,
             self.steal_batch_max,
             self.rejections,
-            self.quota_rejections,
-            self.evictions,
-            self.deadline_misses,
             self.platform_cache_hits,
             self.platforms_built,
             self.checkpoints_taken,
             self.jobs_migrated,
             self.workers_died,
             self.latency.to_json(),
-            per_priority.join(","),
-            per_tenant.join(","),
             self.wall.as_nanos()
         )
     }
@@ -489,17 +315,6 @@ pub enum SubmitError {
         spec: JobSpec,
         /// The capacity the queue was full at.
         capacity: usize,
-    },
-    /// The spec's tenant is at its admission quota (queued + running
-    /// jobs). Only returned by the non-blocking [`SimService::submit`];
-    /// counted in [`ServiceStats::quota_rejections`].
-    QuotaExceeded {
-        /// The job that was not enqueued, returned for retry.
-        spec: JobSpec,
-        /// The tenant that hit its quota.
-        tenant: TenantId,
-        /// The quota it hit.
-        quota: usize,
     },
     /// The spec can never run: its workload size is outside the kernel
     /// layout's capacity. Returned by both submission paths before any
@@ -523,7 +338,6 @@ impl SubmitError {
     pub fn into_spec(self) -> Option<JobSpec> {
         match self {
             SubmitError::AtCapacity { spec, .. } => Some(spec),
-            SubmitError::QuotaExceeded { spec, .. } => Some(spec),
             SubmitError::Invalid { spec, .. } => Some(spec),
             SubmitError::PoolDead => None,
         }
@@ -536,10 +350,6 @@ impl fmt::Display for SubmitError {
             SubmitError::AtCapacity { capacity, .. } => write!(
                 f,
                 "submission rejected: queue at capacity ({capacity} queued jobs)"
-            ),
-            SubmitError::QuotaExceeded { tenant, quota, .. } => write!(
-                f,
-                "submission rejected: tenant {tenant} at its quota of {quota} in-flight jobs"
             ),
             SubmitError::Invalid { reason, .. } => write!(f, "submission rejected: {reason}"),
             SubmitError::PoolDead => write!(f, "submission rejected: a service worker died"),
@@ -571,13 +381,6 @@ impl fmt::Display for PoolDied {
 
 impl std::error::Error for PoolDied {}
 
-/// Cap on *cooperative* migrations of one job (parking at a checkpoint
-/// to yield to queued [`Priority::High`] work). Bounds the extra restore
-/// cost a job can accrue under sustained urgent traffic and rules out
-/// park/resume livelock; recovery from a killed worker is not capped —
-/// a job is never lost to the limit.
-const MAX_MIGRATIONS: u32 = 3;
-
 /// One queued unit of work: the spec plus the scheduling metadata the
 /// deques track for it. `Clone` so the executing worker can park a copy
 /// in the pool's in-flight registry ([`Shared::inflight`]) while it
@@ -601,212 +404,17 @@ struct QueuedJob {
     migrations: u32,
 }
 
-impl QueuedJob {
-    /// EDF sort key: explicit deadlines first (earliest wins), then
-    /// arrival order.
-    fn deadline_key(&self) -> u64 {
-        self.spec.deadline_cycles.unwrap_or(u64::MAX)
-    }
-}
-
-/// One tenant's FIFO sub-queue inside a [`ClassQueue`], plus its deficit
-/// round-robin bookkeeping.
-#[derive(Default)]
-struct Lane {
-    tenant: TenantId,
-    /// Fair-share weight (from the tenant's [`TenantPolicy`]); the quantum
-    /// replenished into `deficit` when the round-robin reaches this lane.
-    weight: u32,
-    /// Jobs this lane may still serve in the current round. Every job
-    /// costs one unit (job runtimes are not knowable up front), so weights
-    /// buy *claims per round*, not cycles.
-    deficit: u32,
-    jobs: VecDeque<QueuedJob>,
-}
-
-impl Lane {
-    /// The lane's claim: earliest-deadline-first among its jobs, oldest
-    /// first among jobs with equal (or no) deadlines — so deadline jobs
-    /// jump the lane while a pure-FIFO lane stays pure FIFO.
-    fn pop_edf(&mut self) -> Option<QueuedJob> {
-        let idx = self
-            .jobs
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, job)| (job.deadline_key(), *i))?
-            .0;
-        self.jobs.remove(idx)
-    }
-}
-
-/// One priority class of a worker's deque: per-tenant FIFO lanes served
-/// by weighted deficit round-robin. Replaces the old flat per-class
-/// segment, which let one tenant's burst starve everyone behind it.
-#[derive(Default)]
-struct ClassQueue {
-    lanes: Vec<Lane>,
-    /// The lane the round-robin serves next.
-    cursor: usize,
-}
-
-impl ClassQueue {
-    fn push(&mut self, job: QueuedJob, weight: u32) {
-        let tenant = job.spec.tenant;
-        match self.lanes.iter_mut().find(|lane| lane.tenant == tenant) {
-            Some(lane) => lane.jobs.push_back(job),
-            None => self.lanes.push(Lane {
-                tenant,
-                weight,
-                deficit: 0,
-                jobs: VecDeque::from([job]),
-            }),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.lanes.iter().all(|lane| lane.jobs.is_empty())
-    }
-
-    /// The weighted deficit round-robin claim (unit job cost): the cursor
-    /// lane's quantum is replenished to its weight when it is reached
-    /// fresh, each served job costs one unit, and the cursor advances when
-    /// the quantum is spent or the lane runs dry — so over a contended
-    /// round, tenants are served in proportion to their weights no matter
-    /// how lopsided the backlog is.
-    fn pop(&mut self) -> Option<QueuedJob> {
-        let lanes = self.lanes.len();
-        for _ in 0..lanes {
-            if self.cursor >= lanes {
-                self.cursor = 0;
-            }
-            let lane = &mut self.lanes[self.cursor];
-            if lane.jobs.is_empty() {
-                // An empty lane leaves the round; a stale quantum must not
-                // carry over to its next burst.
-                lane.deficit = 0;
-                self.cursor += 1;
-                continue;
-            }
-            if lane.deficit == 0 {
-                lane.deficit = lane.weight.max(1);
-            }
-            lane.deficit -= 1;
-            let job = lane.pop_edf();
-            if lane.jobs.is_empty() {
-                lane.deficit = 0;
-            }
-            if lane.deficit == 0 {
-                self.cursor += 1;
-            }
-            return job;
-        }
-        None
-    }
-
-    /// A thief's cut: the older half (rounded up) of *every* tenant lane,
-    /// so a steal relocates backlog without skewing the per-tenant
-    /// balance the round-robin maintains.
-    fn steal_half(&mut self) -> Vec<QueuedJob> {
-        let mut batch = Vec::new();
-        for lane in &mut self.lanes {
-            let take = lane.jobs.len().div_ceil(2);
-            batch.extend(lane.jobs.drain(..take));
-            if lane.jobs.is_empty() {
-                lane.deficit = 0;
-            }
-        }
-        batch
-    }
-
-    fn clear(&mut self) {
-        for lane in &mut self.lanes {
-            lane.jobs.clear();
-            lane.deficit = 0;
-        }
-    }
-}
-
-/// One worker's deque, segregated by priority class: class 0
-/// ([`Priority::High`]) is always served before class 1, and so on.
-/// Within a class, tenants are served by weighted deficit round-robin
-/// over per-tenant FIFO lanes, with earliest-deadline-first among one
-/// tenant's jobs — priorities express urgency, the round-robin bounds any
-/// one tenant's damage, EDF spends each tenant's share on its most
-/// urgent work. (The platform cache is keyed by `(design, cores)`, so pop
-/// order costs no cache warmth.) Thieves take the front half of every
-/// lane of the highest non-empty class.
-struct WorkerQueue {
-    classes: [ClassQueue; Priority::LEVELS],
-}
-
-impl WorkerQueue {
-    fn new() -> WorkerQueue {
-        WorkerQueue {
-            classes: Default::default(),
-        }
-    }
-
-    fn push(&mut self, job: QueuedJob, weight: u32) {
-        self.classes[job.spec.priority.index()].push(job, weight);
-    }
-
-    /// The owner's claim: the round-robin pop of the most urgent
-    /// non-empty class.
-    fn pop_own(&mut self) -> Option<QueuedJob> {
-        self.classes.iter_mut().find_map(|class| class.pop())
-    }
-
-    /// The owner's claim restricted to the [`Priority::High`] class
-    /// (class 0) — the pool-wide-priority fast path.
-    fn pop_high(&mut self) -> Option<QueuedJob> {
-        self.classes[0].pop()
-    }
-
-    /// A thief's claim: half of every tenant lane of the most urgent
-    /// non-empty class. Taking a batch instead of a single job amortizes
-    /// the lock traffic of repeated steals on mixed grids — the thief
-    /// runs one job and relocates the rest to its own deque, where they
-    /// stay claimable by everyone.
-    fn steal_half(&mut self) -> Vec<QueuedJob> {
-        for class in &mut self.classes {
-            if !class.is_empty() {
-                return class.steal_half();
-            }
-        }
-        Vec::new()
-    }
-
-    /// [`WorkerQueue::steal_half`] restricted to the [`Priority::High`]
-    /// class.
-    fn steal_half_high(&mut self) -> Vec<QueuedJob> {
-        if self.classes[0].is_empty() {
-            return Vec::new();
-        }
-        self.classes[0].steal_half()
-    }
-
-    fn clear(&mut self) {
-        for class in &mut self.classes {
-            class.clear();
-        }
-    }
-}
-
-/// Per-tenant admission bookkeeping, guarded by [`Shared::work`].
-#[derive(Default)]
-struct TenantLoad {
-    /// The tenant's jobs currently in the service (queued + running) —
-    /// the count its quota bounds.
-    admitted: u64,
-    /// Lifetime high-water mark of `admitted`, surfaced as
-    /// [`TenantStats::peak_admitted`] so tests and operators can verify a
-    /// quota was never breached.
-    peak: u64,
-}
+/// One worker's FIFO deque. The owner pops the front; a thief takes the
+/// older half (rounded up) in one lock acquisition, runs the front job
+/// of that batch and moves the rest onto its own deque, where they stay
+/// claimable by everyone. Taking a batch instead of a single job
+/// amortizes the lock traffic of repeated steals on mixed grids. (The
+/// platform cache is keyed by `(design, cores)`, so pop order costs no
+/// cache warmth.)
+type WorkerQueue = VecDeque<QueuedJob>;
 
 /// Guarded by [`Shared::work`]: how many submitted jobs are not yet
-/// claimed by a worker, per-tenant admission counts, and whether the
-/// service is shutting down.
+/// claimed by a worker, and whether the service is shutting down.
 struct WorkState {
     /// Jobs pushed to some deque and not yet claimed. A worker claims by
     /// decrementing under the lock, then locates the job in the deques —
@@ -825,26 +433,6 @@ struct WorkState {
     /// a drain that may never come (the result-channel death notice only
     /// reaches `recv`).
     dead_workers: usize,
-    /// Per-tenant admitted counts and high-water marks.
-    tenants: HashMap<TenantId, TenantLoad>,
-}
-
-impl WorkState {
-    fn admitted(&self, tenant: TenantId) -> u64 {
-        self.tenants.get(&tenant).map_or(0, |load| load.admitted)
-    }
-
-    fn admit(&mut self, tenant: TenantId) {
-        let load = self.tenants.entry(tenant).or_default();
-        load.admitted += 1;
-        load.peak = load.peak.max(load.admitted);
-    }
-
-    fn release(&mut self, tenant: TenantId) {
-        if let Some(load) = self.tenants.get_mut(&tenant) {
-            load.admitted = load.admitted.saturating_sub(1);
-        }
-    }
 }
 
 /// What flows back over the result channel: completed jobs, or a death
@@ -868,9 +456,6 @@ struct ServiceMetrics {
     jobs_stolen: Counter,
     steal_batch_max: Counter,
     rejections: Counter,
-    quota_rejections: Counter,
-    evictions: Counter,
-    deadline_misses: Counter,
     platform_cache_hits: Counter,
     platforms_built: Counter,
     checkpoints_taken: Counter,
@@ -897,9 +482,6 @@ impl ServiceMetrics {
             jobs_stolen: registry.counter("service_jobs_stolen"),
             steal_batch_max: registry.counter("service_steal_batch_max"),
             rejections: registry.counter("service_rejections"),
-            quota_rejections: registry.counter("service_quota_rejections"),
-            evictions: registry.counter("service_evictions"),
-            deadline_misses: registry.counter("service_deadline_misses"),
             platform_cache_hits: registry.counter("service_platform_cache_hits"),
             platforms_built: registry.counter("service_platforms_built"),
             checkpoints_taken: registry.counter("service_checkpoints_taken"),
@@ -912,37 +494,17 @@ impl ServiceMetrics {
     }
 }
 
-/// The telemetry tags of one job spec: (job id, tenant, priority).
-fn event_tags(id: JobId, spec: &JobSpec) -> (u64, u32, u8) {
-    (id, spec.tenant.0, spec.priority.index() as u8)
-}
-
 struct Shared {
     /// Bound on the unclaimed backlog; `0` = unbounded.
     capacity: usize,
-    /// Policy for tenants without an override.
-    default_policy: TenantPolicy,
-    /// Per-tenant policy overrides (small: linear scan beats hashing).
-    policies: Vec<(TenantId, TenantPolicy)>,
-    /// Whether any quota (default or override) is non-zero: gates the
-    /// completion-side condvar wake that quota waiters need.
-    has_quotas: bool,
-    /// One priority deque per worker (see [`WorkerQueue`]).
+    /// One FIFO deque per worker (see [`WorkerQueue`]).
     queues: Vec<Mutex<WorkerQueue>>,
     work: Mutex<WorkState>,
     available: Condvar,
     /// Signalled (with [`Shared::work`]) every time a worker claims a job
-    /// (frees backlog space) or completes one (frees the tenant's quota
-    /// slot), so a [`SimService::submit_blocking`] parked here can
-    /// re-check its admission conditions.
+    /// (frees backlog space), so a [`SimService::submit_blocking`] parked
+    /// here can re-check the watermark.
     space: Condvar,
-    /// [`Priority::High`] jobs queued anywhere in the pool. Lets a claim
-    /// serve the High class *pool-wide* — own deque, then a High-only
-    /// steal scan — before touching its own lower classes, while keeping
-    /// the common no-High case a single relaxed load. Incremented on
-    /// submission, decremented when a High job is claimed for execution
-    /// (relocated-but-still-queued jobs stay counted).
-    queued_high: AtomicU64,
     /// One slot per worker: the migratable job it is currently running,
     /// kept current with the job's latest checkpoint. Recovery paths —
     /// the worker's own injected-failure park and the panic
@@ -958,9 +520,8 @@ struct Shared {
     /// Best-effort checkpoint persistence directory (see
     /// [`ServiceConfig::checkpoint_dir`]).
     checkpoint_dir: Option<std::path::PathBuf>,
-    /// Bounded recorders behind [`ServiceStats::latency`],
-    /// [`ServiceStats::per_priority`] and [`ServiceStats::per_tenant`].
-    latencies: Mutex<LatencyBook>,
+    /// Bounded recorder behind [`ServiceStats::latency`].
+    latencies: Mutex<LatencyRing>,
     /// The telemetry sink (possibly disabled) every lifecycle event goes
     /// through.
     telemetry: Telemetry,
@@ -969,34 +530,20 @@ struct Shared {
 }
 
 impl Shared {
-    fn policy(&self, tenant: TenantId) -> TenantPolicy {
-        self.policies
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, p)| *p)
-            .unwrap_or(self.default_policy)
-    }
-
     /// Puts a parked or recovered partially-run job back into the pool:
     /// bumps its migration count, restarts its queue-wait clock and lands
     /// it on the next worker's deque (the parking worker may be exiting;
-    /// any idle worker can still steal it from there). Admission is *not*
-    /// re-taken — the job never left the service, so its tenant slot
-    /// stays held until it completes. Shared by cooperative parking,
+    /// any idle worker can still steal it from there). Shared by
     /// injected-failure parks and the panic [`DeathWatch`]; the latter
     /// runs during an unwind, so lock failures bail out instead of
     /// panicking (a poisoned pool lock means the pool is beyond rescue).
     fn requeue(&self, from: usize, mut job: QueuedJob) {
         job.migrations += 1;
         job.enqueued = Instant::now();
-        if job.spec.priority == Priority::High {
-            self.queued_high.fetch_add(1, Ordering::Relaxed);
-        }
         self.metrics.jobs_migrated.inc();
-        let weight = self.policy(job.spec.tenant).weight;
         let target = (from + 1) % self.queues.len();
         match self.queues[target].lock() {
-            Ok(mut queue) => queue.push(job, weight),
+            Ok(mut queue) => queue.push_back(job),
             Err(_) => return,
         }
         if let Ok(mut state) = self.work.lock() {
@@ -1008,23 +555,15 @@ impl Shared {
 
 /// A pool of simulation workers behind a submission handle.
 ///
-/// Jobs ([`JobSpec`]) are distributed over per-worker priority deques
+/// Jobs ([`JobSpec`]) are distributed over per-worker FIFO deques
 /// (round-robin, or pinned via [`JobSpec::pinned`]); idle workers steal
-/// half-batches from busy ones, so mixed-size grids — a 2-core SQRT32
-/// cell next to an 8-core full-signal MRPDLN cell — keep every thread
-/// busy. Queued [`Priority::High`] jobs are always claimed before queued
-/// [`Priority::Normal`] and [`Priority::Low`] ones; *within* a class,
-/// workers claim by weighted deficit round-robin across per-tenant FIFO
-/// lanes (earliest-deadline-first among one tenant's jobs), so no tenant's
-/// burst starves another tenant's queue wait. Admission is tenant-aware
-/// too: a [`TenantPolicy::quota`] bounds one tenant's in-flight jobs, and
-/// with a [`ServiceConfig::queue_capacity`] bound the submission path
-/// exerts explicit backpressure — [`SimService::submit`] rejects with a
-/// typed [`SubmitError`] carrying the spec back, and
-/// [`SimService::submit_blocking`] parks until admission succeeds. A
-/// queued job whose [`JobSpec::deadline_cycles`] budget provably cannot
-/// be met is evicted ([`JobError::Evicted`]) instead of run. Each worker
-/// keeps one [`Platform`] per `(design, cores)` key and reuses it via
+/// the older half of a busy worker's deque, so mixed-size grids — a
+/// 2-core SQRT32 cell next to an 8-core full-signal MRPDLN cell — keep
+/// every thread busy. With a [`ServiceConfig::queue_capacity`] bound the
+/// submission path exerts explicit backpressure — [`SimService::submit`]
+/// rejects with a typed [`SubmitError`] carrying the spec back, and
+/// [`SimService::submit_blocking`] parks until the backlog drains. Each
+/// worker keeps one [`Platform`] per `(design, cores)` key and reuses it via
 /// [`ulp_kernels::run_benchmark_reusing`], so the dominant allocations
 /// happen once per worker, not once per job. Every job runs through that
 /// one path with its observer [attached](Platform::attach); a job
@@ -1032,8 +571,8 @@ impl Shared {
 /// checkpoints. Completed
 /// [`JobResult`]s stream back through [`SimService::recv`] as workers
 /// finish them — a client never waits for the whole batch — and carry
-/// per-job queue-wait and run latency; [`ServiceStats`] aggregates them
-/// into pooled, per-priority and per-tenant p50/p95/max.
+/// per-job queue-wait and run latency; [`ServiceStats`] pools them into
+/// p50/p95/max.
 ///
 /// ```no_run
 /// use std::sync::Arc;
@@ -1070,16 +609,11 @@ impl SimService {
     /// Starts the worker pool.
     pub fn start(config: ServiceConfig) -> SimService {
         let workers = config.resolved_workers().max(1);
-        let has_quotas =
-            config.default_policy.quota != 0 || config.tenants.iter().any(|(_, p)| p.quota != 0);
         let telemetry = config.telemetry.clone();
         let metrics = ServiceMetrics::new(&telemetry);
         let client_track = telemetry.track(CLIENT_TRACK);
         let shared = Arc::new(Shared {
             capacity: config.queue_capacity,
-            default_policy: config.default_policy,
-            policies: config.tenants,
-            has_quotas,
             queues: (0..workers)
                 .map(|_| Mutex::new(WorkerQueue::new()))
                 .collect(),
@@ -1088,15 +622,13 @@ impl SimService {
                 closed: false,
                 cancelled: false,
                 dead_workers: 0,
-                tenants: HashMap::new(),
             }),
             available: Condvar::new(),
             space: Condvar::new(),
-            queued_high: AtomicU64::new(0),
             inflight: (0..workers).map(|_| Mutex::new(None)).collect(),
             kill_flags: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             checkpoint_dir: config.checkpoint_dir,
-            latencies: Mutex::new(LatencyBook::default()),
+            latencies: Mutex::new(LatencyRing::default()),
             telemetry,
             metrics,
         });
@@ -1208,13 +740,12 @@ impl SimService {
 
     /// Non-blocking submission: enqueues the job and returns its id, or
     /// says exactly why admission failed — the bounded backlog is at
-    /// capacity ([`SubmitError::AtCapacity`]), the spec's tenant is at
-    /// its quota ([`SubmitError::QuotaExceeded`]), or the pool is dead
+    /// capacity ([`SubmitError::AtCapacity`]) or the pool is dead
     /// ([`SubmitError::PoolDead`]). The rejecting variants carry the spec
     /// back, so the caller decides: drop it, retry after draining some
     /// results, or fall back to [`SimService::submit_blocking`]. On an
-    /// unbounded queue with no quotas this only ever fails on a dead
-    /// pool. The result arrives through [`SimService::recv`] whenever a
+    /// unbounded queue this only ever fails on a dead pool or an invalid
+    /// spec. The result arrives through [`SimService::recv`] whenever a
     /// worker completes it.
     ///
     /// A core count outside 1..=8 is not rejected here — the job
@@ -1226,8 +757,8 @@ impl SimService {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::AtCapacity`] and [`SubmitError::QuotaExceeded`]
-    /// with the spec inside; [`SubmitError::Invalid`], also with the spec
+    /// [`SubmitError::AtCapacity`] with the spec inside;
+    /// [`SubmitError::Invalid`], also with the spec
     /// inside, for a workload size outside the kernel layout's capacity
     /// (the kernels would panic the worker on it, so that class of
     /// invalid submission fails in the submitting thread, not the pool);
@@ -1240,8 +771,7 @@ impl SimService {
     /// admission succeeds instead of rejecting. At queue capacity it
     /// resumes once workers drain the backlog to the watermark (half the
     /// capacity — the hysteresis stops a saturated client from thrashing
-    /// on every single claim); at a tenant quota it resumes as soon as
-    /// one of the tenant's jobs completes.
+    /// on every single claim).
     ///
     /// # Errors
     ///
@@ -1263,43 +793,22 @@ impl SimService {
                 spec,
             });
         }
-        let quota = self.shared.policy(spec.tenant).quota as u64;
         let capacity = self.shared.capacity as u64;
-        // Admission control: reserve a backlog slot (and the tenant's
-        // quota slot) under the work lock. The slot is reserved *before*
-        // the push lands in a deque; the workers' claim/scan retry loop
-        // already tolerates that gap (it is the same race as a claim
-        // overlapping another worker's scan).
+        // Admission control: reserve a backlog slot under the work lock.
+        // The slot is reserved *before* the push lands in a deque; the
+        // workers' claim/scan retry loop already tolerates that gap (it
+        // is the same race as a claim overlapping another worker's scan).
         {
             let mut state = self.shared.work.lock().expect("work lock");
             if !block {
                 if state.dead_workers > 0 {
                     return Err(SubmitError::PoolDead);
                 }
-                if quota != 0 && state.admitted(spec.tenant) >= quota {
-                    drop(state);
-                    self.shared.metrics.quota_rejections.inc();
-                    self.client_track.record(
-                        EventKind::QuotaRejected,
-                        NO_JOB,
-                        spec.tenant.0,
-                        spec.priority.index() as u8,
-                    );
-                    return Err(SubmitError::QuotaExceeded {
-                        tenant: spec.tenant,
-                        quota: quota as usize,
-                        spec,
-                    });
-                }
                 if capacity != 0 && state.available >= capacity {
                     drop(state);
                     self.shared.metrics.rejections.inc();
-                    self.client_track.record(
-                        EventKind::CapacityRejected,
-                        NO_JOB,
-                        spec.tenant.0,
-                        spec.priority.index() as u8,
-                    );
+                    self.client_track
+                        .record(EventKind::CapacityRejected, NO_JOB);
                     return Err(SubmitError::AtCapacity {
                         spec,
                         capacity: self.shared.capacity,
@@ -1320,15 +829,13 @@ impl SimService {
                     if draining && state.available <= watermark {
                         draining = false;
                     }
-                    let over_quota = quota != 0 && state.admitted(spec.tenant) >= quota;
-                    if !draining && !over_quota {
+                    if !draining {
                         break;
                     }
                     state = self.shared.space.wait(state).expect("work lock");
                 }
             }
             state.available += 1;
-            state.admit(spec.tenant);
         }
         let id = self.submitted;
         self.submitted += 1;
@@ -1340,29 +847,20 @@ impl SimService {
                 q
             }
         };
-        if spec.priority == Priority::High {
-            self.shared.queued_high.fetch_add(1, Ordering::Relaxed);
-        }
-        let weight = self.shared.policy(spec.tenant).weight;
         self.shared.metrics.jobs_submitted.inc();
-        if self.client_track.is_enabled() {
-            let (job, tenant, priority) = event_tags(id, &spec);
-            self.client_track
-                .record(EventKind::Submitted, job, tenant, priority);
-            self.client_track
-                .record(EventKind::Queued, job, tenant, priority);
-        }
-        self.shared.queues[queue].lock().expect("queue lock").push(
-            QueuedJob {
+        self.client_track.record(EventKind::Submitted, id);
+        self.client_track.record(EventKind::Queued, id);
+        self.shared.queues[queue]
+            .lock()
+            .expect("queue lock")
+            .push_back(QueuedJob {
                 id,
                 spec,
                 stolen: false,
                 enqueued: Instant::now(),
                 resume: None,
                 migrations: 0,
-            },
-            weight,
-        );
+            });
         self.shared.available.notify_one();
         Ok(id)
     }
@@ -1427,41 +925,13 @@ impl SimService {
         }
     }
 
-    /// Live snapshot of the scheduling counters and latency
-    /// distributions (pooled, per-priority, per-tenant).
+    /// Live snapshot of the scheduling counters and the latency
+    /// distribution.
     pub fn stats(&self) -> ServiceStats {
-        // Snapshot the rings under the lock, sort outside it: workers push
+        // Snapshot the ring under the lock, sort outside it: workers push
         // one sample per completed job and must not stall behind an
         // O(n log n) percentile computation.
-        let book = self.shared.latencies.lock().expect("latency lock").clone();
-        let peaks: Vec<(TenantId, u64)> = {
-            let state = self.shared.work.lock().expect("work lock");
-            state
-                .tenants
-                .iter()
-                .map(|(tenant, load)| (*tenant, load.peak))
-                .collect()
-        };
-        let mut per_tenant: Vec<TenantStats> = book
-            .per_tenant
-            .iter()
-            .map(|(tenant, ring)| TenantStats {
-                tenant: *tenant,
-                peak_admitted: 0,
-                latency: ring.stats(),
-            })
-            .collect();
-        for (tenant, peak) in peaks {
-            match per_tenant.iter_mut().find(|t| t.tenant == tenant) {
-                Some(entry) => entry.peak_admitted = peak,
-                None => per_tenant.push(TenantStats {
-                    tenant,
-                    peak_admitted: peak,
-                    latency: LatencyStats::default(),
-                }),
-            }
-        }
-        per_tenant.sort_by_key(|t| t.tenant);
+        let latencies = self.shared.latencies.lock().expect("latency lock").clone();
         let m = &self.shared.metrics;
         ServiceStats {
             workers: self.shared.queues.len(),
@@ -1470,17 +940,12 @@ impl SimService {
             jobs_stolen: m.jobs_stolen.get(),
             steal_batch_max: m.steal_batch_max.get(),
             rejections: m.rejections.get(),
-            quota_rejections: m.quota_rejections.get(),
-            evictions: m.evictions.get(),
-            deadline_misses: m.deadline_misses.get(),
             platform_cache_hits: m.platform_cache_hits.get(),
             platforms_built: m.platforms_built.get(),
             checkpoints_taken: m.checkpoints_taken.get(),
             jobs_migrated: m.jobs_migrated.get(),
             workers_died: m.workers_died.get(),
-            latency: book.aggregate.stats(),
-            per_priority: std::array::from_fn(|i| book.per_priority[i].stats()),
-            per_tenant,
+            latency: latencies.stats(),
             wall: self.started.elapsed(),
         }
     }
@@ -1547,19 +1012,6 @@ impl Drop for SimService {
     }
 }
 
-/// Completion-side admission bookkeeping: releases the tenant's quota
-/// slot and wakes quota waiters. Runs for executed *and* evicted jobs —
-/// both leave the service.
-fn release_admission(shared: &Shared, tenant: TenantId) {
-    {
-        let mut state = shared.work.lock().expect("work lock");
-        state.release(tenant);
-    }
-    if shared.has_quotas {
-        shared.space.notify_all();
-    }
-}
-
 fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
     // One platform per (design, core-count), reused across jobs: the
     // dominant allocations (memories, cycle buffers) happen at most once
@@ -1591,33 +1043,15 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
         if shared.capacity != 0 {
             shared.space.notify_all();
         }
-        // The claim guarantees a job exists in *some* deque; find it.
-        // Priority is pool-wide: when the relaxed counter says a High job
-        // is queued anywhere, serve the High class first — own deque,
-        // then a High-only steal sweep — before touching lower classes on
-        // the own deque. (The microsecond window where a submitter has
-        // incremented the counter but not yet pushed simply falls through
-        // to the general path.) The general path takes the own deque's
-        // most urgent class (via the tenant round-robin), then steals half
-        // of every tenant lane of another worker's highest class: the
-        // thief runs the most urgent job of the batch now and relocates
-        // the rest onto its own deque — still claimable by everyone — so
-        // one lock acquisition pays for several future claims instead of
-        // one. The retry loop covers the narrow race where another
-        // claimant grabs the job this worker would have found mid-scan.
+        // The claim guarantees a job exists in *some* deque; find it: the
+        // front of the own deque, else a steal. The retry loop covers the
+        // narrow race where another claimant grabs the job this worker
+        // would have found mid-scan.
         let job = loop {
-            if shared.queued_high.load(Ordering::Relaxed) > 0 {
-                if let Some(job) = shared.queues[me].lock().expect("queue lock").pop_high() {
-                    break job;
-                }
-                if let Some(job) = steal_scan(me, shared, true, &track) {
-                    break job;
-                }
-            }
-            if let Some(job) = shared.queues[me].lock().expect("queue lock").pop_own() {
+            if let Some(job) = shared.queues[me].lock().expect("queue lock").pop_front() {
                 break job;
             }
-            if let Some(job) = steal_scan(me, shared, false, &track) {
+            if let Some(job) = steal_scan(me, shared, &track) {
                 break job;
             }
             // A fully failed scan normally means another claimant grabbed
@@ -1629,11 +1063,6 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
             }
             std::thread::yield_now();
         };
-        if job.spec.priority == Priority::High {
-            // Exactly one decrement per High job, at the moment it is
-            // claimed for execution (relocations keep it queued).
-            shared.queued_high.fetch_sub(1, Ordering::Relaxed);
-        }
         // Close the cancellation window: a job popped between `cancelled`
         // being set and the queues being cleared must not start — Drop
         // promises workers finish at most the job they were already
@@ -1642,40 +1071,11 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
             return;
         }
         let queue_wait = job.enqueued.elapsed();
-        let tags = event_tags(job.id, &job.spec);
-        track.record(EventKind::Claimed, tags.0, tags.1, tags.2);
+        track.record(EventKind::Claimed, job.id);
         shared
             .metrics
             .queue_wait_us
             .observe(queue_wait.as_micros() as u64);
-        // Deadline-infeasible eviction: a budget strictly below the
-        // provable cycle floor can never be met, so running the job would
-        // only burn a worker on a certain miss and push every queued
-        // job's wait out further. Return it as a typed eviction instead.
-        if let Some(budget) = job.spec.deadline_cycles {
-            let min_cycles = job.spec.min_run_cycles();
-            if budget < min_cycles {
-                shared.metrics.evictions.inc();
-                track.record(EventKind::Evicted, tags.0, tags.1, tags.2);
-                release_admission(shared, job.spec.tenant);
-                let _ = results.send(Message::Result(Box::new(JobResult {
-                    id: job.id,
-                    tenant: job.spec.tenant,
-                    worker: me,
-                    migrations: job.migrations,
-                    stolen: job.stolen,
-                    cache_hit: false,
-                    queue_wait,
-                    run_time: Duration::ZERO,
-                    deadline_missed: false,
-                    outcome: Err(JobError::Evicted {
-                        deadline_cycles: budget,
-                        min_cycles,
-                    }),
-                })));
-                continue;
-            }
-        }
         // A job with a checkpoint cadence is migratable: every snapshot
         // keeps the pool's in-flight registry current, so the job
         // survives this worker. Plain jobs stay unregistered, so a
@@ -1684,109 +1084,79 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
         if job.spec.checkpoint_every.is_some() {
             *shared.inflight[me].lock().expect("inflight lock") = Some(job.clone());
         }
-        let (cache_hit, run) = run_job(me, &job, &mut cache, &mut spares, shared, &track, tags);
+        let (cache_hit, run) = run_job(me, &job, &mut cache, &mut spares, shared, &track);
         let registered = shared.inflight[me].lock().expect("inflight lock").take();
         let outcome = match run {
             Ok(Some(output)) => Ok(output),
             Err(err) => Err(err),
             Ok(None) => {
-                // Parked at a checkpoint: re-queue the registry copy (it
-                // carries the latest checkpoint) instead of completing.
-                // No result is sent and the admission slot stays held —
-                // the job is still in the service.
+                // Parked at a checkpoint because this worker was marked
+                // for failure: re-queue the registry copy (it carries the
+                // latest checkpoint) instead of completing, and exit — the
+                // survivors resume the job from its checkpoint.
                 let parked = registered.expect("parked job is registered in-flight");
-                track.record(EventKind::Migrated, tags.0, tags.1, tags.2);
+                track.record(EventKind::Migrated, job.id);
                 shared.requeue(me, parked);
-                if shared.kill_flags[me].swap(false, Ordering::Relaxed) {
-                    // Injected failure: this worker is "lost". The
-                    // survivors resume the job from its checkpoint.
-                    shared.metrics.workers_died.inc();
-                    return;
-                }
-                continue;
+                shared.kill_flags[me].store(false, Ordering::Relaxed);
+                shared.metrics.workers_died.inc();
+                return;
             }
         };
         recycle(&mut spares, registered.and_then(|job| job.resume));
         let run_time = run_start.elapsed();
-        track.record(EventKind::RunEnd, tags.0, tags.1, tags.2);
+        track.record(EventKind::RunEnd, job.id);
         shared.metrics.run_us.observe(run_time.as_micros() as u64);
-        let deadline_missed = match (&outcome, job.spec.deadline_cycles) {
-            (Ok(out), Some(budget)) => out.run.stats.cycles > budget,
-            _ => false,
-        };
-        if deadline_missed {
-            shared.metrics.deadline_misses.inc();
-        }
-        shared.latencies.lock().expect("latency lock").record(
-            job.spec.tenant,
-            job.spec.priority,
-            (queue_wait + run_time).as_nanos() as u64,
-        );
+        shared
+            .latencies
+            .lock()
+            .expect("latency lock")
+            .record((queue_wait + run_time).as_nanos() as u64);
         shared.metrics.jobs_run.inc();
-        release_admission(shared, job.spec.tenant);
         // A closed receiver (client finished without draining) is fine —
         // the result is simply discarded.
         let _ = results.send(Message::Result(Box::new(JobResult {
             id: job.id,
-            tenant: job.spec.tenant,
             worker: me,
             migrations: job.migrations,
             stolen: job.stolen,
             cache_hit,
             queue_wait,
             run_time,
-            deadline_missed,
             outcome: outcome.map_err(JobError::from),
         })));
     }
 }
 
-/// One full steal sweep over the other workers' deques: takes half of
-/// every tenant lane of the first victim's highest matching class (the
-/// [`Priority::High`] class only, with `high_only`), relocates the
-/// surplus onto `me`'s own deque — still claimable by everyone — and
-/// returns the most urgent stolen job (earliest deadline, then oldest)
-/// to run now. `None` when no victim had matching work. Every relocated
-/// job is recorded as a [`EventKind::Stolen`] event on the thief's
-/// `track`.
-fn steal_scan(me: usize, shared: &Shared, high_only: bool, track: &Track) -> Option<QueuedJob> {
+/// One full steal sweep over the other workers' deques: takes the older
+/// half (rounded up) of the first non-empty victim's deque, relocates
+/// all but its front job onto `me`'s own deque — still claimable by
+/// everyone — and returns that front job to run now. `None` when every
+/// other deque was empty. Every relocated job is recorded as a
+/// [`EventKind::Stolen`] event on the thief's `track`.
+fn steal_scan(me: usize, shared: &Shared, track: &Track) -> Option<QueuedJob> {
     let n = shared.queues.len();
     for offset in 1..n {
         let victim = (me + offset) % n;
-        let mut batch = {
+        let mut batch: VecDeque<QueuedJob> = {
             let mut queue = shared.queues[victim].lock().expect("queue lock");
-            if high_only {
-                queue.steal_half_high()
-            } else {
-                queue.steal_half()
-            }
+            let take = queue.len().div_ceil(2);
+            queue.drain(..take).collect()
         };
-        if batch.is_empty() {
+        let Some(mut first) = batch.pop_front() else {
             continue;
-        }
+        };
+        let stolen = batch.len() as u64 + 1;
         shared.metrics.steals.inc();
-        shared.metrics.jobs_stolen.add(batch.len() as u64);
-        shared.metrics.steal_batch_max.raise_to(batch.len() as u64);
+        shared.metrics.jobs_stolen.add(stolen);
+        shared.metrics.steal_batch_max.raise_to(stolen);
+        first.stolen = true;
+        track.record(EventKind::Stolen, first.id);
         for job in &mut batch {
             job.stolen = true;
-            if track.is_enabled() {
-                let (id, tenant, priority) = event_tags(job.id, &job.spec);
-                track.record(EventKind::Stolen, id, tenant, priority);
-            }
+            track.record(EventKind::Stolen, job.id);
         }
-        let run_now = batch
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, job)| (job.deadline_key(), job.enqueued))
-            .map(|(i, _)| i)
-            .expect("non-empty batch");
-        let first = batch.remove(run_now);
         if !batch.is_empty() {
-            let mut own = shared.queues[me].lock().expect("queue lock");
-            for job in batch {
-                let weight = shared.policy(job.spec.tenant).weight;
-                own.push(job, weight);
-            }
+            shared.queues[me].lock().expect("queue lock").extend(batch);
         }
         return Some(first);
     }
@@ -1800,13 +1170,13 @@ fn cached_platform<'c>(
     cache: &'c mut HashMap<(bool, usize), Platform>,
     shared: &Shared,
     track: &Track,
-    tags: (u64, u32, u8),
+    id: JobId,
 ) -> Result<(bool, &'c mut Platform), RunnerError> {
     use std::collections::hash_map::Entry;
     match cache.entry((spec.with_sync, spec.cores)) {
         Entry::Occupied(e) => {
             shared.metrics.platform_cache_hits.inc();
-            track.record(EventKind::PlatformCacheHit, tags.0, tags.1, tags.2);
+            track.record(EventKind::PlatformCacheHit, id);
             let platform = e.into_mut();
             // Reused platforms keep their allocations but must adopt this
             // job's cycle budget, which differs across jobs.
@@ -1819,7 +1189,7 @@ fn cached_platform<'c>(
                 .with_max_cycles(spec.workload.max_cycles);
             let platform = Platform::new(cfg)?;
             shared.metrics.platforms_built.inc();
-            track.record(EventKind::PlatformBuilt, tags.0, tags.1, tags.2);
+            track.record(EventKind::PlatformBuilt, id);
             Ok((false, e.insert(platform)))
         }
     }
@@ -1849,8 +1219,8 @@ fn recycle(spares: &mut Vec<Checkpoint>, ckpt: Option<Arc<Checkpoint>>) {
 /// A job with a [`JobSpec::checkpoint_every`] cadence snapshots the
 /// platform every that many cycles, into a buffer from `spares`, keeps
 /// the pool's in-flight registry pointed at the latest checkpoint, and
-/// parks (`Ok(None)`) when the worker is marked for failure or urgent
-/// work is queued pool-wide. A job without one never checkpoints.
+/// parks (`Ok(None)`) when the worker is marked for failure. A job
+/// without one never checkpoints.
 /// Results are bit-identical either way.
 fn run_job(
     me: usize,
@@ -1859,23 +1229,22 @@ fn run_job(
     spares: &mut Vec<Checkpoint>,
     shared: &Shared,
     track: &Track,
-    tags: (u64, u32, u8),
 ) -> (bool, Result<Option<JobOutput>, RunnerError>) {
     let spec = &job.spec;
     // The kernels assume one private DM bank per core (≤ 8); larger
     // baseline platforms would build fine but panic the worker inside the
     // kernel runner, so reject the job with an error outcome instead.
     if spec.cores == 0 || spec.cores > 8 {
-        track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
+        track.record(EventKind::RunStart, job.id);
         return (
             false,
             Err(ulp_platform::ConfigError::BadCoreCount(spec.cores).into()),
         );
     }
-    let (cache_hit, platform) = match cached_platform(spec, cache, shared, track, tags) {
+    let (cache_hit, platform) = match cached_platform(spec, cache, shared, track, job.id) {
         Ok(pair) => pair,
         Err(err) => {
-            track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
+            track.record(EventKind::RunStart, job.id);
             return (false, Err(err));
         }
     };
@@ -1889,16 +1258,16 @@ fn run_job(
     };
     let handle = observer.map(|observer| platform.attach(observer));
     if job.resume.is_some() {
-        track.record(EventKind::Restored, tags.0, tags.1, tags.2);
+        track.record(EventKind::Restored, job.id);
     }
-    track.record(EventKind::RunStart, tags.0, tags.1, tags.2);
+    track.record(EventKind::RunStart, job.id);
     let mut blob = Vec::new();
     let on_checkpoint = |platform: &Platform| {
         let mut ckpt = spares.pop().unwrap_or_default();
         platform.snapshot_into(&mut ckpt);
         shared.metrics.checkpoints_taken.inc();
         shared.metrics.checkpoint_cycles.observe(ckpt.cycle);
-        track.record(EventKind::Snapshot, tags.0, tags.1, tags.2);
+        track.record(EventKind::Snapshot, job.id);
         // Best-effort persistence: the blob backs external inspection
         // and restart tooling; migration itself rides the in-memory
         // checkpoint, so a full disk must not fail the job.
@@ -1906,7 +1275,7 @@ fn run_job(
         // crash mid-write never leaves a truncated blob under that name.
         if let Some(dir) = &shared.checkpoint_dir {
             ckpt.to_bytes_into(&mut blob);
-            let path = dir.join(format!("job-{}.ckpt", tags.0));
+            let path = dir.join(format!("job-{}.ckpt", job.id));
             let tmp = path.with_extension("ckpt.tmp");
             if std::fs::write(&tmp, &blob)
                 .and_then(|()| std::fs::rename(&tmp, &path))
@@ -1923,14 +1292,7 @@ fn run_job(
             Err(_) => None,
         };
         recycle(spares, replaced);
-        let killed = shared.kill_flags[me].load(Ordering::Relaxed);
-        // Cooperative yield: a non-urgent job parks (a bounded number of
-        // times) when urgent work is queued anywhere in the pool, so a
-        // High job never waits out a long migratable run.
-        let yield_to_high = spec.priority != Priority::High
-            && job.migrations < MAX_MIGRATIONS
-            && shared.queued_high.load(Ordering::Relaxed) > 0;
-        if killed || yield_to_high {
+        if shared.kill_flags[me].load(Ordering::Relaxed) {
             CheckpointControl::Park
         } else {
             CheckpointControl::Continue
@@ -2020,22 +1382,17 @@ mod tests {
 
     #[test]
     fn service_stats_to_json_shape() {
-        let mut stats = ServiceStats {
+        let stats = ServiceStats {
             workers: 2,
             jobs_run: 5,
+            latency: LatencyStats::compute(1, 50, &[50]),
             ..ServiceStats::default()
         };
-        stats.per_tenant.push(TenantStats {
-            tenant: TenantId(7),
-            peak_admitted: 3,
-            latency: LatencyStats::compute(1, 50, &[50]),
-        });
         let json = stats.to_json();
-        assert!(json.starts_with("{\"schema\":3,\"workers\":2,\"jobs_run\":5,"));
+        assert!(json.starts_with("{\"schema\":4,\"workers\":2,\"jobs_run\":5,"));
+        assert!(json.contains("\"rejections\":0,\"platform_cache_hits\":0,"));
         assert!(json.contains("\"checkpoints_taken\":0,\"jobs_migrated\":0,\"workers_died\":0,"));
-        assert!(json.contains("\"per_priority\":{\"high\":{"));
-        assert!(json.contains("\"per_tenant\":[{\"tenant\":7,\"peak_admitted\":3,"));
-        assert!(json.contains("\"p50_ns\":50"));
+        assert!(json.contains("\"latency\":{\"samples\":1,\"p50_ns\":50,"));
         assert!(json.ends_with('}'));
         // Balanced braces/brackets — the cheap structural validity check.
         assert_eq!(
@@ -2098,7 +1455,7 @@ mod tests {
             let spec = JobSpec::new(Benchmark::Mrpfltr, 2, workload.clone()).observers(observers);
             // The job's outcome, and how many observers it left attached.
             let mut run = |job: &QueuedJob| {
-                let outcome = run_job(0, job, &mut cache, &mut spares, shared, &track, (0, 0, 0)).1;
+                let outcome = run_job(0, job, &mut cache, &mut spares, shared, &track).1;
                 (outcome, cache[&(true, 2)].attached_observers())
             };
 

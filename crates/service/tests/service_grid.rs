@@ -1,11 +1,13 @@
 //! Integration tests of the batch simulation service: work stealing on
-//! mixed-size grids, platform-cache reuse, and bit-identical results
-//! against the serial runner.
+//! mixed-size grids, FIFO claim order, platform-cache reuse, and
+//! bit-identical results against the serial runner.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use ulp_kernels::{run_benchmark_on, Benchmark, WorkloadConfig};
 use ulp_platform::PlatformConfig;
-use ulp_service::{JobResult, JobSpec, ServiceConfig, SimService};
+use ulp_service::{JobId, JobResult, JobSpec, ServiceConfig, SimService};
+use ulp_telemetry::{worker_track, EventKind, Telemetry};
 
 fn quick() -> Arc<WorkloadConfig> {
     Arc::new(WorkloadConfig::quick_test())
@@ -177,4 +179,87 @@ fn pinned_backlog_is_rebalanced_by_stealing() {
         "half-batch stealing must move more than one job from a deep \
          pinned backlog: {stats:?}"
     );
+}
+
+/// Claim order. On one worker, jobs queued behind a blocker complete in
+/// submission order (the owner pops the front). On two workers, a
+/// backlog pinned behind the long-running worker is stolen *older half
+/// first*: the first steal relocates exactly the oldest ceil(n/2) jobs.
+#[test]
+fn claims_are_fifo_and_thieves_take_the_older_half() {
+    let quick = quick();
+    let mut long = WorkloadConfig::quick_test();
+    long.n = 256;
+    let long = Arc::new(long);
+
+    let mut service = SimService::start(ServiceConfig::builder().workers(1).build());
+    service
+        .submit(JobSpec::new(Benchmark::Sqrt32, 2, long.clone()))
+        .expect("unbounded queue admits");
+    let queued: Vec<JobId> = (0..6)
+        .map(|_| {
+            service
+                .submit(JobSpec::new(Benchmark::Sqrt32, 2, quick.clone()))
+                .expect("unbounded queue admits")
+        })
+        .collect();
+    let order: Vec<JobId> = drain(&mut service).iter().map(|r| r.id).collect();
+    assert_eq!(order[1..], queued[..], "one worker claims FIFO");
+    service.finish();
+
+    let telemetry = Telemetry::enabled();
+    let mut service = SimService::start(
+        ServiceConfig::builder()
+            .workers(2)
+            .telemetry(telemetry.clone())
+            .build(),
+    );
+    // A long blocker (8-core MRPFLTR without the synchronizer) and a
+    // blocker about ten times shorter, one per worker. Either worker may
+    // claim either, so wait for both claims and pin the backlog behind
+    // the long one: the other worker frees first and must steal.
+    let slow = service
+        .submit(
+            JobSpec::new(Benchmark::Mrpfltr, 8, long.clone())
+                .with_sync(false)
+                .pinned(0),
+        )
+        .expect("unbounded queue admits");
+    service
+        .submit(JobSpec::new(Benchmark::Sqrt32, 2, long.clone()).pinned(1))
+        .expect("unbounded queue admits");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let slow_worker = loop {
+        let events = telemetry.events();
+        let claims = events.iter().filter(|e| e.kind == EventKind::Claimed);
+        if claims.clone().count() == 2 {
+            let track = claims
+                .map(|e| (e.job, e.track))
+                .find(|&(job, _)| job == slow);
+            break (0..2)
+                .find(|&w| track == Some((slow, worker_track(w))))
+                .expect("a worker claimed the long blocker");
+        }
+        assert!(Instant::now() < deadline, "blockers never claimed");
+        std::thread::yield_now();
+    };
+    let backlog: Vec<JobId> = (0..6)
+        .map(|_| {
+            service
+                .submit(JobSpec::new(Benchmark::Sqrt32, 2, quick.clone()).pinned(slow_worker))
+                .expect("unbounded queue admits")
+        })
+        .collect();
+    assert_eq!(drain(&mut service).len(), 8, "every job completes");
+    let stats = service.finish();
+    assert_eq!(stats.steal_batch_max, 3, "the first steal takes ceil(6/2)");
+    let mut stolen: Vec<(u64, JobId)> = telemetry
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::Stolen)
+        .map(|e| (e.at_ns, e.job))
+        .collect();
+    stolen.sort_unstable();
+    let first_steal: Vec<JobId> = stolen.iter().take(3).map(|&(_, job)| job).collect();
+    assert_eq!(first_steal, backlog[..3], "the thief takes the older half");
 }

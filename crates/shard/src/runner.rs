@@ -5,10 +5,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use ulp_kernels::{Benchmark, BenchmarkRun, RunnerError, WorkloadConfig};
-use ulp_service::{
-    JobArtifacts, JobError, JobSpec, ObserverSelection, Priority, ServiceConfig, SimService,
-    TenantId,
-};
+use ulp_service::{JobArtifacts, JobError, JobSpec, ObserverSelection, ServiceConfig, SimService};
 use ulp_telemetry::{EventKind, Telemetry, CLIENT_TRACK};
 
 /// What to run over the recording: the benchmark, the platform design and
@@ -28,9 +25,6 @@ pub struct ShardRunConfig {
     /// Instrumentation attached to every shard job (e.g. a
     /// [`ObserverSelection::BankHeatMap`]).
     pub observers: ObserverSelection,
-    /// The tenant every shard job is submitted on behalf of — the
-    /// recording's owner in a shared, quota-governed pool.
-    pub tenant: TenantId,
     /// Telemetry the run records into: each gathered shard records a
     /// `merged` event on the client track, and the pool
     /// [`ShardRunner::run_local`] starts traces its workers through the
@@ -38,8 +32,8 @@ pub struct ShardRunConfig {
     pub telemetry: Telemetry,
     /// Checkpoint cadence in simulated cycles: `Some(n)` makes every
     /// shard job migratable ([`JobSpec::checkpoint_every`]) — it
-    /// snapshots its platform every `n` cycles, and a killed or
-    /// preempted worker's in-flight shard re-queues from its latest
+    /// snapshots its platform every `n` cycles, and a killed worker's
+    /// in-flight shard re-queues from its latest
     /// checkpoint instead of restarting. `None` (the default) runs
     /// shards without checkpoints.
     pub checkpoint_every: Option<u64>,
@@ -59,7 +53,6 @@ impl ShardRunConfig {
             cores,
             workload,
             observers: ObserverSelection::None,
-            tenant: TenantId::DEFAULT,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
         }
@@ -71,14 +64,6 @@ impl ShardRunConfig {
     #[must_use]
     pub fn with_observers(mut self, observers: ObserverSelection) -> ShardRunConfig {
         self.observers = observers;
-        self
-    }
-
-    /// Tags every shard job with the recording owner's tenant, for quota
-    /// and fair-share accounting on a shared pool.
-    #[must_use]
-    pub fn with_tenant(mut self, tenant: TenantId) -> ShardRunConfig {
-        self.tenant = tenant;
         self
     }
 
@@ -236,10 +221,7 @@ impl ShardRunner {
     }
 
     /// The per-shard service jobs, in plan order: shard `i`'s workload is
-    /// the recording windowed to `load_start..load_end`. Shards run at
-    /// [`Priority::High`]: the merge of this recording is blocked on its
-    /// *last* shard, so on a shared pool the shards must not be starved
-    /// behind a deep normal-priority grid backlog.
+    /// the recording windowed to `load_start..load_end`.
     pub fn job_specs(&self) -> Vec<JobSpec> {
         self.plan
             .shards()
@@ -249,9 +231,7 @@ impl ShardRunner {
                 let spec =
                     JobSpec::new(self.config.benchmark, self.config.cores, Arc::new(workload))
                         .with_sync(self.config.with_sync)
-                        .observers(self.config.observers.clone())
-                        .tenant(self.config.tenant)
-                        .priority(Priority::High);
+                        .observers(self.config.observers.clone());
                 match self.config.checkpoint_every {
                     Some(cycles) => spec.checkpoint_every(cycles),
                     None => spec,
@@ -317,13 +297,8 @@ impl ShardRunner {
                 return Err(ShardError::ForeignResult { id: result.id });
             };
             let shard = self.plan.shards()[index];
-            if track.is_enabled() && result.outcome.is_ok() {
-                track.record(
-                    EventKind::Merged,
-                    result.id,
-                    self.config.tenant.0,
-                    Priority::High.index() as u8,
-                );
+            if result.outcome.is_ok() {
+                track.record(EventKind::Merged, result.id);
             }
             slots[index] = Some(match result.outcome {
                 Ok(out) => Ok(ShardOutput {
@@ -331,16 +306,10 @@ impl ShardRunner {
                     run: out.run,
                     artifacts: out.artifacts,
                 }),
-                // Shard jobs never carry deadlines, so the only job-level
-                // failure is a runner error — an eviction here would mean
-                // the runner submitted a spec it never constructs.
                 Err(JobError::Run(error)) => Err(ShardError::Job {
                     shard: index,
                     error,
                 }),
-                Err(JobError::Evicted { .. }) => {
-                    unreachable!("shard jobs are submitted without deadlines")
-                }
             });
         }
         let mut shards = Vec::with_capacity(count);

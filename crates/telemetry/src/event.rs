@@ -2,8 +2,7 @@
 //!
 //! Every phase transition of a service job is one fixed-size [`JobEvent`]:
 //! a nanosecond timestamp on the sink's shared epoch, the lifecycle
-//! [`EventKind`], the job id, and the scheduling tags (tenant, priority,
-//! track). Events are plain `Copy` data — no strings, no allocation — so
+//! [`EventKind`], the job id, and the track it was recorded on. Events are plain `Copy` data — no strings, no allocation — so
 //! recording one is a few stores into a pre-allocated ring slot and the
 //! hot path never touches the heap.
 
@@ -19,8 +18,8 @@ pub fn worker_track(worker: usize) -> u32 {
 }
 
 /// The job id carried by events that fire before a job id exists — a
-/// quota or capacity rejection happens at admission, so there is no
-/// assigned id to tag.
+/// capacity rejection happens at admission, so there is no assigned id
+/// to tag.
 pub const NO_JOB: u64 = u64::MAX;
 
 /// One lifecycle phase transition or scheduling incident.
@@ -29,9 +28,8 @@ pub const NO_JOB: u64 = u64::MAX;
 /// `Claimed` → (`PlatformBuilt` | `PlatformCacheHit`) → `RunStart` →
 /// `RunEnd`, optionally followed by client-side `Merged` (the job's cell
 /// or recording merged) and `Streamed` (the merged result reported to a
-/// consumer). `Stolen`, `Evicted`, `QuotaRejected` and
-/// `CapacityRejected` are incidents: they mark scheduling decisions, not
-/// phases every job passes through.
+/// consumer). `Stolen` and `CapacityRejected` are incidents: they mark
+/// scheduling decisions, not phases every job passes through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
     /// The client called submit and admission succeeded.
@@ -58,14 +56,8 @@ pub enum EventKind {
     /// The job was relocated by a work steal (it stays queued; recorded
     /// on the thief's track).
     Stolen,
-    /// The scheduler evicted the job: its deadline budget provably could
-    /// not be met, so it never ran.
-    Evicted,
-    /// Admission rejected a submission because the tenant was at its
-    /// quota. Carries [`NO_JOB`]: no job id was ever assigned.
-    QuotaRejected,
     /// Admission rejected a submission because the bounded queue was at
-    /// capacity. Carries [`NO_JOB`].
+    /// capacity. Carries [`NO_JOB`]: no job id was ever assigned.
     CapacityRejected,
     /// The executing worker took a mid-run checkpoint of the job's
     /// platform (the job keeps running unless a `Migrated` event
@@ -74,8 +66,8 @@ pub enum EventKind {
     /// A worker restored the job's platform from a checkpoint and
     /// resumed the run where an earlier worker parked it.
     Restored,
-    /// The job was parked at a checkpoint and re-queued — cooperative
-    /// yield to urgent work, or recovery from a killed worker. The next
+    /// The job was parked at a checkpoint and re-queued to recover it
+    /// from a killed worker. The next
     /// `Claimed`/`Restored` pair may land on a different worker.
     Migrated,
 }
@@ -94,8 +86,6 @@ impl EventKind {
             EventKind::Merged => "merged",
             EventKind::Streamed => "streamed",
             EventKind::Stolen => "stolen",
-            EventKind::Evicted => "evicted",
-            EventKind::QuotaRejected => "quota-rejected",
             EventKind::CapacityRejected => "capacity-rejected",
             EventKind::Snapshot => "snapshot",
             EventKind::Restored => "restored",
@@ -116,11 +106,6 @@ pub struct JobEvent {
     /// The job the event belongs to ([`NO_JOB`] for admission
     /// rejections, which fire before an id is assigned).
     pub job: u64,
-    /// Tenant the job was submitted as.
-    pub tenant: u32,
-    /// Priority class index (0 = most urgent), mirroring
-    /// `ulp_service::Priority::index`.
-    pub priority: u8,
     /// The track the event was recorded on: [`CLIENT_TRACK`] for
     /// client-side events, [`worker_track`]`(i)` for worker `i`.
     pub track: u32,

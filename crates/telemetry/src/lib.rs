@@ -6,7 +6,7 @@
 //!
 //! - **Job-lifecycle tracing** ([`event`], [`ring`]): every phase of a
 //!   job (submitted → queued → claimed → platform build or cache hit →
-//!   run → merged/streamed, plus steals, evictions and admission
+//!   run → merged/streamed, plus steals, migrations and admission
 //!   rejections) is a typed, `Copy` [`JobEvent`] pushed onto a bounded
 //!   lock-free per-track ring. Workers never block and never allocate to
 //!   record; a full ring drops and counts instead.
@@ -31,8 +31,8 @@
 //!
 //! let telemetry = Telemetry::enabled();
 //! let track = telemetry.track(CLIENT_TRACK);
-//! track.record(EventKind::Submitted, 1, 0, 1);
-//! track.record(EventKind::Queued, 1, 0, 1);
+//! track.record(EventKind::Submitted, 1);
+//! track.record(EventKind::Queued, 1);
 //! let registry = telemetry.registry().expect("enabled");
 //! registry.counter("jobs_submitted").inc();
 //! assert_eq!(telemetry.collect(), 2);
@@ -124,14 +124,12 @@ impl Track {
     /// Records one lifecycle event stamped now. A no-op (single branch)
     /// when telemetry is disabled; drop-and-count when the ring is full.
     #[inline]
-    pub fn record(&self, kind: EventKind, job: u64, tenant: u32, priority: u8) {
+    pub fn record(&self, kind: EventKind, job: u64) {
         if let Some(inner) = &self.inner {
             inner.ring.push(JobEvent {
                 at_ns: inner.epoch.elapsed().as_nanos() as u64,
                 kind,
                 job,
-                tenant,
-                priority,
                 track: inner.track,
             });
         }
@@ -316,7 +314,7 @@ mod tests {
         assert!(!t.is_enabled());
         let track = t.track(CLIENT_TRACK);
         assert!(!track.is_enabled());
-        track.record(EventKind::Submitted, 1, 0, 0);
+        track.record(EventKind::Submitted, 1);
         assert_eq!(t.collect(), 0);
         assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 0);
@@ -330,13 +328,13 @@ mod tests {
         let t = Telemetry::enabled();
         let client = t.track(CLIENT_TRACK);
         let worker = t.track(worker_track(0));
-        client.record(EventKind::Submitted, 42, 7, 1);
-        client.record(EventKind::Queued, 42, 7, 1);
-        worker.record(EventKind::Claimed, 42, 7, 1);
+        client.record(EventKind::Submitted, 42);
+        client.record(EventKind::Queued, 42);
+        worker.record(EventKind::Claimed, 42);
         assert_eq!(t.collect(), 3);
         let events = t.events();
         assert_eq!(events.len(), 3);
-        assert!(events.iter().all(|e| e.job == 42 && e.tenant == 7));
+        assert!(events.iter().all(|e| e.job == 42));
         let claimed = events
             .iter()
             .find(|e| e.kind == EventKind::Claimed)
@@ -350,7 +348,7 @@ mod tests {
         let t = Telemetry::enabled();
         let track = t.track(CLIENT_TRACK);
         for i in 0..100 {
-            track.record(EventKind::Queued, i, 0, 1);
+            track.record(EventKind::Queued, i);
         }
         let events = t.events();
         for pair in events.windows(2) {
@@ -362,7 +360,7 @@ mod tests {
     fn clones_share_the_sink() {
         let t = Telemetry::enabled();
         let t2 = t.clone();
-        t.track(CLIENT_TRACK).record(EventKind::Submitted, 1, 0, 0);
+        t.track(CLIENT_TRACK).record(EventKind::Submitted, 1);
         t2.registry().unwrap().counter("shared").add(5);
         assert_eq!(t2.events().len(), 1);
         assert_eq!(t.registry().unwrap().counter("shared").get(), 5);
@@ -372,7 +370,7 @@ mod tests {
     fn snapshot_json_shape() {
         let t = Telemetry::enabled();
         t.registry().unwrap().counter("jobs").add(3);
-        t.track(CLIENT_TRACK).record(EventKind::Submitted, 1, 0, 0);
+        t.track(CLIENT_TRACK).record(EventKind::Submitted, 1);
         let snap = t.snapshot_json();
         assert!(snap.starts_with("{\"uptime_ns\":"));
         assert!(snap.contains("\"events_collected\":1"));
@@ -393,7 +391,7 @@ mod tests {
         let t = Telemetry::with_capacity(4);
         let track = t.track(CLIENT_TRACK);
         for i in 0..10 {
-            track.record(EventKind::Queued, i, 0, 1);
+            track.record(EventKind::Queued, i);
         }
         assert_eq!(t.dropped(), 6);
         assert_eq!(t.events().len(), 4);

@@ -175,8 +175,6 @@ mod tests {
             at_ns: job * 10,
             kind: EventKind::Queued,
             job,
-            tenant: 0,
-            priority: 1,
             track: 0,
         }
     }

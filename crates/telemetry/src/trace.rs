@@ -9,7 +9,7 @@
 //! [`EventKind::Claimed`], `platform-build`/`platform-cache-hit` from
 //! claim to platform readiness, `run` from [`EventKind::RunStart`] to
 //! [`EventKind::RunEnd`]); and `"i"` instant events for point incidents
-//! (submission, steals, evictions, rejections, merge and stream).
+//! (submission, steals, rejections, merge and stream).
 //!
 //! Spans are drawn on the track of the event that *closes* them, so a
 //! queued span appears on the claiming worker's row and the viewer shows
@@ -23,28 +23,11 @@ fn us(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1000.0)
 }
 
-fn priority_name(p: u8) -> &'static str {
-    match p {
-        0 => "high",
-        1 => "normal",
-        _ => "low",
-    }
-}
-
 fn args_json(e: &JobEvent) -> String {
     if e.job == NO_JOB {
-        format!(
-            "{{\"tenant\":{},\"priority\":\"{}\"}}",
-            e.tenant,
-            priority_name(e.priority)
-        )
+        "{}".to_string()
     } else {
-        format!(
-            "{{\"job\":{},\"tenant\":{},\"priority\":\"{}\"}}",
-            e.job,
-            e.tenant,
-            priority_name(e.priority)
-        )
+        format!("{{\"job\":{}}}", e.job)
     }
 }
 
@@ -159,25 +142,10 @@ pub fn chrome_trace(events: &[JobEvent], tracks: u32, dropped: u64) -> String {
                         ));
                     }
                 }
-                EventKind::Evicted => {
-                    // An evicted job's queued span ends at the eviction
-                    // decision, on the evicting worker's row.
-                    if let Some(start) = queued_at.take() {
-                        out.push(complete_event(
-                            "queued",
-                            e.track,
-                            start,
-                            e.at_ns,
-                            &args_json(e),
-                        ));
-                    }
-                    out.push(instant_event(e));
-                }
                 EventKind::Submitted
                 | EventKind::Stolen
                 | EventKind::Merged
                 | EventKind::Streamed
-                | EventKind::QuotaRejected
                 | EventKind::CapacityRejected
                 | EventKind::Snapshot
                 | EventKind::Restored
@@ -219,8 +187,6 @@ mod tests {
             at_ns,
             kind,
             job,
-            tenant: 3,
-            priority: 1,
             track,
         }
     }
@@ -244,6 +210,8 @@ mod tests {
         assert!(json.contains("\"name\":\"run\",\"ph\":\"X\""));
         // The run span: 210ns..1210ns → ts 0.210us dur 1.000us.
         assert!(json.contains("\"ts\":0.210,\"dur\":1.000"));
+        // Span args carry the job id only.
+        assert!(json.contains("\"dur\":1.000,\"pid\":1,\"tid\":1,\"args\":{\"job\":7}}"));
         // Named tracks for client and the worker.
         assert!(json.contains("\"name\":\"client\""));
         assert!(json.contains("\"name\":\"worker 0\""));
@@ -251,20 +219,6 @@ mod tests {
         assert!(json.contains("\"name\":\"submitted\",\"ph\":\"i\""));
         assert!(json.contains("\"name\":\"merged\",\"ph\":\"i\""));
         assert!(json.contains("\"dropped_events\":0"));
-    }
-
-    #[test]
-    fn eviction_closes_the_queued_span() {
-        let w = worker_track(1);
-        let events = vec![
-            ev(EventKind::Queued, 0, 1, CLIENT_TRACK),
-            ev(EventKind::Evicted, 500, 1, w),
-        ];
-        let json = chrome_trace(&events, 3, 0);
-        assert!(json.contains("\"name\":\"queued\",\"ph\":\"X\""));
-        assert!(json.contains("\"name\":\"evicted\",\"ph\":\"i\""));
-        // The span lands on the evicting worker's track (tid 2).
-        assert!(json.contains("\"tid\":2"));
     }
 
     #[test]
@@ -282,15 +236,13 @@ mod tests {
     fn rejections_without_job_ids_are_instants() {
         let e = JobEvent {
             at_ns: 5,
-            kind: EventKind::QuotaRejected,
+            kind: EventKind::CapacityRejected,
             job: NO_JOB,
-            tenant: 9,
-            priority: 0,
             track: CLIENT_TRACK,
         };
         let json = chrome_trace(&[e], 1, 2);
-        assert!(json.contains("\"name\":\"quota-rejected\",\"ph\":\"i\""));
-        assert!(json.contains("\"tenant\":9"));
+        assert!(json.contains("\"name\":\"capacity-rejected\",\"ph\":\"i\""));
+        assert!(json.contains("\"args\":{}}"));
         assert!(!json.contains("\"job\":"));
         assert!(json.contains("\"dropped_events\":2"));
     }

@@ -1,10 +1,8 @@
 //! Batch simulation service demo: submit a mixed-size grid of benchmark
 //! jobs to a [`SimService`] worker pool and consume the results as a
 //! stream, then drive a *bounded* pool to saturation to show explicit
-//! backpressure — `AtCapacity` rejections, retry-after-drain handling,
-//! deadline misses and the latency percentiles the service accumulates —
-//! and finally share one pool between a greedy and a polite tenant to
-//! show quotas and fair-share scheduling.
+//! backpressure — `AtCapacity` rejections, retry-after-drain handling
+//! and the latency percentiles the service accumulates.
 //!
 //! ```sh
 //! cargo run --release --example batch_service
@@ -16,25 +14,20 @@
 //! steals the older half of a busy worker's backlog instead of idling.
 //!
 //! CI runs this example as its backpressure smoke: the `saturation:` line
-//! must report at least one rejection with every accepted job completing,
-//! and the `tenants:` line must report at least one quota rejection for
-//! the greedy tenant with every polite job completing.
+//! must report at least one rejection with every accepted job completing.
 
 use std::sync::Arc;
 use ulp_lockstep::kernels::{Benchmark, WorkloadConfig};
-use ulp_lockstep::service::{
-    JobSpec, Priority, ServiceConfig, SimService, SubmitError, TenantId, TenantPolicy,
-};
+use ulp_lockstep::service::{JobSpec, ServiceConfig, SimService};
 use ulp_lockstep::telemetry::Telemetry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     streaming_grid_demo()?;
-    saturation_demo()?;
-    tenant_demo()
+    saturation_demo()
 }
 
-/// Part 1: the streaming mixed grid from the service's happy path, now
-/// with a priority, a deadline and a live telemetry handle in the mix.
+/// Part 1: the streaming mixed grid from the service's happy path, with
+/// a live telemetry handle.
 fn streaming_grid_demo() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Arc::new(WorkloadConfig::quick_test());
     // An enabled handle traces every job's lifecycle into per-worker
@@ -50,18 +43,14 @@ fn streaming_grid_demo() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // A mixed-size grid: every benchmark, both designs, small and large
-    // platforms interleaved. The 8-core cells ride at high priority with
-    // a simulated-cycle deadline only the synchronizer design can make.
+    // platforms interleaved.
     let mut submitted = 0;
     for benchmark in Benchmark::ALL {
         for with_sync in [true, false] {
             for cores in [2, 8] {
-                let mut spec =
-                    JobSpec::new(benchmark, cores, workload.clone()).with_sync(with_sync);
-                if cores == 8 {
-                    spec = spec.priority(Priority::High).deadline_cycles(40_000);
-                }
-                service.submit(spec)?;
+                service.submit(
+                    JobSpec::new(benchmark, cores, workload.clone()).with_sync(with_sync),
+                )?;
                 submitted += 1;
             }
         }
@@ -78,7 +67,7 @@ fn streaming_grid_demo() -> Result<(), Box<dyn std::error::Error>> {
         output.run.verify()?;
         println!(
             "job {:>2} on worker {}{}: {:<7} {:<8} {} cores  {:>8} cycles  {:.2} ops/cycle  \
-             wait {:>7.1?}  run {:>7.1?}{}",
+             wait {:>7.1?}  run {:>7.1?}",
             result.id,
             result.worker,
             if result.stolen {
@@ -97,11 +86,6 @@ fn streaming_grid_demo() -> Result<(), Box<dyn std::error::Error>> {
             output.run.stats.ops_per_cycle(),
             result.queue_wait,
             result.run_time,
-            if result.deadline_missed {
-                "  DEADLINE MISSED"
-            } else {
-                ""
-            },
         );
     }
 
@@ -109,7 +93,7 @@ fn streaming_grid_demo() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!(
         "service: {} jobs on {} workers in {:.2} s — {} steals ({} jobs moved, max batch {}), \
-         {} platform-cache hits, {} platforms built, {} deadline misses",
+         {} platform-cache hits, {} platforms built",
         stats.jobs_run,
         stats.workers,
         stats.wall.as_secs_f64(),
@@ -118,7 +102,6 @@ fn streaming_grid_demo() -> Result<(), Box<dyn std::error::Error>> {
         stats.steal_batch_max,
         stats.platform_cache_hits,
         stats.platforms_built,
-        stats.deadline_misses,
     );
     let events = telemetry.collect();
     println!(
@@ -201,84 +184,5 @@ fn saturation_demo() -> Result<(), Box<dyn std::error::Error>> {
         "latency: p50 {:?}, p95 {:?}, max {:?} over {} jobs",
         stats.latency.p50, stats.latency.p95, stats.latency.max, stats.latency.samples,
     );
-    Ok(())
-}
-
-/// Part 3: two tenants on one pool — a greedy tenant flooding jobs under
-/// an admission quota, and a polite tenant submitting a handful. The
-/// quota bounds how much of the pool the flood can hold at once
-/// ([`SubmitError::QuotaExceeded`]), the per-tenant round-robin serves
-/// both lanes, and the final stats break latency down per tenant.
-fn tenant_demo() -> Result<(), Box<dyn std::error::Error>> {
-    let workload = Arc::new(WorkloadConfig {
-        n: 128,
-        ..WorkloadConfig::quick_test()
-    });
-    let greedy = TenantId(1);
-    let polite = TenantId(2);
-    let mut service = SimService::start(
-        ServiceConfig::builder()
-            .workers(1)
-            .tenant(greedy, TenantPolicy::quota(4))
-            .build(),
-    );
-
-    println!();
-    println!(
-        "two tenants on {} worker: greedy tenant {greedy} under a 4-job quota,          polite tenant {polite} unlimited",
-        service.workers()
-    );
-
-    // The greedy tenant floods; beyond 4 admitted-and-unfinished jobs the
-    // quota turns submissions away with the spec handed back.
-    let mut greedy_accepted = 0u64;
-    let mut greedy_quota_rejected = 0u64;
-    for _ in 0..16 {
-        match service.submit(JobSpec::new(Benchmark::Sqrt32, 2, workload.clone()).tenant(greedy)) {
-            Ok(_) => greedy_accepted += 1,
-            Err(SubmitError::QuotaExceeded { .. }) => greedy_quota_rejected += 1,
-            Err(other) => return Err(other.into()),
-        }
-    }
-    // The polite tenant's handful all admit: quotas are per tenant.
-    let polite_submitted = 4u64;
-    for _ in 0..polite_submitted {
-        service.submit(JobSpec::new(Benchmark::Sqrt32, 2, workload.clone()).tenant(polite))?;
-    }
-
-    let mut polite_completed = 0u64;
-    let mut greedy_completed = 0u64;
-    while let Some(result) = service.recv() {
-        let out = result.outcome?;
-        out.run.verify()?;
-        if result.tenant == polite {
-            polite_completed += 1;
-        } else {
-            greedy_completed += 1;
-        }
-    }
-
-    let stats = service.finish();
-    assert_eq!(stats.quota_rejections, greedy_quota_rejected);
-    assert_eq!(greedy_completed, greedy_accepted);
-    // CI parses this line: the quota must actually bind and every polite
-    // job must complete.
-    println!(
-        "tenants: greedy_accepted={greedy_accepted} \
-         greedy_quota_rejected={greedy_quota_rejected} \
-         polite_submitted={polite_submitted} \
-         polite_completed={polite_completed}"
-    );
-    for row in &stats.per_tenant {
-        println!(
-            "tenant {} latency: p50 {:?}, p95 {:?}, max {:?} over {} jobs (peak admitted {})",
-            row.tenant,
-            row.latency.p50,
-            row.latency.p95,
-            row.latency.max,
-            row.latency.samples,
-            row.peak_admitted,
-        );
-    }
     Ok(())
 }
