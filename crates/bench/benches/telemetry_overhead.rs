@@ -1,12 +1,13 @@
 //! Telemetry overhead gate: the same uniform service workload timed twice
 //! through one process — once with telemetry disabled (the default
 //! no-op event tracks; the pool's counters live in a private registry)
-//! and once with it enabled (per-worker event rings and exported
+//! and once with it enabled (the sink's event store and exported
 //! metrics) — and gated on the *ratio* of the two, not an absolute rate.
 //! The disabled path is the zero-cost claim: a single branch per event
-//! record site. The enabled path is the cheap claim: bounded lock-free
-//! rings that drop-and-count rather than block. A ratio above
-//! [`MAX_RATIO`] means one of those claims broke.
+//! record site. The enabled path is the cheap claim: a clock read and a
+//! push under an uncontended lock per event, into a bounded store that
+//! drops and counts rather than grows. A ratio above [`MAX_RATIO`] means
+//! one of those claims broke.
 //!
 //! The gated quantity is a ratio of two measurements that must share a
 //! process (same platform caches, same thermal state, interleaved
@@ -89,12 +90,7 @@ fn main() {
     run_batch(&mut traced, &grid);
     let ratio = common::measure(
         rounds,
-        || {
-            let elapsed = common::timed(|| run_batch(&mut traced, &grid));
-            // Drain the rings off-measurement, like a live exporter would.
-            telemetry.collect();
-            elapsed
-        },
+        || common::timed(|| run_batch(&mut traced, &grid)),
         || common::timed(|| run_batch(&mut plain, &grid)),
     );
     plain.finish();
@@ -102,7 +98,6 @@ fn main() {
 
     // The traced pool must actually have been tracing, or the ratio
     // gates nothing.
-    telemetry.collect();
     let events = telemetry.events().len();
     assert!(events > 0, "enabled telemetry recorded no events");
 

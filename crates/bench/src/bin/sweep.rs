@@ -50,63 +50,47 @@ use std::process::ExitCode;
 use ulp_bench::{run_sweep_with, SweepCell, SweepSpec};
 use ulp_kernels::{Benchmark, WorkloadConfig};
 use ulp_service::ObserverSelection;
-use ulp_telemetry::Telemetry;
+use ulp_telemetry::{json, Telemetry};
 
 /// One completed cell as a JSON-lines record (`--stream`, schema 3).
 /// `emitted` and `total` number the *emitted* records: gapless from 1,
 /// reaching `total` exactly when every cell of the grid ran and verified.
 fn json_line(cell: &SweepCell, emitted: usize, total: usize) -> String {
-    let shard = match cell.shard_samples {
-        Some(s) => format!("\"shard\":{s},"),
-        None => String::new(),
-    };
-    // Recording-level energy at the paper's Table I workload; absent when
-    // that workload is infeasible for the cell's design.
-    let energy = match cell.energy_uj {
-        Some(uj) => format!("\"energy_uj\":{uj:.3},"),
-        None => String::new(),
-    };
-    // Merged observer artifacts: the heat map's per-bank totals (sharded
-    // cells merge every shard's rows onto the global cycle axis first),
-    // or the sizes of the other artifact kinds.
-    let artifacts = if let Some(map) = cell.artifacts.bank_heat_map() {
-        let totals: Vec<String> = map.totals().iter().map(u64::to_string).collect();
-        format!(
-            "\"dm_bank_heatmap\":[{}],\"heatmap_rows\":{},",
-            totals.join(","),
-            map.rows.len()
-        )
-    } else if let Some(trace) = cell.artifacts.pc_trace() {
-        format!("\"pc_trace_rows\":{},", trace.len())
-    } else if let Some(vcds) = cell.artifacts.vcds() {
-        format!("\"vcd_shards\":{},", vcds.len())
-    } else {
-        String::new()
-    };
-    format!(
-        concat!(
-            "{{\"schema\":3,\"benchmark\":\"{}\",\"design\":\"{}\",",
-            "\"cores\":{},{}",
-            "\"cycles\":{},\"ops_per_cycle\":{:.4},\"lockstep_width\":{:.4},",
-            "\"im_accesses\":{},{}{}\"completed\":{},\"total\":{}}}"
-        ),
-        cell.run.benchmark.name(),
-        if cell.run.with_sync {
-            "sync"
-        } else {
-            "baseline"
-        },
-        cell.cores,
-        shard,
-        cell.run.stats.cycles,
-        cell.run.stats.ops_per_cycle(),
-        cell.run.stats.avg_lockstep_width(),
-        cell.run.stats.im.total_accesses(),
-        energy,
-        artifacts,
-        emitted,
-        total,
-    )
+    let run = &cell.run;
+    json::object(|o| {
+        o.uint("schema", 3u32)
+            .str("benchmark", run.benchmark.name())
+            .str("design", if run.with_sync { "sync" } else { "baseline" })
+            .uint("cores", cell.cores);
+        if let Some(s) = cell.shard_samples {
+            o.uint("shard", s);
+        }
+        o.uint("cycles", run.stats.cycles)
+            .fixed("ops_per_cycle", run.stats.ops_per_cycle(), 4)
+            .fixed("lockstep_width", run.stats.avg_lockstep_width(), 4)
+            .uint("im_accesses", run.stats.im.total_accesses());
+        // Recording-level energy at the paper's Table I workload; absent
+        // when that workload is infeasible for the cell's design.
+        if let Some(uj) = cell.energy_uj {
+            o.fixed("energy_uj", uj, 3);
+        }
+        // Merged observer artifacts: the heat map's per-bank totals
+        // (sharded cells merge every shard's rows onto the global cycle
+        // axis first), or the sizes of the other artifact kinds.
+        if let Some(map) = cell.artifacts.bank_heat_map() {
+            o.array("dm_bank_heatmap", |a| {
+                for total in map.totals() {
+                    a.uint(total);
+                }
+            })
+            .uint("heatmap_rows", map.rows.len());
+        } else if let Some(trace) = cell.artifacts.pc_trace() {
+            o.uint("pc_trace_rows", trace.len());
+        } else if let Some(vcds) = cell.artifacts.vcds() {
+            o.uint("vcd_shards", vcds.len());
+        }
+        o.uint("completed", emitted).uint("total", total);
+    })
 }
 
 const USAGE: &str = "usage: sweep [options]
@@ -403,10 +387,10 @@ fn main() -> ExitCode {
             // keeps snapshot lines distinguishable from cell records.
             if telemetry.is_enabled() && (emitted % 4 == 0 || progress.completed == progress.total)
             {
-                telemetry.collect();
-                writeln!(out, "{{\"telemetry\":{}}}", telemetry.snapshot_json())
-                    .and_then(|()| out.flush())
-                    .ok();
+                let line = json::object(|o| {
+                    o.raw("telemetry", &telemetry.snapshot_json());
+                });
+                writeln!(out, "{line}").and_then(|()| out.flush()).ok();
             }
         }
     }) {
@@ -431,7 +415,6 @@ fn main() -> ExitCode {
     // are plain files so they survive the process and load straight into
     // Perfetto / jq.
     if let Some(path) = &opts.trace_out {
-        telemetry.collect();
         if let Err(e) = std::fs::write(path, telemetry.chrome_trace()) {
             eprintln!("sweep: writing --trace-out {path}: {e}");
             return ExitCode::FAILURE;
@@ -555,5 +538,153 @@ mod tests {
             .expect("a directory with a cadence parses");
         assert_eq!(opts.checkpoint_every, Some(100));
         assert_eq!(opts.checkpoint_dir.as_deref(), Some("ckpt"));
+    }
+
+    /// The full `--stream` record bytes for every artifact kind (heat
+    /// map, PC trace, VCD, none), sharded and not, with and without
+    /// `energy_uj`, on fixed cells. Sharded cells are sync MRPDLN and the
+    /// others baseline SQRT32, so both design names appear.
+    #[test]
+    fn json_line_bytes() {
+        use ulp_platform::{Platform, PlatformConfig};
+        use ulp_shard::{HeatMapRow, MergedArtifacts, MergedHeatMap, MergedPcTrace};
+        use ulp_shard::{ShardVcd, TraceSegment};
+
+        let heat_row = |shard, start_cycle, end_cycle, banks: [u64; 4]| HeatMapRow {
+            shard,
+            start_cycle,
+            end_cycle,
+            banks: banks.to_vec(),
+        };
+        let segment = |shard, rows| TraceSegment {
+            shard,
+            cycle_offset: 0,
+            sample_offset: 0,
+            rows: vec![vec![Some(7), None]; rows],
+        };
+        let vcd = |shard| ShardVcd {
+            shard,
+            cycle_offset: 0,
+            sample_offset: 0,
+            vcd: String::new(),
+        };
+        let artifacts = [
+            MergedArtifacts::BankHeatMap(MergedHeatMap {
+                window: 4096,
+                rows: vec![
+                    heat_row(0, 0, 4096, [13548, 0, 548, 1080]),
+                    heat_row(1, 4096, 6000, [2, 0, 0, 1]),
+                ],
+            }),
+            MergedArtifacts::PcTrace(MergedPcTrace {
+                segments: vec![segment(0, 3), segment(1, 2)],
+            }),
+            MergedArtifacts::Vcd(vec![vcd(0), vcd(1), vcd(2)]),
+            MergedArtifacts::None,
+        ];
+        let mut stats = Platform::new(PlatformConfig::paper(true).with_cores(2))
+            .expect("paper platform builds")
+            .stats();
+        stats.cycles = 402_668;
+        stats.core_total.useful_ops = 1_000_003;
+        stats.lockstep_width_sum = 700_029;
+        stats.lockstep_width_cycles = 400_000;
+        stats.im.bank_reads = 123_456;
+
+        let mut lines = Vec::new();
+        for artifacts in &artifacts {
+            for shard_samples in [Some(150), None] {
+                for energy_uj in [Some(10.17949), None] {
+                    let sharded = shard_samples.is_some();
+                    let cell = SweepCell {
+                        cores: 2,
+                        shard_samples,
+                        run: ulp_kernels::BenchmarkRun {
+                            benchmark: if sharded {
+                                Benchmark::Mrpdln
+                            } else {
+                                Benchmark::Sqrt32
+                            },
+                            with_sync: sharded,
+                            stats: stats.clone(),
+                            outputs: Vec::new(),
+                            expected: Vec::new(),
+                        },
+                        artifacts: artifacts.clone(),
+                        energy_uj,
+                    };
+                    lines.push(json_line(&cell, lines.len() + 1, 16));
+                }
+            }
+        }
+        assert_eq!(
+            lines,
+            [
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"dm_bank_heatmap\":[13550,0,548,1081],\"heatmap_rows\":2,\"completed\":1,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"dm_bank_heatmap\":[13550,0,548,1081],\"heatmap_rows\":2,\"completed\":2,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"dm_bank_heatmap\":[13550,0,548,1081],\"heatmap_rows\":2,\"completed\":3,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"dm_bank_heatmap\":[13550,0,548,1081],\"heatmap_rows\":2,\"completed\":4,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"pc_trace_rows\":5,\"completed\":5,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"pc_trace_rows\":5,\"completed\":6,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"pc_trace_rows\":5,\"completed\":7,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"pc_trace_rows\":5,\"completed\":8,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"vcd_shards\":3,\"completed\":9,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"vcd_shards\":3,\"completed\":10,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"vcd_shards\":3,\"completed\":11,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"vcd_shards\":3,\"completed\":12,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"completed\":13,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"completed\":14,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"completed\":15,\"total\":16}"
+                ),
+                concat!(
+                    "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"completed\":16,\"total\":16}"
+                ),
+            ]
+        );
     }
 }

@@ -529,10 +529,6 @@ pub fn run_sweep_with(
         while let Some(result) = service.try_recv() {
             handle(result);
         }
-        // Sweep-long runs must not overflow the bounded event rings:
-        // fold them into the collected store as the grid is fed (a
-        // single branch when telemetry is disabled).
-        spec.telemetry.collect();
     }
     while let Some(result) = service.recv() {
         handle(result);

@@ -16,7 +16,8 @@ use ulp_platform::{
     BankHeatMap, Checkpoint, Observer, PcTrace, Platform, PlatformConfig, VcdTracer,
 };
 use ulp_telemetry::{
-    worker_track, Counter, EventKind, Histogram, Registry, Telemetry, Track, CLIENT_TRACK, NO_JOB,
+    json, worker_track, Counter, EventKind, Histogram, Registry, Telemetry, Track, CLIENT_TRACK,
+    NO_JOB,
 };
 
 /// Pool shape of a [`SimService`]. Built with [`ServiceConfig::builder`]:
@@ -45,7 +46,7 @@ pub struct ServiceConfig {
     /// worker's track, and the pool's counters (`service_<field>` for
     /// each [`ServiceStats`] counter) live in the sink's metrics
     /// registry. The default ([`Telemetry::disabled`]) makes every event
-    /// hook a single branch — no ring, no clock read — and keeps the
+    /// hook a single branch — no store, no clock read — and keeps the
     /// counters in a registry private to the pool.
     pub telemetry: Telemetry,
     /// Directory the pool persists checkpoints into: every time a
@@ -184,17 +185,6 @@ impl LatencyStats {
             max: Duration::from_nanos(max_ns),
         }
     }
-
-    /// The distribution as a JSON fragment (durations in nanoseconds).
-    fn to_json(self) -> String {
-        format!(
-            "{{\"samples\":{},\"p50_ns\":{},\"p95_ns\":{},\"max_ns\":{}}}",
-            self.samples,
-            self.p50.as_nanos(),
-            self.p95.as_nanos(),
-            self.max.as_nanos()
-        )
-    }
 }
 
 /// Completions the latency percentiles are computed over (the ring's
@@ -276,28 +266,27 @@ impl ServiceStats {
     /// `--stats-json` flag of the sweep CLI and any other scripted
     /// consumer. Durations are nanoseconds.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"schema\":4,\"workers\":{},\"jobs_run\":{},\"steals\":{},",
-                "\"jobs_stolen\":{},\"steal_batch_max\":{},\"rejections\":{},",
-                "\"platform_cache_hits\":{},\"platforms_built\":{},",
-                "\"checkpoints_taken\":{},\"jobs_migrated\":{},\"workers_died\":{},",
-                "\"latency\":{},\"wall_ns\":{}}}"
-            ),
-            self.workers,
-            self.jobs_run,
-            self.steals,
-            self.jobs_stolen,
-            self.steal_batch_max,
-            self.rejections,
-            self.platform_cache_hits,
-            self.platforms_built,
-            self.checkpoints_taken,
-            self.jobs_migrated,
-            self.workers_died,
-            self.latency.to_json(),
-            self.wall.as_nanos()
-        )
+        json::object(|o| {
+            o.uint("schema", 4u32)
+                .uint("workers", self.workers)
+                .uint("jobs_run", self.jobs_run)
+                .uint("steals", self.steals)
+                .uint("jobs_stolen", self.jobs_stolen)
+                .uint("steal_batch_max", self.steal_batch_max)
+                .uint("rejections", self.rejections)
+                .uint("platform_cache_hits", self.platform_cache_hits)
+                .uint("platforms_built", self.platforms_built)
+                .uint("checkpoints_taken", self.checkpoints_taken)
+                .uint("jobs_migrated", self.jobs_migrated)
+                .uint("workers_died", self.workers_died)
+                .object("latency", |l| {
+                    l.uint("samples", self.latency.samples)
+                        .uint("p50_ns", self.latency.p50.as_nanos())
+                        .uint("p95_ns", self.latency.p95.as_nanos())
+                        .uint("max_ns", self.latency.max.as_nanos());
+                })
+                .uint("wall_ns", self.wall.as_nanos());
+        })
     }
 }
 
@@ -1020,7 +1009,8 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
     // Checkpoint buffers the worker snapshots into (see `recycle`).
     let mut spares: Vec<Checkpoint> = Vec::new();
     // The worker's recording handle, resolved once: each event is then a
-    // clock read and a lock-free ring push (or one branch when disabled).
+    // clock read and a push under the sink's lock (or one branch when
+    // disabled).
     let track = shared.telemetry.track(worker_track(me));
     loop {
         // Claim one unit of work (or learn the pool is closed and drained).
@@ -1401,6 +1391,43 @@ mod tests {
             "balanced braces in {json}"
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    /// The full `--stats-json` bytes on fixed inputs: every field distinct
+    /// and non-zero, so a swapped or dropped field shows.
+    #[test]
+    fn service_stats_to_json_bytes() {
+        let stats = ServiceStats {
+            workers: 3,
+            jobs_run: 11,
+            steals: 4,
+            jobs_stolen: 9,
+            steal_batch_max: 5,
+            rejections: 2,
+            platform_cache_hits: 8,
+            platforms_built: 6,
+            checkpoints_taken: 12,
+            jobs_migrated: 7,
+            workers_died: 1,
+            latency: LatencyStats {
+                samples: 13,
+                p50: Duration::from_nanos(1_500),
+                p95: Duration::from_nanos(2_500),
+                max: Duration::from_nanos(3_500),
+            },
+            wall: Duration::from_nanos(123_456_789),
+        };
+        assert_eq!(
+            stats.to_json(),
+            concat!(
+                "{\"schema\":4,\"workers\":3,\"jobs_run\":11,\"steals\":4,",
+                "\"jobs_stolen\":9,\"steal_batch_max\":5,\"rejections\":2,",
+                "\"platform_cache_hits\":8,\"platforms_built\":6,",
+                "\"checkpoints_taken\":12,\"jobs_migrated\":7,\"workers_died\":1,",
+                "\"latency\":{\"samples\":13,\"p50_ns\":1500,\"p95_ns\":2500,\"max_ns\":3500},",
+                "\"wall_ns\":123456789}"
+            )
+        );
     }
 
     /// Only checkpoints no one else holds become spares, and at most two.

@@ -32,7 +32,6 @@ fn traced_pool(workers: usize, telemetry: &Telemetry) -> SimService {
 /// The per-job lifecycle events, grouped and time-ordered. Admission
 /// rejections (tagged `NO_JOB`) are excluded — they never name a job.
 fn events_by_job(telemetry: &Telemetry) -> HashMap<u64, Vec<JobEvent>> {
-    telemetry.collect();
     let mut by_job: HashMap<u64, Vec<JobEvent>> = HashMap::new();
     for event in telemetry.events() {
         if event.job != NO_JOB {
@@ -141,7 +140,6 @@ fn default_pool_is_untraced() {
     let telemetry = service.telemetry();
     service.finish();
     assert!(!telemetry.is_enabled());
-    assert_eq!(telemetry.collect(), 0);
     assert!(telemetry.events().is_empty());
     assert_eq!(telemetry.snapshot_json(), "{}");
 }

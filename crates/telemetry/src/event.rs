@@ -2,9 +2,9 @@
 //!
 //! Every phase transition of a service job is one fixed-size [`JobEvent`]:
 //! a nanosecond timestamp on the sink's shared epoch, the lifecycle
-//! [`EventKind`], the job id, and the track it was recorded on. Events are plain `Copy` data — no strings, no allocation — so
-//! recording one is a few stores into a pre-allocated ring slot and the
-//! hot path never touches the heap.
+//! [`EventKind`], the job id, and the track it was recorded on. Events
+//! are plain `Copy` data (no strings), so recording one is a clock read
+//! and a 24-byte push onto the sink's event store.
 
 /// The track a client-side event is recorded on (submission, merge and
 /// stream events happen on the thread that owns the service handle, not
@@ -95,7 +95,7 @@ impl EventKind {
 }
 
 /// One recorded lifecycle event. `Copy` and pointer-free by design: the
-/// lock-free rings move these by value and never allocate.
+/// sink's event store holds these by value, 24 bytes each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobEvent {
     /// Nanoseconds since the sink's epoch (the moment telemetry was

@@ -4,12 +4,14 @@
 //! observability spine with three pieces (all three layers record
 //! events; the service is the only one that publishes metrics):
 //!
-//! - **Job-lifecycle tracing** ([`event`], [`ring`]): every phase of a
-//!   job (submitted → queued → claimed → platform build or cache hit →
-//!   run → merged/streamed, plus steals, migrations and admission
-//!   rejections) is a typed, `Copy` [`JobEvent`] pushed onto a bounded
-//!   lock-free per-track ring. Workers never block and never allocate to
-//!   record; a full ring drops and counts instead.
+//! - **Job-lifecycle tracing** ([`event`]): every phase of a job
+//!   (submitted → queued → claimed → platform build or cache hit → run →
+//!   merged/streamed, plus steals, migrations and admission rejections)
+//!   is a typed, `Copy` [`JobEvent`] pushed onto the sink's one event
+//!   store, a mutex-guarded vector bounded at the sink's capacity. At
+//!   about seven events per job and jobs that run for milliseconds, the
+//!   lock is uncontended; past the bound an event is dropped and counted
+//!   instead of stored.
 //! - **A metrics registry** ([`metrics`]): named counters and bounded
 //!   log2-bucket histograms behind cheap atomic handles. The service
 //!   keeps its counters nowhere else: its stats are a read of these
@@ -19,7 +21,8 @@
 //! - **Exporters** ([`trace`], [`Telemetry::snapshot_json`]): Chrome
 //!   trace-event JSON loadable in Perfetto (one named track per worker
 //!   plus a client track), and a compact one-line JSON snapshot suitable
-//!   for interleaving into streaming output.
+//!   for interleaving into streaming output. Both, and every other JSON
+//!   document of the workspace, are written by [`json`].
 //!
 //! The entry point is [`Telemetry`]: a cheap cloneable handle that is
 //! either *disabled* (every event record is a branch on a `None` and
@@ -35,103 +38,81 @@
 //! track.record(EventKind::Queued, 1);
 //! let registry = telemetry.registry().expect("enabled");
 //! registry.counter("jobs_submitted").inc();
-//! assert_eq!(telemetry.collect(), 2);
+//! assert_eq!(telemetry.events().len(), 2);
 //! assert!(telemetry.snapshot_json().contains("\"jobs_submitted\":1"));
 //! let json = telemetry.chrome_trace();
 //! assert!(json.contains("\"submitted\""));
 //! ```
 
 pub mod event;
+pub mod json;
 pub mod metrics;
-pub mod ring;
 pub mod trace;
 
 pub use event::{worker_track, EventKind, JobEvent, CLIENT_TRACK, NO_JOB};
 pub use metrics::{Counter, Histogram, Registry};
-pub use ring::EventRing;
 pub use trace::{chrome_trace, track_name};
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Default per-track ring capacity (events). At seven events per job a
-/// track absorbs ~9k jobs between collections before dropping.
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
-
 /// The shared state behind an enabled [`Telemetry`] handle: the common
-/// clock epoch, the per-track rings, the collected-event store and the
+/// clock epoch, the event store with its bound and drop count, and the
 /// metrics registry.
 pub struct Sink {
     epoch: Instant,
-    ring_capacity: usize,
-    tracks: Mutex<Vec<Arc<EventRing>>>,
-    /// Highest track index ever opened + 1, readable without the lock.
+    capacity: usize,
+    events: Mutex<Vec<JobEvent>>,
+    dropped: AtomicU64,
+    /// Highest track index ever opened + 1.
     track_count: AtomicU32,
-    collected: Mutex<Vec<JobEvent>>,
     registry: Registry,
 }
 
 impl Sink {
-    fn new(ring_capacity: usize) -> Sink {
-        Sink {
-            epoch: Instant::now(),
-            ring_capacity,
-            tracks: Mutex::new(Vec::new()),
-            track_count: AtomicU32::new(0),
-            collected: Mutex::new(Vec::new()),
-            registry: Registry::new(),
-        }
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
     }
 
-    fn ring(&self, track: u32) -> Arc<EventRing> {
-        let mut tracks = self.tracks.lock().expect("telemetry tracks poisoned");
-        while tracks.len() <= track as usize {
-            tracks.push(Arc::new(EventRing::with_capacity(self.ring_capacity)));
-        }
-        self.track_count.fetch_max(track + 1, Ordering::Relaxed);
-        Arc::clone(&tracks[track as usize])
+    fn events(&self) -> std::sync::MutexGuard<'_, Vec<JobEvent>> {
+        self.events.lock().expect("telemetry events poisoned")
     }
 }
 
-/// A per-thread recording handle bound to one track's ring. Obtained
-/// once (e.g. at the top of a worker loop) so the per-event cost is a
-/// timestamp read and a ring push — no locks, no lookups.
+/// A recording handle bound to one track. Obtained once (e.g. at the top
+/// of a worker loop) so the per-event cost is a clock read and a push
+/// under the store's lock.
 #[derive(Clone)]
 pub struct Track {
-    inner: Option<TrackInner>,
-}
-
-#[derive(Clone)]
-struct TrackInner {
-    ring: Arc<EventRing>,
-    epoch: Instant,
+    sink: Option<Arc<Sink>>,
     track: u32,
 }
 
 impl Track {
-    /// A handle that records nothing (disabled telemetry).
-    pub fn noop() -> Track {
-        Track { inner: None }
-    }
-
     /// Whether records through this handle are stored.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.sink.is_some()
     }
 
     /// Records one lifecycle event stamped now. A no-op (single branch)
-    /// when telemetry is disabled; drop-and-count when the ring is full.
+    /// when telemetry is disabled; drop-and-count when the store is full.
     #[inline]
     pub fn record(&self, kind: EventKind, job: u64) {
-        if let Some(inner) = &self.inner {
-            inner.ring.push(JobEvent {
-                at_ns: inner.epoch.elapsed().as_nanos() as u64,
+        if let Some(sink) = &self.sink {
+            let event = JobEvent {
+                at_ns: sink.now_ns(),
                 kind,
                 job,
-                track: inner.track,
-            });
+                track: self.track,
+            };
+            let mut events = sink.events();
+            if events.len() < sink.capacity {
+                events.push(event);
+            } else {
+                sink.dropped.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -156,7 +137,7 @@ impl std::fmt::Debug for Track {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Track")
             .field("enabled", &self.is_enabled())
-            .field("track", &self.inner.as_ref().map(|i| i.track))
+            .field("track", &self.track)
             .finish()
     }
 }
@@ -167,16 +148,24 @@ impl Telemetry {
         Telemetry { sink: None }
     }
 
-    /// An enabled handle with the default per-track ring capacity.
+    /// An enabled handle whose store holds 2^20 events (24 MiB once
+    /// full; it grows as events arrive).
     pub fn enabled() -> Telemetry {
-        Telemetry::with_capacity(DEFAULT_RING_CAPACITY)
+        Telemetry::with_capacity(1 << 20)
     }
 
-    /// An enabled handle whose per-track rings hold `ring_capacity`
-    /// events (rounded up to a power of two).
-    pub fn with_capacity(ring_capacity: usize) -> Telemetry {
+    /// An enabled handle whose store holds `capacity` events across all
+    /// tracks; later events are dropped and counted.
+    pub fn with_capacity(capacity: usize) -> Telemetry {
         Telemetry {
-            sink: Some(Arc::new(Sink::new(ring_capacity))),
+            sink: Some(Arc::new(Sink {
+                epoch: Instant::now(),
+                capacity,
+                events: Mutex::new(Vec::new()),
+                dropped: AtomicU64::new(0),
+                track_count: AtomicU32::new(0),
+                registry: Registry::new(),
+            })),
         }
     }
 
@@ -188,24 +177,18 @@ impl Telemetry {
 
     /// Nanoseconds since the sink's epoch (0 when disabled).
     pub fn now_ns(&self) -> u64 {
-        self.sink
-            .as_ref()
-            .map_or(0, |s| s.epoch.elapsed().as_nanos() as u64)
+        self.sink.as_ref().map_or(0, |s| s.now_ns())
     }
 
-    /// Opens (creating if needed) the recording handle for `track`.
-    /// Workers call this once with [`worker_track`]`(index)`; the
-    /// client side uses [`CLIENT_TRACK`].
+    /// The recording handle for `track`. Workers call this once with
+    /// [`worker_track`]`(index)`; the client side uses [`CLIENT_TRACK`].
     pub fn track(&self, track: u32) -> Track {
-        match &self.sink {
-            None => Track::noop(),
-            Some(sink) => Track {
-                inner: Some(TrackInner {
-                    ring: sink.ring(track),
-                    epoch: sink.epoch,
-                    track,
-                }),
-            },
+        if let Some(sink) = &self.sink {
+            sink.track_count.fetch_max(track + 1, Ordering::Relaxed);
+        }
+        Track {
+            sink: self.sink.clone(),
+            track,
         }
     }
 
@@ -216,45 +199,28 @@ impl Telemetry {
             .map_or(0, |s| s.track_count.load(Ordering::Relaxed))
     }
 
-    /// Drains every track's ring into the collected store, returning how
-    /// many events were moved. Call this periodically from the client
-    /// thread on long runs so rings never fill.
+    /// Does nothing and returns 0: events reach the store as they are
+    /// recorded. It remains only for `perfbench`, which still calls it
+    /// and changes only together with the benchmark; it goes with that
+    /// call.
+    #[deprecated(note = "events are stored when recorded; there is nothing to collect")]
     pub fn collect(&self) -> usize {
-        let Some(sink) = &self.sink else { return 0 };
-        let rings: Vec<Arc<EventRing>> = sink
-            .tracks
-            .lock()
-            .expect("telemetry tracks poisoned")
-            .clone();
-        let mut collected = sink.collected.lock().expect("telemetry events poisoned");
-        let mut moved = 0;
-        for ring in rings {
-            moved += ring.drain_into(&mut collected);
-        }
-        moved
+        0
     }
 
-    /// All events collected so far (collects pending ring contents
-    /// first). Empty when disabled.
+    /// Every stored event, in store order (each track's events in the
+    /// order they were recorded). Empty when disabled.
     pub fn events(&self) -> Vec<JobEvent> {
-        self.collect();
-        self.sink.as_ref().map_or_else(Vec::new, |s| {
-            s.collected
-                .lock()
-                .expect("telemetry events poisoned")
-                .clone()
-        })
+        self.sink
+            .as_ref()
+            .map_or_else(Vec::new, |s| s.events().clone())
     }
 
-    /// Total events discarded across all rings because a ring was full.
+    /// Events discarded because the store was full.
     pub fn dropped(&self) -> u64 {
-        let Some(sink) = &self.sink else { return 0 };
-        sink.tracks
-            .lock()
-            .expect("telemetry tracks poisoned")
-            .iter()
-            .map(|r| r.dropped())
-            .sum()
+        self.sink
+            .as_ref()
+            .map_or(0, |s| s.dropped.load(Ordering::Relaxed))
     }
 
     /// The sink's metrics registry: register metrics here to have them
@@ -263,44 +229,25 @@ impl Telemetry {
         self.sink.as_ref().map(|s| &s.registry)
     }
 
-    /// Renders everything collected (after a final drain) as a Chrome
-    /// trace-event JSON document. `"{}"`-shaped empty trace when
-    /// disabled.
+    /// Renders every stored event as a Chrome trace-event JSON document;
+    /// an empty trace when disabled.
     pub fn chrome_trace(&self) -> String {
-        self.collect();
-        match &self.sink {
-            None => chrome_trace(&[], 0, 0),
-            Some(sink) => {
-                let events = sink
-                    .collected
-                    .lock()
-                    .expect("telemetry events poisoned")
-                    .clone();
-                chrome_trace(&events, self.track_count(), self.dropped())
-            }
-        }
+        chrome_trace(&self.events(), self.track_count(), self.dropped())
     }
 
     /// One compact JSON object for live streaming: uptime, event
     /// accounting and the full metrics registry. `{}` when disabled.
     pub fn snapshot_json(&self) -> String {
-        let Some(sink) = &self.sink else {
-            return "{}".to_string();
-        };
-        self.collect();
-        let events = sink
-            .collected
-            .lock()
-            .expect("telemetry events poisoned")
-            .len();
-        format!(
-            "{{\"uptime_ns\":{},\"events_collected\":{},\"events_dropped\":{},\"tracks\":{},\"metrics\":{}}}",
-            self.now_ns(),
-            events,
-            self.dropped(),
-            self.track_count(),
-            sink.registry.snapshot_json()
-        )
+        json::object(|o| {
+            if let Some(sink) = &self.sink {
+                let stored = sink.events().len();
+                o.uint("uptime_ns", sink.now_ns())
+                    .uint("events_collected", stored)
+                    .uint("events_dropped", self.dropped())
+                    .uint("tracks", self.track_count())
+                    .object("metrics", |m| sink.registry.write_json(m));
+            }
+        })
     }
 }
 
@@ -315,7 +262,6 @@ mod tests {
         let track = t.track(CLIENT_TRACK);
         assert!(!track.is_enabled());
         track.record(EventKind::Submitted, 1);
-        assert_eq!(t.collect(), 0);
         assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 0);
         assert_eq!(t.now_ns(), 0);
@@ -331,7 +277,6 @@ mod tests {
         client.record(EventKind::Submitted, 42);
         client.record(EventKind::Queued, 42);
         worker.record(EventKind::Claimed, 42);
-        assert_eq!(t.collect(), 3);
         let events = t.events();
         assert_eq!(events.len(), 3);
         assert!(events.iter().all(|e| e.job == 42));
@@ -396,5 +341,59 @@ mod tests {
         assert_eq!(t.dropped(), 6);
         assert_eq!(t.events().len(), 4);
         assert!(t.snapshot_json().contains("\"events_dropped\":6"));
+    }
+
+    /// Threads recording at once through their own tracks: within the
+    /// bound nothing is lost and each track keeps its order; past it
+    /// exactly the excess is dropped, and both `dropped()` and the
+    /// snapshot say so.
+    #[test]
+    fn concurrent_tracks_lose_nothing_but_the_excess() {
+        const THREADS: u32 = 4;
+        const PER_THREAD: u64 = 5_000;
+        let total = THREADS as u64 * PER_THREAD;
+        for capacity in [total as usize, total as usize + 1, 12_345] {
+            let t = Telemetry::with_capacity(capacity);
+            let start = std::sync::Barrier::new(THREADS as usize);
+            std::thread::scope(|s| {
+                for thread in 0..THREADS {
+                    let track = t.track(worker_track(thread as usize));
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        for seq in 0..PER_THREAD {
+                            track.record(EventKind::Queued, seq);
+                        }
+                    });
+                }
+            });
+            let events = t.events();
+            let kept = total.min(capacity as u64);
+            assert_eq!(events.len() as u64, kept, "capacity {capacity}");
+            assert_eq!(t.dropped(), total - kept, "capacity {capacity}");
+            let snapshot = t.snapshot_json();
+            assert!(
+                snapshot.contains(&format!(
+                    "\"events_collected\":{kept},\"events_dropped\":{},",
+                    total - kept
+                )),
+                "{snapshot}"
+            );
+            // The store never frees a slot, so each track keeps a prefix
+            // of what its thread recorded, in order: all of it within the
+            // bound.
+            for thread in 0..THREADS {
+                let seqs: Vec<u64> = events
+                    .iter()
+                    .filter(|e| e.track == worker_track(thread as usize))
+                    .map(|e| e.job)
+                    .collect();
+                let prefix: Vec<u64> = (0..seqs.len() as u64).collect();
+                assert_eq!(seqs, prefix, "track {thread}, capacity {capacity}");
+                if kept == total {
+                    assert_eq!(seqs.len() as u64, PER_THREAD);
+                }
+            }
+        }
     }
 }

@@ -12,6 +12,7 @@
 //! atomics regardless of how many samples it absorbs — recording never
 //! allocates and the registry's memory is fixed at registration time.
 
+use crate::json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -164,30 +165,29 @@ impl Registry {
     /// `{"count":N,"sum":S,"p50":…,"p95":…,"max":…}` (quantiles are
     /// bucket upper bounds).
     pub fn snapshot_json(&self) -> String {
+        json::object(|o| self.write_json(o))
+    }
+
+    /// Writes every registered metric, sorted by name, as members of `o`
+    /// (the body of [`Registry::snapshot_json`]).
+    pub(crate) fn write_json(&self, o: &mut json::Object<'_>) {
         let metrics = self.metrics.lock().expect("metrics registry poisoned");
-        let mut out = String::from("{");
-        for (i, (name, metric)) in metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        for (name, metric) in metrics.iter() {
             match metric {
                 Metric::Counter(c) => {
-                    out.push_str(&format!("\"{name}\":{}", c.get()));
+                    o.uint(name, c.get());
                 }
                 Metric::Histogram(h) => {
-                    out.push_str(&format!(
-                        "\"{name}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"max\":{}}}",
-                        h.count(),
-                        h.sum(),
-                        h.quantile_upper_bound(0.50),
-                        h.quantile_upper_bound(0.95),
-                        h.quantile_upper_bound(1.0),
-                    ));
+                    o.object(name, |o| {
+                        o.uint("count", h.count())
+                            .uint("sum", h.sum())
+                            .uint("p50", h.quantile_upper_bound(0.50))
+                            .uint("p95", h.quantile_upper_bound(0.95))
+                            .uint("max", h.quantile_upper_bound(1.0));
+                    });
                 }
             }
         }
-        out.push('}');
-        out
     }
 }
 
@@ -266,6 +266,27 @@ mod tests {
         // Sorted by name: a before b before c.
         let (pa, pb) = (json.find("\"a\"").unwrap(), json.find("\"b\"").unwrap());
         assert!(pa < pb);
+    }
+
+    /// The full snapshot bytes on fixed inputs: two counters registered
+    /// out of name order and a histogram.
+    #[test]
+    fn snapshot_json_bytes() {
+        let reg = Registry::new();
+        reg.counter("steals").add(2);
+        reg.counter("jobs_run").add(5);
+        let h = reg.histogram("queue_wait_us");
+        for v in [3, 100, 7000] {
+            h.observe(v);
+        }
+        assert_eq!(
+            reg.snapshot_json(),
+            concat!(
+                "{\"jobs_run\":5,",
+                "\"queue_wait_us\":{\"count\":3,\"sum\":7103,\"p50\":128,\"p95\":8192,\"max\":8192},",
+                "\"steals\":2}"
+            )
+        );
     }
 
     #[test]

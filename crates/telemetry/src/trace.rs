@@ -17,36 +17,64 @@
 //! (fractional, nanosecond precision) on the sink's shared epoch.
 
 use crate::event::{EventKind, JobEvent, CLIENT_TRACK, NO_JOB};
+use crate::json::{self, Array, Object};
 use std::collections::BTreeMap;
 
-fn us(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1000.0)
+/// Nanoseconds as the format's microseconds.
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1000.0
 }
 
-fn args_json(e: &JobEvent) -> String {
-    if e.job == NO_JOB {
-        "{}".to_string()
-    } else {
-        format!("{{\"job\":{}}}", e.job)
-    }
+/// The event's `args`: the job id, or nothing for [`NO_JOB`].
+fn args(o: &mut Object<'_>, job: u64) {
+    o.object("args", |a| {
+        if job != NO_JOB {
+            a.uint("job", job);
+        }
+    });
 }
 
-fn complete_event(name: &str, tid: u32, start_ns: u64, end_ns: u64, args: &str) -> String {
-    format!(
-        "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid},\"args\":{args}}}",
-        us(start_ns),
-        us(end_ns.saturating_sub(start_ns)),
-    )
+/// A complete (`"X"`) span from `start_ns` to the event `end` that
+/// closes it, drawn on `end`'s track.
+fn complete_event(out: &mut Array<'_>, name: &str, end: &JobEvent, start_ns: u64) {
+    out.object(|o| {
+        o.str("name", name)
+            .str("ph", "X")
+            .fixed("ts", us(start_ns), 3)
+            .fixed("dur", us(end.at_ns.saturating_sub(start_ns)), 3)
+            .uint("pid", 1u32)
+            .uint("tid", end.track);
+        args(o, end.job);
+    });
 }
 
-fn instant_event(e: &JobEvent) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{},\"args\":{}}}",
-        e.kind.name(),
-        us(e.at_ns),
-        e.track,
-        args_json(e)
-    )
+/// A thread-scoped instant (`"i"`) at `at_ns`.
+fn instant_event(out: &mut Array<'_>, name: &str, at_ns: u64, track: u32, job: u64) {
+    out.object(|o| {
+        o.str("name", name)
+            .str("ph", "i")
+            .str("s", "t")
+            .fixed("ts", us(at_ns), 3)
+            .uint("pid", 1u32)
+            .uint("tid", track);
+        args(o, job);
+    });
+}
+
+/// A metadata (`"M"`) event whose `args` hold one member.
+fn metadata_event(
+    out: &mut Array<'_>,
+    name: &str,
+    tid: Option<u32>,
+    args: impl FnOnce(&mut Object<'_>),
+) {
+    out.object(|o| {
+        o.str("name", name).str("ph", "M").uint("pid", 1u32);
+        if let Some(tid) = tid {
+            o.uint("tid", tid);
+        }
+        o.object("args", args);
+    });
 }
 
 /// The human-readable name of a track: the client row or a worker row.
@@ -63,12 +91,22 @@ pub fn track_name(track: u32) -> String {
 /// still get a named row). `dropped` is surfaced in `otherData` so a
 /// truncated trace is visibly truncated.
 pub fn chrome_trace(events: &[JobEvent], tracks: u32, dropped: u64) -> String {
-    let mut out: Vec<String> = Vec::new();
+    json::object(|doc| {
+        doc.lines("traceEvents", |out| trace_events(out, events, tracks))
+            .str("displayTimeUnit", "ms")
+            .object("otherData", |o| {
+                o.uint("dropped_events", dropped);
+            });
+    })
+}
+
+/// The `traceEvents` array: track metadata, then each job's spans and
+/// instants.
+fn trace_events(out: &mut Array<'_>, events: &[JobEvent], tracks: u32) {
     // Process + track naming metadata first.
-    out.push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"ulp-service\"}}"
-            .to_string(),
-    );
+    metadata_event(out, "process_name", None, |a| {
+        a.str("name", "ulp-service");
+    });
     let highest = events
         .iter()
         .map(|e| e.track)
@@ -76,26 +114,24 @@ pub fn chrome_trace(events: &[JobEvent], tracks: u32, dropped: u64) -> String {
         .map_or(0, |m| m + 1)
         .max(tracks);
     for track in 0..highest {
-        out.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{track},\"args\":{{\"name\":\"{}\"}}}}",
-            track_name(track)
-        ));
+        metadata_event(out, "thread_name", Some(track), |a| {
+            a.str("name", &track_name(track));
+        });
         // sort_index keeps the client row on top and workers in order.
-        out.push(format!(
-            "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":{track},\"args\":{{\"sort_index\":{track}}}}}"
-        ));
+        metadata_event(out, "thread_sort_index", Some(track), |a| {
+            a.uint("sort_index", track);
+        });
     }
 
-    // Group per job, keeping the recorded order within a job (events are
-    // collected in ring order; sort by timestamp to be safe across
-    // tracks).
+    // Group per job, keeping the recorded order within a job (sort by
+    // timestamp to be safe across tracks).
     let mut by_job: BTreeMap<u64, Vec<&JobEvent>> = BTreeMap::new();
     for e in events {
         if e.job != NO_JOB {
             by_job.entry(e.job).or_default().push(e);
         } else {
             // Admission rejections have no job id: plain instants.
-            out.push(instant_event(e));
+            instant_event(out, e.kind.name(), e.at_ns, e.track, e.job);
         }
     }
 
@@ -109,37 +145,25 @@ pub fn chrome_trace(events: &[JobEvent], tracks: u32, dropped: u64) -> String {
                 EventKind::Queued => queued_at = Some(e.at_ns),
                 EventKind::Claimed => {
                     if let Some(start) = queued_at.take() {
-                        out.push(complete_event(
-                            "queued",
-                            e.track,
-                            start,
-                            e.at_ns,
-                            &args_json(e),
-                        ));
+                        complete_event(out, "queued", e, start);
                     }
                     claimed_at = Some(e.at_ns);
                 }
                 EventKind::PlatformBuilt | EventKind::PlatformCacheHit => {
                     if let Some(start) = claimed_at.take() {
-                        out.push(complete_event(
-                            e.kind.name(),
-                            e.track,
-                            start,
-                            e.at_ns,
-                            &args_json(e),
-                        ));
+                        complete_event(out, e.kind.name(), e, start);
                     }
                 }
-                EventKind::RunStart => run_started = Some(e.at_ns),
+                EventKind::RunStart => {
+                    // A job whose platform could not be had (a rejected
+                    // core count, a failed build) starts its run straight
+                    // from the claim: no platform phase to show.
+                    claimed_at = None;
+                    run_started = Some(e.at_ns);
+                }
                 EventKind::RunEnd => {
                     if let Some(start) = run_started.take() {
-                        out.push(complete_event(
-                            "run",
-                            e.track,
-                            start,
-                            e.at_ns,
-                            &args_json(e),
-                        ));
+                        complete_event(out, "run", e, start);
                     }
                 }
                 EventKind::Submitted
@@ -149,32 +173,22 @@ pub fn chrome_trace(events: &[JobEvent], tracks: u32, dropped: u64) -> String {
                 | EventKind::CapacityRejected
                 | EventKind::Snapshot
                 | EventKind::Restored
-                | EventKind::Migrated => out.push(instant_event(e)),
+                | EventKind::Migrated => instant_event(out, e.kind.name(), e.at_ns, e.track, e.job),
             }
         }
-        // A job cut off mid-phase (collection raced completion) still
-        // shows its open span as an instant rather than vanishing.
-        for (open, name) in [(queued_at, "queued"), (run_started, "run")] {
+        // A job cut off mid-phase (the trace was taken before it finished)
+        // still shows its open span as an instant rather than vanishing.
+        let last = job_events.last().expect("non-empty");
+        for (open, name) in [
+            (queued_at, "queued-open"),
+            (claimed_at, "platform-open"),
+            (run_started, "run-open"),
+        ] {
             if let Some(start) = open {
-                let last = job_events.last().expect("non-empty");
-                let probe = JobEvent {
-                    at_ns: start,
-                    ..**last
-                };
-                out.push(format!(
-                    "{{\"name\":\"{name}-open\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{},\"args\":{}}}",
-                    us(start),
-                    probe.track,
-                    args_json(&probe)
-                ));
+                instant_event(out, name, start, last.track, last.job);
             }
         }
     }
-
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"dropped_events\":{dropped}}}}}",
-        out.join(",\n")
-    )
 }
 
 #[cfg(test)]
@@ -247,10 +261,85 @@ mod tests {
         assert!(json.contains("\"dropped_events\":2"));
     }
 
+    /// The full trace bytes on a fixed event list: one complete job, a
+    /// stolen job whose run is still open, a job still queued, and an
+    /// admission rejection without a job id.
+    #[test]
+    fn chrome_trace_bytes() {
+        let (w0, w1) = (worker_track(0), worker_track(1));
+        let events = vec![
+            ev(EventKind::Submitted, 0, 1, CLIENT_TRACK),
+            ev(EventKind::Queued, 10, 1, CLIENT_TRACK),
+            ev(EventKind::CapacityRejected, 15, NO_JOB, CLIENT_TRACK),
+            ev(EventKind::Claimed, 1_000, 1, w0),
+            ev(EventKind::PlatformBuilt, 2_500, 1, w0),
+            ev(EventKind::RunStart, 2_600, 1, w0),
+            ev(EventKind::RunEnd, 12_600, 1, w0),
+            ev(EventKind::Merged, 13_000, 1, CLIENT_TRACK),
+            ev(EventKind::Streamed, 13_001, 1, CLIENT_TRACK),
+            ev(EventKind::Submitted, 20, 2, CLIENT_TRACK),
+            ev(EventKind::Queued, 30, 2, CLIENT_TRACK),
+            ev(EventKind::Stolen, 500, 2, w1),
+            ev(EventKind::Claimed, 1_500, 2, w1),
+            ev(EventKind::PlatformCacheHit, 1_600, 2, w1),
+            ev(EventKind::RunStart, 1_700, 2, w1),
+            ev(EventKind::Submitted, 40, 3, CLIENT_TRACK),
+            ev(EventKind::Queued, 50, 3, CLIENT_TRACK),
+        ];
+        assert_eq!(
+            chrome_trace(&events, 3, 1),
+            concat!(
+                "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"ulp-service\"}},\n",
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"client\"}},\n",
+                "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"sort_index\":0}},\n",
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"worker 0\"}},\n",
+                "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"sort_index\":1}},\n",
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\"name\":\"worker 1\"}},\n",
+                "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\"sort_index\":2}},\n",
+                "{\"name\":\"capacity-rejected\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0.015,\"pid\":1,\"tid\":0,\"args\":{}},\n",
+                "{\"name\":\"submitted\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0.000,\"pid\":1,\"tid\":0,\"args\":{\"job\":1}},\n",
+                "{\"name\":\"queued\",\"ph\":\"X\",\"ts\":0.010,\"dur\":0.990,\"pid\":1,\"tid\":1,\"args\":{\"job\":1}},\n",
+                "{\"name\":\"platform-build\",\"ph\":\"X\",\"ts\":1.000,\"dur\":1.500,\"pid\":1,\"tid\":1,\"args\":{\"job\":1}},\n",
+                "{\"name\":\"run\",\"ph\":\"X\",\"ts\":2.600,\"dur\":10.000,\"pid\":1,\"tid\":1,\"args\":{\"job\":1}},\n",
+                "{\"name\":\"merged\",\"ph\":\"i\",\"s\":\"t\",\"ts\":13.000,\"pid\":1,\"tid\":0,\"args\":{\"job\":1}},\n",
+                "{\"name\":\"streamed\",\"ph\":\"i\",\"s\":\"t\",\"ts\":13.001,\"pid\":1,\"tid\":0,\"args\":{\"job\":1}},\n",
+                "{\"name\":\"submitted\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0.020,\"pid\":1,\"tid\":0,\"args\":{\"job\":2}},\n",
+                "{\"name\":\"stolen\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0.500,\"pid\":1,\"tid\":2,\"args\":{\"job\":2}},\n",
+                "{\"name\":\"queued\",\"ph\":\"X\",\"ts\":0.030,\"dur\":1.470,\"pid\":1,\"tid\":2,\"args\":{\"job\":2}},\n",
+                "{\"name\":\"platform-cache-hit\",\"ph\":\"X\",\"ts\":1.500,\"dur\":0.100,\"pid\":1,\"tid\":2,\"args\":{\"job\":2}},\n",
+                "{\"name\":\"run-open\",\"ph\":\"i\",\"s\":\"t\",\"ts\":1.700,\"pid\":1,\"tid\":2,\"args\":{\"job\":2}},\n",
+                "{\"name\":\"submitted\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0.040,\"pid\":1,\"tid\":0,\"args\":{\"job\":3}},\n",
+                "{\"name\":\"queued-open\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0.050,\"pid\":1,\"tid\":0,\"args\":{\"job\":3}}],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":1}}",
+            )
+        );
+    }
+
     #[test]
     fn open_spans_surface_as_instants() {
         let events = vec![ev(EventKind::Queued, 10, 3, CLIENT_TRACK)];
         let json = chrome_trace(&events, 1, 0);
         assert!(json.contains("\"name\":\"queued-open\""));
+    }
+
+    /// A job cut off between its claim and its platform keeps the open
+    /// platform phase; a job that ran without a platform (a rejected
+    /// core count) has no platform phase to leave open.
+    #[test]
+    fn open_platform_phase_surfaces_as_an_instant() {
+        let w = worker_track(0);
+        let events = vec![
+            ev(EventKind::Queued, 10, 3, CLIENT_TRACK),
+            ev(EventKind::Claimed, 2_000, 3, w),
+            ev(EventKind::Queued, 20, 4, CLIENT_TRACK),
+            ev(EventKind::Claimed, 3_000, 4, w),
+            ev(EventKind::RunStart, 3_000, 4, w),
+            ev(EventKind::RunEnd, 3_100, 4, w),
+        ];
+        let json = chrome_trace(&events, 2, 0);
+        assert!(json.contains(concat!(
+            "{\"name\":\"platform-open\",\"ph\":\"i\",\"s\":\"t\",\"ts\":2.000,",
+            "\"pid\":1,\"tid\":1,\"args\":{\"job\":3}}"
+        )));
+        assert_eq!(json.matches("-open\"").count(), 1, "{json}");
     }
 }

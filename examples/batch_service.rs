@@ -30,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// a live telemetry handle.
 fn streaming_grid_demo() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Arc::new(WorkloadConfig::quick_test());
-    // An enabled handle traces every job's lifecycle into per-worker
-    // rings; `telemetry.chrome_trace()` would render them as a
+    // An enabled handle traces every job's lifecycle into the sink's
+    // event store; `telemetry.chrome_trace()` would render them as a
     // Perfetto-loadable file (the sweep bin exposes that as
     // `--trace-out`). The default is `Telemetry::disabled()` — zero cost.
     let telemetry = Telemetry::enabled();
@@ -103,7 +103,7 @@ fn streaming_grid_demo() -> Result<(), Box<dyn std::error::Error>> {
         stats.platform_cache_hits,
         stats.platforms_built,
     );
-    let events = telemetry.collect();
+    let events = telemetry.events().len();
     println!(
         "telemetry: {events} lifecycle events across {} tracks ({} dropped), \
          trace JSON is {} bytes",
