@@ -13,7 +13,6 @@
 //!                        entry of `none` runs the single-window cell), so
 //!                        grids sweep shard size × cores
 //!   --heatmap <window>   attach a per-bank DM heat map to every cell
-//!   --pctrace <limit>    attach a PC trace to every cell (not with --heatmap)
 //!   --threads <n>        worker threads (default: all hardware threads)
 //!   --checkpoint-every <cycles>  checkpoint every job's platform at this
 //!                        cadence (jobs become migratable)
@@ -30,11 +29,10 @@
 //! into `jq`-style tooling while still running. In this mode stdout
 //! carries only the records — the closing summary goes to stderr and the
 //! comparison table is suppressed. Every record carries the cell's
-//! `energy_uj` (priced at the paper's Table I workload) and, when
-//! observers are selected, its merged artifacts — e.g. `--heatmap` adds
-//! recording-level `dm_bank_heatmap` per-bank totals even for sharded
-//! cells, whose rows were re-indexed onto the global cycle axis at the
-//! merge.
+//! `energy_uj` (priced at the paper's Table I workload) and, with
+//! `--heatmap`, its recording-level `dm_bank_heatmap` per-bank totals and
+//! `heatmap_rows` — sharded cells included, whose rows were re-indexed
+//! onto the global cycle axis at the merge.
 //!
 //! `--trace-out` enables job-lifecycle telemetry for the whole sweep and,
 //! on exit, writes every recorded span (queued → claimed → platform →
@@ -49,7 +47,6 @@ use std::io::Write;
 use std::process::ExitCode;
 use ulp_bench::{run_sweep_with, SweepCell, SweepSpec};
 use ulp_kernels::{Benchmark, WorkloadConfig};
-use ulp_service::ObserverSelection;
 use ulp_telemetry::{json, Telemetry};
 
 /// One completed cell as a JSON-lines record (`--stream`, schema 3).
@@ -74,20 +71,15 @@ fn json_line(cell: &SweepCell, emitted: usize, total: usize) -> String {
         if let Some(uj) = cell.energy_uj {
             o.fixed("energy_uj", uj, 3);
         }
-        // Merged observer artifacts: the heat map's per-bank totals
-        // (sharded cells merge every shard's rows onto the global cycle
-        // axis first), or the sizes of the other artifact kinds.
-        if let Some(map) = cell.artifacts.bank_heat_map() {
+        // The heat map's per-bank totals (sharded cells merge every
+        // shard's rows onto the global cycle axis first).
+        if let Some(map) = &cell.heat_map {
             o.array("dm_bank_heatmap", |a| {
                 for total in map.totals() {
                     a.uint(total);
                 }
             })
             .uint("heatmap_rows", map.rows.len());
-        } else if let Some(trace) = cell.artifacts.pc_trace() {
-            o.uint("pc_trace_rows", trace.len());
-        } else if let Some(vcds) = cell.artifacts.vcds() {
-            o.uint("vcd_shards", vcds.len());
         }
         o.uint("completed", emitted).uint("total", total);
     })
@@ -104,8 +96,6 @@ const USAGE: &str = "usage: sweep [options]
                        merges the partial results
   --heatmap <window>   attach a per-bank DM heat map to every cell
                        (cycles per row; merged across shards)
-  --pctrace <limit>    attach a PC trace to every cell (cycles per shard;
-                       not with --heatmap)
   --threads <n>        worker threads (default: all hardware threads)
   --checkpoint-every <cycles>
                        checkpoint every job's platform at this cadence in
@@ -123,10 +113,6 @@ const USAGE: &str = "usage: sweep [options]
   --stats-json <path>  write the final service stats (schema 4, with
                        migration counters) as one JSON object";
 
-/// Every job carries one observer selection, so the two observer flags
-/// cannot be combined.
-const OBSERVER_CLASH: &str = "--heatmap and --pctrace cannot be combined";
-
 struct Options {
     smoke: bool,
     stream: bool,
@@ -134,7 +120,7 @@ struct Options {
     cores: Vec<usize>,
     benchmarks: Vec<Benchmark>,
     shard: Vec<Option<usize>>,
-    observers: ObserverSelection,
+    heat_map_window: Option<u64>,
     threads: usize,
     checkpoint_every: Option<u64>,
     checkpoint_dir: Option<String>,
@@ -171,7 +157,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         cores: vec![2, 4, 8],
         benchmarks: Benchmark::ALL.to_vec(),
         shard: vec![None],
-        observers: ObserverSelection::None,
+        heat_map_window: None,
         threads: 0,
         checkpoint_every: None,
         checkpoint_dir: None,
@@ -237,10 +223,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                 if window == 0 {
                     return Err("heat-map window must be positive".into());
                 }
-                if matches!(opts.observers, ObserverSelection::PcTrace { .. }) {
-                    return Err(OBSERVER_CLASH.into());
-                }
-                opts.observers = ObserverSelection::BankHeatMap { window };
+                opts.heat_map_window = Some(window);
             }
             "--checkpoint-every" => {
                 let cycles: u64 = next_value(&mut args, "--checkpoint-every")?
@@ -259,18 +242,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             }
             "--stats-json" => {
                 opts.stats_json = Some(next_value(&mut args, "--stats-json")?);
-            }
-            "--pctrace" => {
-                let limit: usize = next_value(&mut args, "--pctrace")?
-                    .parse()
-                    .map_err(|e| format!("bad value for --pctrace: {e}"))?;
-                if limit == 0 {
-                    return Err("PC-trace limit must be positive".into());
-                }
-                if matches!(opts.observers, ObserverSelection::BankHeatMap { .. }) {
-                    return Err(OBSERVER_CLASH.into());
-                }
-                opts.observers = ObserverSelection::PcTrace { limit };
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -323,7 +294,7 @@ fn main() -> ExitCode {
         core_counts: opts.cores,
         shard_samples: opts.shard,
         workload,
-        observers: opts.observers,
+        heat_map_window: opts.heat_map_window,
         threads: opts.threads,
         telemetry: telemetry.clone(),
         checkpoint_every: opts.checkpoint_every,
@@ -507,25 +478,23 @@ mod tests {
         parse_args(args.iter().map(|a| a.to_string()))
     }
 
+    /// `--heatmap` takes a positive window. PC traces are `ulprun
+    /// --trace`'s job, so `--pctrace` is an unknown argument like any
+    /// other.
     #[test]
-    fn heatmap_and_pctrace_are_rejected_together_in_either_order() {
+    fn heatmap_window_parses_and_pctrace_is_unknown() {
+        let opts = parse(&["--heatmap", "64", "--heatmap", "128"]).expect("repeats parse");
+        assert_eq!(opts.heat_map_window, Some(128));
+        assert_eq!(parse(&[]).expect("no flags").heat_map_window, None);
+        let err = parse(&["--heatmap", "0"]).err().expect("a zero window");
+        assert!(err.contains("must be positive"), "{err}");
         for args in [
-            ["--heatmap", "64", "--pctrace", "5"],
-            ["--pctrace", "5", "--heatmap", "64"],
+            &["--pctrace", "5"][..],
+            &["--heatmap", "64", "--pctrace", "5"],
         ] {
-            let err = parse(&args).err().expect("the clash is a usage error");
-            assert_eq!(err, OBSERVER_CLASH, "{args:?}");
+            let err = parse(args).err().expect("--pctrace is a usage error");
+            assert_eq!(err, "unknown argument \"--pctrace\"", "{args:?}");
         }
-        let heatmap = parse(&["--heatmap", "64"]).expect("one observer flag parses");
-        assert!(matches!(
-            heatmap.observers,
-            ObserverSelection::BankHeatMap { window: 64 }
-        ));
-        let pctrace = parse(&["--pctrace", "5", "--pctrace", "7"]).expect("repeats parse");
-        assert!(matches!(
-            pctrace.observers,
-            ObserverSelection::PcTrace { limit: 7 }
-        ));
     }
 
     #[test]
@@ -540,15 +509,14 @@ mod tests {
         assert_eq!(opts.checkpoint_dir.as_deref(), Some("ckpt"));
     }
 
-    /// The full `--stream` record bytes for every artifact kind (heat
-    /// map, PC trace, VCD, none), sharded and not, with and without
-    /// `energy_uj`, on fixed cells. Sharded cells are sync MRPDLN and the
-    /// others baseline SQRT32, so both design names appear.
+    /// The full `--stream` record bytes with and without a heat map,
+    /// sharded and not, with and without `energy_uj`, on fixed cells.
+    /// Sharded cells are sync MRPDLN and the others baseline SQRT32, so
+    /// both design names appear.
     #[test]
     fn json_line_bytes() {
         use ulp_platform::{Platform, PlatformConfig};
-        use ulp_shard::{HeatMapRow, MergedArtifacts, MergedHeatMap, MergedPcTrace};
-        use ulp_shard::{ShardVcd, TraceSegment};
+        use ulp_shard::{HeatMapRow, MergedHeatMap};
 
         let heat_row = |shard, start_cycle, end_cycle, banks: [u64; 4]| HeatMapRow {
             shard,
@@ -556,31 +524,15 @@ mod tests {
             end_cycle,
             banks: banks.to_vec(),
         };
-        let segment = |shard, rows| TraceSegment {
-            shard,
-            cycle_offset: 0,
-            sample_offset: 0,
-            rows: vec![vec![Some(7), None]; rows],
-        };
-        let vcd = |shard| ShardVcd {
-            shard,
-            cycle_offset: 0,
-            sample_offset: 0,
-            vcd: String::new(),
-        };
-        let artifacts = [
-            MergedArtifacts::BankHeatMap(MergedHeatMap {
+        let heat_maps = [
+            Some(MergedHeatMap {
                 window: 4096,
                 rows: vec![
                     heat_row(0, 0, 4096, [13548, 0, 548, 1080]),
                     heat_row(1, 4096, 6000, [2, 0, 0, 1]),
                 ],
             }),
-            MergedArtifacts::PcTrace(MergedPcTrace {
-                segments: vec![segment(0, 3), segment(1, 2)],
-            }),
-            MergedArtifacts::Vcd(vec![vcd(0), vcd(1), vcd(2)]),
-            MergedArtifacts::None,
+            None,
         ];
         let mut stats = Platform::new(PlatformConfig::paper(true).with_cores(2))
             .expect("paper platform builds")
@@ -592,7 +544,7 @@ mod tests {
         stats.im.bank_reads = 123_456;
 
         let mut lines = Vec::new();
-        for artifacts in &artifacts {
+        for heat_map in &heat_maps {
             for shard_samples in [Some(150), None] {
                 for energy_uj in [Some(10.17949), None] {
                     let sharded = shard_samples.is_some();
@@ -610,10 +562,10 @@ mod tests {
                             outputs: Vec::new(),
                             expected: Vec::new(),
                         },
-                        artifacts: artifacts.clone(),
+                        heat_map: heat_map.clone(),
                         energy_uj,
                     };
-                    lines.push(json_line(&cell, lines.len() + 1, 16));
+                    lines.push(json_line(&cell, lines.len() + 1, 8));
                 }
             }
         }
@@ -622,67 +574,35 @@ mod tests {
             [
                 concat!(
                     "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"dm_bank_heatmap\":[13550,0,548,1081],\"heatmap_rows\":2,\"completed\":1,\"total\":16}"
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"dm_bank_heatmap\":[13550,0,548,1081],\"heatmap_rows\":2,\"completed\":1,\"total\":8}"
                 ),
                 concat!(
                     "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"dm_bank_heatmap\":[13550,0,548,1081],\"heatmap_rows\":2,\"completed\":2,\"total\":16}"
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"dm_bank_heatmap\":[13550,0,548,1081],\"heatmap_rows\":2,\"completed\":2,\"total\":8}"
                 ),
                 concat!(
                     "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"dm_bank_heatmap\":[13550,0,548,1081],\"heatmap_rows\":2,\"completed\":3,\"total\":16}"
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"dm_bank_heatmap\":[13550,0,548,1081],\"heatmap_rows\":2,\"completed\":3,\"total\":8}"
                 ),
                 concat!(
                     "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"dm_bank_heatmap\":[13550,0,548,1081],\"heatmap_rows\":2,\"completed\":4,\"total\":16}"
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"dm_bank_heatmap\":[13550,0,548,1081],\"heatmap_rows\":2,\"completed\":4,\"total\":8}"
                 ),
                 concat!(
                     "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"pc_trace_rows\":5,\"completed\":5,\"total\":16}"
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"completed\":5,\"total\":8}"
                 ),
                 concat!(
                     "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"pc_trace_rows\":5,\"completed\":6,\"total\":16}"
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"completed\":6,\"total\":8}"
                 ),
                 concat!(
                     "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"pc_trace_rows\":5,\"completed\":7,\"total\":16}"
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"completed\":7,\"total\":8}"
                 ),
                 concat!(
                     "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"pc_trace_rows\":5,\"completed\":8,\"total\":16}"
-                ),
-                concat!(
-                    "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"vcd_shards\":3,\"completed\":9,\"total\":16}"
-                ),
-                concat!(
-                    "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"vcd_shards\":3,\"completed\":10,\"total\":16}"
-                ),
-                concat!(
-                    "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"vcd_shards\":3,\"completed\":11,\"total\":16}"
-                ),
-                concat!(
-                    "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"vcd_shards\":3,\"completed\":12,\"total\":16}"
-                ),
-                concat!(
-                    "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"completed\":13,\"total\":16}"
-                ),
-                concat!(
-                    "{\"schema\":3,\"benchmark\":\"MRPDLN\",\"design\":\"sync\",\"cores\":2,\"shard\":150,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"completed\":14,\"total\":16}"
-                ),
-                concat!(
-                    "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"energy_uj\":10.179,\"completed\":15,\"total\":16}"
-                ),
-                concat!(
-                    "{\"schema\":3,\"benchmark\":\"SQRT32\",\"design\":\"baseline\",\"cores\":2,",
-                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"completed\":16,\"total\":16}"
+                    "\"cycles\":402668,\"ops_per_cycle\":2.4834,\"lockstep_width\":1.7501,\"im_accesses\":123456,\"completed\":8,\"total\":8}"
                 ),
             ]
         );

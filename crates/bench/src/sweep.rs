@@ -25,10 +25,8 @@
 use std::sync::Arc;
 use ulp_kernels::{Benchmark, BenchmarkRun, RunnerError, WorkloadConfig};
 use ulp_power::{Activity, PowerModel};
-use ulp_service::{
-    JobError, JobOutput, JobSpec, ObserverSelection, ServiceConfig, ServiceStats, SimService,
-};
-use ulp_shard::{MergedArtifacts, ShardPlan, ShardRunConfig, ShardRunner, ShardedRun};
+use ulp_service::{JobOutput, JobSpec, ServiceConfig, ServiceStats, SimService};
+use ulp_shard::{MergedHeatMap, ShardPlan, ShardRunConfig, ShardRunner, ShardedRun};
 use ulp_telemetry::{EventKind, Telemetry, CLIENT_TRACK};
 
 /// The paper's Table I workload in MOps/s — what every cell's
@@ -56,13 +54,14 @@ pub struct SweepSpec {
     pub shard_samples: Vec<Option<usize>>,
     /// Workload shared by every cell.
     pub workload: WorkloadConfig,
-    /// Instrumentation attached to every cell's jobs. Sharded cells
-    /// attach it to every shard job and the merge re-indexes the
-    /// artifacts onto the recording's global axes; unsharded cells lift
-    /// their single job's artifacts into the same
-    /// [`MergedArtifacts`] representation — either way
-    /// [`SweepCell::artifacts`] carries the result.
-    pub observers: ObserverSelection,
+    /// Cycles per row of the per-bank DM heat map every cell's jobs
+    /// record ([`ulp_service::JobSpec::heat_map_window`]); `None` records
+    /// none. Sharded cells record it on every shard job and the merge
+    /// re-indexes the rows onto the recording's global cycle axis;
+    /// unsharded cells lift their single job's rows into the same
+    /// [`MergedHeatMap`] — either way [`SweepCell::heat_map`] carries the
+    /// result.
+    pub heat_map_window: Option<u64>,
     /// Worker threads; `0` = one per available hardware thread. The
     /// service's queued backlog is bounded at four jobs per worker, and
     /// the sweep submits through the *blocking* bounded path, so a huge
@@ -98,7 +97,7 @@ impl SweepSpec {
             core_counts: vec![2, 4, 8],
             shard_samples: vec![None],
             workload,
-            observers: ObserverSelection::None,
+            heat_map_window: None,
             threads: 0,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
@@ -157,11 +156,10 @@ pub struct SweepCell {
     pub shard_samples: Option<usize>,
     /// The run itself (statistics, outputs, golden expectations).
     pub run: BenchmarkRun,
-    /// Observer output of the cell, per the spec's
-    /// [`SweepSpec::observers`]: merged across shards for a sharded cell,
-    /// the single job's artifacts lifted to the same representation
-    /// otherwise.
-    pub artifacts: MergedArtifacts,
+    /// The cell's heat map, when [`SweepSpec::heat_map_window`] is set:
+    /// merged across shards for a sharded cell, the single job's rows
+    /// lifted to the same representation otherwise.
+    pub heat_map: Option<MergedHeatMap>,
     /// Energy to process the cell's recording at the paper's Table I
     /// workload ([`PAPER_WORKLOAD_MOPS`]), in microjoules; `None` when
     /// that workload exceeds the design's feasible range.
@@ -332,13 +330,11 @@ pub fn run_sweep_with(
     for (cell_idx, &(benchmark, with_sync, cores, shard)) in coords.iter().enumerate() {
         let (plan, jobs) = match shard {
             None => {
-                let job = JobSpec::new(benchmark, cores, workload.clone())
-                    .with_sync(with_sync)
-                    .observers(spec.observers.clone());
-                let job = match spec.checkpoint_every {
-                    Some(cycles) => job.checkpoint_every(cycles),
-                    None => job,
-                };
+                let mut job = JobSpec::new(benchmark, cores, workload.clone()).with_sync(with_sync);
+                job.heat_map_window = spec.heat_map_window;
+                if let Some(cycles) = spec.checkpoint_every {
+                    job = job.checkpoint_every(cycles);
+                }
                 (CellPlan::Single, vec![job])
             }
             Some(samples) => {
@@ -347,8 +343,8 @@ pub fn run_sweep_with(
                         panic!("invalid shard axis entry {samples} for {benchmark}: {e}")
                     });
                 let mut config =
-                    ShardRunConfig::new(benchmark, with_sync, cores, spec.workload.clone())
-                        .with_observers(spec.observers.clone());
+                    ShardRunConfig::new(benchmark, with_sync, cores, spec.workload.clone());
+                config.heat_map_window = spec.heat_map_window;
                 if let Some(cycles) = spec.checkpoint_every {
                     config = config.with_checkpoint_every(cycles);
                 }
@@ -413,7 +409,7 @@ pub fn run_sweep_with(
         match result.outcome {
             Ok(out) => state.outputs[slot] = Some(out),
             // Keep the first error per cell; remaining shards still run.
-            Err(JobError::Run(e)) => {
+            Err(e) => {
                 state.error.get_or_insert(e);
             }
         }
@@ -440,16 +436,17 @@ pub fn run_sweep_with(
                         PAPER_WORKLOAD_MOPS,
                         out.run.stats.useful_ops(),
                     );
-                    let artifacts = MergedArtifacts::from_single(
-                        out.artifacts,
-                        &spec.observers,
-                        out.run.stats.cycles,
-                    );
+                    // A job asked for a heat map returns one, so its
+                    // window is the spec's.
+                    let cycles = out.run.stats.cycles;
+                    let heat_map = out.heat_map.as_deref().zip(spec.heat_map_window);
+                    let heat_map = heat_map
+                        .map(|(rows, window)| MergedHeatMap::from_single(rows, window, cycles));
                     SweepCell {
                         cores: out.cores,
                         shard_samples: None,
                         run: out.run,
-                        artifacts,
+                        heat_map,
                         energy_uj,
                     }
                 }
@@ -465,7 +462,7 @@ pub fn run_sweep_with(
                             .map(|(&s, out)| ulp_shard::ShardOutput {
                                 shard: s,
                                 run: out.run,
-                                artifacts: out.artifacts,
+                                heat_map: out.heat_map,
                             })
                             .collect(),
                     };
@@ -485,7 +482,7 @@ pub fn run_sweep_with(
                         cores,
                         shard_samples: shard,
                         run: merged.run,
-                        artifacts: merged.artifacts,
+                        heat_map: merged.heat_map,
                         energy_uj,
                     }
                 }
@@ -560,7 +557,7 @@ mod tests {
             core_counts: vec![2, 4],
             shard_samples: vec![None],
             workload: WorkloadConfig::quick_test(),
-            observers: ObserverSelection::None,
+            heat_map_window: None,
             threads: 0,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
@@ -619,7 +616,7 @@ mod tests {
                 n: 600,
                 ..WorkloadConfig::quick_test()
             },
-            observers: ObserverSelection::None,
+            heat_map_window: None,
             // One worker bounds the queue at four jobs: the 14 shard jobs
             // must flow through a saturated bounded queue and still merge
             // bit-exactly.
@@ -665,7 +662,7 @@ mod tests {
             core_counts: vec![2],
             shard_samples: vec![None, Some(24)],
             workload: WorkloadConfig::quick_test(), // n = 48 fits unsharded
-            observers: ObserverSelection::None,
+            heat_map_window: None,
             threads: 2,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
@@ -685,16 +682,15 @@ mod tests {
         // Two shards were simulated: per-cell job accounting shows up in
         // the service stats (1 single + 2 shard jobs).
         assert_eq!(results.service.jobs_run, 3);
-        // No observers were selected: the artifact slots are explicit
-        // `None`s, not dropped fields.
-        assert!(matches!(single.artifacts, MergedArtifacts::None));
-        assert!(matches!(sharded.artifacts, MergedArtifacts::None));
+        // No heat map was asked for: neither cell carries one.
+        assert!(single.heat_map.is_none());
+        assert!(sharded.heat_map.is_none());
     }
 
-    /// The artifact-drop regression: with observers selected, *both* the
-    /// unsharded and the sharded cell of a mixed grid must carry their
-    /// heat map and energy through the sweep — the sharded one merged
-    /// onto the recording's global cycle axis.
+    /// The artifact-drop regression: with a heat map asked for, *both*
+    /// the unsharded and the sharded cell of a mixed grid must carry
+    /// their heat map and energy through the sweep — the sharded one
+    /// merged onto the recording's global cycle axis.
     #[test]
     fn observer_sweep_carries_artifacts_and_energy_on_every_cell() {
         let spec = SweepSpec {
@@ -703,7 +699,7 @@ mod tests {
             core_counts: vec![2],
             shard_samples: vec![None, Some(24)],
             workload: WorkloadConfig::quick_test(), // n = 48 fits unsharded
-            observers: ObserverSelection::BankHeatMap { window: 256 },
+            heat_map_window: Some(256),
             threads: 2,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
@@ -711,9 +707,9 @@ mod tests {
         };
         let mut streamed = 0;
         let results = run_sweep_with(&spec, |cell, _| {
-            // Artifacts are present already at streaming time, not only
-            // in the gathered aggregate.
-            assert!(cell.artifacts.bank_heat_map().is_some(), "streamed cell");
+            // The heat map is present already at streaming time, not
+            // only in the gathered aggregate.
+            assert!(cell.heat_map.is_some(), "streamed cell");
             streamed += 1;
         })
         .expect("observer sweep runs");
@@ -722,7 +718,7 @@ mod tests {
         let single = &results.cells[0];
         let sharded = &results.cells[1];
         for cell in [single, sharded] {
-            let map = cell.artifacts.bank_heat_map().expect("a heat map");
+            let map = cell.heat_map.as_ref().expect("a heat map");
             assert!(map.banks() > 0);
             assert!(map.totals().iter().sum::<u64>() > 0, "the kernel hits DM");
             // Rows tile the cell's cycle axis gaplessly.
@@ -736,7 +732,7 @@ mod tests {
             assert!(energy > 0.0);
         }
         // The sharded map spans both shards.
-        let map = sharded.artifacts.bank_heat_map().unwrap();
+        let map = sharded.heat_map.as_ref().unwrap();
         let shards: std::collections::HashSet<usize> = map.rows.iter().map(|r| r.shard).collect();
         assert_eq!(shards.len(), 2, "rows from both shards survive the merge");
     }

@@ -7,7 +7,7 @@
 //! [`crate::Platform::snapshot`] produces one, [`crate::Platform::restore`]
 //! / [`crate::Platform::restore_from`] re-apply it, and a resumed run is
 //! **bit-identical** to one that never paused — same `SimStats`, same
-//! artifacts, same energy.
+//! heat-map rows, same energy.
 //!
 //! The wire format ([`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`])
 //! is a hand-rolled little-endian encoding: a `ULPK` magic, a schema

@@ -169,10 +169,10 @@ mod tests {
         );
         assert_eq!(
             RestoreError::ObserverMismatch {
-                label: "pc-trace".into()
+                label: "bank-heat-map".into()
             }
             .to_string(),
-            "observer \"pc-trace\" rejected its checkpointed state"
+            "observer \"bank-heat-map\" rejected its checkpointed state"
         );
     }
 }

@@ -8,14 +8,17 @@
 //! so an observer only pays for what it overrides, and a platform with no
 //! observer attached runs a copy of the cycle with every hook compiled out.
 //!
-//! Observer output is first-class payload in the layers above the engine:
-//! service jobs select observers per job (`ulp_service::ObserverSelection`)
-//! and carry the output back as `ulp_service::JobArtifacts`; the
-//! workload-sharding merge re-indexes per-shard artifacts onto a
-//! recording's global cycle/sample axes (`ulp_shard::MergedArtifacts`),
-//! and sweep cells carry the merged result. An observer that buckets by
-//! cycle (like [`BankHeatMap`]'s windows) therefore flushes its trailing
-//! partial bucket at run end, so shard boundaries stay lossless.
+//! One observer is a job payload in the layers above the engine: a
+//! service job may record a [`BankHeatMap`] (`ulp_service::JobSpec::heat_map`)
+//! and carries its rows back; the workload-sharding merge re-indexes the
+//! per-shard rows onto a recording's global cycle axis
+//! (`ulp_shard::MergedHeatMap`), and sweep cells carry the merged result.
+//! Because heat-map jobs checkpoint and migrate, [`BankHeatMap`] is the
+//! observer that implements [`Observer::save_state`] /
+//! [`Observer::load_state`], and it flushes its trailing partial window at
+//! run end, so shard boundaries stay lossless. [`PcTrace`] and
+//! [`crate::VcdTracer`] are debugging aids for a single platform (`ulprun
+//! --trace` / `--trace-vcd`); they do not checkpoint.
 //!
 //! ```
 //! use ulp_platform::{Observer, PcTrace, Platform, PlatformConfig};
@@ -158,25 +161,6 @@ impl Observer for LockstepWidth {
         "lockstep-width"
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
-        let mut w = Writer::default();
-        w.u64(self.sum);
-        w.u64(self.cycles);
-        Some(w.buf)
-    }
-
-    fn load_state(&mut self, state: &[u8]) -> bool {
-        let mut r = Reader::new(state);
-        let (Some(sum), Some(cycles)) = (r.u64(), r.u64()) else {
-            return false;
-        };
-        if !r.done() {
-            return false;
-        }
-        self.restore(sum, cycles);
-        true
-    }
-
     #[inline]
     fn on_fetch(&mut self, _cycle: u64, groups: &[FetchGroup]) {
         if let Some(width) = groups.iter().map(|g| g.members.count_ones()).max() {
@@ -216,69 +200,9 @@ impl PcTrace {
     }
 }
 
-fn write_pc_row(w: &mut Writer, row: &[Option<u16>]) {
-    w.len(row.len());
-    for entry in row {
-        match entry {
-            None => w.u8(0),
-            Some(pc) => {
-                w.u8(1);
-                w.u16(*pc);
-            }
-        }
-    }
-}
-
-fn read_pc_row(r: &mut Reader) -> Option<Vec<Option<u16>>> {
-    let n = r.u32()? as usize;
-    let mut row = Vec::with_capacity(n.min(16));
-    for _ in 0..n {
-        row.push(match r.u8()? {
-            0 => None,
-            1 => Some(r.u16()?),
-            _ => return None,
-        });
-    }
-    Some(row)
-}
-
 impl Observer for PcTrace {
     fn label(&self) -> &str {
         "pc-trace"
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        let mut w = Writer::default();
-        w.u64(self.limit as u64);
-        w.len(self.rows.len());
-        for row in &self.rows {
-            write_pc_row(&mut w, row);
-        }
-        write_pc_row(&mut w, &self.current);
-        Some(w.buf)
-    }
-
-    fn load_state(&mut self, state: &[u8]) -> bool {
-        let mut r = Reader::new(state);
-        let Some(limit) = r.u64() else { return false };
-        let Some(nrows) = r.u32() else { return false };
-        let mut rows = Vec::with_capacity((nrows as usize).min(1 << 10));
-        for _ in 0..nrows {
-            let Some(row) = read_pc_row(&mut r) else {
-                return false;
-            };
-            rows.push(row);
-        }
-        let Some(current) = read_pc_row(&mut r) else {
-            return false;
-        };
-        if !r.done() {
-            return false;
-        }
-        self.limit = limit as usize;
-        self.rows = rows;
-        self.current = current;
-        true
     }
 
     fn on_core_phase(&mut self, _cycle: u64, core: usize, pc: u16, phase: CoreState) {
@@ -560,29 +484,9 @@ mod tests {
 
     #[test]
     fn observer_state_round_trips_and_rejects_bad_geometry() {
-        // LockstepWidth.
-        let mut w = LockstepWidth::new();
-        w.note_width(8);
-        w.note_width(4);
-        let state = w.save_state().unwrap();
-        let mut w2 = LockstepWidth::new();
-        assert!(w2.load_state(&state));
-        assert_eq!((w2.sum(), w2.cycles()), (12, 2));
-        assert!(!w2.load_state(&state[..3]), "truncated state rejected");
-
-        // PcTrace, including the in-flight row.
-        let mut t = PcTrace::new(4);
-        t.on_core_phase(1, 0, 7, CoreState::Fetch);
-        t.on_core_phase(1, 1, 0, CoreState::Halted);
-        t.on_cycle_end(1, &[]);
-        t.on_core_phase(2, 0, 8, CoreState::Fetch);
-        let state = t.save_state().unwrap();
-        let mut t2 = PcTrace::new(0);
-        assert!(t2.load_state(&state));
-        assert_eq!(t2.rows(), t.rows());
-        t2.on_core_phase(2, 1, 0, CoreState::Halted);
-        t2.on_cycle_end(2, &[]);
-        assert_eq!(t2.rows()[1], vec![Some(8), None]);
+        // Only the heat map checkpoints; the debugging observers do not.
+        assert!(LockstepWidth::new().save_state().is_none());
+        assert!(PcTrace::new(4).save_state().is_none());
 
         // BankHeatMap: round trip, then a geometry mismatch.
         let mut map = BankHeatMap::new(4, 16, BankMapping::Blocked, 2);

@@ -8,9 +8,8 @@
 //!
 //! [`VcdTracer`] implements [`Observer`], so the usual way to record a
 //! run is to [attach](Platform::attach) it, run, and take it back with
-//! [`Platform::detach`]. Its state rides along in every
-//! [`Platform::snapshot`], so a traced run can be checkpointed and
-//! resumed without a seam in the dump:
+//! [`Platform::detach`] (`ulprun --trace-vcd` does exactly this). It is a
+//! debugging aid and keeps no state in [`Platform::snapshot`]s:
 //!
 //! ```no_run
 //! use std::any::Any;
@@ -28,7 +27,6 @@
 //! Manual driving via [`VcdTracer::sample`] after each
 //! [`Platform::step`] remains supported.
 
-use crate::checkpoint::{Reader, Writer};
 use crate::observer::Observer;
 use crate::sim::Platform;
 use std::fmt::Write as _;
@@ -151,62 +149,6 @@ impl Observer for VcdTracer {
         "vcd"
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
-        let mut w = Writer::default();
-        w.len(self.cores);
-        w.u64(self.samples);
-        // A core's PC and phase are first dumped together, so each
-        // `last` entry is either unset or carries both.
-        for &(pc, phase) in &self.last {
-            match pc.zip(phase) {
-                None => w.u8(0),
-                Some((pc, phase)) => {
-                    w.u8(1);
-                    w.u16(pc);
-                    w.u8(phase);
-                }
-            }
-        }
-        w.len(self.body.len());
-        w.bytes(self.body.as_bytes());
-        Some(w.buf)
-    }
-
-    fn load_state(&mut self, state: &[u8]) -> bool {
-        let mut r = Reader::new(state);
-        // The core count is construction state: a dump only continues
-        // into a tracer built for the same platform shape.
-        let (Some(cores), Some(samples)) = (r.u32(), r.u64()) else {
-            return false;
-        };
-        if cores as usize != self.cores {
-            return false;
-        }
-        let mut last = Vec::with_capacity(self.cores);
-        for _ in 0..self.cores {
-            let entry = match r.u8() {
-                Some(0) => (None, None),
-                Some(1) => match (r.u16(), r.u8()) {
-                    (Some(pc), Some(phase)) => (Some(pc), Some(phase)),
-                    _ => return false,
-                },
-                _ => return false,
-            };
-            last.push(entry);
-        }
-        let Some(len) = r.u32() else { return false };
-        let Some(Ok(body)) = r.take(len as usize).map(std::str::from_utf8) else {
-            return false;
-        };
-        if !r.done() {
-            return false;
-        }
-        self.samples = samples;
-        self.last = last;
-        self.body = body.to_string();
-        true
-    }
-
     fn on_cycle_end(&mut self, cycle: u64, cores: &[Core]) {
         self.sample_slice(cycle, cores);
     }
@@ -295,79 +237,6 @@ mod tests {
         assert!(
             changes < cycles * 16,
             "worse than full sampling: {changes} changes over {cycles} stamps"
-        );
-    }
-
-    /// A tracer attached to a fresh platform running `src`.
-    fn attached(src: &str, cores: usize) -> (Platform, crate::ObserverHandle) {
-        let cfg = PlatformConfig::paper_with_sync()
-            .with_cores(cores)
-            .with_max_cycles(100_000);
-        let mut p = Platform::new(cfg).unwrap();
-        p.load_program(&assemble(src).unwrap());
-        let handle = p.attach(Box::new(VcdTracer::new(&p)));
-        (p, handle)
-    }
-
-    fn detach_vcd(p: &mut Platform, handle: crate::ObserverHandle) -> String {
-        let observer: Box<dyn std::any::Any> = p.detach(handle).unwrap();
-        observer.downcast::<VcdTracer>().unwrap().finish()
-    }
-
-    #[test]
-    fn checkpointed_trace_resumes_without_a_seam() {
-        let src = "   rdid r1
-                      inc  r1
-                   l: addi r1, #-1
-                      bne l
-                      halt";
-        let (mut whole, handle) = attached(src, 4);
-        whole.run().unwrap();
-        let uninterrupted = detach_vcd(&mut whole, handle);
-
-        // Snapshot mid-run, then finish on a fresh platform carrying a
-        // fresh tracer.
-        let (mut first, _) = attached(src, 4);
-        assert!(!first.run_until(7).unwrap().is_done());
-        let ckpt = first.snapshot();
-        let (mut second, handle) = attached("halt", 4);
-        second.restore_from(&ckpt).unwrap();
-        second.run().unwrap();
-        assert_eq!(detach_vcd(&mut second, handle), uninterrupted);
-
-        // Corrupt or truncated state and a core-count mismatch are
-        // rejected, never half-loaded.
-        let state = &ckpt.observers.iter().find(|(l, _)| l == "vcd").unwrap().1;
-        let mut fresh = VcdTracer::new(&second);
-        for cut in 0..state.len() {
-            assert!(!fresh.load_state(&state[..cut]), "truncated at {cut}");
-        }
-        let mut bad_flag = state.clone();
-        bad_flag[12] = 7; // first core's entry tag
-        assert!(!fresh.load_state(&bad_flag));
-        let mut bad_text = state.clone();
-        *bad_text.last_mut().unwrap() = 0xff; // not UTF-8
-        assert!(!fresh.load_state(&bad_text));
-        let mut trailing = state.clone();
-        trailing.push(0);
-        assert!(!fresh.load_state(&trailing));
-        let (narrow, _) = attached("halt", 2);
-        assert!(!VcdTracer::new(&narrow).load_state(state));
-        assert!(fresh.load_state(state));
-
-        // Through restore, a rejected state is a typed error.
-        let mut damaged = ckpt.clone();
-        for (label, bytes) in &mut damaged.observers {
-            if label == "vcd" {
-                bytes.truncate(bytes.len() - 1);
-            }
-        }
-        let (mut third, _) = attached("halt", 4);
-        assert_eq!(
-            third.restore_from(&damaged),
-            Err(crate::RestoreError::ObserverMismatch {
-                label: "vcd".to_string()
-            })
         );
     }
 

@@ -1,6 +1,5 @@
 //! The service's job model: what a client submits and what it gets back.
 
-use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 use ulp_kernels::{Benchmark, BenchmarkRun, RunnerError, WorkloadConfig};
@@ -12,9 +11,9 @@ use ulp_kernels::{Benchmark, BenchmarkRun, RunnerError, WorkloadConfig};
 pub type JobId = u64;
 
 /// One unit of work for the service: a benchmark kernel, the platform
-/// design and core count to run it on, the workload, and which observers
-/// (if any) to attach to the run. Built with [`JobSpec::new`] plus
-/// chained setters:
+/// design and core count to run it on, the workload, and whether to
+/// record a per-bank DM heat map of the run. Built with [`JobSpec::new`]
+/// plus chained setters:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -39,8 +38,12 @@ pub struct JobSpec {
     /// The workload; shared so a grid of jobs clones a pointer, not the
     /// config.
     pub workload: Arc<WorkloadConfig>,
-    /// Instrumentation attached to the run.
-    pub observers: ObserverSelection,
+    /// Cycles per row of a per-bank data-memory heat map recorded over
+    /// the run ([`ulp_platform::BankHeatMap`]), returned as
+    /// [`JobOutput::heat_map`]. `None` (the default) records none, and
+    /// the run takes the engine's unobserved fast path. A window of `0`
+    /// is rejected at submission ([`crate::SubmitError::Invalid`]).
+    pub heat_map_window: Option<u64>,
     /// Placement hint: push the job onto this worker's deque (modulo the
     /// pool size) instead of the round-robin default. The job may still be
     /// *stolen* and executed by another worker — affinity shapes the
@@ -52,22 +55,21 @@ pub struct JobSpec {
     /// *migratable*: a killed or panicking worker's in-flight run is
     /// re-queued from its last checkpoint and finished — bit-identically
     /// — by another worker. `None` (the default) runs the job in one
-    /// uninterruptible stint. Every
-    /// [`ObserverSelection`] rides along in the checkpoints, so the
-    /// migrated job's artifacts are bit-identical too.
+    /// uninterruptible stint. The heat map rides along in the
+    /// checkpoints, so a migrated job's heat map is bit-identical too.
     pub checkpoint_every: Option<u64>,
 }
 
 impl JobSpec {
-    /// A job on the improved (hardware-synchronizer) design with no
-    /// observers and round-robin placement.
+    /// A job on the improved (hardware-synchronizer) design with no heat
+    /// map and round-robin placement.
     pub fn new(benchmark: Benchmark, cores: usize, workload: Arc<WorkloadConfig>) -> JobSpec {
         JobSpec {
             benchmark,
             with_sync: true,
             cores,
             workload,
-            observers: ObserverSelection::None,
+            heat_map_window: None,
             affinity: None,
             checkpoint_every: None,
         }
@@ -81,10 +83,11 @@ impl JobSpec {
         self
     }
 
-    /// Attaches an observer selection.
+    /// Records a per-bank DM heat map in `window`-cycle rows (see
+    /// [`JobSpec::heat_map_window`]).
     #[must_use]
-    pub fn observers(mut self, observers: ObserverSelection) -> JobSpec {
-        self.observers = observers;
+    pub fn heat_map(mut self, window: u64) -> JobSpec {
+        self.heat_map_window = Some(window);
         self
     }
 
@@ -111,99 +114,6 @@ impl JobSpec {
     }
 }
 
-/// Which observers a job wants attached to its run. Everything here rides
-/// on the engine's [`ulp_platform::Observer`] hook layer, so adding a
-/// variant never touches the cycle loop.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum ObserverSelection {
-    /// Statistics only (the default — the allocation-free fast path).
-    #[default]
-    None,
-    /// Record per-core fetch PCs for the first `limit` cycles.
-    PcTrace {
-        /// Maximum traced cycles.
-        limit: usize,
-    },
-    /// Produce a VCD change dump of the whole run.
-    Vcd,
-    /// Record a per-bank data-memory heat map: served core accesses per
-    /// DM bank, bucketed into `window`-cycle rows
-    /// ([`ulp_platform::BankHeatMap`]).
-    BankHeatMap {
-        /// Cycles per heat-map row.
-        window: u64,
-    },
-}
-
-impl ObserverSelection {
-    /// The [`JobArtifacts::kind`] string a run under this selection
-    /// produces — what a consumer (e.g. the shard merge) should expect on
-    /// every result of a job batch sharing one selection.
-    pub fn artifact_kind(&self) -> &'static str {
-        match self {
-            ObserverSelection::None => "none",
-            ObserverSelection::PcTrace { .. } => "pc-trace",
-            ObserverSelection::Vcd => "vcd",
-            ObserverSelection::BankHeatMap { .. } => "bank-heat-map",
-        }
-    }
-}
-
-/// Observer output carried back in a [`JobOutput`], mirroring the job's
-/// [`ObserverSelection`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub enum JobArtifacts {
-    /// No observers were attached.
-    #[default]
-    None,
-    /// Rows of per-core fetch PCs, one row per traced cycle.
-    PcTrace(Vec<Vec<Option<u16>>>),
-    /// The VCD text of the run.
-    Vcd(String),
-    /// Heat-map rows: one per cycle window, one served-access count per
-    /// DM bank.
-    BankHeatMap(Vec<Vec<u64>>),
-}
-
-impl JobArtifacts {
-    /// Stable name of the variant, matching
-    /// [`ObserverSelection::artifact_kind`] for the selection that
-    /// produced it. Used by consumers (the shard merge, JSON emitters) to
-    /// validate and label artifacts without matching on the enum.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            JobArtifacts::None => "none",
-            JobArtifacts::PcTrace(_) => "pc-trace",
-            JobArtifacts::Vcd(_) => "vcd",
-            JobArtifacts::BankHeatMap(_) => "bank-heat-map",
-        }
-    }
-
-    /// The PC-trace rows, if this is a [`JobArtifacts::PcTrace`].
-    pub fn pc_trace(&self) -> Option<&[Vec<Option<u16>>]> {
-        match self {
-            JobArtifacts::PcTrace(rows) => Some(rows),
-            _ => None,
-        }
-    }
-
-    /// The VCD text, if this is a [`JobArtifacts::Vcd`].
-    pub fn vcd(&self) -> Option<&str> {
-        match self {
-            JobArtifacts::Vcd(text) => Some(text),
-            _ => None,
-        }
-    }
-
-    /// The heat-map rows, if this is a [`JobArtifacts::BankHeatMap`].
-    pub fn bank_heat_map(&self) -> Option<&[Vec<u64>]> {
-        match self {
-            JobArtifacts::BankHeatMap(rows) => Some(rows),
-            _ => None,
-        }
-    }
-}
-
 /// What a successful job produced.
 #[derive(Debug, PartialEq)]
 pub struct JobOutput {
@@ -212,37 +122,10 @@ pub struct JobOutput {
     pub cores: usize,
     /// The benchmark run: statistics, outputs, golden expectations.
     pub run: BenchmarkRun,
-    /// Observer output, per the job's selection.
-    pub artifacts: JobArtifacts,
-}
-
-/// Why a job produced no [`JobOutput`].
-#[derive(Debug)]
-pub enum JobError {
-    /// The job executed and the kernel runner hit an error.
-    Run(RunnerError),
-}
-
-impl fmt::Display for JobError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobError::Run(err) => err.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for JobError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            JobError::Run(err) => Some(err),
-        }
-    }
-}
-
-impl From<RunnerError> for JobError {
-    fn from(err: RunnerError) -> JobError {
-        JobError::Run(err)
-    }
+    /// Heat-map rows, when the spec set [`JobSpec::heat_map_window`]:
+    /// one row per window (the last flushed at run end, possibly
+    /// shorter), one served-access count per DM bank.
+    pub heat_map: Option<Vec<Vec<u64>>>,
 }
 
 /// One completed job, streamed back to the client as soon as the worker
@@ -275,8 +158,8 @@ pub struct JobResult {
     /// Wall time the executing worker spent running the job (for
     /// migrated jobs, the final stint).
     pub run_time: Duration,
-    /// The run, or the first error it hit.
-    pub outcome: Result<JobOutput, JobError>,
+    /// The run, or the error the kernel runner hit.
+    pub outcome: Result<JobOutput, RunnerError>,
 }
 
 impl JobResult {

@@ -2,7 +2,8 @@
 //!
 //! A long-lived front-end over the cycle engine: clients submit
 //! [`JobSpec`]s (benchmark + platform design + core count + workload +
-//! observer selection) to a [`SimService`] and receive [`JobResult`]s as a
+//! an optional heat-map window) to a [`SimService`] and receive
+//! [`JobResult`]s as a
 //! stream, in completion order. The pool is built for *grids* — the
 //! (benchmark × design × cores) sweeps that every experiment in this
 //! repository runs:
@@ -24,15 +25,15 @@
 //!   ([`SimService::inject_worker_failure`], or a panic recovered by the
 //!   pool) the worker *parks* the run at a checkpoint and the
 //!   partially-run job re-queues from there for any worker to resume.
-//!   Migrated results are bit-identical to uninterrupted ones, observer
-//!   state included, and latency attribution follows the job
+//!   Migrated results are bit-identical to uninterrupted ones, heat map
+//!   included, and latency attribution follows the job
 //!   ([`JobResult::migrations`], [`ServiceStats::jobs_migrated`]).
 //! * **Platform caching.** Each worker keeps one [`ulp_platform::Platform`]
 //!   per `(design, cores)` key, reset and reused between jobs
 //!   ([`ulp_kernels::run_benchmark_reusing`]) so memories and cycle
 //!   buffers are allocated once per worker, not once per job. Every job
-//!   takes that one run path, with its observer attached to the platform;
-//!   "no cadence" means a checkpoint interval of `u64::MAX`.
+//!   takes that one run path, with its heat map (if any) attached to the
+//!   platform; "no cadence" means a checkpoint interval of `u64::MAX`.
 //! * **Streaming.** Results flow back over a channel the moment a worker
 //!   finishes; long sweeps report incrementally instead of joining at the
 //!   end.
@@ -44,21 +45,24 @@
 //!   `service_latency` bench reports the percentiles of a saturated
 //!   pool).
 //!
-//! Observer output rides back on every result as [`JobArtifacts`],
-//! mirroring the spec's [`ObserverSelection`]; artifacts are first-class
-//! payload, not a side channel — the workload-sharding layer merges the
-//! per-shard artifacts of a recording onto global cycle/sample axes
-//! (`ulp_shard::MergedRun::artifacts`) and the sweep carries them per
-//! cell, so instrumentation survives every aggregation boundary.
+//! A job carries one optional artifact: the per-bank DM heat map
+//! ([`ulp_platform::BankHeatMap`]), the paper's per-bank access
+//! accounting. [`JobSpec::heat_map`] asks for it, and the rows come back
+//! as [`JobOutput::heat_map`]. The workload-sharding layer merges the
+//! per-shard rows of a recording onto its global cycle axis
+//! (`ulp_shard::MergedRun::heat_map`) and the sweep carries them per
+//! cell. PC traces and VCD dumps are debugging aids: attach
+//! [`ulp_platform::PcTrace`] or [`ulp_platform::VcdTracer`] to a platform
+//! directly, as `ulprun --trace` / `--trace-vcd` do.
 //!
 //! `ulp_bench::run_sweep` is a thin client of this service; use the
-//! service directly when jobs arrive over time, need observers attached,
-//! or don't form a rectangular grid.
+//! service directly when jobs arrive over time or don't form a
+//! rectangular grid.
 
 mod job;
 mod service;
 
-pub use job::{JobArtifacts, JobError, JobId, JobOutput, JobResult, JobSpec, ObserverSelection};
+pub use job::{JobId, JobOutput, JobResult, JobSpec};
 pub use service::{
     LatencyStats, PoolDied, ServiceConfig, ServiceConfigBuilder, ServiceStats, SimService,
     SubmitError, LATENCY_WINDOW,
@@ -131,42 +135,51 @@ mod tests {
     }
 
     #[test]
-    fn pc_trace_observer_selection_returns_rows() {
+    fn bank_heat_map_observer_selection_returns_rows() {
         let mut service = pool(1);
-        let spec = JobSpec::new(Benchmark::Sqrt32, 2, quick())
-            .observers(ObserverSelection::PcTrace { limit: 32 });
+        let spec = JobSpec::new(Benchmark::Sqrt32, 2, quick()).heat_map(64);
         service.submit(spec).expect("unbounded queue admits");
         let result = service.recv().expect("job completes");
-        let out = result.outcome.expect("job runs");
-        match out.artifacts {
-            JobArtifacts::PcTrace(rows) => {
-                assert_eq!(rows.len(), 32);
-                assert!(rows.iter().all(|row| row.len() == 2));
-            }
-            other => panic!("expected a PC trace, got {other:?}"),
-        }
+        let rows = result
+            .outcome
+            .expect("job runs")
+            .heat_map
+            .expect("a heat map");
+        assert!(!rows.is_empty(), "the run spans at least one window");
+        // The paper platform has 16 DM banks.
+        assert!(rows.iter().all(|row| row.len() == 16));
+        let total: u64 = rows.iter().flatten().sum();
+        assert!(total > 0, "the kernel reads and writes data memory");
         service.finish();
     }
 
+    /// Regression: a zero heat-map window used to pass `submit` and then
+    /// panic its worker in `BankHeatMap::new`, killing the pool for every
+    /// later submission. It is now an invalid spec, and the pool lives on.
     #[test]
-    fn bank_heat_map_observer_selection_returns_rows() {
+    fn zero_heat_map_window_is_rejected_at_submit() {
         let mut service = pool(1);
-        let spec = JobSpec::new(Benchmark::Sqrt32, 2, quick())
-            .observers(ObserverSelection::BankHeatMap { window: 64 });
-        service.submit(spec).expect("unbounded queue admits");
-        let result = service.recv().expect("job completes");
-        let out = result.outcome.expect("job runs");
-        match out.artifacts {
-            JobArtifacts::BankHeatMap(rows) => {
-                assert!(!rows.is_empty(), "the run spans at least one window");
-                // The paper platform has 16 DM banks.
-                assert!(rows.iter().all(|row| row.len() == 16));
-                let total: u64 = rows.iter().flatten().sum();
-                assert!(total > 0, "the kernel reads and writes data memory");
+        for block in [false, true] {
+            let spec = JobSpec::new(Benchmark::Sqrt32, 2, quick()).heat_map(0);
+            let submitted = if block {
+                service.submit_blocking(spec)
+            } else {
+                service.submit(spec)
+            };
+            match submitted {
+                Err(SubmitError::Invalid { reason, spec }) => {
+                    assert!(reason.contains("heat-map window"), "{reason}");
+                    assert_eq!(spec.heat_map_window, Some(0), "the spec comes back");
+                }
+                other => panic!("expected an invalid-spec rejection, got {other:?}"),
             }
-            other => panic!("expected a heat map, got {other:?}"),
         }
-        service.finish();
+        service
+            .submit(JobSpec::new(Benchmark::Sqrt32, 2, quick()).heat_map(64))
+            .expect("the pool still admits");
+        let result = service.checked_recv().expect("the pool is alive");
+        assert!(result.expect("one result").outcome.is_ok());
+        assert_eq!(service.finish().jobs_run, 1);
     }
 
     /// Regression: a pin beyond the pool size must land on a real deque

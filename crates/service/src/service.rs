@@ -2,7 +2,7 @@
 //! platform caches, one bounded FIFO deque per worker with work stealing,
 //! and streamed results.
 
-use crate::job::{JobArtifacts, JobError, JobId, JobOutput, JobResult, JobSpec, ObserverSelection};
+use crate::job::{JobId, JobOutput, JobResult, JobSpec};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
@@ -12,9 +12,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use ulp_kernels::{run_benchmark_reusing, CheckpointControl, RunnerError};
-use ulp_platform::{
-    BankHeatMap, Checkpoint, Observer, PcTrace, Platform, PlatformConfig, VcdTracer,
-};
+use ulp_platform::{BankHeatMap, Checkpoint, Platform, PlatformConfig};
 use ulp_telemetry::{
     json, worker_track, Counter, EventKind, Histogram, Registry, Telemetry, Track, CLIENT_TRACK,
     NO_JOB,
@@ -306,8 +304,9 @@ pub enum SubmitError {
         capacity: usize,
     },
     /// The spec can never run: its workload size is outside the kernel
-    /// layout's capacity. Returned by both submission paths before any
-    /// admission bookkeeping, so the pool is untouched.
+    /// layout's capacity, or its heat-map window is zero. Returned by both
+    /// submission paths before any admission bookkeeping, so the pool is
+    /// untouched.
     Invalid {
         /// The rejected job, returned so the caller can fix and resubmit.
         spec: JobSpec,
@@ -555,9 +554,9 @@ impl Shared {
 /// worker keeps one [`Platform`] per `(design, cores)` key and reuses it via
 /// [`ulp_kernels::run_benchmark_reusing`], so the dominant allocations
 /// happen once per worker, not once per job. Every job runs through that
-/// one path with its observer [attached](Platform::attach); a job
-/// without a [`JobSpec::checkpoint_every`] cadence simply never
-/// checkpoints. Completed
+/// one path, with a heat map [attached](Platform::attach) when its spec
+/// asks for one; a job without a [`JobSpec::checkpoint_every`] cadence
+/// simply never checkpoints. Completed
 /// [`JobResult`]s stream back through [`SimService::recv`] as workers
 /// finish them — a client never waits for the whole batch — and carry
 /// per-job queue-wait and run latency; [`ServiceStats`] pools them into
@@ -749,8 +748,9 @@ impl SimService {
     /// [`SubmitError::AtCapacity`] with the spec inside;
     /// [`SubmitError::Invalid`], also with the spec
     /// inside, for a workload size outside the kernel layout's capacity
-    /// (the kernels would panic the worker on it, so that class of
-    /// invalid submission fails in the submitting thread, not the pool);
+    /// or a zero heat-map window (either would panic the worker, so that
+    /// class of invalid submission fails in the submitting thread, not
+    /// the pool);
     /// [`SubmitError::PoolDead`] when a worker panicked.
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, SubmitError> {
         self.submit_inner(spec, false)
@@ -779,6 +779,12 @@ impl SimService {
                     "workload n = {n} outside the supported range 4..={}",
                     ulp_kernels::layout::MAX_N
                 ),
+                spec,
+            });
+        }
+        if spec.heat_map_window == Some(0) {
+            return Err(SubmitError::Invalid {
+                reason: "heat-map window must be positive".into(),
                 spec,
             });
         }
@@ -1112,7 +1118,7 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
             cache_hit,
             queue_wait,
             run_time,
-            outcome: outcome.map_err(JobError::from),
+            outcome,
         })));
     }
 }
@@ -1200,7 +1206,7 @@ fn recycle(spares: &mut Vec<Checkpoint>, ckpt: Option<Arc<Checkpoint>>) {
 }
 
 /// Runs one job on the worker's cached platform — the only job run path.
-/// The selected observer is [attached](Platform::attach), so every
+/// A requested heat map is [attached](Platform::attach), so every
 /// checkpoint captures its state, and detached again on every exit, so
 /// the cached platform never leaks it into the worker's next job. A
 /// resumed job ([`QueuedJob::resume`]) restores the platform from its
@@ -1238,15 +1244,9 @@ fn run_job(
             return (false, Err(err));
         }
     };
-    let observer: Option<Box<dyn Observer>> = match &spec.observers {
-        ObserverSelection::None => None,
-        ObserverSelection::PcTrace { limit } => Some(Box::new(PcTrace::new(*limit))),
-        ObserverSelection::Vcd => Some(Box::new(VcdTracer::new(platform))),
-        ObserverSelection::BankHeatMap { window } => {
-            Some(Box::new(BankHeatMap::for_dm(platform.config(), *window)))
-        }
-    };
-    let handle = observer.map(|observer| platform.attach(observer));
+    let handle = spec
+        .heat_map_window
+        .map(|window| platform.attach(Box::new(BankHeatMap::for_dm(platform.config(), window))));
     if job.resume.is_some() {
         track.record(EventKind::Restored, job.id);
     }
@@ -1296,32 +1296,22 @@ fn run_job(
         spec.checkpoint_every.unwrap_or(u64::MAX).max(1),
         on_checkpoint,
     );
-    let observer = handle.and_then(|handle| platform.detach(handle));
+    let heat_map = handle
+        .and_then(|handle| platform.detach(handle))
+        .and_then(|observer| {
+            (observer as Box<dyn std::any::Any>)
+                .downcast::<BankHeatMap>()
+                .ok()
+        })
+        .map(|map| map.into_rows());
     let outcome = run.map(|done| {
         done.map(|run| JobOutput {
             cores: spec.cores,
             run,
-            artifacts: observer.map_or(JobArtifacts::None, into_artifacts),
+            heat_map,
         })
     });
     (cache_hit, outcome)
-}
-
-/// The artifact a detached job observer recorded, taken by value.
-fn into_artifacts(observer: Box<dyn Observer>) -> JobArtifacts {
-    let observer: Box<dyn std::any::Any> = observer;
-    let observer = match observer.downcast::<PcTrace>() {
-        Ok(trace) => return JobArtifacts::PcTrace(trace.into_rows()),
-        Err(other) => other,
-    };
-    let observer = match observer.downcast::<VcdTracer>() {
-        Ok(vcd) => return JobArtifacts::Vcd(vcd.finish()),
-        Err(other) => other,
-    };
-    match observer.downcast::<BankHeatMap>() {
-        Ok(map) => JobArtifacts::BankHeatMap(map.into_rows()),
-        Err(_) => unreachable!("job observers are PC traces, VCD tracers or heat maps"),
-    }
 }
 
 #[cfg(test)]
@@ -1445,10 +1435,10 @@ mod tests {
         assert_eq!(spares.len(), 2);
     }
 
-    /// The one run path, called directly on one worker cache: for every
-    /// observer selection a checkpointed run equals a plain one (stats,
-    /// outputs and artifacts), a parked run resumed from its registry
-    /// checkpoint equals it too, and no observer stays attached to the
+    /// The one run path, called directly on one worker cache: with and
+    /// without a heat map a checkpointed run equals a plain one (stats,
+    /// outputs and heat map), a parked run resumed from its registry
+    /// checkpoint equals it too, and no heat map stays attached to the
     /// cached platform after success, park or error.
     #[test]
     fn run_job_is_cadence_blind_and_always_detaches() {
@@ -1472,14 +1462,14 @@ mod tests {
             resume: None,
             migrations: 0,
         };
-        for observers in [
-            ObserverSelection::None,
-            ObserverSelection::PcTrace { limit: 64 },
-            ObserverSelection::Vcd,
-            ObserverSelection::BankHeatMap { window: 512 },
-        ] {
-            let kind = observers.artifact_kind();
-            let spec = JobSpec::new(Benchmark::Mrpfltr, 2, workload.clone()).observers(observers);
+        for window in [None, Some(512)] {
+            let kind = if window.is_some() {
+                "heat map"
+            } else {
+                "plain"
+            };
+            let mut spec = JobSpec::new(Benchmark::Mrpfltr, 2, workload.clone());
+            spec.heat_map_window = window;
             // The job's outcome, and how many observers it left attached.
             let mut run = |job: &QueuedJob| {
                 let outcome = run_job(0, job, &mut cache, &mut spares, shared, &track).1;
@@ -1490,7 +1480,7 @@ mod tests {
             let plain = plain
                 .expect("plain job runs")
                 .expect("a plain job never parks");
-            assert_eq!(plain.artifacts.kind(), kind);
+            assert_eq!(plain.heat_map.is_some(), window.is_some(), "{kind}");
             assert_eq!(left, 0, "{kind}: leaked after success");
             let (sliced, left) = run(&queued(spec.clone().checkpoint_every(500)));
             let sliced = sliced
@@ -1517,9 +1507,9 @@ mod tests {
             assert!(plain == resumed, "{kind}: resumed run differs");
 
             // A cycle budget far below the run's length times out.
-            let (failed, left) = run(&queued(
-                JobSpec::new(Benchmark::Mrpfltr, 2, short.clone()).observers(spec.observers),
-            ));
+            let mut failing = JobSpec::new(Benchmark::Mrpfltr, 2, short.clone());
+            failing.heat_map_window = window;
+            let (failed, left) = run(&queued(failing));
             assert!(
                 matches!(
                     failed,

@@ -1,7 +1,7 @@
 //! Mid-run migration of checkpointable jobs: a worker lost mid-shard
 //! hands its in-flight run to the survivors through the job's latest
-//! checkpoint — the final result (statistics, outputs, observer
-//! artifacts) is bit-identical to an undisturbed run, and latency
+//! checkpoint — the final result (statistics, outputs, heat map) is
+//! bit-identical to an undisturbed run, and latency
 //! attribution follows the *job*, not the workers it visited.
 
 mod common;
@@ -9,7 +9,7 @@ mod common;
 use std::sync::Arc;
 use ulp_kernels::{run_benchmark, Benchmark, WorkloadConfig};
 use ulp_platform::Checkpoint;
-use ulp_service::{JobArtifacts, JobSpec, ObserverSelection, ServiceConfig, SimService};
+use ulp_service::{JobSpec, ServiceConfig, SimService};
 use ulp_telemetry::Telemetry;
 
 /// A run long enough (full 256-sample MRPFLTR on 8 cores — many
@@ -21,37 +21,34 @@ fn long_workload() -> Arc<WorkloadConfig> {
     Arc::new(w)
 }
 
-/// The selected observer's artifact for an MRPFLTR job on `workload`,
+/// The heat map of an MRPFLTR job on `workload` in `window`-cycle rows,
 /// run without a checkpoint cadence on a fresh pool: what a migrated run
-/// must reproduce byte for byte.
-fn unmigrated_artifacts(
-    workload: &Arc<WorkloadConfig>,
-    observers: &ObserverSelection,
-) -> JobArtifacts {
+/// must reproduce exactly.
+fn unmigrated_heat_map(workload: &Arc<WorkloadConfig>, window: u64) -> Option<Vec<Vec<u64>>> {
     let mut service = SimService::start(ServiceConfig::builder().workers(1).build());
     service
-        .submit(JobSpec::new(Benchmark::Mrpfltr, 8, workload.clone()).observers(observers.clone()))
+        .submit(JobSpec::new(Benchmark::Mrpfltr, 8, workload.clone()).heat_map(window))
         .expect("admits");
     let result = service.recv().expect("reference job completes");
     service.finish();
-    result.outcome.expect("reference job runs").artifacts
+    result.outcome.expect("reference job runs").heat_map
 }
 
 /// Kill a worker mid-shard: its partially-run job re-queues from the
 /// last checkpoint and the surviving worker finishes it bit-identically —
-/// including the attached observer's artifact, which must equal the one
-/// the same job produces without a cadence. Also pins down attribution
+/// including its heat map, which must equal the one the same job
+/// produces without a cadence. Also pins down attribution
 /// semantics: the migrated job completes on a different worker than it
 /// started on, yet every latency sample is recorded exactly once. The
 /// pool runs with telemetry on, and its death, migration and checkpoint
 /// counters must equal the exported `service_<field>` metrics.
-fn injected_failure_migrates_bit_identically(
-    workload: Arc<WorkloadConfig>,
-    observers: ObserverSelection,
-) {
+#[test]
+fn injected_worker_failure_migrates_in_flight_job_bit_identically() {
+    let workload = long_workload();
+    let window = 4096;
     let golden = run_benchmark(Benchmark::Mrpfltr, true, &workload).expect("golden run");
-    let reference = unmigrated_artifacts(&workload, &observers);
-    assert_eq!(reference.kind(), observers.artifact_kind());
+    let reference = unmigrated_heat_map(&workload, window);
+    assert!(reference.is_some(), "the reference job recorded a heat map");
     // ~4 checkpoints per run: the first park loses real progress and the
     // resumed stint still spans several checkpoint boundaries.
     let every = (golden.stats.cycles / 5).max(1);
@@ -67,7 +64,7 @@ fn injected_failure_migrates_bit_identically(
     service.inject_worker_failure(0);
     let spec = JobSpec::new(Benchmark::Mrpfltr, 8, workload.clone())
         .checkpoint_every(every)
-        .observers(observers.clone());
+        .heat_map(window);
     service.submit(spec.clone().pinned(0)).expect("admits");
     service.submit(spec.pinned(1)).expect("admits");
 
@@ -83,12 +80,11 @@ fn injected_failure_migrates_bit_identically(
         );
         assert_eq!(out.run.outputs, golden.outputs, "outputs bit-identical");
         assert_eq!(out.run.outputs, out.run.expected, "golden model holds");
-        // The observer state survived the park/resume round trip inside
-        // the checkpoint.
+        // The heat map's state survived the park/resume round trip
+        // inside the checkpoint.
         assert!(
-            out.artifacts == reference,
-            "{} artifact differs from the unmigrated run",
-            reference.kind()
+            out.heat_map == reference,
+            "heat map differs from the unmigrated run"
         );
         if result.migrations > 0 {
             migrated = Some(result);
@@ -108,24 +104,6 @@ fn injected_failure_migrates_bit_identically(
     // many workers ran it.
     assert_eq!(stats.latency.samples, 2);
     common::assert_stats_match_registry(&stats, &telemetry);
-}
-
-#[test]
-fn injected_worker_failure_migrates_in_flight_job_bit_identically() {
-    injected_failure_migrates_bit_identically(
-        long_workload(),
-        ObserverSelection::BankHeatMap { window: 4096 },
-    );
-}
-
-/// VCD jobs migrate like any other: the tracer's text rides in the
-/// checkpoint, so the resumed dump has no seam. A shorter recording
-/// keeps the dump (every PC and phase change of 8 cores) small.
-#[test]
-fn injected_worker_failure_migrates_vcd_job_bit_identically() {
-    let mut workload = WorkloadConfig::quick_test();
-    workload.n = 64;
-    injected_failure_migrates_bit_identically(Arc::new(workload), ObserverSelection::Vcd);
 }
 
 /// An undisturbed checkpointable job — no injected failure —

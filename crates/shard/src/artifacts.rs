@@ -1,31 +1,22 @@
-//! Recording-level observer artifacts: merging per-shard [`JobArtifacts`]
-//! back onto the merged run's global cycle/sample axes.
+//! The recording-level heat map: merging per-shard DM heat-map rows back
+//! onto the merged run's global cycle axis.
 //!
 //! The merge of outputs, statistics and events ([`crate::merge`]) makes the
 //! *numbers* of a sharded run recording-scale; this module does the same
-//! for the *instrumentation*. Every shard job runs its observers over its
-//! own local cycle axis (cycle 1 is the shard's first cycle) and its own
-//! local sample window; stitching them back requires the per-shard cycle
-//! offsets that only the merge knows:
-//!
-//! * [`MergedHeatMap`] — every shard's [`BankHeatMap`] rows re-indexed to
-//!   the merged recording's cycle axis (shard `i`'s rows start at the sum
-//!   of the preceding shards' cycle counts), each row carrying its global
-//!   `[start_cycle, end_cycle)` window explicitly, so per-bank totals and
-//!   time-resolved heat maps survive sharding losslessly;
-//! * [`MergedPcTrace`] — per-shard PC-trace rows concatenated in plan
-//!   order as labeled [`TraceSegment`]s with global cycle and sample
-//!   offsets;
-//! * [`ShardVcd`] — VCD texts cannot be spliced (each dump has its own
-//!   header and zero-based timebase), so they are kept whole, one per
-//!   shard, labeled with the shard's global offsets.
+//! for the one job artifact, the per-bank DM heat map. Every shard job
+//! records its rows over its own local cycle axis (cycle 1 is the shard's
+//! first cycle), so stitching them back requires the per-shard cycle
+//! offsets that only the merge knows: [`MergedHeatMap`] holds every
+//! shard's [`BankHeatMap`] rows re-indexed to the merged recording's cycle
+//! axis (shard `i`'s rows start at the sum of the preceding shards' cycle
+//! counts), each row carrying its global `[start_cycle, end_cycle)` window
+//! explicitly, so per-bank totals and time-resolved heat maps survive
+//! sharding losslessly.
 //!
 //! [`BankHeatMap`]: ulp_platform::BankHeatMap
-//! [`JobArtifacts`]: ulp_service::JobArtifacts
 
 use crate::merge::MergeError;
 use crate::runner::ShardOutput;
-use ulp_service::{JobArtifacts, ObserverSelection};
 
 /// One heat-map row on the merged recording's global cycle axis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,14 +40,24 @@ pub struct HeatMapRow {
 /// windows, so a row may cover fewer than `window` cycles.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MergedHeatMap {
-    /// Cycles per full row (the job's [`ObserverSelection::BankHeatMap`]
-    /// window).
+    /// Cycles per full row (the jobs' [`ulp_service::JobSpec::heat_map_window`]).
     pub window: u64,
     /// The re-indexed rows, in global cycle order.
     pub rows: Vec<HeatMapRow>,
 }
 
 impl MergedHeatMap {
+    /// Lifts a *single-window* job's heat-map rows onto the merged
+    /// representation: one shard at offset 0, rows spanning `cycles` in
+    /// `window`-cycle steps. This is how the sweep gives its unsharded
+    /// cells the same heat-map type as its sharded ones.
+    pub fn from_single(rows: &[Vec<u64>], window: u64, cycles: u64) -> MergedHeatMap {
+        MergedHeatMap {
+            window,
+            rows: reindex_heat_map(0, 0, cycles, window, rows),
+        }
+    }
+
     /// Number of DM banks per row (0 for an empty map).
     pub fn banks(&self) -> usize {
         self.rows.first().map_or(0, |r| r.banks.len())
@@ -72,156 +73,6 @@ impl MergedHeatMap {
             }
         }
         totals
-    }
-}
-
-/// One shard's PC-trace rows, labeled with where the shard sits in the
-/// merged recording.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceSegment {
-    /// Shard (plan index) the rows were recorded by.
-    pub shard: usize,
-    /// Global cycle of the shard's first simulated cycle: the sum of the
-    /// preceding shards' cycle counts.
-    pub cycle_offset: u64,
-    /// First *loaded* sample (global recording index) of the shard — the
-    /// traced PCs process the shard's load window, halo included.
-    pub sample_offset: usize,
-    /// The traced rows: one per cycle, one fetch PC per core (`None` for
-    /// sleeping/halted/non-fetch cycles).
-    pub rows: Vec<Vec<Option<u16>>>,
-}
-
-/// Per-shard PC traces concatenated in plan order.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MergedPcTrace {
-    /// One segment per shard, in plan (time) order.
-    pub segments: Vec<TraceSegment>,
-}
-
-impl MergedPcTrace {
-    /// Total traced rows across all segments.
-    pub fn len(&self) -> usize {
-        self.segments.iter().map(|s| s.rows.len()).sum()
-    }
-
-    /// Whether no cycle was traced at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The rows of every segment, concatenated in plan order.
-    pub fn rows(&self) -> impl Iterator<Item = &Vec<Option<u16>>> {
-        self.segments.iter().flat_map(|s| s.rows.iter())
-    }
-}
-
-/// One shard's VCD dump, kept whole (a VCD has its own header and
-/// zero-based timebase, so texts are labeled rather than spliced).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardVcd {
-    /// Shard (plan index) the dump came from.
-    pub shard: usize,
-    /// Global cycle the dump's time 0 corresponds to.
-    pub cycle_offset: u64,
-    /// First loaded sample (global recording index) of the shard.
-    pub sample_offset: usize,
-    /// The VCD text.
-    pub vcd: String,
-}
-
-/// Observer output of a whole (possibly sharded) recording, mirroring
-/// [`ObserverSelection`] — what [`crate::MergedRun::artifacts`] and the
-/// sweep's cells carry.
-#[derive(Debug, Clone, Default)]
-pub enum MergedArtifacts {
-    /// No observers were attached.
-    #[default]
-    None,
-    /// Per-shard PC traces with global offsets.
-    PcTrace(MergedPcTrace),
-    /// Labeled per-shard VCD dumps.
-    Vcd(Vec<ShardVcd>),
-    /// The recording-level per-bank heat map.
-    BankHeatMap(MergedHeatMap),
-}
-
-impl MergedArtifacts {
-    /// The heat map, when the run carried a
-    /// [`ObserverSelection::BankHeatMap`].
-    pub fn bank_heat_map(&self) -> Option<&MergedHeatMap> {
-        match self {
-            MergedArtifacts::BankHeatMap(map) => Some(map),
-            _ => None,
-        }
-    }
-
-    /// The PC trace, when the run carried a
-    /// [`ObserverSelection::PcTrace`].
-    pub fn pc_trace(&self) -> Option<&MergedPcTrace> {
-        match self {
-            MergedArtifacts::PcTrace(trace) => Some(trace),
-            _ => None,
-        }
-    }
-
-    /// The per-shard VCD dumps, when the run carried
-    /// [`ObserverSelection::Vcd`].
-    pub fn vcds(&self) -> Option<&[ShardVcd]> {
-        match self {
-            MergedArtifacts::Vcd(vcds) => Some(vcds),
-            _ => None,
-        }
-    }
-
-    /// Diagnostic name of the artifact kind.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            MergedArtifacts::None => "none",
-            MergedArtifacts::PcTrace(_) => "pc-trace",
-            MergedArtifacts::Vcd(_) => "vcd",
-            MergedArtifacts::BankHeatMap(_) => "bank-heat-map",
-        }
-    }
-
-    /// Lifts a *single-window* job's artifacts onto the merged
-    /// representation: one segment/dump at offset 0, heat-map rows spanning
-    /// `cycles` in `observers`' window. This is how the sweep gives its
-    /// unsharded cells the same artifact type as its sharded ones.
-    pub fn from_single(
-        artifacts: JobArtifacts,
-        observers: &ObserverSelection,
-        cycles: u64,
-    ) -> MergedArtifacts {
-        match artifacts {
-            JobArtifacts::None => MergedArtifacts::None,
-            JobArtifacts::PcTrace(rows) => MergedArtifacts::PcTrace(MergedPcTrace {
-                segments: vec![TraceSegment {
-                    shard: 0,
-                    cycle_offset: 0,
-                    sample_offset: 0,
-                    rows,
-                }],
-            }),
-            JobArtifacts::Vcd(vcd) => MergedArtifacts::Vcd(vec![ShardVcd {
-                shard: 0,
-                cycle_offset: 0,
-                sample_offset: 0,
-                vcd,
-            }]),
-            JobArtifacts::BankHeatMap(rows) => {
-                let window = match observers {
-                    ObserverSelection::BankHeatMap { window } => *window,
-                    // The artifact proves a heat map was attached; an
-                    // inconsistent selection only loses the row width.
-                    _ => cycles.max(1),
-                };
-                MergedArtifacts::BankHeatMap(MergedHeatMap {
-                    window,
-                    rows: reindex_heat_map(0, 0, cycles, window, &rows),
-                })
-            }
-        }
     }
 }
 
@@ -257,100 +108,59 @@ fn reindex_heat_map(
         .collect()
 }
 
-/// Merges the per-shard artifacts of a completed sharded run onto the
-/// merged recording's global axes. `shards` must be in plan order (the
-/// caller — [`crate::merge_with_golden`] — has already validated order and
-/// shape).
+/// Merges the per-shard heat maps of a completed sharded run onto the
+/// merged recording's global cycle axis: `None` when the run recorded no
+/// heat map (`window` is `None`). `shards` must be in plan order (the
+/// caller — [`crate::merge_with_golden`] — has already validated order
+/// and shape).
 ///
 /// # Errors
 ///
-/// [`MergeError::ArtifactKindMismatch`] when a shard's artifacts do not
-/// mirror `observers` (a shard job ran with a different selection), and
+/// [`MergeError::HeatMapPresence`] when a shard carries a heat map the
+/// run did not ask for, or lacks the one it did, and
 /// [`MergeError::HeatMapShapeMismatch`] when shards disagree on the bank
 /// count.
-pub(crate) fn merge_artifacts(
-    observers: &ObserverSelection,
+pub(crate) fn merge_heat_map(
+    window: Option<u64>,
     shards: &[ShardOutput],
-) -> Result<MergedArtifacts, MergeError> {
+) -> Result<Option<MergedHeatMap>, MergeError> {
     for (index, out) in shards.iter().enumerate() {
-        if out.artifacts.kind() != observers.artifact_kind() {
-            return Err(MergeError::ArtifactKindMismatch {
+        if out.heat_map.is_some() != window.is_some() {
+            return Err(MergeError::HeatMapPresence {
                 shard: index,
-                expected: observers.artifact_kind(),
-                found: out.artifacts.kind(),
+                expected: window.is_some(),
             });
         }
     }
-    let offsets = cycle_offsets(shards);
-    Ok(match observers {
-        ObserverSelection::None => MergedArtifacts::None,
-        ObserverSelection::PcTrace { .. } => {
-            let segments = shards
-                .iter()
-                .zip(&offsets)
-                .map(|(out, &cycle_offset)| TraceSegment {
-                    shard: out.shard.index,
-                    cycle_offset,
-                    sample_offset: out.shard.load_start,
-                    rows: out.artifacts.pc_trace().unwrap_or_default().to_vec(),
-                })
-                .collect();
-            MergedArtifacts::PcTrace(MergedPcTrace { segments })
-        }
-        ObserverSelection::Vcd => {
-            let vcds = shards
-                .iter()
-                .zip(&offsets)
-                .map(|(out, &cycle_offset)| ShardVcd {
-                    shard: out.shard.index,
-                    cycle_offset,
-                    sample_offset: out.shard.load_start,
-                    vcd: out.artifacts.vcd().unwrap_or_default().to_string(),
-                })
-                .collect();
-            MergedArtifacts::Vcd(vcds)
-        }
-        ObserverSelection::BankHeatMap { window } => {
-            let mut rows = Vec::new();
-            let mut banks: Option<usize> = None;
-            for (out, &offset) in shards.iter().zip(&offsets) {
-                let shard_rows = out.artifacts.bank_heat_map().unwrap_or_default();
-                if let Some(first) = shard_rows.first() {
-                    let expected = *banks.get_or_insert(first.len());
-                    if first.len() != expected {
-                        return Err(MergeError::HeatMapShapeMismatch {
-                            shard: out.shard.index,
-                            expected_banks: expected,
-                            found_banks: first.len(),
-                        });
-                    }
-                }
-                rows.extend(reindex_heat_map(
-                    out.shard.index,
-                    offset,
-                    out.run.stats.cycles,
-                    *window,
-                    shard_rows,
-                ));
-            }
-            MergedArtifacts::BankHeatMap(MergedHeatMap {
-                window: *window,
-                rows,
-            })
-        }
-    })
-}
-
-/// Global cycle offset of each shard: the prefix sums of the per-shard
-/// cycle counts, in plan order.
-fn cycle_offsets(shards: &[ShardOutput]) -> Vec<u64> {
-    let mut offsets = Vec::with_capacity(shards.len());
+    let Some(window) = window else {
+        return Ok(None);
+    };
+    let mut rows = Vec::new();
+    let mut banks: Option<usize> = None;
     let mut offset = 0u64;
     for out in shards {
-        offsets.push(offset);
-        offset += out.run.stats.cycles;
+        let shard_rows = out.heat_map.as_deref().unwrap_or_default();
+        if let Some(first) = shard_rows.first() {
+            let expected = *banks.get_or_insert(first.len());
+            if first.len() != expected {
+                return Err(MergeError::HeatMapShapeMismatch {
+                    shard: out.shard.index,
+                    expected_banks: expected,
+                    found_banks: first.len(),
+                });
+            }
+        }
+        let cycles = out.run.stats.cycles;
+        rows.extend(reindex_heat_map(
+            out.shard.index,
+            offset,
+            cycles,
+            window,
+            shard_rows,
+        ));
+        offset += cycles;
     }
-    offsets
+    Ok(Some(MergedHeatMap { window, rows }))
 }
 
 #[cfg(test)]
@@ -371,26 +181,14 @@ mod tests {
 
     #[test]
     fn from_single_lifts_each_kind_at_offset_zero() {
-        let sel = ObserverSelection::BankHeatMap { window: 64 };
-        let lifted =
-            MergedArtifacts::from_single(JobArtifacts::BankHeatMap(vec![vec![7, 0]]), &sel, 40);
-        let map = lifted.bank_heat_map().expect("a heat map");
+        let map = MergedHeatMap::from_single(&[vec![7, 0]], 64, 40);
         assert_eq!(map.window, 64);
         assert_eq!(map.rows.len(), 1);
         assert_eq!((map.rows[0].start_cycle, map.rows[0].end_cycle), (0, 40));
         assert_eq!(map.totals(), vec![7, 0]);
 
-        let trace = MergedArtifacts::from_single(
-            JobArtifacts::PcTrace(vec![vec![Some(3)]]),
-            &ObserverSelection::PcTrace { limit: 8 },
-            40,
-        );
-        let trace = trace.pc_trace().expect("a trace");
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace.segments[0].cycle_offset, 0);
-
-        let none = MergedArtifacts::from_single(JobArtifacts::None, &ObserverSelection::None, 40);
-        assert!(matches!(none, MergedArtifacts::None));
-        assert_eq!(none.kind(), "none");
+        let empty = MergedHeatMap::from_single(&[], 64, 0);
+        assert!(empty.rows.is_empty());
+        assert_eq!((empty.banks(), empty.totals()), (0, vec![]));
     }
 }

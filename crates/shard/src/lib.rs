@@ -20,10 +20,9 @@
 //!   deterministically), sums [`SimStats`] into recording totals, lifts
 //!   MRPDLN marks into sorted, duplicate-free [`DelineationEvent`]s,
 //!   folds per-shard activity into [`ulp_power`] so energy-per-recording
-//!   is a first-class figure, and merges observer artifacts
-//!   ([`MergedArtifacts`]): heat-map rows re-indexed onto the
-//!   recording's global cycle axis, PC-trace segments labeled with
-//!   global cycle/sample offsets, per-shard VCDs kept whole and labeled.
+//!   is a first-class figure, and, when the run records one, merges the
+//!   per-bank DM heat map ([`MergedHeatMap`]): every shard's rows
+//!   re-indexed onto the recording's global cycle axis.
 //!
 //! The subsystem's correctness anchor: with a halo of at least
 //! [`required_halo`], a sharded run is **bit-identical** to a single
@@ -67,9 +66,7 @@ mod merge;
 mod plan;
 mod runner;
 
-pub use artifacts::{
-    HeatMapRow, MergedArtifacts, MergedHeatMap, MergedPcTrace, ShardVcd, TraceSegment,
-};
+pub use artifacts::{HeatMapRow, MergedHeatMap};
 pub use merge::{
     golden_events, merge, merge_verified, merge_with_golden, sum_stats, DelineationEvent,
     MergeError, MergedRun,

@@ -13,14 +13,12 @@
 //!    run.
 //! 3. **Events** — for MRPDLN, lift per-sample marks into globally-indexed
 //!    [`DelineationEvent`]s, sorted and duplicate-free by construction.
-//! 4. **Artifacts** — re-index every shard's observer output onto the
-//!    merged recording's global cycle/sample axes
-//!    ([`crate::MergedArtifacts`]): heat-map rows shifted by the per-shard
-//!    cycle offsets, PC traces concatenated in plan order, VCDs kept as
-//!    labeled per-shard dumps — so instrumentation survives sharding
-//!    end to end instead of being dropped at the merge.
+//! 4. **Heat map** — when the run recorded one, re-index every shard's
+//!    heat-map rows onto the merged recording's global cycle axis
+//!    ([`crate::MergedHeatMap`]), shifted by the per-shard cycle offsets,
+//!    so the per-bank accounting survives sharding end to end.
 
-use crate::artifacts::{merge_artifacts, MergedArtifacts};
+use crate::artifacts::{merge_heat_map, MergedHeatMap};
 use crate::plan::ShardPlan;
 use crate::runner::ShardedRun;
 use std::fmt;
@@ -71,15 +69,13 @@ pub enum MergeError {
         /// Samples actually present.
         found: usize,
     },
-    /// Shard `shard`'s artifacts do not mirror the run's observer
-    /// selection.
-    ArtifactKindMismatch {
+    /// Shard `shard` carries a heat map the run's configuration did not
+    /// ask for, or lacks the one it asked for.
+    HeatMapPresence {
         /// Plan index of the offending shard.
         shard: usize,
-        /// Artifact kind the selection produces.
-        expected: &'static str,
-        /// Artifact kind the shard carried.
-        found: &'static str,
+        /// Whether the configuration asked for a heat map.
+        expected: bool,
     },
     /// Shards disagree on the heat map's bank count.
     HeatMapShapeMismatch {
@@ -127,14 +123,19 @@ impl fmt::Display for MergeError {
                 "shard {shard} channel {channel} holds {found} output samples \
                  but its load window spans {needed}"
             ),
-            MergeError::ArtifactKindMismatch {
+            MergeError::HeatMapPresence {
                 shard,
-                expected,
-                found,
+                expected: true,
             } => write!(
                 f,
-                "shard {shard} carries {found} artifacts but the run's observer \
-                 selection produces {expected}"
+                "shard {shard} lacks the heat map the run's configuration asks for"
+            ),
+            MergeError::HeatMapPresence {
+                shard,
+                expected: false,
+            } => write!(
+                f,
+                "shard {shard} carries a heat map the run's configuration does not ask for"
             ),
             MergeError::HeatMapShapeMismatch {
                 shard,
@@ -181,10 +182,9 @@ pub struct MergedRun {
     /// Cycles each shard simulated, in plan order (their sum is
     /// `run.stats.cycles`).
     pub shard_cycles: Vec<u64>,
-    /// Observer output of the whole recording: every shard's artifacts
-    /// merged onto the global cycle/sample axes (heat-map rows re-indexed,
-    /// PC traces concatenated with offsets, VCDs labeled per shard).
-    pub artifacts: MergedArtifacts,
+    /// The recording's per-bank DM heat map, when the run recorded one:
+    /// every shard's rows re-indexed onto the global cycle axis.
+    pub heat_map: Option<MergedHeatMap>,
     /// The plan the shards were cut from.
     pub plan: ShardPlan,
     /// Op-weighted fold of the per-shard activity vectors (see
@@ -393,7 +393,7 @@ pub fn merge_with_golden(
             .map(|s| (Activity::from_stats(&s.run.stats), s.run.stats.useful_ops()))
             .collect::<Vec<_>>(),
     );
-    let artifacts = merge_artifacts(&sharded.config.observers, &sharded.shards)?;
+    let heat_map = merge_heat_map(sharded.config.heat_map_window, &sharded.shards)?;
     Ok(MergedRun {
         run: BenchmarkRun {
             benchmark: sharded.config.benchmark,
@@ -403,7 +403,7 @@ pub fn merge_with_golden(
             expected,
         },
         shard_cycles: sharded.shards.iter().map(|s| s.run.stats.cycles).collect(),
-        artifacts,
+        heat_map,
         plan: sharded.plan.clone(),
         activity,
     })

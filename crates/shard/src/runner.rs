@@ -5,11 +5,12 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use ulp_kernels::{Benchmark, BenchmarkRun, RunnerError, WorkloadConfig};
-use ulp_service::{JobArtifacts, JobError, JobSpec, ObserverSelection, ServiceConfig, SimService};
+use ulp_service::{JobSpec, ServiceConfig, SimService, SubmitError};
 use ulp_telemetry::{EventKind, Telemetry, CLIENT_TRACK};
 
 /// What to run over the recording: the benchmark, the platform design and
-/// core count every shard job uses, and the observers each shard carries.
+/// core count every shard job uses, and whether each shard records a heat
+/// map.
 #[derive(Debug, Clone)]
 pub struct ShardRunConfig {
     /// The benchmark kernel.
@@ -22,9 +23,9 @@ pub struct ShardRunConfig {
     /// (typically far beyond one platform's buffer capacity) and must
     /// equal the plan's total.
     pub workload: WorkloadConfig,
-    /// Instrumentation attached to every shard job (e.g. a
-    /// [`ObserverSelection::BankHeatMap`]).
-    pub observers: ObserverSelection,
+    /// Cycles per heat-map row recorded by every shard job
+    /// ([`JobSpec::heat_map_window`]); `None` (the default) records none.
+    pub heat_map_window: Option<u64>,
     /// Telemetry the run records into: each gathered shard records a
     /// `merged` event on the client track, and the pool
     /// [`ShardRunner::run_local`] starts traces its workers through the
@@ -40,7 +41,7 @@ pub struct ShardRunConfig {
 }
 
 impl ShardRunConfig {
-    /// A plain configuration with no observers.
+    /// A plain configuration with no heat map.
     pub fn new(
         benchmark: Benchmark,
         with_sync: bool,
@@ -52,18 +53,18 @@ impl ShardRunConfig {
             with_sync,
             cores,
             workload,
-            observers: ObserverSelection::None,
+            heat_map_window: None,
             telemetry: Telemetry::disabled(),
             checkpoint_every: None,
         }
     }
 
-    /// Attaches an observer selection to every shard job; the merge
-    /// stitches the per-shard artifacts back onto the recording's global
-    /// axes ([`crate::MergedRun::artifacts`]).
+    /// Records a `window`-cycle heat map on every shard job; the merge
+    /// stitches the per-shard rows back onto the recording's global cycle
+    /// axis ([`crate::MergedRun::heat_map`]).
     #[must_use]
-    pub fn with_observers(mut self, observers: ObserverSelection) -> ShardRunConfig {
-        self.observers = observers;
+    pub fn with_heat_map(mut self, window: u64) -> ShardRunConfig {
+        self.heat_map_window = Some(window);
         self
     }
 
@@ -94,6 +95,14 @@ pub enum ShardError {
         plan_total: usize,
         /// Samples in the workload.
         workload_n: usize,
+    },
+    /// The service rejected a shard job as invalid (for example a zero
+    /// heat-map window); no shard ran.
+    InvalidJob {
+        /// Index of the rejected shard.
+        shard: usize,
+        /// Why the service rejected it.
+        reason: String,
     },
     /// A shard job failed; the shard index says which.
     Job {
@@ -128,6 +137,9 @@ impl fmt::Display for ShardError {
                 f,
                 "plan covers {plan_total} samples but the workload describes {workload_n}"
             ),
+            ShardError::InvalidJob { shard, reason } => {
+                write!(f, "shard {shard} was rejected: {reason}")
+            }
             ShardError::Job { shard, error } => write!(f, "shard {shard} failed: {error}"),
             ShardError::PoolDied {
                 completed,
@@ -149,6 +161,7 @@ impl std::error::Error for ShardError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ShardError::PlanMismatch { .. }
+            | ShardError::InvalidJob { .. }
             | ShardError::PoolDied { .. }
             | ShardError::ForeignResult { .. } => None,
             ShardError::Job { error, .. } => Some(error),
@@ -164,8 +177,8 @@ pub struct ShardOutput {
     pub shard: Shard,
     /// The simulated run over the shard's load window.
     pub run: BenchmarkRun,
-    /// Observer output of the shard job.
-    pub artifacts: JobArtifacts,
+    /// Heat-map rows of the shard job, when the run records a heat map.
+    pub heat_map: Option<Vec<Vec<u64>>>,
 }
 
 /// All shards of one recording, completed and ordered by time — the input
@@ -228,14 +241,12 @@ impl ShardRunner {
             .iter()
             .map(|s| {
                 let workload = self.config.workload.windowed(s.load_start, s.load_len());
-                let spec =
+                let mut spec =
                     JobSpec::new(self.config.benchmark, self.config.cores, Arc::new(workload))
-                        .with_sync(self.config.with_sync)
-                        .observers(self.config.observers.clone());
-                match self.config.checkpoint_every {
-                    Some(cycles) => spec.checkpoint_every(cycles),
-                    None => spec,
-                }
+                        .with_sync(self.config.with_sync);
+                spec.heat_map_window = self.config.heat_map_window;
+                spec.checkpoint_every = self.config.checkpoint_every;
+                spec
             })
             .collect()
     }
@@ -251,7 +262,8 @@ impl ShardRunner {
     ///
     /// # Errors
     ///
-    /// The first failing shard in plan order (all shards still run);
+    /// [`ShardError::InvalidJob`] when the service rejects a shard spec;
+    /// the first failing shard in plan order (all shards still run);
     /// [`ShardError::PoolDied`] if a service worker panicked with shards
     /// outstanding; [`ShardError::ForeignResult`] on a result this runner
     /// did not submit.
@@ -263,12 +275,18 @@ impl ShardRunner {
         // silently corrupting slot arithmetic.
         // Shards submit on the blocking path: a bounded shared pool
         // throttles the runner instead of rejecting mid-recording, and
-        // the only failure left is a dead pool.
+        // the only failures left are an invalid spec and a dead pool.
         let mut slot_of: HashMap<u64, usize> = HashMap::with_capacity(count);
         for (index, spec) in specs.into_iter().enumerate() {
             match service.submit_blocking(spec) {
                 Ok(id) => {
                     slot_of.insert(id, index);
+                }
+                Err(SubmitError::Invalid { reason, .. }) => {
+                    return Err(ShardError::InvalidJob {
+                        shard: index,
+                        reason,
+                    })
                 }
                 Err(_) => {
                     return Err(ShardError::PoolDied {
@@ -304,9 +322,9 @@ impl ShardRunner {
                 Ok(out) => Ok(ShardOutput {
                     shard,
                     run: out.run,
-                    artifacts: out.artifacts,
+                    heat_map: out.heat_map,
                 }),
-                Err(JobError::Run(error)) => Err(ShardError::Job {
+                Err(error) => Err(ShardError::Job {
                     shard: index,
                     error,
                 }),

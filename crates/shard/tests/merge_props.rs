@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use ulp_biosignal::{delineate, DelineationConfig};
 use ulp_kernels::{Benchmark, WorkloadConfig};
 use ulp_platform::SimStats;
-use ulp_service::{JobArtifacts, ObserverSelection};
 use ulp_shard::{merge, required_halo, ShardPlan, ShardRunConfig, ShardedRun};
 
 fn zero_stats(num_cores: usize, cycles: u64) -> SimStats {
@@ -65,7 +64,7 @@ fn golden_sharded_run(
                     expected: outputs.clone(),
                     outputs,
                 },
-                artifacts: JobArtifacts::None,
+                heat_map: None,
             }
         })
         .collect();
@@ -151,7 +150,7 @@ proptest! {
         };
         let signals = vec![vec![0i16; total]];
         let mut run = golden_sharded_run(&signals, plan, &dln);
-        run.config.observers = ObserverSelection::BankHeatMap { window };
+        run.config.heat_map_window = Some(window);
 
         // Deterministic per-case counter values (splitmix-style), so the
         // strategy stays a single u64.
@@ -171,11 +170,11 @@ proptest! {
                     *t += v;
                 }
             }
-            out.artifacts = JobArtifacts::BankHeatMap(rows);
+            out.heat_map = Some(rows);
         }
 
         let merged = merge(&run).expect("a plan-ordered sharded run merges");
-        let map = merged.artifacts.bank_heat_map().expect("a heat map was selected");
+        let map = merged.heat_map.expect("a heat map was selected");
         prop_assert_eq!(map.window, window);
         prop_assert_eq!(map.totals(), shard_totals);
 
@@ -188,4 +187,61 @@ proptest! {
         }
         prop_assert_eq!(cursor, merged.run.stats.cycles);
     }
+}
+
+/// `merge` takes public `ShardOutput`s, so a shard whose heat map is
+/// present or missing against the run's configuration is a typed error
+/// naming the shard, in either direction.
+#[test]
+fn heat_map_presence_mismatch_is_a_typed_merge_error() {
+    use ulp_shard::MergeError;
+
+    let dln = DelineationConfig {
+        scale_small: 2,
+        scale_large: 5,
+        threshold: 100,
+    };
+    let plan = ShardPlan::new(120, 40, 6).unwrap();
+    let mut run = golden_sharded_run(&[vec![0i16; 120]], plan, &dln);
+    assert!(merge(&run)
+        .expect("no heat map anywhere")
+        .heat_map
+        .is_none());
+
+    // Shard 1 carries rows the configuration never asked for.
+    run.shards[1].heat_map = Some(vec![vec![1; 16]]);
+    let err = merge(&run).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            MergeError::HeatMapPresence {
+                shard: 1,
+                expected: false
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("does not ask for"), "{err}");
+
+    // The configuration asks for a heat map that shard 0 lacks.
+    run.config.heat_map_window = Some(64);
+    for out in &mut run.shards[1..] {
+        out.heat_map = Some(vec![vec![1; 16]]);
+    }
+    let err = merge(&run).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            MergeError::HeatMapPresence {
+                shard: 0,
+                expected: true
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("lacks the heat map"), "{err}");
+
+    run.shards[0].heat_map = Some(vec![vec![1; 16]]);
+    let map = merge(&run).expect("every shard carries one").heat_map;
+    assert_eq!(map.expect("a heat map").totals(), vec![3; 16]);
 }

@@ -150,7 +150,7 @@ fn undersized_halo_is_detected_by_verification() {
 #[test]
 fn sqrt32_sharded_heat_map_equals_full_pass_up_to_prologue_warmup() {
     use std::sync::Arc;
-    use ulp_service::{JobSpec, ObserverSelection, ServiceConfig, SimService};
+    use ulp_service::{JobSpec, ServiceConfig, SimService};
 
     // 296 samples fit one platform buffer (≤ MAX_N), so an unsharded
     // full pass exists to compare against; SQRT32 is point-wise, so the
@@ -161,8 +161,7 @@ fn sqrt32_sharded_heat_map_equals_full_pass_up_to_prologue_warmup() {
         let mut service = SimService::start(ServiceConfig::builder().workers(1).build());
         service
             .submit(
-                JobSpec::new(Benchmark::Sqrt32, cores, Arc::new(workload.clone()))
-                    .observers(ObserverSelection::BankHeatMap { window }),
+                JobSpec::new(Benchmark::Sqrt32, cores, Arc::new(workload.clone())).heat_map(window),
             )
             .expect("unbounded queue admits");
         let out = service
@@ -171,9 +170,9 @@ fn sqrt32_sharded_heat_map_equals_full_pass_up_to_prologue_warmup() {
             .outcome
             .expect("the full pass runs");
         service.finish();
-        let full_rows = out.artifacts.bank_heat_map().expect("a heat map");
+        let full_rows = out.heat_map.expect("a heat map");
         let mut full = vec![0u64; full_rows.first().map_or(0, Vec::len)];
-        for row in full_rows {
+        for row in &full_rows {
             for (t, &v) in full.iter_mut().zip(row) {
                 *t += v;
             }
@@ -186,7 +185,7 @@ fn sqrt32_sharded_heat_map_equals_full_pass_up_to_prologue_warmup() {
             assert!(shards >= 2, "the recording must actually shard");
             let run = ShardRunner::new(
                 ShardRunConfig::new(Benchmark::Sqrt32, true, cores, workload.clone())
-                    .with_observers(ObserverSelection::BankHeatMap { window }),
+                    .with_heat_map(window),
                 plan,
             )
             .unwrap()
@@ -194,8 +193,8 @@ fn sqrt32_sharded_heat_map_equals_full_pass_up_to_prologue_warmup() {
             .unwrap();
             let merged = merge_verified(&run).unwrap();
             let map = merged
-                .artifacts
-                .bank_heat_map()
+                .heat_map
+                .as_ref()
                 .expect("the merge carries the selected heat map");
 
             // Core `c`'s own bank is bank `c`: the warm-up store lands there.
@@ -288,4 +287,36 @@ fn plan_workload_mismatch_is_rejected() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("plan covers 400"));
+}
+
+/// A shard spec the service rejects as invalid (here a zero heat-map
+/// window) is reported as that rejection, with its reason — not as a dead
+/// pool — and the caller's pool keeps serving.
+#[test]
+fn invalid_shard_job_is_reported_with_its_reason() {
+    use ulp_service::{ServiceConfig, SimService};
+    use ulp_shard::ShardError;
+
+    let workload = long_workload(96);
+    let plan = ShardPlan::for_workload(Benchmark::Sqrt32, &workload, 48).unwrap();
+    let config = ShardRunConfig::new(Benchmark::Sqrt32, true, 2, workload);
+    let mut service = SimService::start(ServiceConfig::builder().workers(1).build());
+    let err = ShardRunner::new(config.clone().with_heat_map(0), plan.clone())
+        .unwrap()
+        .run(&mut service)
+        .unwrap_err();
+    match &err {
+        ShardError::InvalidJob { shard, reason } => {
+            assert_eq!(*shard, 0);
+            assert!(reason.contains("heat-map window"), "{reason}");
+        }
+        other => panic!("expected an invalid-job error, got {other:?}"),
+    }
+    assert!(err.to_string().contains("shard 0 was rejected"), "{err}");
+    let run = ShardRunner::new(config, plan)
+        .unwrap()
+        .run(&mut service)
+        .expect("the pool still serves a valid recording");
+    merge_verified(&run).unwrap();
+    service.finish();
 }

@@ -8,8 +8,10 @@
 //! well-defined start and end (`queued` from [`EventKind::Queued`] to
 //! [`EventKind::Claimed`], `platform-build`/`platform-cache-hit` from
 //! claim to platform readiness, `run` from [`EventKind::RunStart`] to
-//! [`EventKind::RunEnd`]); and `"i"` instant events for point incidents
-//! (submission, steals, rejections, merge and stream).
+//! [`EventKind::RunEnd`], or to [`EventKind::Migrated`] for the part of a
+//! migrated job's run before its worker parked it); and `"i"` instant
+//! events for point incidents (submission, steals, rejections, migration,
+//! merge and stream).
 //!
 //! Spans are drawn on the track of the event that *closes* them, so a
 //! queued span appears on the claiming worker's row and the viewer shows
@@ -166,14 +168,21 @@ fn trace_events(out: &mut Array<'_>, events: &[JobEvent], tracks: u32) {
                         complete_event(out, "run", e, start);
                     }
                 }
+                EventKind::Migrated => {
+                    // The parked worker's run segment ends here; the
+                    // resumed segment opens at the next `RunStart`.
+                    if let Some(start) = run_started.take() {
+                        complete_event(out, "run", e, start);
+                    }
+                    instant_event(out, e.kind.name(), e.at_ns, e.track, e.job);
+                }
                 EventKind::Submitted
                 | EventKind::Stolen
                 | EventKind::Merged
                 | EventKind::Streamed
                 | EventKind::CapacityRejected
                 | EventKind::Snapshot
-                | EventKind::Restored
-                | EventKind::Migrated => instant_event(out, e.kind.name(), e.at_ns, e.track, e.job),
+                | EventKind::Restored => instant_event(out, e.kind.name(), e.at_ns, e.track, e.job),
             }
         }
         // A job cut off mid-phase (the trace was taken before it finished)
@@ -341,5 +350,37 @@ mod tests {
             "\"pid\":1,\"tid\":1,\"args\":{\"job\":3}}"
         )));
         assert_eq!(json.matches("-open\"").count(), 1, "{json}");
+    }
+
+    /// A migrated job's run is drawn in two segments: the first, on the
+    /// worker that parked it, closes at `Migrated`; the second, on the
+    /// worker that resumed it, closes at `RunEnd`. Neither is left open.
+    #[test]
+    fn migrated_job_draws_both_run_segments() {
+        let (w0, w1) = (worker_track(0), worker_track(1));
+        let events = vec![
+            ev(EventKind::Queued, 10, 5, CLIENT_TRACK),
+            ev(EventKind::Claimed, 100, 5, w0),
+            ev(EventKind::PlatformBuilt, 200, 5, w0),
+            ev(EventKind::RunStart, 300, 5, w0),
+            ev(EventKind::Snapshot, 1_300, 5, w0),
+            ev(EventKind::Migrated, 1_400, 5, w0),
+            ev(EventKind::Claimed, 2_000, 5, w1),
+            ev(EventKind::PlatformCacheHit, 2_100, 5, w1),
+            ev(EventKind::Restored, 2_200, 5, w1),
+            ev(EventKind::RunStart, 2_300, 5, w1),
+            ev(EventKind::RunEnd, 5_300, 5, w1),
+        ];
+        let json = chrome_trace(&events, 3, 0);
+        assert!(json.contains(concat!(
+            "{\"name\":\"run\",\"ph\":\"X\",\"ts\":0.300,\"dur\":1.100,",
+            "\"pid\":1,\"tid\":1,\"args\":{\"job\":5}}"
+        )));
+        assert!(json.contains(concat!(
+            "{\"name\":\"run\",\"ph\":\"X\",\"ts\":2.300,\"dur\":3.000,",
+            "\"pid\":1,\"tid\":2,\"args\":{\"job\":5}}"
+        )));
+        assert!(json.contains("\"name\":\"migrated\",\"ph\":\"i\""));
+        assert!(!json.contains("-open\""), "{json}");
     }
 }

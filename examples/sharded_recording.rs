@@ -8,7 +8,6 @@
 
 use ulp_lockstep::kernels::{Benchmark, WorkloadConfig};
 use ulp_lockstep::power::PowerModel;
-use ulp_lockstep::service::ObserverSelection;
 use ulp_lockstep::shard::{merge_verified, required_halo, ShardPlan, ShardRunConfig, ShardRunner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,12 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Run: every shard is an ordinary service job; the work-stealing
-    //    pool executes them concurrently over cached platforms. A per-bank
-    //    DM heat map rides on every shard and is merged onto the
-    //    recording's global cycle axis below.
+    //    pool executes them concurrently over cached platforms. Every
+    //    shard records a per-bank DM heat map in 4096-cycle rows, the one
+    //    artifact a job carries; the merge below puts the rows on the
+    //    recording's global cycle axis.
     let runner = ShardRunner::new(
-        ShardRunConfig::new(benchmark, true, 8, workload.clone())
-            .with_observers(ObserverSelection::BankHeatMap { window: 4096 }),
+        ShardRunConfig::new(benchmark, true, 8, workload.clone()).with_heat_map(4096),
         plan,
     )?;
     let start = std::time::Instant::now();
@@ -60,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         events.iter().filter(|e| e.is_peak).count(),
     );
     let heatmap = merged
-        .artifacts
-        .bank_heat_map()
+        .heat_map
+        .as_ref()
         .expect("the heat map survives the merge");
     let totals = heatmap.totals();
     let peak = totals.iter().copied().max().unwrap_or(0);

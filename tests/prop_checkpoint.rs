@@ -3,8 +3,8 @@
 //! byte encoding, restoring into a *fresh* platform (or in place into a
 //! recycled one) and running to completion must be bit-identical to the
 //! golden uninterrupted run — registers, flags, PCs, the whole data
-//! memory, cycle counts, every [`SimStats`] counter, and attached-observer
-//! artifacts. Damaged blobs (bit flips, truncations, inflated length
+//! memory, cycle counts, every [`SimStats`] counter, and an attached heat
+//! map's rows. Damaged blobs (bit flips, truncations, inflated length
 //! fields, an older schema) must each fail with a typed [`RestoreError`].
 
 use proptest::prelude::*;
@@ -234,9 +234,10 @@ fn restore_in_place_onto_recycled_platform() {
     assert_eq!(reference, capture(&r));
 }
 
-/// Attached observers checkpoint with the platform: a PC trace and a DM
-/// bank heat map restored mid-run end up with exactly the artifacts of an
-/// uninterrupted instrumented run.
+/// A DM bank heat map checkpoints with the platform: restored mid-run, it
+/// ends up with exactly the rows of an uninterrupted instrumented run. A
+/// PC trace attached next to it is a debugging aid and stays out of the
+/// blob.
 #[test]
 fn attached_observers_round_trip_through_checkpoints() {
     let program = ulp_lockstep::isa::asm::assemble(
@@ -253,22 +254,16 @@ fn attached_observers_round_trip_through_checkpoints() {
     let cfg = PlatformConfig::paper_with_sync();
 
     let mut p = Platform::new(cfg.clone()).expect("valid config");
-    let trace = p.attach(Box::new(PcTrace::new(4096)));
     let heat = p.attach(Box::new(BankHeatMap::for_dm(&cfg, 16)));
     p.load_program(&program);
     p.run().expect("terminates");
     let reference = capture(&p);
-    let reference_rows: Vec<_> = p
-        .observer_as::<PcTrace>(&trace)
-        .expect("trace attached")
-        .rows()
-        .to_vec();
     let reference_heat: Vec<_> = p
         .observer_as::<BankHeatMap>(&heat)
         .expect("heat map attached")
         .rows()
         .to_vec();
-    assert!(!reference_rows.is_empty(), "trace recorded rows");
+    assert!(!reference_heat.is_empty(), "heat map recorded rows");
 
     let mut q = Platform::new(cfg.clone()).expect("valid config");
     q.attach(Box::new(PcTrace::new(4096)));
@@ -280,21 +275,16 @@ fn attached_observers_round_trip_through_checkpoints() {
     ));
     let blob = q.snapshot().to_bytes();
     let ckpt = Checkpoint::from_bytes(&blob).expect("blob round-trips");
-    assert_eq!(ckpt.observers.len(), 2, "both observers checkpointed");
+    let labels: Vec<_> = ckpt.observers.iter().map(|(l, _)| l.as_str()).collect();
+    assert_eq!(labels, ["bank-heat-map"], "only the heat map checkpointed");
 
     // Observers must be attached *before* the restore so the checkpointed
     // state has somewhere to land.
     let mut r = Platform::new(cfg.clone()).expect("valid config");
-    let trace = r.attach(Box::new(PcTrace::new(4096)));
     let heat = r.attach(Box::new(BankHeatMap::for_dm(&cfg, 16)));
     r.restore_from(&ckpt).expect("restore succeeds");
     r.run().expect("resumed run terminates");
     assert_eq!(reference, capture(&r));
-    assert_eq!(
-        reference_rows,
-        r.observer_as::<PcTrace>(&trace).expect("attached").rows(),
-        "PC trace artifacts identical"
-    );
     assert_eq!(
         reference_heat,
         r.observer_as::<BankHeatMap>(&heat)
