@@ -13,9 +13,13 @@
 //! * cycles lost from the batch to the interpreter raise it too;
 //! * a slower interpreter lowers it.
 //!
-//! A 2× change of either side leaves the band. The bench prints every
-//! cell's ratio and exits non-zero if any left its band;
-//! `ULP_BENCH_QUICK=1` runs fewer rounds (CI sizing).
+//! A 2× change of either side leaves the band. A fourth gate times
+//! `run()` on two cells against each other: the divergent cycles of
+//! SQRT32 nosync 8 against the lockstep of MRPDLN sync 8, per simulated
+//! core-cycle, so a slower divergent batch fails even when the
+//! interpreter slows with it. The bench prints every ratio and exits
+//! non-zero if any left its band; `ULP_BENCH_QUICK=1` runs fewer rounds
+//! (CI sizing).
 
 mod common;
 
@@ -56,6 +60,11 @@ const CELLS: [Cell; 3] = [
     },
 ];
 
+/// The band of SQRT32 nosync 8's `run()` time per simulated core-cycle
+/// over MRPDLN sync 8's ([`CELLS`]`[2]` over [`CELLS`]`[0]`): about 1.4×
+/// either way of the ratio measured on a 2-vCPU x86-64 VM (2.28).
+const DIVERGENT_BAND: RangeInclusive<f64> = 1.63..=3.19;
+
 /// The cell's kernel loaded and parked after its first cycle, as a
 /// checkpoint both sides restore from.
 fn parked(cell: &Cell, workload: &WorkloadConfig) -> Checkpoint {
@@ -72,7 +81,7 @@ fn parked(cell: &Cell, workload: &WorkloadConfig) -> Checkpoint {
 }
 
 /// Restores `start` and runs it to the end with `run()`; returns the
-/// cycles.
+/// cycle count it ends at.
 fn batched(p: &mut Platform, start: &Checkpoint) -> u64 {
     p.restore_from(start).expect("restores");
     p.run().expect("kernel runs").cycles
@@ -117,6 +126,33 @@ fn main() {
         );
         passed &= common::check(&label, ratio.value, cell.band.clone());
     }
+
+    let (lockstep, divergent) = (&CELLS[0], &CELLS[2]);
+    let sides = [lockstep, divergent].map(|cell| {
+        let start = parked(cell, &workload);
+        let mut p = Platform::restore(&start).expect("restores");
+        let core_cycles = (batched(&mut p, &start) - start.cycle) * cell.cores as u64;
+        (start, p, core_cycles)
+    });
+    let [(lock_start, mut lock_p, lock_core_cycles), (div_start, mut div_p, div_core_cycles)] =
+        sides;
+    let ratio = common::measure(
+        rounds,
+        || common::timed(|| batched(&mut div_p, &div_start)),
+        || common::timed(|| batched(&mut lock_p, &lock_start)),
+    );
+    let per_core_cycle = ratio.value * lock_core_cycles as f64 / div_core_cycles as f64;
+    println!(
+        "fast_path/divergent_vs_lockstep: run() {:.2} ns per core-cycle on SQRT32/nosync/8, \
+         {:.2} on MRPDLN/sync/8",
+        ratio.best_subject.as_secs_f64() * 1e9 / div_core_cycles as f64,
+        ratio.best_reference.as_secs_f64() * 1e9 / lock_core_cycles as f64,
+    );
+    passed &= common::check(
+        "fast_path/divergent_vs_lockstep",
+        per_core_cycle,
+        DIVERGENT_BAND,
+    );
     if !passed {
         std::process::exit(1);
     }

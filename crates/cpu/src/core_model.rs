@@ -106,11 +106,12 @@ pub struct CoreSnapshot {
 ///
 /// The core is driven by the platform: each cycle the platform inspects the
 /// core's state, performs arbitration, and invokes exactly one of the
-/// per-cycle methods (`on_fetch_granted`, `note_fetch_stall`,
+/// per-cycle methods (`on_fetch_granted`, `note_fetch_stalls`,
 /// `complete_execute`, `note_mem_stall`, `hold_with_data`, `note_hold`,
 /// `on_sync_accepted`, `note_sync_active`, `note_sync_stall`, `note_sleep`),
 /// plus edge events (`complete_sync`, `release`, `wake`) that do not consume
-/// a cycle.
+/// a cycle. `note_fetch_stalls` may also charge a run of stalled cycles in
+/// one call.
 ///
 /// See [`crate::SimpleHost`] for a minimal single-core driver.
 #[derive(Debug, Clone)]
@@ -305,11 +306,14 @@ impl Core {
         self.state = CoreState::Execute(instr);
     }
 
-    /// Records a cycle spent waiting for a fetch grant (clock-gated).
-    pub fn note_fetch_stall(&mut self) {
+    /// Records `cycles` cycles spent waiting for a fetch grant
+    /// (clock-gated). The platform's batch charges a run of stalled
+    /// cycles in one call: a stalled core executes nothing, so no
+    /// instruction (`RDCYC` included) can tell when its count was added.
+    pub fn note_fetch_stalls(&mut self, cycles: u64) {
         debug_assert!(matches!(self.state, CoreState::Fetch));
-        self.cycles += 1;
-        self.stats.fetch_stall_cycles += 1;
+        self.cycles += cycles;
+        self.stats.fetch_stall_cycles += cycles;
     }
 
     // ---- execute phase ---------------------------------------------------

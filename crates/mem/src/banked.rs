@@ -194,9 +194,19 @@ impl BankedMemory {
     /// Counts a single bank access; the `requesters - 1` saved accesses are
     /// recorded in [`MemStats::broadcast_extra`].
     pub fn read_broadcast(&mut self, addr: u16, requesters: usize) -> u16 {
+        self.count_broadcast(self.bank_of(addr), requesters);
+        self.words[self.index(addr)]
+    }
+
+    /// Counts a [`BankedMemory::read_broadcast`] of a word in `bank`
+    /// without reading it: an I-Xbar grant, which knows the bank; its
+    /// caller reads the word itself.
+    #[inline]
+    pub(crate) fn count_broadcast(&mut self, bank: usize, requesters: usize) {
         debug_assert!(requesters >= 1);
+        self.stats.bank_reads += 1;
         self.stats.broadcast_extra += requesters.saturating_sub(1) as u64;
-        self.read(addr)
+        self.per_bank[bank] += 1;
     }
 
     /// Physical write (counted).

@@ -13,13 +13,52 @@ use crate::banked::BankedMemory;
 use crate::fastdiv::{rr_min_distance, rr_next};
 
 /// A same-address fetch group: every core whose bit is set in `members`
-/// fetches `addr` this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// fetches `addr` this cycle. [`FetchGroup::join`] keeps `width` equal to
+/// the member count, and [`FetchGroup::new`] and [`FetchGroup::move_to`]
+/// take `addr`'s bank from the caller, who knows it (the platform keeps
+/// it in its decoded-op table), so the arbiter counts no bits and maps no
+/// address. The default group is empty.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchGroup {
     /// The shared fetch address.
     pub addr: u16,
+    /// The IM bank `addr` lies in.
+    pub bank: u16,
     /// The requesting cores, one bit per core id.
     pub members: u32,
+    /// The number of requesting cores, `members.count_ones()`.
+    pub width: u32,
+}
+
+impl FetchGroup {
+    /// The group of `core` alone, fetching `addr`, which lies in IM bank
+    /// `bank` ([`BankedMemory::bank_of`]).
+    #[inline]
+    pub fn new(addr: u16, bank: usize, core: usize) -> FetchGroup {
+        FetchGroup {
+            addr,
+            bank: bank as u16,
+            members: 1 << core,
+            width: 1,
+        }
+    }
+
+    /// Adds `core`, which fetches the group's address and is not yet a
+    /// member, to the group.
+    #[inline]
+    pub fn join(&mut self, core: usize) {
+        debug_assert_eq!(self.members & 1 << core, 0, "core {core} already a member");
+        self.members |= 1 << core;
+        self.width += 1;
+    }
+
+    /// Moves the whole group on to fetch `addr`, which lies in IM bank
+    /// `bank`.
+    #[inline]
+    pub fn move_to(&mut self, addr: u16, bank: usize) {
+        self.addr = addr;
+        self.bank = bank as u16;
+    }
 }
 
 /// Statistics of the instruction crossbar.
@@ -114,11 +153,16 @@ impl IXbar {
     /// The members of the other groups stall. The caller reads the served
     /// words itself; the arbiter only counts the accesses.
     ///
-    /// Each group holds at least one core and fetches one address, and no
-    /// two groups share an address. Per bank, the core nearest the bank's
-    /// rotating-priority pointer wins, found from each group's member mask
-    /// rotated to the pointer; its whole group is served by one broadcast
-    /// read, and the pointer moves past it. Performs no heap allocation.
+    /// Each group holds at least one core and fetches one address, no two
+    /// groups share an address, and each group's `width` and `bank` are
+    /// its member count and its address's bank in `imem` (what
+    /// [`FetchGroup::new`] and [`FetchGroup::join`] maintain). Per bank,
+    /// the core nearest the bank's rotating-priority pointer wins, found
+    /// from each group's member mask rotated to the pointer; its whole
+    /// group is served by one broadcast read, and the pointer moves past
+    /// it. When every group lies in one bank (every paper kernel fits in
+    /// IM bank 0), the winner is found by one rotation of the union of
+    /// the members. Performs no heap allocation.
     ///
     /// # Panics
     ///
@@ -126,37 +170,55 @@ impl IXbar {
     #[inline]
     pub fn serve_groups(&mut self, groups: &[FetchGroup], imem: &mut BankedMemory) -> u32 {
         assert!(groups.len() <= 32, "at most 32 fetch groups");
-        let all = groups.iter().fold(0u32, |m, g| m | g.members);
+        let (mut all, mut requests, mut one_bank) = (0u32, 0u32, true);
+        for g in groups {
+            debug_assert_eq!(g.width, g.members.count_ones(), "width is the member count");
+            debug_assert_eq!(
+                usize::from(g.bank),
+                imem.bank_of(g.addr),
+                "bank of the address"
+            );
+            all |= g.members;
+            requests += g.width;
+            one_bank &= g.bank == groups[0].bank;
+        }
         if all == 0 {
             return 0;
         }
         let ncores = ((u32::BITS - all.leading_zeros()) as usize).max(self.rr.len().min(64));
-        if let [group] = groups {
-            // One group: no conflict, the whole group is served.
-            let width = all.count_ones();
-            self.stats.requests += u64::from(width);
-            let bank = imem.bank_of(group.addr);
-            let ptr = wrap_pointer(self.rr[bank], ncores);
-            self.grant(bank, ptr, rr_min_distance(all, ptr, ncores), ncores);
-            self.broadcast(group.addr, width, width, imem);
-            return 1;
+        self.stats.requests += u64::from(requests);
+        if !one_bank {
+            return self.serve_contended(groups, ncores, imem);
         }
-        self.stats.requests += u64::from(all.count_ones());
-        self.serve_contended(groups, ncores, imem)
+        // One bank: the core nearest its pointer, among every group's
+        // members, wins for its group. With one group that is the whole
+        // cycle's fetch, served without conflict.
+        let bank = usize::from(groups[0].bank);
+        let ptr = wrap_pointer(self.rr[bank], ncores);
+        let winner = self.grant(bank, ptr, rr_min_distance(all, ptr, ncores), ncores);
+        let g = match groups {
+            [_] => 0,
+            _ => groups
+                .iter()
+                .position(|g| g.members & 1 << winner != 0)
+                .expect("the winner is a member"),
+        };
+        let width = groups[g].width;
+        if width < requests {
+            self.stats.conflict_cycles += 1;
+        }
+        self.broadcast(bank, width, requests, imem);
+        1 << g
     }
 
-    /// [`IXbar::serve_groups`] for two or more groups: banks with several
-    /// groups serve one and stall the rest.
+    /// [`IXbar::serve_groups`] for groups in two or more banks: banks
+    /// with several groups serve one and stall the rest.
     fn serve_contended(
         &mut self,
         groups: &[FetchGroup],
         ncores: usize,
         imem: &mut BankedMemory,
     ) -> u32 {
-        let mut banks = [0usize; 32];
-        for (bank, g) in banks.iter_mut().zip(groups) {
-            *bank = imem.bank_of(g.addr);
-        }
         let mut served = 0u32;
         let mut pending = ((1u64 << groups.len()) - 1) as u32;
         while pending != 0 {
@@ -164,41 +226,41 @@ impl IXbar {
             // pending group in that bank competes with it.
             let first = pending.trailing_zeros() as usize;
             pending &= pending - 1;
-            let bank = banks[first];
-            let ptr = wrap_pointer(self.rr[bank], ncores);
+            let bank = groups[first].bank;
+            let ptr = wrap_pointer(self.rr[usize::from(bank)], ncores);
             let mut winner = first;
             let mut best = rr_min_distance(groups[first].members, ptr, ncores);
-            let mut requests = groups[first].members.count_ones();
+            let mut requests = groups[first].width;
             let mut rest = pending;
             while rest != 0 {
                 let g = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                if banks[g] != bank {
+                if groups[g].bank != bank {
                     continue;
                 }
                 debug_assert_ne!(groups[g].addr, groups[first].addr, "groups are distinct");
                 pending &= !(1 << g);
-                requests += groups[g].members.count_ones();
+                requests += groups[g].width;
                 let distance = rr_min_distance(groups[g].members, ptr, ncores);
                 if distance < best {
                     (winner, best) = (g, distance);
                 }
             }
-            let width = groups[winner].members.count_ones();
+            let width = groups[winner].width;
             if width < requests {
                 self.stats.conflict_cycles += 1;
             }
-            self.grant(bank, ptr, best, ncores);
-            self.broadcast(groups[winner].addr, width, requests, imem);
+            self.grant(usize::from(bank), ptr, best, ncores);
+            self.broadcast(usize::from(bank), width, requests, imem);
             served |= 1 << winner;
         }
         served
     }
 
     /// Advances `bank`'s priority pointer past the core at `distance`
-    /// from `ptr`, the winner of a group grant.
+    /// from `ptr`, the winner of a group grant, and returns that core.
     #[inline]
-    fn grant(&mut self, bank: usize, ptr: usize, distance: u32, ncores: usize) {
+    fn grant(&mut self, bank: usize, ptr: usize, distance: u32, ncores: usize) -> usize {
         let winner = ptr + distance as usize;
         let winner = if winner >= ncores {
             winner - ncores
@@ -206,13 +268,14 @@ impl IXbar {
             winner
         };
         self.rr[bank] = rr_next(winner, ncores);
+        winner
     }
 
-    /// One broadcast read of `addr` serving `width` of the bank's
-    /// `requests` requesters; the rest stall.
+    /// One broadcast read of `bank` serving `width` of its `requests`
+    /// requesters; the rest stall.
     #[inline]
-    fn broadcast(&mut self, addr: u16, width: u32, requests: u32, imem: &mut BankedMemory) {
-        imem.read_broadcast(addr, width as usize);
+    fn broadcast(&mut self, bank: usize, width: u32, requests: u32, imem: &mut BankedMemory) {
+        imem.count_broadcast(bank, width as usize);
         self.stats.grants += u64::from(width);
         self.stats.transfers += u64::from(width);
         self.stats.stalls += u64::from(requests - width);
@@ -244,7 +307,7 @@ mod tests {
     /// Serves one cycle of `(core, addr)` fetches, grouped by address in
     /// request order, and returns the granted cores as a bitmask.
     fn serve(xbar: &mut IXbar, fetches: &[(usize, u16)], m: &mut BankedMemory) -> u32 {
-        let groups = fetch_groups(fetches);
+        let groups = fetch_groups(fetches, m);
         served_cores(&groups, xbar.serve_groups(&groups, m))
     }
 

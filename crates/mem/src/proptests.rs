@@ -110,16 +110,14 @@ impl RequestArbiter {
     }
 }
 
-/// The cycle's fetches as same-address groups, in request order.
-pub(crate) fn fetch_groups(reqs: &[(usize, u16)]) -> Vec<FetchGroup> {
+/// The cycle's fetches from `imem` as same-address groups, in request
+/// order.
+pub(crate) fn fetch_groups(reqs: &[(usize, u16)], imem: &BankedMemory) -> Vec<FetchGroup> {
     let mut groups: Vec<FetchGroup> = Vec::new();
     for &(core, addr) in reqs {
         match groups.iter_mut().find(|g| g.addr == addr) {
-            Some(g) => g.members |= 1 << core,
-            None => groups.push(FetchGroup {
-                addr,
-                members: 1 << core,
-            }),
+            Some(g) => g.join(core),
+            None => groups.push(FetchGroup::new(addr, imem.bank_of(addr), core)),
         }
     }
     groups
@@ -360,7 +358,7 @@ proptest! {
             if pending.is_empty() {
                 break;
             }
-            let groups = fetch_groups(&pending);
+            let groups = fetch_groups(&pending, &mem);
             let before = *mem.stats();
             let served_groups = xbar.serve_groups(&groups, &mut mem);
             prop_assert!(served_groups < 1 << groups.len(), "served an absent group");
@@ -413,11 +411,60 @@ proptest! {
                 // Addresses past the 64-word memory stand for "not fetching".
                 .filter(|&(_, addr)| addr < 64)
                 .collect();
-            let groups = fetch_groups(&reqs);
+            let groups = fetch_groups(&reqs, &by_group.1);
             let granted = by_request.0.arbitrate(&reqs, &mut by_request.1);
             let served = by_group.0.serve_groups(&groups, &mut by_group.1);
             prop_assert_eq!(granted, served_cores(&groups, served));
             prop_assert_eq!(&by_request.0.state, &by_group.0.save());
+            prop_assert_eq!(by_request.1.save(), by_group.1.save());
+        }
+    }
+
+    /// Cycles whose fetches all fall in one bank, the shape of every
+    /// contended cycle of the paper kernels (they fit in IM bank 0),
+    /// served as groups by [`IXbar::serve_groups`]'s one-bank case, match
+    /// [`RequestArbiter`] from random priority pointers: the same grants,
+    /// pointers, statistics and memory counters, cycle after cycle, at 2
+    /// to 16 cores, on the paper's IM geometry and a small one, under
+    /// either mapping.
+    #[test]
+    fn one_bank_group_grants_match_request_arbitration(
+        cores in 2usize..=16,
+        paper in any::<bool>(),
+        interleaved in any::<bool>(),
+        rr in prop::collection::vec(0usize..16, 8),
+        cycles in prop::collection::vec((0usize..8, prop::collection::vec(0u16..10, 16)), 1..12),
+    ) {
+        let mapping = if interleaved { BankMapping::Interleaved } else { BankMapping::Blocked };
+        let (words, banks) = if paper { (48 * 1024, 8) } else { (64, 4) };
+        let start = IXbarSnapshot { rr: rr[..banks].to_vec(), ..IXbarSnapshot::default() };
+        let mut by_request = (RequestArbiter::new(banks), BankedMemory::new(words, banks, mapping));
+        let mut by_group = (IXbar::new(banks), BankedMemory::new(words, banks, mapping));
+        by_request.0.state = start.clone();
+        prop_assert!(by_group.0.load_snapshot(&start));
+        for (bank, draws) in &cycles {
+            let bank = bank % banks;
+            let reqs: Vec<(usize, u16)> = draws[..cores]
+                .iter()
+                .enumerate()
+                // Draws 8 and 9 stand for "not fetching"; the others pick
+                // one of eight words of the bank, so cores share addresses.
+                .filter(|&(_, &word)| word < 8)
+                .map(|(core, &word)| {
+                    let addr = match mapping {
+                        BankMapping::Blocked => bank * (words / banks) + usize::from(word),
+                        BankMapping::Interleaved => usize::from(word) * banks + bank,
+                    };
+                    (core, addr as u16)
+                })
+                .collect();
+            let groups = fetch_groups(&reqs, &by_group.1);
+            prop_assert!(groups.iter().all(|g| usize::from(g.bank) == bank));
+            let granted = by_request.0.arbitrate(&reqs, &mut by_request.1);
+            let served = by_group.0.serve_groups(&groups, &mut by_group.1);
+            prop_assert_eq!(granted, served_cores(&groups, served), "grants of {:?}", reqs);
+            prop_assert_eq!(&by_request.0.state, &by_group.0.save());
+            prop_assert_eq!(by_request.1.stats(), by_group.1.stats());
             prop_assert_eq!(by_request.1.save(), by_group.1.save());
         }
     }

@@ -163,7 +163,7 @@ impl Observer for LockstepWidth {
 
     #[inline]
     fn on_fetch(&mut self, _cycle: u64, groups: &[FetchGroup]) {
-        if let Some(width) = groups.iter().map(|g| g.members.count_ones()).max() {
+        if let Some(width) = groups.iter().map(|g| g.width).max() {
             self.note_width(u64::from(width));
         }
     }
@@ -419,7 +419,12 @@ mod tests {
     #[test]
     fn lockstep_width_counts_largest_group() {
         let mut w = LockstepWidth::new();
-        let group = |addr, members| FetchGroup { addr, members };
+        let group = |addr, members: u32| FetchGroup {
+            addr,
+            bank: 0,
+            members,
+            width: members.count_ones(),
+        };
         w.on_fetch(1, &[]);
         assert_eq!(w.cycles(), 0, "empty fetch cycles are not counted");
         w.on_fetch(2, &[group(5, 0b011), group(9, 0b100)]);

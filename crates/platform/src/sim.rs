@@ -118,11 +118,12 @@ pub struct Platform {
     buffers: CycleBuffers,
     lockstep: LockstepWidth,
     /// The decoded-op table over the loaded program: entry `a` is the op
-    /// at IM word `a` if it is batchable (see [`batchable`]), `None` if
-    /// it is not or was never loaded. Built from the words being loaded,
-    /// so it only spans the program; a fetch past its end or at a `None`
-    /// entry is left to the interpreter, which decodes the word itself.
-    decoded: Vec<Option<Instr>>,
+    /// at IM word `a` and its bank if the op is batchable (see
+    /// [`batchable`]), `None` if it is not or was never loaded. Built
+    /// from the words being loaded, so it only spans the program; a fetch
+    /// past its end or at a `None` entry is left to the interpreter,
+    /// which decodes the word itself.
+    decoded: Vec<Option<Decoded>>,
     /// Observers registered through [`Platform::attach`], notified on
     /// every step/run in attach order. Each entry keeps the id its
     /// [`ObserverHandle`] was minted with.
@@ -275,7 +276,7 @@ impl Platform {
         if index >= self.decoded.len() {
             self.decoded.resize(index + 1, None);
         }
-        self.decoded[index] = batchable(word);
+        self.decoded[index] = batchable(&self.imem, addr, word);
     }
 
     /// Loads raw words into data memory at `base`.
@@ -401,10 +402,7 @@ impl Platform {
         // nothing for them.
         buf.phases.clear();
         buf.phases.extend(self.cores.iter().map(|c| c.state()));
-        let mut groups = [FetchGroup {
-            addr: 0,
-            members: 0,
-        }; 16];
+        let mut groups = [FetchGroup::default(); 16];
         let (mut k, mut fetching) = (0, 0u32);
         buf.sync_reqs.clear();
         buf.dm_reqs.clear();
@@ -423,7 +421,7 @@ impl Platform {
             match phase {
                 CoreState::Fetch => {
                     fetching |= 1 << i;
-                    join_group(&mut groups, &mut k, self.cores[i].pc(), i);
+                    join_group(&mut groups, &mut k, self.cores[i].pc(), i, &self.imem);
                 }
                 CoreState::Execute(_) => {
                     let c = &self.cores[i];
@@ -464,7 +462,7 @@ impl Platform {
             let word = self.imem.peek(group.addr);
             for_each_bit(group.members, |i| {
                 if let Err(error) = self.cores[i].on_fetch_granted(word) {
-                    let bank = self.imem.bank_of(group.addr);
+                    let bank = usize::from(group.bank);
                     if fault.is_none_or(|(first, _)| bank < first) {
                         fault = Some((bank, PlatformError::CoreFault { core: i, error }));
                     }
@@ -474,7 +472,7 @@ impl Platform {
         if let Some((_, error)) = fault {
             self.fault.get_or_insert(error);
         }
-        for_each_bit(fetching, |i| self.cores[i].note_fetch_stall());
+        for_each_bit(fetching, |i| self.cores[i].note_fetch_stalls(1));
 
         // ---- execute phase: synchronization ISE ------------------------
         if let Some(sync) = &mut self.sync {
@@ -697,11 +695,10 @@ impl Platform {
     /// interrupt both pending and enabled, and at least one core is
     /// awake. Each cycle then:
     ///
-    /// * groups the fetching cores by PC and takes each group's op from
-    ///   the decoded-op table, so a granted group decodes nothing;
-    /// * grants whole groups through one I-Xbar call
+    /// * grants whole fetch groups through one I-Xbar call
     ///   ([`IXbar::serve_groups`]) and stalls the rest, and records the
-    ///   largest group's width as the lockstep width;
+    ///   largest group's width as the lockstep width; a granted group
+    ///   takes its op from the decoded-op table, so it decodes nothing;
     /// * executes the cores that started the cycle in `Execute`: memory
     ///   ops through the interpreter's own data phase
     ///   ([`Platform::serve_data`]), so conflicts, stalls, holds and
@@ -709,10 +706,20 @@ impl Platform {
     ///   core-locally;
     /// * charges each sleeping core its cycle.
     ///
-    /// The fetch and execute bitmasks carry over to the next cycle. When
-    /// one group holds every awake core and none executes, the batch runs
-    /// whole fetch/execute pairs instead ([`Platform::batch_uniform`], the
-    /// k = 1 case) until a branch or a stall splits the group. The
+    /// A cycle's work is in proportion to the cores whose state changed.
+    /// The fetch groups, each with its op and bank, and the fetch and
+    /// execute bitmasks carry over to the next cycle: the served groups
+    /// leave, and each core that completed its op joins the group at its
+    /// new PC (or opens one). A stalled core is not touched while it
+    /// waits: `since` records the cycle its wait began, and its run of
+    /// fetch-stall cycles is charged in one [`Core::note_fetch_stalls`]
+    /// call when it is granted or when the batch ends, on any path. No
+    /// instruction can observe a stalled core (`RDCYC` reads the counter
+    /// of the core executing it), so the lazy charge is exact.
+    ///
+    /// When one group holds every awake core and none executes, the batch
+    /// runs whole fetch/execute pairs instead ([`Platform::batch_uniform`],
+    /// the k = 1 case) until a branch or a stall splits the group. The
     /// synchronizer's interpreted phase is a no-op in these cycles: it is
     /// idle and nothing requests it. Nothing inside a batch can wake a
     /// sleeper, put a core to sleep, halt it, fault it or enable an
@@ -755,52 +762,57 @@ impl Platform {
             return false;
         }
         let start = self.cycle;
-        let mut groups = [FetchGroup {
-            addr: 0,
-            members: 0,
-        }; 16];
-        let mut ops = [Instr::Nop; 16];
-        loop {
-            let mut k = 0;
-            let mut pending = fetch;
-            while pending != 0 {
-                let i = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let pc = self.cores[i].pc();
-                if join_group(&mut groups, &mut k, pc, i) {
-                    let Some(op) = self.decoded.get(usize::from(pc)).copied().flatten() else {
-                        return self.cycle > start;
-                    };
-                    ops[k - 1] = op;
-                }
-            }
+        // The fetch groups and their ops, carried from cycle to cycle.
+        let (mut groups, mut ops, mut k) = ([FetchGroup::default(); 16], [Instr::Nop; 16], 0);
+        // Per fetching core, the cycle its run of fetch stalls follows: a
+        // core granted in cycle `c` has stalled `c - 1 - since[i]` cycles.
+        let mut since = [start; 16];
+        if !self.join_groups(fetch, &mut groups, &mut ops, &mut k) {
+            return false;
+        }
+        let ran = loop {
             if k == 1 && exec == 0 {
-                match self.batch_uniform(buf, groups[0], ops[0], asleep, limit) {
-                    Some((f, e)) => {
-                        (fetch, exec, exec_mem) = (f, e, e);
-                        continue;
-                    }
+                // The uniform loop grants the group in its first cycle.
+                for_each_bit(fetch, |i| {
+                    self.cores[i].note_fetch_stalls(self.cycle - since[i]);
+                });
+                let (f, e) = match self.batch_uniform(buf, groups[0], ops[0], asleep, limit) {
+                    Some(masks) => masks,
                     None => return true,
+                };
+                (fetch, exec, exec_mem, k) = (f, e, e, 0);
+                for_each_bit(fetch, |i| since[i] = self.cycle);
+                if !self.join_groups(fetch, &mut groups, &mut ops, &mut k) {
+                    break true;
                 }
+                continue;
             }
             self.cycle += 1;
 
-            // Fetch: whole groups granted or stalled.
+            // Fetch: whole groups granted or stalled. A served group
+            // leaves; the last group takes its slot, so groups are served
+            // highest first.
             let (mut fetched, mut fetched_mem) = (0u32, 0u32);
             if k > 0 {
                 self.lockstep.on_fetch(self.cycle, &groups[..k]);
                 let mut served = self.ixbar.serve_groups(&groups[..k], &mut self.imem);
                 while served != 0 {
-                    let g = served.trailing_zeros() as usize;
-                    served &= served - 1;
+                    let g = (u32::BITS - 1 - served.leading_zeros()) as usize;
+                    served &= !(1 << g);
                     let (members, op) = (groups[g].members, ops[g]);
                     fetched |= members;
                     if op.op_class() == OpClass::Mem {
                         fetched_mem |= members;
                     }
-                    Core::fetch_group(&mut self.cores, members, op);
+                    for_each_bit(members, |i| {
+                        let core = &mut self.cores[i];
+                        core.note_fetch_stalls(self.cycle - 1 - since[i]);
+                        core.on_fetch_granted_decoded(op);
+                    });
+                    k -= 1;
+                    (groups[g], ops[g]) = (groups[k], ops[k]);
                 }
-                for_each_bit(fetch & !fetched, |i| self.cores[i].note_fetch_stall());
+                fetch &= !fetched;
             }
 
             // Execute: core-local ops complete, memory ops go through the
@@ -824,12 +836,55 @@ impl Platform {
             for_each_bit(asleep, |i| self.cores[i].note_sleep());
 
             if held || self.cycle == limit {
-                return true;
+                break true;
             }
-            fetch = (fetch & !fetched) | (exec & !mem_stalled);
-            exec = fetched | mem_stalled;
-            exec_mem = fetched_mem | mem_stalled;
+            // Cores that completed their op fetch from the next cycle on.
+            let done = exec & !mem_stalled;
+            (exec, exec_mem) = (fetched | mem_stalled, fetched_mem | mem_stalled);
+            fetch |= done;
+            for_each_bit(done, |i| since[i] = self.cycle);
+            if !self.join_groups(done, &mut groups, &mut ops, &mut k) {
+                break true;
+            }
+        };
+        // Every exit charges the stalls of the cores still waiting.
+        for_each_bit(fetch, |i| {
+            self.cores[i].note_fetch_stalls(self.cycle - since[i]);
+        });
+        ran
+    }
+
+    /// Adds every core of `joining` (bit per core id), each in its fetch
+    /// phase, to the group among `groups[..*k]` that fetches its PC, or
+    /// opens group `*k` for it with its op and bank from the decoded-op
+    /// table. Returns `false` if an opened group's op is not batchable or
+    /// not in the table: the batch ends before that fetch, which the
+    /// interpreter decodes.
+    #[inline]
+    fn join_groups(
+        &self,
+        joining: u32,
+        groups: &mut [FetchGroup; 16],
+        ops: &mut [Instr; 16],
+        k: &mut usize,
+    ) -> bool {
+        let mut pending = joining;
+        while pending != 0 {
+            let i = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            let pc = self.cores[i].pc();
+            if let Some(g) = groups[..*k].iter_mut().find(|g| g.addr == pc) {
+                g.join(i);
+                continue;
+            }
+            let Some(Decoded { op, bank }) = self.decoded.get(usize::from(pc)).copied().flatten()
+            else {
+                return false;
+            };
+            (groups[*k], ops[*k]) = (FetchGroup::new(pc, usize::from(bank), i), op);
+            *k += 1;
         }
+        true
     }
 
     /// The batch's uniform case: every awake core fetches the op at one
@@ -850,7 +905,7 @@ impl Platform {
         limit: u64,
     ) -> Option<(u32, u32)> {
         let members = group.members;
-        let width = u64::from(members.count_ones());
+        let width = u64::from(group.width);
         loop {
             self.cycle += 1;
             self.lockstep.note_width(width);
@@ -898,8 +953,9 @@ impl Platform {
             } else {
                 group.addr.wrapping_add(1)
             };
-            group.addr = pc;
-            op = self.decoded.get(usize::from(pc)).copied().flatten()?;
+            let next = self.decoded.get(usize::from(pc)).copied().flatten()?;
+            group.move_to(pc, usize::from(next.bank));
+            op = next.op;
         }
     }
 
@@ -1055,8 +1111,13 @@ impl Platform {
             .rposition(|&w| w != 0)
             .map_or(0, |last| last + 1);
         self.decoded.clear();
-        self.decoded
-            .extend(words[..end].iter().map(|&word| batchable(word)));
+        let imem = &self.imem;
+        self.decoded.extend(
+            words[..end]
+                .iter()
+                .enumerate()
+                .map(|(index, &word)| batchable(imem, index as u16, word)),
+        );
         if !self.dmem.load_snapshot(&ckpt.dmem) {
             return Err(RestoreError::Corrupt {
                 what: "data memory",
@@ -1116,9 +1177,22 @@ fn dm_request(i: usize, core: &Core) -> Option<DmRequest> {
     })
 }
 
-/// The decoded op if `word` may run inside a batch (see [`is_batchable`]).
-fn batchable(word: u16) -> Option<Instr> {
-    decode(word).ok().filter(|&instr| is_batchable(instr))
+/// A decoded-op table entry: a batchable op and the IM bank it lies in,
+/// so a batched fetch maps no address.
+#[derive(Debug, Clone, Copy)]
+struct Decoded {
+    op: Instr,
+    bank: u16,
+}
+
+/// The table entry of `word` at IM address `addr` if it may run inside a
+/// batch (see [`is_batchable`]).
+fn batchable(imem: &BankedMemory, addr: u16, word: u16) -> Option<Decoded> {
+    let op = decode(word).ok().filter(|&instr| is_batchable(instr))?;
+    Some(Decoded {
+        op,
+        bank: imem.bank_of(addr) as u16,
+    })
 }
 
 /// Whether `instr` may run inside a batch: any op the cores can execute
@@ -1138,21 +1212,22 @@ fn is_batchable(instr: Instr) -> bool {
     instr.op_class() != OpClass::Boundary && !enables_irq
 }
 
-/// Adds `core`, fetching `addr`, to the group among `groups[..*k]` that
-/// fetches `addr`, or opens group `*k` for it. Returns whether it opened
-/// one.
+/// Adds `core`, fetching `addr` from `imem`, to the group among
+/// `groups[..*k]` that fetches `addr`, or opens group `*k` for it.
 #[inline]
-fn join_group(groups: &mut [FetchGroup; 16], k: &mut usize, addr: u16, core: usize) -> bool {
+fn join_group(
+    groups: &mut [FetchGroup; 16],
+    k: &mut usize,
+    addr: u16,
+    core: usize,
+    imem: &BankedMemory,
+) {
     if let Some(g) = groups[..*k].iter_mut().find(|g| g.addr == addr) {
-        g.members |= 1 << core;
-        return false;
+        g.join(core);
+        return;
     }
-    groups[*k] = FetchGroup {
-        addr,
-        members: 1 << core,
-    };
+    groups[*k] = FetchGroup::new(addr, imem.bank_of(addr), core);
     *k += 1;
-    true
 }
 
 /// Calls `f` with the index of every set bit of `mask`, lowest first.

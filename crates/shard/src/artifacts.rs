@@ -118,8 +118,8 @@ fn reindex_heat_map(
 ///
 /// [`MergeError::HeatMapPresence`] when a shard carries a heat map the
 /// run did not ask for, or lacks the one it did, and
-/// [`MergeError::HeatMapShapeMismatch`] when shards disagree on the bank
-/// count.
+/// [`MergeError::HeatMapShapeMismatch`] when any row's bank count differs
+/// from the first row's, within a shard or across shards.
 pub(crate) fn merge_heat_map(
     window: Option<u64>,
     shards: &[ShardOutput],
@@ -140,13 +140,13 @@ pub(crate) fn merge_heat_map(
     let mut offset = 0u64;
     for out in shards {
         let shard_rows = out.heat_map.as_deref().unwrap_or_default();
-        if let Some(first) = shard_rows.first() {
-            let expected = *banks.get_or_insert(first.len());
-            if first.len() != expected {
+        for row in shard_rows {
+            let expected = *banks.get_or_insert(row.len());
+            if row.len() != expected {
                 return Err(MergeError::HeatMapShapeMismatch {
                     shard: out.shard.index,
                     expected_banks: expected,
-                    found_banks: first.len(),
+                    found_banks: row.len(),
                 });
             }
         }

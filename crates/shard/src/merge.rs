@@ -77,11 +77,12 @@ pub enum MergeError {
         /// Whether the configuration asked for a heat map.
         expected: bool,
     },
-    /// Shards disagree on the heat map's bank count.
+    /// A heat-map row's bank count differs from the first row's, within
+    /// a shard or across shards.
     HeatMapShapeMismatch {
-        /// Plan index of the offending shard.
+        /// Plan index of the shard holding the offending row.
         shard: usize,
-        /// Banks per row of the first non-empty shard map.
+        /// Banks per row of the first row of the merged map.
         expected_banks: usize,
         /// Banks per row found.
         found_banks: usize,
@@ -143,8 +144,8 @@ impl fmt::Display for MergeError {
                 found_banks,
             } => write!(
                 f,
-                "shard {shard}'s heat map has {found_banks} banks per row, \
-                 other shards have {expected_banks}"
+                "shard {shard}'s heat map has a row of {found_banks} banks, \
+                 the first row has {expected_banks}"
             ),
             MergeError::Diverged(e) => write!(f, "merged outputs diverged: {e}"),
         }

@@ -245,3 +245,41 @@ fn heat_map_presence_mismatch_is_a_typed_merge_error() {
     let map = merge(&run).expect("every shard carries one").heat_map;
     assert_eq!(map.expect("a heat map").totals(), vec![3; 16]);
 }
+
+/// Every heat-map row must have the bank count of the first: a ragged
+/// row later in a shard is a typed error naming the shard, whether the
+/// shard's first row has the right width or not, and never a merged map
+/// whose per-bank totals silently drop the missing banks.
+#[test]
+fn ragged_heat_map_rows_are_a_typed_merge_error() {
+    use ulp_shard::MergeError;
+
+    let dln = DelineationConfig {
+        scale_small: 2,
+        scale_large: 5,
+        threshold: 100,
+    };
+    let plan = ShardPlan::new(120, 40, 6).unwrap();
+    let mut run = golden_sharded_run(&[vec![0i16; 120]], plan, &dln);
+    run.config.heat_map_window = Some(64);
+    for out in &mut run.shards {
+        out.heat_map = Some(vec![vec![1; 16], vec![1; 16]]);
+    }
+    let map = merge(&run).expect("rectangular rows merge").heat_map;
+    assert_eq!(map.expect("a heat map").totals(), vec![6; 16]);
+
+    // Shard 2's second row lost its last four banks.
+    run.shards[2].heat_map = Some(vec![vec![1; 16], vec![1; 12]]);
+    let err = merge(&run).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            MergeError::HeatMapShapeMismatch {
+                shard: 2,
+                expected_banks: 16,
+                found_banks: 12
+            }
+        ),
+        "{err:?}"
+    );
+}

@@ -7,6 +7,7 @@ use ulp_lockstep::kernels::{
 };
 use ulp_lockstep::platform::{Platform, PlatformConfig};
 use ulp_lockstep::power::{Activity, PowerModel};
+use ulp_lockstep::telemetry::json;
 
 /// A mid-size workload: long enough for the baseline's divergence to
 /// develop (the full paper-scale run lives in the `table1`/`fig3`/`intext`
@@ -55,17 +56,17 @@ const PINNED: [Cell; 18] = [
     (Benchmark::Sqrt32, false, 8, 227025, 0x17744c8763d1ac2a, 0x7fb1926485d30a13),
 ];
 
-#[test]
-fn all_outputs_bit_exact_at_midsize() {
-    let cfg = midsize();
-    let cells: Vec<Cell> = PINNED
+/// Runs every cell of `cells` under `cfg`, verifies its outputs against
+/// the golden DSP pass, and returns it with its cycles and digests.
+fn grid(cfg: &WorkloadConfig, cells: &[Cell]) -> Vec<Cell> {
+    cells
         .iter()
         .map(|&(benchmark, with_sync, cores, ..)| {
             let what = format!("{benchmark} sync={with_sync} cores={cores}");
             let platform = PlatformConfig::paper(with_sync)
                 .with_cores(cores)
                 .with_max_cycles(cfg.max_cycles);
-            let run = run_benchmark_on(benchmark, platform, &cfg)
+            let run = run_benchmark_on(benchmark, platform, cfg)
                 .unwrap_or_else(|e| panic!("{what}: {e}"));
             run.verify().unwrap_or_else(|e| panic!("{what}: {e}"));
             let stats = fnv1a(format!("{:?}", run.stats).into_bytes());
@@ -79,7 +80,12 @@ fn all_outputs_bit_exact_at_midsize() {
                 outputs,
             )
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn all_outputs_bit_exact_at_midsize() {
+    let cells = grid(&midsize(), &PINNED);
     let table: String = cells
         .iter()
         .map(|&(b, sync, cores, cycles, stats, outputs)| {
@@ -87,6 +93,42 @@ fn all_outputs_bit_exact_at_midsize() {
         })
         .collect();
     assert_eq!(cells, PINNED, "recomputed table:\n{table}");
+}
+
+/// The paper grid at paper length (n = 256), pinned in
+/// `ci/paper-grid.json`: one record per cell with its cycles and the
+/// digests of [`Cell`]. An intentional model change updates the file in
+/// the same change, where its diff shows which cells moved; the failure
+/// message prints the recomputed file. CI also runs this in release mode.
+#[test]
+fn paper_grid_matches_its_pin_at_paper_length() {
+    let cfg = WorkloadConfig::paper();
+    let cells = grid(&cfg, &PINNED);
+    let recomputed = json::object(|o| {
+        o.uint("n", cfg.n);
+        o.lines("cells", |a| {
+            for &(benchmark, with_sync, cores, cycles, stats, outputs) in &cells {
+                a.object(|c| {
+                    c.str("benchmark", benchmark.name())
+                        .str("design", if with_sync { "sync" } else { "baseline" })
+                        .uint("cores", cores)
+                        .uint("cycles", cycles)
+                        .str("stats_fnv1a", &format!("{stats:#018x}"))
+                        .str("outputs_fnv1a", &format!("{outputs:#018x}"));
+                });
+            }
+        });
+    }) + "\n";
+    let pinned = include_str!("../ci/paper-grid.json");
+    let moved: Vec<&str> = recomputed
+        .lines()
+        .filter(|now| !pinned.lines().any(|then| then == *now))
+        .collect();
+    assert!(
+        recomputed == pinned,
+        "cells that moved:\n{}\nrecomputed ci/paper-grid.json:\n{recomputed}",
+        moved.join("\n")
+    );
 }
 
 /// The cycle every [`PINNED_BLOBS`] cell is parked at: mid-run for each
