@@ -12,7 +12,7 @@
 //!                        recording into ≤ s-sample shards and merges (an
 //!                        entry of `none` runs the single-window cell), so
 //!                        grids sweep shard size × cores
-//!   --heatmap <window>   attach a per-bank DM heat map to every cell
+//!   --heatmap <window>   record a per-bank DM heat map of every cell
 //!   --threads <n>        worker threads (default: all hardware threads)
 //!   --checkpoint-every <cycles>  checkpoint every job's platform at this
 //!                        cadence (jobs become migratable)
@@ -94,7 +94,7 @@ const USAGE: &str = "usage: sweep [options]
   --shard <list>       comma-separated shard sizes (or `none`): each cell
                        splits the recording into <= s-sample shards and
                        merges the partial results
-  --heatmap <window>   attach a per-bank DM heat map to every cell
+  --heatmap <window>   record a per-bank DM heat map of every cell
                        (cycles per row; merged across shards)
   --threads <n>        worker threads (default: all hardware threads)
   --checkpoint-every <cycles>

@@ -429,20 +429,21 @@ pub enum CheckpointControl {
 ///   instead of reallocated. With `resume`, the platform adopts the
 ///   checkpoint instead; it only needs to be structurally compatible,
 ///   since the checkpoint carries the whole machine state.
-/// * The run proceeds `every` cycles at a time, and after each slice the
-///   paused platform is handed to `on_checkpoint`, which takes its
-///   checkpoint ([`Platform::snapshot`], or [`Platform::snapshot_into`]
-///   a buffer it reuses). Returning [`CheckpointControl::Park`] abandons
-///   the run, yielding `Ok(None)`. Resuming it later from the checkpoint
-///   just taken, on any structurally identical platform, produces a
-///   [`BenchmarkRun`] bit-identical to an uninterrupted run.
-///   `every == u64::MAX` never checkpoints: the run is a single
-///   [`Platform::run_until`], which takes the batched fast path when no
-///   observer is attached.
+/// * The run proceeds `every` cycles at a time from the cycle it starts
+///   at, and after each slice the paused platform is handed to
+///   `on_checkpoint`. It may read the platform's counters
+///   (a heat-map job takes one row per slice from
+///   [`Platform::dm_bank_served`]) and take its checkpoint
+///   ([`Platform::snapshot`], or [`Platform::snapshot_into`] a buffer it
+///   reuses). Returning [`CheckpointControl::Park`] abandons the run,
+///   yielding `Ok(None)`. Resuming it later from a checkpoint just taken,
+///   on any structurally identical platform, produces a [`BenchmarkRun`]
+///   bit-identical to an uninterrupted run. `every == u64::MAX` never
+///   pauses: the run is a single [`Platform::run_until`].
 ///
-/// Observers are [attached](Platform::attach) to the platform by the
-/// caller, so their state rides along in the checkpoints. Attach them
-/// *before* resuming so their checkpointed state has somewhere to land.
+/// Either way the run takes the batched fast path unless the caller has
+/// [attached](Platform::attach) an observer. Checkpoints carry no
+/// observer, so nothing needs attaching before a resume.
 ///
 /// # Errors
 ///

@@ -19,8 +19,8 @@ pub enum BankMapping {
 impl BankMapping {
     /// The bank `addr` belongs to in a memory of `banks` banks of
     /// `bank_words` words each (addresses wrap modulo the memory size).
-    /// This is the reference address-to-bank computation, used by external
-    /// bank-attribution observers (e.g. the platform's heat map).
+    /// This is the reference address-to-bank computation, for
+    /// bank-attribution code outside the memory.
     /// [`BankedMemory::bank_of`] computes the same bank without divisions;
     /// a test checks the two agree on every address.
     #[inline]

@@ -129,6 +129,8 @@ pub struct DXbarSnapshot {
     pub held_pc: Vec<Option<u16>>,
     /// Aggregate arbitration counters.
     pub stats: DXbarStats,
+    /// Grants served per bank (see [`DXbar::served`]).
+    pub served: Vec<u64>,
 }
 
 /// The data crossbar arbiter with pluggable serving policy.
@@ -136,6 +138,8 @@ pub struct DXbarSnapshot {
 pub struct DXbar {
     policy: ServingPolicy,
     rr: Vec<usize>,
+    /// Grants served per bank (see [`DXbar::served`]).
+    served: Vec<u64>,
     /// Synchronous-group PC each core is held under (`None` = not held),
     /// indexed by core id; grown on demand.
     held_pc: Vec<Option<u16>>,
@@ -155,6 +159,7 @@ impl DXbar {
         DXbar {
             policy,
             rr: vec![0; banks],
+            served: vec![0; banks],
             held_pc: Vec::new(),
             req_info: Vec::new(),
             serve: Vec::new(),
@@ -173,6 +178,15 @@ impl DXbar {
         &self.stats
     }
 
+    /// Grants served per bank since the last [`DXbar::reset`]: each
+    /// completed or held core access counts once on its bank, so a read
+    /// broadcast to eight cores counts eight. Sampled at window
+    /// boundaries, it gives the DM bank heat map. Kept apart from
+    /// [`DXbarStats`], which holds no per-bank figures.
+    pub fn served(&self) -> &[u64] {
+        &self.served
+    }
+
     /// Core ids currently held by the enhanced policy.
     pub fn held_cores(&self) -> Vec<usize> {
         self.held_pc
@@ -187,6 +201,7 @@ impl DXbar {
     /// clears the statistics, so the arbiter can be reused for a fresh run.
     pub fn reset(&mut self) {
         self.rr.fill(0);
+        self.served.fill(0);
         self.held_pc.fill(None);
         self.stats = DXbarStats::default();
     }
@@ -197,19 +212,22 @@ impl DXbar {
             rr: self.rr.clone(),
             held_pc: self.held_pc.clone(),
             stats: self.stats,
+            served: self.served.clone(),
         }
     }
 
     /// Re-applies a snapshot taken by [`DXbar::save`]. Returns `false`
-    /// (leaving the arbiter untouched) when the snapshot's bank count does
-    /// not match this arbiter. `held_pc` adopts the snapshot's length —
-    /// the vector is grown on demand during execution, so its length is
-    /// part of the history being restored.
+    /// (leaving the arbiter untouched) when the snapshot's pointers or
+    /// served counts do not have one entry per bank of this arbiter.
+    /// `held_pc` adopts the snapshot's length — the vector is grown on
+    /// demand during execution, so its length is part of the history
+    /// being restored.
     pub fn load_snapshot(&mut self, snapshot: &DXbarSnapshot) -> bool {
-        if snapshot.rr.len() != self.rr.len() {
+        if snapshot.rr.len() != self.rr.len() || snapshot.served.len() != self.served.len() {
             return false;
         }
         self.rr.copy_from_slice(&snapshot.rr);
+        self.served.copy_from_slice(&snapshot.served);
         self.held_pc.clear();
         self.held_pc.extend_from_slice(&snapshot.held_pc);
         self.stats = snapshot.stats;
@@ -312,6 +330,7 @@ impl DXbar {
             requested &= requested - 1;
             let r = requests[usize::from(in_bank[bank])];
             self.rr[bank] = rr_next(r.core, ncores);
+            self.served[bank] += 1;
             let data = match r.access {
                 Access::Write(value) => {
                     dmem.write(r.addr, value);
@@ -493,6 +512,7 @@ impl DXbar {
                 // Writes never merge: serve exactly the winner.
                 dmem.write(winner.addr, value);
                 serve.push((winner, None));
+                self.served[bank] += 1;
                 self.stats.stalls += (in_bank - 1 - locked_out) as u64;
             }
             Access::Read => {
@@ -500,6 +520,7 @@ impl DXbar {
                 let in_group = |r: &DmRequest| r.addr == winner.addr && r.access == Access::Read;
                 let group = eligible().filter(|r| in_group(r)).count();
                 let word = dmem.read_broadcast(winner.addr, group);
+                self.served[bank] += group as u64;
                 self.stats.stalls += (in_bank - group - locked_out) as u64;
                 for r in eligible().filter(|r| in_group(r)) {
                     serve.push((*r, Some(word)));
@@ -716,6 +737,7 @@ mod tests {
         assert!(restored.load_snapshot(&snap));
         assert_eq!(restored.held_cores(), vec![0]);
         assert_eq!(restored.stats(), x.stats());
+        assert_eq!(restored.served(), x.served());
 
         // The restored arbiter finishes the group exactly like the
         // original would: core 1 completes and releases core 0.
@@ -727,6 +749,38 @@ mod tests {
             !DXbar::new(8, ServingPolicy::SyncAware).load_snapshot(&snap),
             "bank count mismatch"
         );
+        let mut short = snap.clone();
+        short.served.pop();
+        assert!(
+            !DXbar::new(16, ServingPolicy::SyncAware).load_snapshot(&short),
+            "served counts not one per bank"
+        );
+    }
+
+    /// Every completed or held grant counts once on its bank: a broadcast
+    /// read counts each core it serves, a stalled request nothing, and
+    /// `reset` clears the counts.
+    #[test]
+    fn served_counts_each_granted_core_on_its_bank() {
+        let mut m = dmem();
+        let mut x = DXbar::new(16, ServingPolicy::SyncAware);
+        // Cores 0-2 share a read of word 10 and are held, since core 3
+        // (same PC, word 20 of the same bank) stalls; core 4 reads bank 1.
+        let reqs = [
+            read_req(0, 7, 10),
+            read_req(1, 7, 10),
+            read_req(2, 7, 10),
+            read_req(3, 7, 20),
+            read_req(4, 9, 2048),
+        ];
+        x.arbitrate(&reqs, &mut m);
+        assert_eq!(x.held_cores(), vec![0, 1, 2]);
+        assert_eq!(&x.served()[..3], &[3, 1, 0]);
+        x.arbitrate(&[read_req(3, 7, 20)], &mut m);
+        assert_eq!(&x.served()[..3], &[4, 1, 0]);
+        assert_eq!(x.served().iter().sum::<u64>(), x.stats().grants);
+        x.reset();
+        assert_eq!(x.served(), &[0; 16]);
     }
 
     #[test]

@@ -313,7 +313,7 @@ proptest! {
     ) {
         let policy = if sync_aware { ServingPolicy::SyncAware } else { ServingPolicy::Baseline };
         let mapping = if interleaved { BankMapping::Interleaved } else { BankMapping::Blocked };
-        let mut start = DXbarSnapshot { rr, ..DXbarSnapshot::default() };
+        let mut start = DXbarSnapshot { rr, served: vec![0; 16], ..DXbarSnapshot::default() };
         if sync_aware {
             // A held core waits for its group's other members; one that is
             // never requested again stays held, as a core would.

@@ -2,21 +2,23 @@
 //!
 //! A [`Checkpoint`] is the complete architectural and statistical state of
 //! a [`crate::Platform`] between cycles: cores, both memories, crossbar
-//! arbiters, the synchronizer, power-relevant counters, and the state of
-//! every attached observer that opts into checkpointing.
-//! [`crate::Platform::snapshot`] produces one, [`crate::Platform::restore`]
-//! / [`crate::Platform::restore_from`] re-apply it, and a resumed run is
-//! **bit-identical** to one that never paused — same `SimStats`, same
-//! heat-map rows, same energy.
+//! arbiters (the D-Xbar's per-bank served counts included), the
+//! synchronizer and the power-relevant counters. Attached observers are
+//! not part of it. [`crate::Platform::snapshot`] produces one,
+//! [`crate::Platform::restore`] / [`crate::Platform::restore_from`]
+//! re-apply it, and a resumed run is **bit-identical** to one that never
+//! paused — same `SimStats`, same served counts (so the same heat-map
+//! rows), same energy.
 //!
 //! The wire format ([`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`])
 //! is a hand-rolled little-endian encoding: a `ULPK` magic, a schema
 //! version, the body length and an FNV-1a checksum of the body, then the
 //! body itself: the encoded [`PlatformConfig`] and the component
-//! snapshots. The checksum covers every body byte, so a damaged blob
-//! fails with a typed error instead of restoring different state. The
-//! byte-level encoding lives only in this module; the component crates
-//! export plain-data snapshot structs and know nothing about bytes.
+//! snapshots, closed by the D-Xbar's per-bank served counts. The
+//! checksum covers every body byte, so a damaged blob fails with a typed
+//! error instead of restoring different state. The byte-level encoding
+//! lives only in this module; the component crates export plain-data
+//! snapshot structs and know nothing about bytes.
 
 use crate::config::PlatformConfig;
 use crate::error::{PlatformError, RestoreError};
@@ -31,7 +33,7 @@ use ulp_sync::{SyncSnapshot, SyncStats};
 /// Version of the checkpoint wire format. Bumped on any layout change;
 /// [`Checkpoint::from_bytes`] rejects other versions with
 /// [`RestoreError::SchemaMismatch`].
-pub const CHECKPOINT_SCHEMA: u32 = 2;
+pub const CHECKPOINT_SCHEMA: u32 = 3;
 
 /// Leading magic of every checkpoint blob.
 const MAGIC: [u8; 4] = *b"ULPK";
@@ -63,7 +65,8 @@ pub struct Checkpoint {
     pub dmem: MemSnapshot,
     /// I-Xbar rotating-priority pointers and counters.
     pub ixbar: IXbarSnapshot,
-    /// D-Xbar pointers, held-group state and counters.
+    /// D-Xbar pointers, held-group state, counters and per-bank served
+    /// counts.
     pub dxbar: DXbarSnapshot,
     /// Synchronizer state; present exactly when the config has one.
     pub sync: Option<SyncSnapshot>,
@@ -71,9 +74,6 @@ pub struct Checkpoint {
     pub lockstep_sum: u64,
     /// Built-in lockstep-width recorder: counted fetch cycles.
     pub lockstep_cycles: u64,
-    /// `(label, state)` of every attached observer that returned state
-    /// from `Observer::save_state`.
-    pub observers: Vec<(String, Vec<u8>)>,
 }
 
 impl Checkpoint {
@@ -119,12 +119,10 @@ impl Checkpoint {
         }
         w.u64(self.lockstep_sum);
         w.u64(self.lockstep_cycles);
-        w.len(self.observers.len());
-        for (label, state) in &self.observers {
-            w.len(label.len());
-            w.bytes(label.as_bytes());
-            w.len(state.len());
-            w.bytes(state);
+        // The served counts close the body (see `read_dxbar`).
+        w.len(self.dxbar.served.len());
+        for &count in &self.dxbar.served {
+            w.u64(count);
         }
         let body_len = u32::try_from(w.buf.len() - body_at).expect("checkpoint body fits u32");
         let checksum = fnv1a(&w.buf[body_at..]);
@@ -177,7 +175,7 @@ impl Checkpoint {
         let imem = read_mem(&mut r)?;
         let dmem = read_mem(&mut r)?;
         let ixbar = read_ixbar(&mut r)?;
-        let dxbar = read_dxbar(&mut r)?;
+        let mut dxbar = read_dxbar(&mut r)?;
         let sync = match r.u8().ok_or(RestoreError::Truncated)? {
             0 => None,
             1 => Some(read_sync(&mut r)?),
@@ -185,19 +183,10 @@ impl Checkpoint {
         };
         let lockstep_sum = r.u64().ok_or(RestoreError::Truncated)?;
         let lockstep_cycles = r.u64().ok_or(RestoreError::Truncated)?;
-        let nobs = r.len()?;
-        let mut observers = Vec::with_capacity(nobs.min(64));
-        for _ in 0..nobs {
-            let label_len = r.len()?;
-            let label = r.take(label_len).ok_or(RestoreError::Truncated)?;
-            let label = std::str::from_utf8(label)
-                .map_err(|_| RestoreError::Corrupt {
-                    what: "observer label",
-                })?
-                .to_string();
-            let state_len = r.len()?;
-            let state = r.take(state_len).ok_or(RestoreError::Truncated)?.to_vec();
-            observers.push((label, state));
+        let nbanks = r.len()?;
+        dxbar.served = Vec::with_capacity(nbanks.min(1 << 10));
+        for _ in 0..nbanks {
+            dxbar.served.push(r.u64().ok_or(RestoreError::Truncated)?);
         }
         if !r.done() {
             return Err(RestoreError::Corrupt {
@@ -216,59 +205,57 @@ impl Checkpoint {
             sync,
             lockstep_sum,
             lockstep_cycles,
-            observers,
         })
     }
 }
 
 // ---- byte-level primitives ---------------------------------------------
 
-/// Little-endian append-only byte sink shared by the checkpoint codec and
-/// the observer state codecs.
+/// Little-endian append-only byte sink.
 #[derive(Debug, Default)]
-pub(crate) struct Writer {
-    pub(crate) buf: Vec<u8>,
+struct Writer {
+    buf: Vec<u8>,
 }
 
 impl Writer {
-    pub(crate) fn u8(&mut self, v: u8) {
+    fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    pub(crate) fn u16(&mut self, v: u16) {
+    fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u32(&mut self, v: u32) {
+    fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn bytes(&mut self, b: &[u8]) {
+    fn bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
 
     /// Writes a collection length (all checkpointed collections fit u32).
-    pub(crate) fn len(&mut self, n: usize) {
+    fn len(&mut self, n: usize) {
         self.u32(u32::try_from(n).expect("checkpoint collection fits u32"));
     }
 }
 
 /// Cursor over a checkpoint blob; every read is bounds-checked.
 #[derive(Debug)]
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     buf: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
+    fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf }
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         if n > self.buf.len() {
             return None;
         }
@@ -277,20 +264,20 @@ impl<'a> Reader<'a> {
         Some(head)
     }
 
-    pub(crate) fn u8(&mut self) -> Option<u8> {
+    fn u8(&mut self) -> Option<u8> {
         self.take(1).map(|b| b[0])
     }
 
-    pub(crate) fn u16(&mut self) -> Option<u16> {
+    fn u16(&mut self) -> Option<u16> {
         self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
     }
 
-    pub(crate) fn u32(&mut self) -> Option<u32> {
+    fn u32(&mut self) -> Option<u32> {
         self.take(4)
             .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    pub(crate) fn u64(&mut self) -> Option<u64> {
+    fn u64(&mut self) -> Option<u64> {
         self.take(8)
             .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
@@ -299,7 +286,7 @@ impl<'a> Reader<'a> {
         Ok(self.u32().ok_or(RestoreError::Truncated)? as usize)
     }
 
-    pub(crate) fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.buf.is_empty()
     }
 }
@@ -761,6 +748,8 @@ fn read_dxbar(r: &mut Reader) -> Result<DXbarSnapshot, RestoreError> {
             lock_stalls: v[6],
             transfers: v[7],
         },
+        // The served counts close the body; `from_bytes` reads them there.
+        served: Vec::new(),
     })
 }
 
@@ -879,7 +868,7 @@ mod tests {
         ckpt.to_bytes_into(&mut blob);
         assert_eq!(blob, ckpt.to_bytes());
         let mut smaller = ckpt.clone();
-        smaller.observers.clear();
+        smaller.dxbar.served.clear();
         smaller.to_bytes_into(&mut blob);
         assert_eq!(blob, smaller.to_bytes());
         assert_eq!(Checkpoint::from_bytes(&blob).unwrap(), smaller);
@@ -929,7 +918,7 @@ mod tests {
         let bytes = ckpt.to_bytes();
         // The header is 4 magic + 4 schema + 4 length + 8 checksum = 20
         // bytes; flip one byte of the encoded config and one of the
-        // lockstep counters just before the (empty) observer list.
+        // served counts that close the body.
         for at in [21, bytes.len() - 5] {
             let mut bad = bytes.clone();
             bad[at] ^= 0xFF;

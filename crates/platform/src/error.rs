@@ -99,12 +99,6 @@ pub enum RestoreError {
         /// Which part of the blob failed to decode.
         what: &'static str,
     },
-    /// A checkpointed observer state could not be loaded into the
-    /// observer attached under the same label.
-    ObserverMismatch {
-        /// The label of the rejecting observer.
-        label: String,
-    },
 }
 
 impl fmt::Display for RestoreError {
@@ -121,9 +115,6 @@ impl fmt::Display for RestoreError {
             }
             RestoreError::Truncated => write!(f, "checkpoint blob is truncated"),
             RestoreError::Corrupt { what } => write!(f, "checkpoint is corrupt: bad {what}"),
-            RestoreError::ObserverMismatch { label } => {
-                write!(f, "observer {label:?} rejected its checkpointed state")
-            }
         }
     }
 }
@@ -166,13 +157,6 @@ mod tests {
         assert_eq!(
             RestoreError::Corrupt { what: "sync state" }.to_string(),
             "checkpoint is corrupt: bad sync state"
-        );
-        assert_eq!(
-            RestoreError::ObserverMismatch {
-                label: "bank-heat-map".into()
-            }
-            .to_string(),
-            "observer \"bank-heat-map\" rejected its checkpointed state"
         );
     }
 }

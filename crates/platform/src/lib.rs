@@ -51,7 +51,7 @@ pub mod vcd;
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 pub use config::PlatformConfig;
 pub use error::{ConfigError, PlatformError, RestoreError};
-pub use observer::{BankHeatMap, LockstepWidth, Observer, PcTrace};
+pub use observer::{LockstepWidth, Observer, PcTrace};
 pub use sim::{ObserverHandle, Platform, RunProgress, RunSummary};
 pub use stats::SimStats;
 pub use vcd::VcdTracer;

@@ -47,9 +47,8 @@ impl RunProgress {
 }
 
 /// A token identifying an observer registered through
-/// [`Platform::attach`]. Pass it to [`Platform::observer_as`] /
-/// [`Platform::observer_mut_as`] to inspect the observer mid-run and to
-/// [`Platform::detach`] to take it back.
+/// [`Platform::attach`]. Pass it to [`Platform::observer_as`] to inspect
+/// the observer and to [`Platform::detach`] to take it back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObserverHandle {
     id: u64,
@@ -138,14 +137,7 @@ impl fmt::Debug for Platform {
             .field("cfg", &self.cfg)
             .field("cycle", &self.cycle)
             .field("fault", &self.fault)
-            .field(
-                "attached",
-                &self
-                    .attached
-                    .iter()
-                    .map(|(id, o)| (*id, o.label()))
-                    .collect::<Vec<_>>(),
-            )
+            .field("attached", &self.attached.len())
             .finish_non_exhaustive()
     }
 }
@@ -178,11 +170,12 @@ impl Platform {
 
     /// Registers an owned observer with the platform. From now on every
     /// [`Platform::step`], [`Platform::run`] and [`Platform::run_until`]
-    /// notifies it (observers fire in attach order), and
-    /// [`Platform::snapshot`] captures its state when it implements
-    /// [`Observer::save_state`]. This is the only way to observe a run:
-    /// read the observer back through the returned handle
-    /// ([`Platform::observer_as`], [`Platform::detach`]).
+    /// notifies it (observers fire in attach order) and interprets every
+    /// cycle; read the observer back through the returned handle
+    /// ([`Platform::observer_as`], [`Platform::detach`]). Observers are
+    /// debugging aids: a [checkpoint](Platform::snapshot) does not carry
+    /// them, and the DM bank heat map needs none
+    /// ([`Platform::dm_bank_served`]).
     pub fn attach(&mut self, observer: Box<dyn Observer>) -> ObserverHandle {
         let id = self.next_observer;
         self.next_observer += 1;
@@ -197,11 +190,6 @@ impl Platform {
         Some(self.attached.remove(pos).1)
     }
 
-    /// Number of currently attached observers.
-    pub fn attached_observers(&self) -> usize {
-        self.attached.len()
-    }
-
     /// Borrows an attached observer downcast to its concrete type.
     /// `None` if the handle is stale or `T` is not the attached type.
     pub fn observer_as<T: Observer>(&self, handle: &ObserverHandle) -> Option<&T> {
@@ -209,14 +197,6 @@ impl Platform {
             .iter()
             .find(|(id, _)| *id == handle.id)
             .and_then(|(_, o)| (o.as_ref() as &dyn std::any::Any).downcast_ref::<T>())
-    }
-
-    /// Mutably borrows an attached observer downcast to its concrete type.
-    pub fn observer_mut_as<T: Observer>(&mut self, handle: &ObserverHandle) -> Option<&mut T> {
-        self.attached
-            .iter_mut()
-            .find(|(id, _)| *id == handle.id)
-            .and_then(|(_, o)| (o.as_mut() as &mut dyn std::any::Any).downcast_mut::<T>())
     }
 
     /// The active configuration.
@@ -314,6 +294,16 @@ impl Platform {
     /// Number of cores.
     pub fn num_cores(&self) -> usize {
         self.cores.len()
+    }
+
+    /// D-Xbar grants served per DM bank since the last reset: every
+    /// completed or held core access counts once on its bank, so a read
+    /// broadcast to eight cores counts eight. The synchronizer's own DM
+    /// read-modify-writes bypass the D-Xbar and are not counted. The
+    /// counts ride in checkpoints; sampled at window boundaries, their
+    /// differences are the rows of a DM bank heat map.
+    pub fn dm_bank_served(&self) -> &[u64] {
+        self.dxbar.served()
     }
 
     /// Cycles simulated so far.
@@ -996,11 +986,11 @@ impl Platform {
     // ---- checkpointing ---------------------------------------------------
 
     /// Captures the complete state of the platform between cycles: cores,
-    /// both memories, crossbar arbiters, the synchronizer, the lockstep
-    /// and power-relevant counters, and the state of every attached
-    /// observer that implements [`Observer::save_state`]. Resuming from
-    /// the checkpoint (on this platform or a fresh one) is bit-identical
-    /// to never pausing.
+    /// both memories, crossbar arbiters (the D-Xbar's per-bank served
+    /// counts included), the synchronizer, and the lockstep and
+    /// power-relevant counters. Attached observers are not captured.
+    /// Resuming from the checkpoint (on this platform or a fresh one) is
+    /// bit-identical to never pausing.
     pub fn snapshot(&self) -> Checkpoint {
         let mut ckpt = Checkpoint::default();
         self.snapshot_into(&mut ckpt);
@@ -1023,18 +1013,10 @@ impl Platform {
         ckpt.sync = self.sync.as_ref().map(Synchronizer::save);
         ckpt.lockstep_sum = self.lockstep.sum();
         ckpt.lockstep_cycles = self.lockstep.cycles();
-        ckpt.observers.clear();
-        ckpt.observers.extend(
-            self.attached
-                .iter()
-                .filter_map(|(_, o)| o.save_state().map(|state| (o.label().to_string(), state))),
-        );
     }
 
-    /// Builds a fresh platform in the checkpointed state. The platform
-    /// has no attached observers — observer entries in the checkpoint are
-    /// ignored here; to restore instrumented runs, build the platform,
-    /// [`Platform::attach`] the observers, then [`Platform::restore_from`].
+    /// Builds a fresh platform in the checkpointed state, with no observer
+    /// attached.
     ///
     /// # Errors
     ///
@@ -1052,17 +1034,13 @@ impl Platform {
     /// run job's state. The checkpoint's full configuration (cycle
     /// budget included) is adopted; only the *structural* shape (cores,
     /// memory geometry, synchronizer, serving policy) must already match.
-    ///
-    /// Checkpointed observer state is matched against attached observers
-    /// by [`Observer::label`] in attach order; entries with no attached
-    /// match are ignored, so attach the observers *before* restoring.
+    /// Attached observers stay attached and see the run go on from the
+    /// restored cycle.
     ///
     /// # Errors
     ///
     /// * [`RestoreError::ConfigMismatch`] — structurally different target;
-    /// * [`RestoreError::Corrupt`] — internally inconsistent checkpoint;
-    /// * [`RestoreError::ObserverMismatch`] — an attached observer
-    ///   rejected its checkpointed state.
+    /// * [`RestoreError::Corrupt`] — internally inconsistent checkpoint.
     ///
     /// On error the platform state is unspecified; [`Platform::reset`] it
     /// (or rebuild) before further use.
@@ -1140,24 +1118,6 @@ impl Platform {
         self.fault = ckpt.fault;
         self.lockstep
             .restore(ckpt.lockstep_sum, ckpt.lockstep_cycles);
-        let mut used = vec![false; self.attached.len()];
-        for (label, state) in &ckpt.observers {
-            let target = self
-                .attached
-                .iter_mut()
-                .zip(used.iter_mut())
-                .find(|((_, o), used)| !**used && o.label() == label);
-            // Entries with no attached observer under this label are
-            // ignored: the caller chose not to re-attach that instrument.
-            if let Some(((_, observer), used_slot)) = target {
-                *used_slot = true;
-                if !observer.load_state(state) {
-                    return Err(RestoreError::ObserverMismatch {
-                        label: label.clone(),
-                    });
-                }
-            }
-        }
         Ok(())
     }
 }

@@ -145,10 +145,6 @@ impl VcdTracer {
 }
 
 impl Observer for VcdTracer {
-    fn label(&self) -> &str {
-        "vcd"
-    }
-
     fn on_cycle_end(&mut self, cycle: u64, cores: &[Core]) {
         self.sample_slice(cycle, cores);
     }

@@ -39,10 +39,13 @@ pub struct JobSpec {
     /// config.
     pub workload: Arc<WorkloadConfig>,
     /// Cycles per row of a per-bank data-memory heat map recorded over
-    /// the run ([`ulp_platform::BankHeatMap`]), returned as
-    /// [`JobOutput::heat_map`]. `None` (the default) records none, and
-    /// the run takes the engine's unobserved fast path. A window of `0`
-    /// is rejected at submission ([`crate::SubmitError::Invalid`]).
+    /// the run, returned as [`JobOutput::heat_map`]: the run pauses at
+    /// every multiple of the window, and each row is the D-Xbar's
+    /// per-bank served counts ([`ulp_platform::Platform::dm_bank_served`])
+    /// minus those at the previous pause. `None` (the default) records
+    /// none. Either way the run takes the engine's batched fast path. A
+    /// window of `0` is rejected at submission
+    /// ([`crate::SubmitError::Invalid`]).
     pub heat_map_window: Option<u64>,
     /// Placement hint: push the job onto this worker's deque (modulo the
     /// pool size) instead of the round-robin default. The job may still be
@@ -51,12 +54,15 @@ pub struct JobSpec {
     pub affinity: Option<usize>,
     /// Checkpoint cadence in simulated cycles. When set, the executing
     /// worker snapshots the platform every `checkpoint_every` cycles
-    /// ([`ulp_platform::Platform::snapshot`]), which makes the job
+    /// ([`ulp_platform::Platform::snapshot`]; with a heat map, at the
+    /// first window boundary at or past each multiple of the cadence),
+    /// which makes the job
     /// *migratable*: a killed or panicking worker's in-flight run is
     /// re-queued from its last checkpoint and finished — bit-identically
     /// — by another worker. `None` (the default) runs the job in one
-    /// uninterruptible stint. The heat map rides along in the
-    /// checkpoints, so a migrated job's heat map is bit-identical too.
+    /// uninterruptible stint. The served counts ride in the checkpoint
+    /// and the rows taken up to it travel with the re-queued job, so a
+    /// migrated job's heat map is bit-identical too.
     pub checkpoint_every: Option<u64>,
 }
 
@@ -123,7 +129,7 @@ pub struct JobOutput {
     /// The benchmark run: statistics, outputs, golden expectations.
     pub run: BenchmarkRun,
     /// Heat-map rows, when the spec set [`JobSpec::heat_map_window`]:
-    /// one row per window (the last flushed at run end, possibly
+    /// one row per window (the last taken at run end, possibly
     /// shorter), one served-access count per DM bank.
     pub heat_map: Option<Vec<Vec<u64>>>,
 }

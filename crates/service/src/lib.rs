@@ -32,8 +32,9 @@
 //!   per `(design, cores)` key, reset and reused between jobs
 //!   ([`ulp_kernels::run_benchmark_reusing`]) so memories and cycle
 //!   buffers are allocated once per worker, not once per job. Every job
-//!   takes that one run path, with its heat map (if any) attached to the
-//!   platform; "no cadence" means a checkpoint interval of `u64::MAX`.
+//!   takes that one run path on an unobserved platform, so the engine
+//!   batches wherever it can; "no cadence" means a checkpoint interval
+//!   of `u64::MAX`.
 //! * **Streaming.** Results flow back over a channel the moment a worker
 //!   finishes; long sweeps report incrementally instead of joining at the
 //!   end.
@@ -45,10 +46,12 @@
 //!   `service_latency` bench reports the percentiles of a saturated
 //!   pool).
 //!
-//! A job carries one optional artifact: the per-bank DM heat map
-//! ([`ulp_platform::BankHeatMap`]), the paper's per-bank access
-//! accounting. [`JobSpec::heat_map`] asks for it, and the rows come back
-//! as [`JobOutput::heat_map`]. The workload-sharding layer merges the
+//! A job carries one optional artifact: the per-bank DM heat map, the
+//! paper's per-bank access accounting. [`JobSpec::heat_map`] asks for it;
+//! the worker samples the D-Xbar's per-bank served counter
+//! ([`ulp_platform::Platform::dm_bank_served`]) at every window boundary,
+//! and the rows come back as [`JobOutput::heat_map`]. A migrated job
+//! resumes with the rows taken up to its checkpoint. The workload-sharding layer merges the
 //! per-shard rows of a recording onto its global cycle axis
 //! (`ulp_shard::MergedRun::heat_map`) and the sweep carries them per
 //! cell. PC traces and VCD dumps are debugging aids: attach
@@ -154,8 +157,7 @@ mod tests {
     }
 
     /// Regression: a zero heat-map window used to pass `submit` and then
-    /// panic its worker in `BankHeatMap::new`, killing the pool for every
-    /// later submission. It is now an invalid spec, and the pool lives on.
+    /// panic its worker, killing the pool for every later submission. It is now an invalid spec, and the pool lives on.
     #[test]
     fn zero_heat_map_window_is_rejected_at_submit() {
         let mut service = pool(1);

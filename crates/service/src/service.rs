@@ -12,7 +12,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use ulp_kernels::{run_benchmark_reusing, CheckpointControl, RunnerError};
-use ulp_platform::{BankHeatMap, Checkpoint, Platform, PlatformConfig};
+use ulp_platform::{Checkpoint, Platform, PlatformConfig};
 use ulp_telemetry::{
     json, worker_track, Counter, EventKind, Histogram, Registry, Telemetry, Track, CLIENT_TRACK,
     NO_JOB,
@@ -388,6 +388,9 @@ struct QueuedJob {
     /// claiming this job resumes the platform from here instead of
     /// starting the run over. `None` until the first checkpoint is taken.
     resume: Option<Arc<Checkpoint>>,
+    /// The heat-map rows taken up to `resume`'s cycle, which a resumed
+    /// job goes on from. Empty until a heat-map job's first checkpoint.
+    heat_map: Vec<Vec<u64>>,
     /// Times the job has been parked at a checkpoint and re-queued.
     migrations: u32,
 }
@@ -554,9 +557,9 @@ impl Shared {
 /// worker keeps one [`Platform`] per `(design, cores)` key and reuses it via
 /// [`ulp_kernels::run_benchmark_reusing`], so the dominant allocations
 /// happen once per worker, not once per job. Every job runs through that
-/// one path, with a heat map [attached](Platform::attach) when its spec
-/// asks for one; a job without a [`JobSpec::checkpoint_every`] cadence
-/// simply never checkpoints. Completed
+/// one path with no observer attached, a heat-map job in window-long
+/// slices; a job without a [`JobSpec::checkpoint_every`] cadence simply
+/// never checkpoints. Completed
 /// [`JobResult`]s stream back through [`SimService::recv`] as workers
 /// finish them — a client never waits for the whole batch — and carry
 /// per-job queue-wait and run latency; [`ServiceStats`] pools them into
@@ -854,6 +857,7 @@ impl SimService {
                 stolen: false,
                 enqueued: Instant::now(),
                 resume: None,
+                heat_map: Vec::new(),
                 migrations: 0,
             });
         self.shared.available.notify_one();
@@ -1205,18 +1209,23 @@ fn recycle(spares: &mut Vec<Checkpoint>, ckpt: Option<Arc<Checkpoint>>) {
     }
 }
 
-/// Runs one job on the worker's cached platform — the only job run path.
-/// A requested heat map is [attached](Platform::attach), so every
-/// checkpoint captures its state, and detached again on every exit, so
-/// the cached platform never leaks it into the worker's next job. A
+/// Runs one job on the worker's cached platform — the only job run path,
+/// with no observer attached, so the engine batches wherever it can. A
 /// resumed job ([`QueuedJob::resume`]) restores the platform from its
 /// checkpoint instead of starting over.
 ///
+/// A heat-map job runs in window-long slices and takes one row per
+/// slice: the D-Xbar's per-bank served counts
+/// ([`Platform::dm_bank_served`]) minus their value at the previous row
+/// boundary, the column sums of the rows so far. The trailing row is
+/// taken when the run ends.
+///
 /// A job with a [`JobSpec::checkpoint_every`] cadence snapshots the
-/// platform every that many cycles, into a buffer from `spares`, keeps
-/// the pool's in-flight registry pointed at the latest checkpoint, and
-/// parks (`Ok(None)`) when the worker is marked for failure. A job
-/// without one never checkpoints.
+/// platform at the first slice boundary at or past each multiple of the
+/// cadence, into a buffer from `spares`, keeps the pool's in-flight
+/// registry pointed at the latest checkpoint and the heat-map rows taken
+/// up to it, and parks (`Ok(None)`) when the worker is marked for
+/// failure. A job without one never checkpoints.
 /// Results are bit-identical either way.
 fn run_job(
     me: usize,
@@ -1244,15 +1253,36 @@ fn run_job(
             return (false, Err(err));
         }
     };
-    let handle = spec
-        .heat_map_window
-        .map(|window| platform.attach(Box::new(BankHeatMap::for_dm(platform.config(), window))));
     if job.resume.is_some() {
         track.record(EventKind::Restored, job.id);
     }
     track.record(EventKind::RunStart, job.id);
+    let slice = spec
+        .heat_map_window
+        .or(spec.checkpoint_every)
+        .unwrap_or(u64::MAX)
+        .max(1);
+    let mut rows = job.heat_map.clone();
+    let mut last = vec![0; platform.config().dm_banks];
+    for row in &rows {
+        for (sum, count) in last.iter_mut().zip(row) {
+            *sum += count;
+        }
+    }
     let mut blob = Vec::new();
-    let on_checkpoint = |platform: &Platform| {
+    let on_pause = |platform: &Platform| {
+        if spec.heat_map_window.is_some() {
+            take_row(platform, &mut rows, &mut last);
+        }
+        let Some(cadence) = spec.checkpoint_every.map(|c| c.max(1)) else {
+            return CheckpointControl::Continue;
+        };
+        // Snapshot at the first pause at or past each multiple of the
+        // cadence: a pause every slice, so once a multiple fell inside it.
+        let cycle = platform.cycle();
+        if cycle / cadence == (cycle - slice) / cadence {
+            return CheckpointControl::Continue;
+        }
         let mut ckpt = spares.pop().unwrap_or_default();
         platform.snapshot_into(&mut ckpt);
         shared.metrics.checkpoints_taken.inc();
@@ -1276,9 +1306,10 @@ fn run_job(
         }
         let ckpt = Arc::new(ckpt);
         let replaced = match shared.inflight[me].lock() {
-            Ok(mut slot) => slot
-                .as_mut()
-                .and_then(|inflight| inflight.resume.replace(ckpt)),
+            Ok(mut slot) => slot.as_mut().and_then(|inflight| {
+                inflight.heat_map.clone_from(&rows);
+                inflight.resume.replace(ckpt)
+            }),
             Err(_) => None,
         };
         recycle(spares, replaced);
@@ -1293,25 +1324,35 @@ fn run_job(
         platform,
         &spec.workload,
         job.resume.as_deref(),
-        spec.checkpoint_every.unwrap_or(u64::MAX).max(1),
-        on_checkpoint,
+        slice,
+        on_pause,
     );
-    let heat_map = handle
-        .and_then(|handle| platform.detach(handle))
-        .and_then(|observer| {
-            (observer as Box<dyn std::any::Any>)
-                .downcast::<BankHeatMap>()
-                .ok()
-        })
-        .map(|map| map.into_rows());
     let outcome = run.map(|done| {
         done.map(|run| JobOutput {
             cores: spec.cores,
             run,
-            heat_map,
+            heat_map: spec.heat_map_window.map(|_| {
+                take_row(platform, &mut rows, &mut last);
+                rows
+            }),
         })
     });
     (cache_hit, outcome)
+}
+
+/// Appends the heat-map row that ends at the platform's cycle: its
+/// per-bank served counts minus `last`, the counts at the previous row
+/// boundary, which then move up to them.
+fn take_row(platform: &Platform, rows: &mut Vec<Vec<u64>>, last: &mut [u64]) {
+    let served = platform.dm_bank_served();
+    rows.push(
+        served
+            .iter()
+            .zip(&*last)
+            .map(|(now, then)| now - then)
+            .collect(),
+    );
+    last.copy_from_slice(served);
 }
 
 #[cfg(test)]
@@ -1437,11 +1478,12 @@ mod tests {
 
     /// The one run path, called directly on one worker cache: with and
     /// without a heat map a checkpointed run equals a plain one (stats,
-    /// outputs and heat map), a parked run resumed from its registry
-    /// checkpoint equals it too, and no heat map stays attached to the
-    /// cached platform after success, park or error.
+    /// outputs and heat map), whether the cadence is shorter or longer
+    /// than the heat-map window, a parked run resumed from its registry
+    /// checkpoint and rows equals it too, and a run past its cycle budget
+    /// fails.
     #[test]
-    fn run_job_is_cadence_blind_and_always_detaches() {
+    fn run_job_is_cadence_blind() {
         use ulp_kernels::{Benchmark, WorkloadConfig};
         use ulp_platform::PlatformError;
 
@@ -1460,6 +1502,7 @@ mod tests {
             stolen: false,
             enqueued: Instant::now(),
             resume: None,
+            heat_map: Vec::new(),
             migrations: 0,
         };
         for window in [None, Some(512)] {
@@ -1470,38 +1513,39 @@ mod tests {
             };
             let mut spec = JobSpec::new(Benchmark::Mrpfltr, 2, workload.clone());
             spec.heat_map_window = window;
-            // The job's outcome, and how many observers it left attached.
-            let mut run = |job: &QueuedJob| {
-                let outcome = run_job(0, job, &mut cache, &mut spares, shared, &track).1;
-                (outcome, cache[&(true, 2)].attached_observers())
-            };
+            let mut run =
+                |job: &QueuedJob| run_job(0, job, &mut cache, &mut spares, shared, &track).1;
 
-            let (plain, left) = run(&queued(spec.clone()));
-            let plain = plain
+            let plain = run(&queued(spec.clone()))
                 .expect("plain job runs")
                 .expect("a plain job never parks");
             assert_eq!(plain.heat_map.is_some(), window.is_some(), "{kind}");
-            assert_eq!(left, 0, "{kind}: leaked after success");
-            let (sliced, left) = run(&queued(spec.clone().checkpoint_every(500)));
-            let sliced = sliced
-                .expect("checkpointed job runs")
-                .expect("an unmarked worker never parks");
-            assert!(plain == sliced, "{kind}: checkpointed run differs");
-            assert_eq!(left, 0, "{kind}: leaked after success");
+            for cadence in [500, 1500] {
+                let sliced = run(&queued(spec.clone().checkpoint_every(cadence)))
+                    .expect("checkpointed job runs")
+                    .expect("an unmarked worker never parks");
+                assert!(
+                    plain == sliced,
+                    "{kind}: run checkpointed every {cadence} differs"
+                );
+            }
 
             // Marked for failure, the worker parks at the first
             // checkpoint; the registry copy then carries the resume point.
             let migratable = queued(spec.clone().checkpoint_every(500));
             *shared.inflight[0].lock().unwrap() = Some(migratable.clone());
             shared.kill_flags[0].store(true, Ordering::Relaxed);
-            let (parked, left) = run(&migratable);
+            let parked = run(&migratable);
             shared.kill_flags[0].store(false, Ordering::Relaxed);
             assert!(matches!(parked, Ok(None)), "{kind}: parks");
-            assert_eq!(left, 0, "{kind}: leaked after a park");
             let registered = shared.inflight[0].lock().unwrap().take().unwrap();
             assert!(registered.resume.is_some(), "{kind}: checkpoint kept");
-            let (resumed, _) = run(&registered);
-            let resumed = resumed
+            assert_eq!(
+                registered.heat_map.is_empty(),
+                window.is_none(),
+                "{kind}: rows kept"
+            );
+            let resumed = run(&registered)
                 .expect("resumed job runs")
                 .expect("resumed job completes");
             assert!(plain == resumed, "{kind}: resumed run differs");
@@ -1509,7 +1553,7 @@ mod tests {
             // A cycle budget far below the run's length times out.
             let mut failing = JobSpec::new(Benchmark::Mrpfltr, 2, short.clone());
             failing.heat_map_window = window;
-            let (failed, left) = run(&queued(failing));
+            let failed = run(&queued(failing));
             assert!(
                 matches!(
                     failed,
@@ -1517,7 +1561,6 @@ mod tests {
                 ),
                 "{kind}: {failed:?}"
             );
-            assert_eq!(left, 0, "{kind}: leaked after an error");
         }
     }
 }

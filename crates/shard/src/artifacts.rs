@@ -7,13 +7,12 @@
 //! records its rows over its own local cycle axis (cycle 1 is the shard's
 //! first cycle), so stitching them back requires the per-shard cycle
 //! offsets that only the merge knows: [`MergedHeatMap`] holds every
-//! shard's [`BankHeatMap`] rows re-indexed to the merged recording's cycle
-//! axis (shard `i`'s rows start at the sum of the preceding shards' cycle
+//! shard's heat-map rows (sampled from the D-Xbar's per-bank served
+//! counter, [`ulp_platform::Platform::dm_bank_served`]) re-indexed to the
+//! merged recording's cycle axis (shard `i`'s rows start at the sum of the preceding shards' cycle
 //! counts), each row carrying its global `[start_cycle, end_cycle)` window
 //! explicitly, so per-bank totals and time-resolved heat maps survive
 //! sharding losslessly.
-//!
-//! [`BankHeatMap`]: ulp_platform::BankHeatMap
 
 use crate::merge::MergeError;
 use crate::runner::ShardOutput;

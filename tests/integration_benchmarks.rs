@@ -2,9 +2,10 @@
 //! end to end at realistic signal lengths.
 
 use ulp_lockstep::kernels::{
-    run_benchmark, run_benchmark_on, run_benchmark_reusing, Benchmark, CheckpointControl,
-    WorkloadConfig,
+    run_benchmark, run_benchmark_on, run_benchmark_reusing, Benchmark, BufferLayout,
+    CheckpointControl, SyncGranularity, WorkloadConfig,
 };
+use ulp_lockstep::mem::{BankMapping, ServingPolicy};
 use ulp_lockstep::platform::{Platform, PlatformConfig};
 use ulp_lockstep::power::{Activity, PowerModel};
 use ulp_lockstep::telemetry::json;
@@ -56,31 +57,76 @@ const PINNED: [Cell; 18] = [
     (Benchmark::Sqrt32, false, 8, 227025, 0x17744c8763d1ac2a, 0x7fb1926485d30a13),
 ];
 
-/// Runs every cell of `cells` under `cfg`, verifies its outputs against
-/// the golden DSP pass, and returns it with its cycles and digests.
+/// Runs `benchmark` on `platform` under `cfg`, verifies its outputs
+/// against the golden DSP pass, and returns its cycles and the digests of
+/// [`Cell`].
+fn digest(benchmark: Benchmark, platform: PlatformConfig, cfg: &WorkloadConfig) -> (u64, u64, u64) {
+    let what = format!(
+        "{benchmark} sync={} cores={}",
+        platform.synchronizer, platform.num_cores
+    );
+    let run = run_benchmark_on(benchmark, platform, cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+    run.verify().unwrap_or_else(|e| panic!("{what}: {e}"));
+    let stats = fnv1a(format!("{:?}", run.stats).into_bytes());
+    let outputs = fnv1a(run.outputs.iter().flatten().flat_map(|w| w.to_le_bytes()));
+    (run.stats.cycles, stats, outputs)
+}
+
+/// Runs every cell of `cells` under `cfg` (see [`digest`]).
 fn grid(cfg: &WorkloadConfig, cells: &[Cell]) -> Vec<Cell> {
     cells
         .iter()
         .map(|&(benchmark, with_sync, cores, ..)| {
-            let what = format!("{benchmark} sync={with_sync} cores={cores}");
             let platform = PlatformConfig::paper(with_sync)
                 .with_cores(cores)
                 .with_max_cycles(cfg.max_cycles);
-            let run = run_benchmark_on(benchmark, platform, cfg)
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-            run.verify().unwrap_or_else(|e| panic!("{what}: {e}"));
-            let stats = fnv1a(format!("{:?}", run.stats).into_bytes());
-            let outputs = fnv1a(run.outputs.iter().flatten().flat_map(|w| w.to_le_bytes()));
-            (
-                benchmark,
-                with_sync,
-                cores,
-                run.stats.cycles,
-                stats,
-                outputs,
-            )
+            let (cycles, stats, outputs) = digest(benchmark, platform, cfg);
+            (benchmark, with_sync, cores, cycles, stats, outputs)
         })
         .collect()
+}
+
+/// The configurations of the ablation studies (`ulp_bench::ablation`)
+/// that are not paper cells, each named by its study: the platform and
+/// workload MRPFLTR runs on. A2's two halves drive both D-Xbar serving
+/// policies with and without the synchronizer.
+fn ablations(cfg: &WorkloadConfig) -> Vec<(&'static str, PlatformConfig, WorkloadConfig)> {
+    let paper = |with_sync| PlatformConfig::paper(with_sync).with_max_cycles(cfg.max_cycles);
+    let interleaved = |with_sync| PlatformConfig {
+        im_mapping: BankMapping::Interleaved,
+        ..paper(with_sync)
+    };
+    let policy = |with_sync, dxbar_policy| PlatformConfig {
+        dxbar_policy,
+        ..paper(with_sync)
+    };
+    let per_element = WorkloadConfig {
+        granularity: SyncGranularity::PerElement,
+        ..cfg.clone()
+    };
+    let private = WorkloadConfig {
+        layout: BufferLayout::PrivateBank,
+        ..cfg.clone()
+    };
+    vec![
+        ("A1 interleaved IM", interleaved(true), cfg.clone()),
+        ("A1 interleaved IM", interleaved(false), cfg.clone()),
+        (
+            "A2 policy only",
+            policy(false, ServingPolicy::SyncAware),
+            cfg.clone(),
+        ),
+        (
+            "A2 synchronizer only",
+            policy(true, ServingPolicy::Baseline),
+            cfg.clone(),
+        ),
+        ("A3 one core", paper(true).with_cores(1), cfg.clone()),
+        ("A3 one core", paper(false).with_cores(1), cfg.clone()),
+        ("A5 per-element sections", paper(true), per_element),
+        ("A6 private-bank buffers", paper(true), private.clone()),
+        ("A6 private-bank buffers", paper(false), private),
+    ]
 }
 
 #[test]
@@ -97,24 +143,46 @@ fn all_outputs_bit_exact_at_midsize() {
 
 /// The paper grid at paper length (n = 256), pinned in
 /// `ci/paper-grid.json`: one record per cell with its cycles and the
-/// digests of [`Cell`]. An intentional model change updates the file in
+/// digests of [`Cell`], then one per MRPFLTR [ablation](ablations),
+/// named by its study. An intentional model change updates the file in
 /// the same change, where its diff shows which cells moved; the failure
 /// message prints the recomputed file. CI also runs this in release mode.
 #[test]
 fn paper_grid_matches_its_pin_at_paper_length() {
     let cfg = WorkloadConfig::paper();
     let cells = grid(&cfg, &PINNED);
+    let ablations: Vec<_> = ablations(&cfg)
+        .into_iter()
+        .map(|(study, platform, workload)| {
+            let design = (platform.synchronizer, platform.num_cores);
+            (
+                study,
+                design,
+                digest(Benchmark::Mrpfltr, platform, &workload),
+            )
+        })
+        .collect();
+    let record = |c: &mut json::Object<'_>, with_sync: bool, cores, (cycles, stats, outputs)| {
+        c.str("design", if with_sync { "sync" } else { "baseline" })
+            .uint("cores", cores)
+            .uint("cycles", cycles)
+            .str("stats_fnv1a", &format!("{stats:#018x}"))
+            .str("outputs_fnv1a", &format!("{outputs:#018x}"));
+    };
     let recomputed = json::object(|o| {
         o.uint("n", cfg.n);
         o.lines("cells", |a| {
             for &(benchmark, with_sync, cores, cycles, stats, outputs) in &cells {
                 a.object(|c| {
-                    c.str("benchmark", benchmark.name())
-                        .str("design", if with_sync { "sync" } else { "baseline" })
-                        .uint("cores", cores)
-                        .uint("cycles", cycles)
-                        .str("stats_fnv1a", &format!("{stats:#018x}"))
-                        .str("outputs_fnv1a", &format!("{outputs:#018x}"));
+                    c.str("benchmark", benchmark.name());
+                    record(c, with_sync, cores, (cycles, stats, outputs));
+                });
+            }
+            for &(study, (with_sync, cores), digests) in &ablations {
+                a.object(|c| {
+                    c.str("benchmark", Benchmark::Mrpfltr.name())
+                        .str("ablation", study);
+                    record(c, with_sync, cores, digests);
                 });
             }
         });
@@ -142,12 +210,12 @@ const PARK_AT: u64 = 70_000;
 /// changes it, as does any change of the wire format.
 #[rustfmt::skip]
 const PINNED_BLOBS: [(Benchmark, bool, u64); 6] = [
-    (Benchmark::Mrpfltr, true, 0x44ac51b14cc6d108),
-    (Benchmark::Mrpfltr, false, 0x0573bf84bf836c30),
-    (Benchmark::Mrpdln, true, 0xe18858631d050704),
-    (Benchmark::Mrpdln, false, 0x1b5736a4160a5d16),
-    (Benchmark::Sqrt32, true, 0x0c612378cca5c7c2),
-    (Benchmark::Sqrt32, false, 0x9b77edac03377f63),
+    (Benchmark::Mrpfltr, true, 0x7ea8fdc40ae65a8f),
+    (Benchmark::Mrpfltr, false, 0x694f87abec9b2626),
+    (Benchmark::Mrpdln, true, 0x98106b59b67771e3),
+    (Benchmark::Mrpdln, false, 0x359311db9924ea84),
+    (Benchmark::Sqrt32, true, 0x007c369a100e3a2d),
+    (Benchmark::Sqrt32, false, 0xa4cf3e2a928cc591),
 ];
 
 #[test]

@@ -3,15 +3,15 @@
 //! byte encoding, restoring into a *fresh* platform (or in place into a
 //! recycled one) and running to completion must be bit-identical to the
 //! golden uninterrupted run — registers, flags, PCs, the whole data
-//! memory, cycle counts, every [`SimStats`] counter, and an attached heat
-//! map's rows. Damaged blobs (bit flips, truncations, inflated length
+//! memory, cycle counts, every [`SimStats`] counter, and the D-Xbar's
+//! per-bank served counts. Damaged blobs (bit flips, truncations, inflated length
 //! fields, an older schema) must each fail with a typed [`RestoreError`].
 
 use proptest::prelude::*;
 use ulp_lockstep::isa::{encode, AluOp, Cond, CsrOp, Instr, Reg, ShiftKind, UnaryOp};
 use ulp_lockstep::platform::{
-    BankHeatMap, Checkpoint, PcTrace, Platform, PlatformConfig, RestoreError, RunProgress,
-    SimStats, CHECKPOINT_SCHEMA,
+    Checkpoint, PcTrace, Platform, PlatformConfig, RestoreError, RunProgress, SimStats,
+    CHECKPOINT_SCHEMA,
 };
 
 /// Strategy: one instruction of an SPMD body — same shape as the fast-path
@@ -234,12 +234,13 @@ fn restore_in_place_onto_recycled_platform() {
     assert_eq!(reference, capture(&r));
 }
 
-/// A DM bank heat map checkpoints with the platform: restored mid-run, it
-/// ends up with exactly the rows of an uninterrupted instrumented run. A
-/// PC trace attached next to it is a debugging aid and stays out of the
-/// blob.
+/// The D-Xbar's per-bank served counts, the source of the DM bank heat
+/// map, round-trip through a checkpoint blob: restored mid-run onto a
+/// fresh platform, the run ends with the counts of an uninterrupted one.
+/// An observer attached to the paused platform stays out of the blob,
+/// and counts for another bank count are a typed error.
 #[test]
-fn attached_observers_round_trip_through_checkpoints() {
+fn served_counts_round_trip_through_checkpoints() {
     let program = ulp_lockstep::isa::asm::assemble(
         "
         rdid r2
@@ -254,53 +255,42 @@ fn attached_observers_round_trip_through_checkpoints() {
     let cfg = PlatformConfig::paper_with_sync();
 
     let mut p = Platform::new(cfg.clone()).expect("valid config");
-    let heat = p.attach(Box::new(BankHeatMap::for_dm(&cfg, 16)));
     p.load_program(&program);
     p.run().expect("terminates");
     let reference = capture(&p);
-    let reference_heat: Vec<_> = p
-        .observer_as::<BankHeatMap>(&heat)
-        .expect("heat map attached")
-        .rows()
-        .to_vec();
-    assert!(!reference_heat.is_empty(), "heat map recorded rows");
+    // Eight cores store 25 times each to words of bank 0.
+    assert_eq!(p.dm_bank_served()[..2], [8 * 25, 0]);
 
     let mut q = Platform::new(cfg.clone()).expect("valid config");
-    q.attach(Box::new(PcTrace::new(4096)));
-    q.attach(Box::new(BankHeatMap::for_dm(&cfg, 16)));
     q.load_program(&program);
     assert!(matches!(
         q.run_until(reference.cycles / 3).expect("first slice"),
         RunProgress::Paused
     ));
     let blob = q.snapshot().to_bytes();
+    q.attach(Box::new(PcTrace::new(4096)));
+    assert_eq!(
+        q.snapshot().to_bytes(),
+        blob,
+        "observers stay out of the blob"
+    );
     let ckpt = Checkpoint::from_bytes(&blob).expect("blob round-trips");
-    let labels: Vec<_> = ckpt.observers.iter().map(|(l, _)| l.as_str()).collect();
-    assert_eq!(labels, ["bank-heat-map"], "only the heat map checkpointed");
+    assert_eq!(ckpt.dxbar.served, q.dm_bank_served());
+    assert!(ckpt.dxbar.served.iter().any(|&n| n > 0), "paused mid-run");
 
-    // Observers must be attached *before* the restore so the checkpointed
-    // state has somewhere to land.
-    let mut r = Platform::new(cfg.clone()).expect("valid config");
-    let heat = r.attach(Box::new(BankHeatMap::for_dm(&cfg, 16)));
+    let mut r = Platform::new(cfg).expect("valid config");
     r.restore_from(&ckpt).expect("restore succeeds");
     r.run().expect("resumed run terminates");
     assert_eq!(reference, capture(&r));
-    assert_eq!(
-        reference_heat,
-        r.observer_as::<BankHeatMap>(&heat)
-            .expect("attached")
-            .rows(),
-        "heat-map artifacts identical"
-    );
+    assert_eq!(r.dm_bank_served(), p.dm_bank_served());
 
-    // Restoring into a platform whose observer has different geometry is
-    // a typed failure, not silent drift.
-    let mut bad = Platform::new(cfg.clone()).expect("valid config");
-    bad.attach(Box::new(BankHeatMap::for_dm(&cfg, 999)));
+    let mut short = ckpt;
+    short.dxbar.served.pop();
+    let short = Checkpoint::from_bytes(&short.to_bytes()).expect("decodes");
     assert_eq!(
-        bad.restore_from(&ckpt),
-        Err(RestoreError::ObserverMismatch {
-            label: "bank-heat-map".into()
+        Platform::restore(&short).err(),
+        Some(RestoreError::Corrupt {
+            what: "dxbar state"
         })
     );
 }
@@ -371,15 +361,16 @@ const BODY_AT: usize = 20;
 /// Offsets of length fields in [`mid_run_blob`]: the header's body
 /// length, the core count (after the 40-byte config, the cycle and an
 /// empty fault tag), the first core's register count (after its id) and
-/// the observer count (the blob's last field).
+/// the count of the D-Xbar's per-bank served counts, which close the
+/// blob (16 banks of 8 bytes).
 fn length_fields(blob: &[u8]) -> [usize; 4] {
     let cores_at = BODY_AT + 40 + 8 + 1;
-    let fields = [BODY_LEN_AT, cores_at, cores_at + 5, blob.len() - 4];
+    let fields = [BODY_LEN_AT, cores_at, cores_at + 5, blob.len() - 4 - 16 * 8];
     let read = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
     assert_eq!(read(fields[0]) as usize, blob.len() - BODY_AT);
     assert_eq!(read(fields[1]), 8, "core count");
     assert_eq!(read(fields[2]), 8, "register count");
-    assert_eq!(read(fields[3]), 0, "observer count");
+    assert_eq!(read(fields[3]), 16, "served bank count");
     fields
 }
 
@@ -437,18 +428,30 @@ proptest! {
     }
 }
 
-/// A blob written by the previous wire format is refused by version, not
-/// misread.
-#[test]
-fn schema_1_blob_is_a_schema_mismatch() {
+/// [`mid_run_blob`] relabelled as written by wire format `schema` must be
+/// refused by version, not misread.
+fn assert_schema_refused(schema: u32) {
     let mut blob = mid_run_blob();
-    blob[4..8].copy_from_slice(&1u32.to_le_bytes());
+    blob[4..8].copy_from_slice(&schema.to_le_bytes());
     assert_eq!(
         Checkpoint::from_bytes(&blob),
         Err(RestoreError::SchemaMismatch {
-            found: 1,
+            found: schema,
             expected: CHECKPOINT_SCHEMA,
         })
     );
-    assert_eq!(CHECKPOINT_SCHEMA, 2);
+    assert_eq!(CHECKPOINT_SCHEMA, 3);
+}
+
+/// A blob of the first wire format is refused by version.
+#[test]
+fn schema_1_blob_is_a_schema_mismatch() {
+    assert_schema_refused(1);
+}
+
+/// A blob of the previous wire format, which carried observer state
+/// where schema 3 has the served counts, is refused by version.
+#[test]
+fn schema_2_blob_is_a_schema_mismatch() {
+    assert_schema_refused(2);
 }

@@ -13,15 +13,19 @@
 //! either with interrupts raised at slice boundaries. Each random case
 //! draws the IM bank mapping too: interleaved IM puts consecutive words
 //! in different banks, so cycles serve fetch groups in several banks at
-//! once.
+//! once. A last property holds the DM bank heat map sampled from the
+//! D-Xbar's served counter, with the batch on and a checkpoint move on
+//! the way, equal to a reference observer's rows from a `step()` loop.
 
 use proptest::prelude::*;
 use std::ops::Range;
-use ulp_lockstep::cpu::CoreState;
+use ulp_lockstep::cpu::{Core, CoreState};
 use ulp_lockstep::isa::{encode, AluOp, Cond, CsrOp, Flags, Instr, Reg, ShiftKind, UnaryOp};
 use ulp_lockstep::kernels::{run_benchmark_reusing, Benchmark, CheckpointControl, WorkloadConfig};
-use ulp_lockstep::mem::BankMapping;
-use ulp_lockstep::platform::{Platform, PlatformConfig, RunProgress, SimStats};
+use ulp_lockstep::mem::{BankMapping, DmRequest};
+use ulp_lockstep::platform::{
+    Checkpoint, Observer, Platform, PlatformConfig, RunProgress, SimStats,
+};
 
 /// Cycle budget of the random programs (far above what they need).
 const MAX_CYCLES: u64 = 2_000_000;
@@ -435,6 +439,128 @@ fn random_platform(words: &[u16], cores: usize, with_sync: bool, im: BankMapping
     p
 }
 
+/// The reference DM bank heat map: in each cycle, every D-Xbar grant
+/// (completed or held) counts once on the bank of its request; a row
+/// closes every `window` cycles, and the trailing partial row closes
+/// when the run ends.
+struct HeatMapRef {
+    banks: usize,
+    bank_words: usize,
+    mapping: BankMapping,
+    window: u64,
+    seen: u64,
+    current: Vec<u64>,
+    rows: Vec<Vec<u64>>,
+}
+
+impl HeatMapRef {
+    fn new(cfg: &PlatformConfig, window: u64) -> HeatMapRef {
+        HeatMapRef {
+            banks: cfg.dm_banks,
+            bank_words: cfg.dm_words / cfg.dm_banks,
+            mapping: cfg.dm_mapping,
+            window,
+            seen: 0,
+            current: vec![0; cfg.dm_banks],
+            rows: Vec::new(),
+        }
+    }
+
+    /// The closed rows, then the partial row if the last window saw any
+    /// cycles.
+    fn rows(&self) -> Vec<Vec<u64>> {
+        let mut rows = self.rows.clone();
+        if self.seen > 0 {
+            rows.push(self.current.clone());
+        }
+        rows
+    }
+}
+
+impl Observer for HeatMapRef {
+    fn on_dm(&mut self, _cycle: u64, dm_reqs: &[DmRequest], granted: &[bool]) {
+        for r in dm_reqs.iter().filter(|r| granted[r.core]) {
+            self.current[self.mapping.bank_of(r.addr, self.banks, self.bank_words)] += 1;
+        }
+    }
+
+    fn on_cycle_end(&mut self, _cycle: u64, _cores: &[Core]) {
+        self.seen += 1;
+        if self.seen == self.window {
+            self.rows
+                .push(std::mem::replace(&mut self.current, vec![0; self.banks]));
+            self.seen = 0;
+        }
+    }
+}
+
+/// The reference: a `step()` loop with one [`HeatMapRef`] per window
+/// attached. Returns each window's rows.
+fn stepped_heat_maps(mut p: Platform, windows: &[u64]) -> Vec<Vec<Vec<u64>>> {
+    let handles: Vec<_> = windows
+        .iter()
+        .map(|&window| p.attach(Box::new(HeatMapRef::new(p.config(), window))))
+        .collect();
+    while !p.all_halted() {
+        assert!(p.cycle() < p.config().max_cycles, "reference terminates");
+        p.step();
+    }
+    handles
+        .iter()
+        .map(|h| p.observer_as::<HeatMapRef>(h).expect("attached").rows())
+        .collect()
+}
+
+/// Window lengths for a run of `cycles` cycles: a divisor of it (so the
+/// run ends on a row boundary), any length up to it, and one longer than
+/// the run.
+fn heat_map_windows(cycles: u64, seed: u64) -> [u64; 3] {
+    let divisors: Vec<u64> = (1..=cycles).filter(|&d| cycles.is_multiple_of(d)).collect();
+    [
+        divisors[(seed % divisors.len() as u64) as usize],
+        1 + (seed >> 8) % cycles,
+        cycles + 1 + (seed >> 16) % cycles,
+    ]
+}
+
+/// Heat-map rows sampled from the D-Xbar's per-bank served counter with
+/// the batch on: `run_until` every multiple of `window`, one row per
+/// pause (the counter minus its value at the previous pause), and the
+/// trailing row when the run ends. When the run reaches `move_at`, it
+/// moves onto a fresh platform through a checkpoint blob.
+fn sampled_heat_map(mut p: Platform, window: u64, move_at: u64) -> Vec<Vec<u64>> {
+    let mut rows = Vec::new();
+    let mut last = vec![0; p.dm_bank_served().len()];
+    loop {
+        let boundary = (p.cycle() / window + 1) * window;
+        let limit = if p.cycle() < move_at {
+            boundary.min(move_at)
+        } else {
+            boundary
+        };
+        let done = p.run_until(limit).expect("sliced run succeeds").is_done();
+        if !done && p.cycle() == move_at {
+            let ckpt = Checkpoint::from_bytes(&p.snapshot().to_bytes()).expect("blob decodes");
+            p = Platform::new(ckpt.config.clone()).expect("valid config");
+            p.restore_from(&ckpt).expect("restores");
+        }
+        if done || p.cycle() == boundary {
+            let served = p.dm_bank_served();
+            rows.push(
+                served
+                    .iter()
+                    .zip(&last)
+                    .map(|(now, then)| now - then)
+                    .collect(),
+            );
+            if done {
+                return rows;
+            }
+            last = served.to_vec();
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -528,6 +654,41 @@ proptest! {
                     &reference, &subject,
                     "slices {:?}, cores {} sync {}", slices, cores, with_sync
                 );
+            }
+        }
+    }
+    /// Heat-map rows sampled from the D-Xbar's served counter, with the
+    /// batch on and the run moved through a checkpoint blob at a random
+    /// cycle, equal a reference observer's rows from a `step()` loop: on
+    /// random SPMD bodies (private, broadcast and same-bank traffic, so
+    /// SyncAware holds too) and on Listing-1 programs (whose synchronizer
+    /// read-modify-writes bypass the D-Xbar), at 2, 4 and 8 cores on both
+    /// designs, for windows that divide the run, that need not, and that
+    /// are longer than the run.
+    #[test]
+    fn served_counter_rows_match_a_stepped_heat_map(
+        main in prop_oneof![
+            prop::collection::vec(body_instr(), 1..60).prop_map(|body| spmd_program(&body)),
+            listing1(),
+        ],
+        seed in any::<u64>(),
+        im in im_mapping(),
+    ) {
+        let words = encode_all(&main);
+        for cores in [2usize, 4, 8] {
+            for with_sync in [true, false] {
+                let platform = || random_platform(&words, cores, with_sync, im);
+                let cycles = platform().run().expect("run terminates").cycles;
+                let windows = heat_map_windows(cycles, seed);
+                let reference = stepped_heat_maps(platform(), &windows);
+                let move_at = 1 + (seed >> 24) % cycles;
+                for (&window, rows) in windows.iter().zip(&reference) {
+                    prop_assert_eq!(rows.len() as u64, cycles.div_ceil(window));
+                    prop_assert_eq!(
+                        rows, &sampled_heat_map(platform(), window, move_at),
+                        "window {} move at {}, cores {} sync {}", window, move_at, cores, with_sync
+                    );
+                }
             }
         }
     }
