@@ -94,7 +94,8 @@ pub struct CoreSnapshot {
     pub sleep_from_sync: bool,
     /// Execution state with in-flight instructions encoded.
     pub state: CoreStateSnapshot,
-    /// Cycles observed so far (drives `RDCYC`).
+    /// Cycles observed so far (drives `RDCYC`): always
+    /// [`CoreStats::total_cycles`] of `stats`.
     pub cycles: u64,
     /// Accumulated activity counters.
     pub stats: CoreStats,
@@ -113,6 +114,15 @@ pub struct CoreSnapshot {
 /// a cycle. `note_fetch_stalls` may also charge a run of stalled cycles in
 /// one call.
 ///
+/// A lockstep group is driven as one instead: [`Core::execute_group`]
+/// applies each op to every member's own registers, flags and PC and
+/// counts nothing, and [`Core::charge_group`] adds the counts the members
+/// share (fetches, active and sleep cycles, retired and useful ops) in one
+/// call when the run ends, or before an op that reads them.
+///
+/// A core's cycle count ([`Core::cycles`], read by `RDCYC`) is the sum of
+/// its cycle counters ([`CoreStats::total_cycles`]).
+///
 /// See [`crate::SimpleHost`] for a minimal single-core driver.
 #[derive(Debug, Clone)]
 pub struct Core {
@@ -127,7 +137,6 @@ pub struct Core {
     irq_pending: bool,
     sleep_origin: SleepOrigin,
     state: CoreState,
-    cycles: u64,
     stats: CoreStats,
     error: Option<CoreError>,
 }
@@ -148,7 +157,6 @@ impl Core {
             irq_pending: false,
             sleep_origin: SleepOrigin::Instruction,
             state: CoreState::Fetch,
-            cycles: 0,
             stats: CoreStats::default(),
             error: None,
         }
@@ -214,9 +222,10 @@ impl Core {
         &self.stats
     }
 
-    /// Total cycles observed by this core (drives `RDCYC`).
+    /// Total cycles observed by this core (drives `RDCYC`): the sum of
+    /// its cycle counters.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.stats.total_cycles()
     }
 
     /// Asserts the core's external interrupt line.
@@ -274,7 +283,6 @@ impl Core {
     /// [`CoreError::IllegalInstruction`] and the error is returned.
     pub fn on_fetch_granted(&mut self, word: u16) -> Result<(), CoreError> {
         debug_assert!(matches!(self.state, CoreState::Fetch), "not fetching");
-        self.cycles += 1;
         self.stats.active_cycles += 1;
         self.stats.fetches += 1;
         match decode(word) {
@@ -300,7 +308,6 @@ impl Core {
     /// word at the fetch address, so this path cannot fault.
     pub fn on_fetch_granted_decoded(&mut self, instr: Instr) {
         debug_assert!(matches!(self.state, CoreState::Fetch), "not fetching");
-        self.cycles += 1;
         self.stats.active_cycles += 1;
         self.stats.fetches += 1;
         self.state = CoreState::Execute(instr);
@@ -312,7 +319,6 @@ impl Core {
     /// instruction (`RDCYC` included) can tell when its count was added.
     pub fn note_fetch_stalls(&mut self, cycles: u64) {
         debug_assert!(matches!(self.state, CoreState::Fetch));
-        self.cycles += cycles;
         self.stats.fetch_stall_cycles += cycles;
     }
 
@@ -392,15 +398,23 @@ impl Core {
     /// [`CoreState::Execute`].
     #[inline(always)]
     fn execute(&mut self, instr: Instr, read: Option<u16>) {
-        self.cycles += 1;
         self.stats.active_cycles += 1;
+        self.retire(instr, read);
+    }
+
+    /// Counts `instr` retired and applies it.
+    #[inline(always)]
+    fn retire(&mut self, instr: Instr, read: Option<u16>) {
+        self.stats.retired += 1;
+        if instr.is_useful_op() {
+            self.stats.useful_ops += 1;
+        }
         self.apply(instr, read);
     }
 
     /// Records a cycle spent waiting for a data-memory grant (clock-gated).
     pub fn note_mem_stall(&mut self) {
         debug_assert!(matches!(self.state, CoreState::Execute(_)));
-        self.cycles += 1;
         self.stats.mem_stall_cycles += 1;
     }
 
@@ -410,7 +424,6 @@ impl Core {
         let CoreState::Execute(instr) = self.state else {
             panic!("hold_with_data outside execute phase");
         };
-        self.cycles += 1;
         self.stats.active_cycles += 1;
         self.state = CoreState::Held { instr, data };
     }
@@ -418,7 +431,6 @@ impl Core {
     /// Records a cycle spent held by the enhanced serving policy.
     pub fn note_hold(&mut self) {
         debug_assert!(matches!(self.state, CoreState::Held { .. }));
-        self.cycles += 1;
         self.stats.hold_cycles += 1;
     }
 
@@ -429,7 +441,7 @@ impl Core {
             panic!("release without hold");
         };
         self.state = CoreState::Execute(instr);
-        self.apply(instr, data);
+        self.retire(instr, data);
     }
 
     // ---- synchronization ISE ----------------------------------------------
@@ -441,7 +453,6 @@ impl Core {
             panic!("on_sync_accepted outside execute phase");
         };
         assert!(instr.is_sync(), "not a sync instruction");
-        self.cycles += 1;
         self.stats.active_cycles += 1;
         self.state = CoreState::SyncIssued(instr);
     }
@@ -449,14 +460,12 @@ impl Core {
     /// Second (write) cycle of the synchronizer operation.
     pub fn note_sync_active(&mut self) {
         debug_assert!(matches!(self.state, CoreState::SyncIssued(_)));
-        self.cycles += 1;
         self.stats.active_cycles += 1;
     }
 
     /// Records a cycle spent queued behind the synchronizer.
     pub fn note_sync_stall(&mut self) {
         debug_assert!(matches!(self.state, CoreState::Execute(_)));
-        self.cycles += 1;
         self.stats.sync_stall_cycles += 1;
     }
 
@@ -493,7 +502,6 @@ impl Core {
             panic!("skip_sync_op outside execute phase");
         };
         assert!(instr.is_sync(), "not a sync instruction");
-        self.cycles += 1;
         self.stats.active_cycles += 1;
         self.stats.retired += 1;
         self.pc = self.pc.wrapping_add(1);
@@ -505,7 +513,6 @@ impl Core {
     /// Records a cycle spent asleep (externally clock-gated).
     pub fn note_sleep(&mut self) {
         debug_assert!(matches!(self.state, CoreState::Sleeping));
-        self.cycles += 1;
         self.stats.sleep_cycles += 1;
     }
 
@@ -557,7 +564,7 @@ impl Core {
             irq_pending: self.irq_pending,
             sleep_from_sync: self.sleep_origin == SleepOrigin::Sync,
             state,
-            cycles: self.cycles,
+            cycles: self.stats.total_cycles(),
             stats: self.stats,
             error: self.error,
         }
@@ -565,9 +572,13 @@ impl Core {
 
     /// Re-applies a snapshot taken by [`Core::save`], adopting every field
     /// including the hardware id. Returns `false` (leaving the core
-    /// untouched) when an in-flight instruction word fails to decode —
-    /// possible only for a corrupted snapshot.
+    /// untouched) when an in-flight instruction word fails to decode or
+    /// the cycle count is not the sum of the cycle counters — possible
+    /// only for a corrupted snapshot.
     pub fn load_snapshot(&mut self, snapshot: &CoreSnapshot) -> bool {
+        if snapshot.stats.checked_total_cycles() != Some(snapshot.cycles) {
+            return false;
+        }
         let state = match snapshot.state {
             CoreStateSnapshot::Fetch => CoreState::Fetch,
             CoreStateSnapshot::Execute(word) => match decode(word) {
@@ -600,7 +611,6 @@ impl Core {
             SleepOrigin::Instruction
         };
         self.state = state;
-        self.cycles = snapshot.cycles;
         self.stats = snapshot.stats;
         self.error = snapshot.error;
         true
@@ -608,31 +618,39 @@ impl Core {
 
     // ---- lockstep groups ----------------------------------------------------
 
-    /// [`Core::on_fetch_granted_decoded`] for every core in `members` (bit
-    /// `i` stands for `cores[i]`): a lockstep group served by one broadcast
-    /// fetch of `op`.
-    pub fn fetch_group(cores: &mut [Core], mut members: u32, op: Instr) {
+    /// Adds `shared` to the counters of every core in `members` (bit `i`
+    /// stands for `cores[i]`): the counts a lockstep run's members share,
+    /// charged in one call. With [`Core::execute_group`], which counts
+    /// nothing, a run of `n` fetches and `e` core-local ops charges
+    /// `fetches = n`, `retired = e`, its useful ops and `active_cycles =
+    /// n + e`; its sleeping cores are charged their `sleep_cycles` the
+    /// same way.
+    pub fn charge_group(cores: &mut [Core], mut members: u32, shared: &CoreStats) {
         while members != 0 {
-            cores[members.trailing_zeros() as usize].on_fetch_granted_decoded(op);
+            cores[members.trailing_zeros() as usize].stats.merge(shared);
             members &= members - 1;
         }
     }
 
-    /// [`Core::complete_execute`]`(None)` for every core in `members` (bit
-    /// `i` stands for `cores[i]`), each of which executes `op`: a lockstep
-    /// group's core-local execute cycle.
+    /// The op of a lockstep group's broadcast fetch, applied to every core
+    /// in `members` (bit `i` stands for `cores[i]`), each in its fetch
+    /// phase at the op's address. A core-local op runs its fetch and
+    /// execute cycles: each member's registers, flags, PC and branch
+    /// counts change as [`Core::complete_execute`]`(None)` would change
+    /// them. A memory op leaves each member in [`CoreState::Execute`],
+    /// for the platform to complete from its D-Xbar grant. Nothing else
+    /// is counted: the caller charges the cycles, fetches and retired ops
+    /// the members share through [`Core::charge_group`], before any op
+    /// that reads them (`RDCYC` reads its core's cycle count).
     ///
     /// The op is matched once. Each arm runs a loop over the members whose
-    /// body is [`Core::complete_execute`]'s own semantics inlined for that
-    /// op, so the group pays one dispatch instead of one per core, and the
-    /// ops keep a single definition. Memory ops, `SLEEP` and `HALT` take a
-    /// generic loop; a memory op's completion needs its grant's data, so
-    /// the platform completes those per core.
+    /// body is the core's own semantics inlined for that op, so the group
+    /// pays one dispatch instead of one per core, and the ops keep a
+    /// single definition. `SLEEP` and `HALT` take a generic loop.
     ///
     /// # Panics
     ///
-    /// Panics if `op` is `SINC`/`SDEC`, or, like
-    /// [`Core::complete_execute`]`(None)`, if it is a load.
+    /// Panics if `op` is `SINC`/`SDEC`.
     pub fn execute_group(cores: &mut [Core], members: u32, op: Instr) {
         assert!(
             !op.is_sync(),
@@ -657,6 +675,15 @@ impl Core {
             Instr::Jr { rs } => lanes(cores, members, Instr::Jr { rs }),
             Instr::Jalr { rs } => lanes(cores, members, Instr::Jalr { rs }),
             Instr::Csr { op, rd } => lanes(cores, members, Instr::Csr { op, rd }),
+            Instr::Ld { .. } | Instr::St { .. } | Instr::LdP { .. } | Instr::StP { .. } => {
+                let mut pending = members;
+                while pending != 0 {
+                    let core = &mut cores[pending.trailing_zeros() as usize];
+                    pending &= pending - 1;
+                    debug_assert_eq!(core.state, CoreState::Fetch, "not fetching");
+                    core.state = CoreState::Execute(op);
+                }
+            }
             _ => lanes(cores, members, op),
         }
     }
@@ -669,19 +696,18 @@ impl Core {
         while members != 0 {
             let core = &mut cores[members.trailing_zeros() as usize];
             members &= members - 1;
-            debug_assert_eq!(core.state, CoreState::Execute(op), "not executing the op");
-            core.execute(op, None);
+            debug_assert_eq!(core.state, CoreState::Fetch, "not fetching");
+            core.apply(op, None);
         }
     }
 
     // ---- instruction semantics ---------------------------------------------
 
+    /// The semantics of `instr`: registers, flags, PC, state and the
+    /// counts that differ per core. Counts neither the cycle nor the
+    /// retired op.
     #[inline(always)]
     fn apply(&mut self, instr: Instr, read: Option<u16>) {
-        self.stats.retired += 1;
-        if instr.is_useful_op() {
-            self.stats.useful_ops += 1;
-        }
         let next_pc = self.pc.wrapping_add(1);
         match instr {
             Instr::Nop => {
@@ -827,7 +853,7 @@ impl Core {
                         self.state = CoreState::Fetch;
                         return;
                     }
-                    CsrOp::RdCyc => self.regs[rd.index()] = self.cycles as u16,
+                    CsrOp::RdCyc => self.regs[rd.index()] = self.stats.total_cycles() as u16,
                 }
                 self.pc = next_pc;
                 self.state = CoreState::Fetch;
@@ -1259,6 +1285,24 @@ mod tests {
         let before = core.save();
         assert!(!core.load_snapshot(&snap));
         assert_eq!(core.save(), before, "failed load leaves state untouched");
+    }
+
+    #[test]
+    fn snapshot_rejects_a_cycle_count_off_its_counters() {
+        let mut core = Core::new(0);
+        exec_one(&mut core, Instr::Nop, None);
+        let before = core.save();
+        assert_eq!(before.cycles, 2);
+        for cycles in [1, 3, u64::MAX] {
+            let snap = CoreSnapshot { cycles, ..before };
+            assert!(!core.load_snapshot(&snap), "cycles {cycles} loaded");
+            assert_eq!(core.save(), before, "failed load leaves state untouched");
+        }
+        // Counters whose sum overflows match no cycle count.
+        let mut snap = before;
+        snap.stats.sleep_cycles = u64::MAX;
+        snap.cycles = 1;
+        assert!(!core.load_snapshot(&snap));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Property-based tests of the lockstep group methods: a group's execute
-//! cycle is its members' per-core execute cycles.
+//! Property-based tests of the lockstep group methods: a group's fetch
+//! and execute, with the counts its members share charged in one call,
+//! are its members' per-core fetch and execute cycles.
 
 use crate::{Core, CoreSnapshot, CoreStateSnapshot, CoreStats};
 use proptest::prelude::*;
-use ulp_isa::{decode, encode, AluOp, Cond, CsrOp, Flags, Instr, Reg, ShiftKind, UnaryOp};
+use ulp_isa::{decode, encode, AluOp, Cond, CsrOp, Flags, Instr, OpClass, Reg, ShiftKind, UnaryOp};
 
 /// Every op a core completes on its own, with no data-memory grant and no
 /// synchronizer: each variant with random in-range fields.
@@ -61,10 +62,34 @@ fn core_local_op() -> impl Strategy<Value = Instr> {
     })
 }
 
+/// Every op a lockstep group executes: a core-local op, or a memory op,
+/// each variant with random in-range fields.
+fn group_op() -> impl Strategy<Value = Instr> {
+    let memory_op = (0u8..4, any::<u16>()).prop_map(|(variant, a)| {
+        let reg = |x: u16| Reg::ALL[usize::from(x) % Reg::ALL.len()];
+        let (rd, base, offset) = (reg(a), reg(a >> 3), (a >> 6) as i8 % 16);
+        match variant {
+            0 => Instr::Ld { rd, base, offset },
+            1 => Instr::St {
+                rs: rd,
+                base,
+                offset,
+            },
+            2 => Instr::LdP { rd, base },
+            _ => Instr::StP { rs: rd, base },
+        }
+    });
+    (0u8..5, core_local_op(), memory_op).prop_map(|(pick, local, memory)| match pick {
+        0 => memory,
+        _ => local,
+    })
+}
+
 /// One core's architectural state: registers, PC, a status byte (flags
 /// in the low nibble, interrupt enable in bit 4, saved flags in bits
-/// 5-7, a pending interrupt in bit 7), cycle count, and a seed for its
-/// counters.
+/// 5-7, a pending interrupt in bit 7), fetch-stall cycles, and a seed for
+/// its other counters. The stall cycles make the core's cycle count, which
+/// `RDCYC` reads, arbitrary.
 type Lane = (Vec<u16>, u16, u8, u32, u32);
 
 fn lane() -> impl Strategy<Value = Lane> {
@@ -79,8 +104,17 @@ fn lane() -> impl Strategy<Value = Lane> {
 
 /// A core in `state` with the state drawn in `lane`.
 fn core(id: usize, lane: &Lane, state: CoreStateSnapshot) -> Core {
-    let (regs, pc, flags, cycles, seed) = lane;
+    let (regs, pc, flags, stalls, seed) = lane;
     let seed = u64::from(*seed);
+    let stats = CoreStats {
+        retired: seed,
+        useful_ops: seed / 2,
+        active_cycles: seed * 3,
+        fetch_stall_cycles: u64::from(*stalls),
+        branches_taken: seed / 5,
+        branches_not_taken: seed / 7,
+        ..CoreStats::default()
+    };
     let mut core = Core::new(id as u8);
     let snapshot = CoreSnapshot {
         id: id as u8,
@@ -94,23 +128,20 @@ fn core(id: usize, lane: &Lane, state: CoreStateSnapshot) -> Core {
         irq_pending: flags & 0x80 != 0,
         sleep_from_sync: false,
         state,
-        cycles: u64::from(*cycles),
-        stats: CoreStats {
-            retired: seed,
-            useful_ops: seed / 2,
-            active_cycles: seed * 3,
-            branches_taken: seed / 5,
-            branches_not_taken: seed / 7,
-            ..CoreStats::default()
-        },
+        cycles: stats.total_cycles(),
+        stats,
         error: None,
     };
     assert!(core.load_snapshot(&snapshot), "valid snapshot");
     core
 }
 
-/// Runs one group execute and the per-core reference on the same cores;
-/// returns both sides' snapshots.
+/// Runs one group fetch and execute and the per-core reference on the same
+/// cores; returns both sides' snapshots. The members start in their fetch
+/// phase. The group side charges the counts its members share first, as
+/// the platform does before an op that may read them, then runs
+/// `execute_group`; the reference grants each member the fetch and, for a
+/// core-local op, completes its execute cycle.
 fn both_sides(
     op: Instr,
     members: u32,
@@ -125,19 +156,32 @@ fn both_sides(
         .enumerate()
         .map(|(i, lane)| {
             let state = if members & 1 << i != 0 {
-                CoreStateSnapshot::Execute(word)
+                CoreStateSnapshot::Fetch
             } else {
                 others[i % others.len()]
             };
             core(i, lane, state)
         })
         .collect();
+    let memory_op = op.op_class() == OpClass::Mem;
+    let executed = u64::from(!memory_op);
+    let shared = CoreStats {
+        fetches: 1,
+        active_cycles: 1 + executed,
+        retired: executed,
+        useful_ops: executed * u64::from(op.is_useful_op()),
+        ..CoreStats::default()
+    };
     let mut grouped = cores.clone();
+    Core::charge_group(&mut grouped, members, &shared);
     Core::execute_group(&mut grouped, members, op);
     let mut per_core = cores;
     for (i, core) in per_core.iter_mut().enumerate() {
         if members & 1 << i != 0 {
-            core.complete_execute(None);
+            core.on_fetch_granted(word).expect("encoded words decode");
+            if !memory_op {
+                core.complete_execute(None);
+            }
         }
     }
     (
@@ -149,12 +193,14 @@ fn both_sides(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
-    /// `execute_group` equals `complete_execute(None)` on each member, for
-    /// every core-local op over random registers, flags, PCs, cycle
-    /// counts and member masks, and leaves every other core untouched.
+    /// `charge_group` and `execute_group` equal `on_fetch_granted` and,
+    /// for a core-local op, `complete_execute(None)` on each member, for
+    /// every core-local and memory op over random registers, flags, PCs,
+    /// cycle counts and member masks, and leave every other core
+    /// untouched.
     #[test]
     fn group_execute_is_per_core_execute(
-        op in core_local_op(),
+        op in group_op(),
         lanes in prop::collection::vec(lane(), 1..=16),
         members in any::<u32>(),
         other_op in core_local_op(),
@@ -182,8 +228,8 @@ proptest! {
 }
 
 /// Lanes whose flags differ, so one conditional branch is taken by some
-/// members and not by others, and whose cycle counts differ, so `RDCYC`
-/// reads a different value on each member.
+/// members and not by others, and whose fetch-stall cycles differ, so
+/// `RDCYC` reads a different cycle count on each member.
 #[test]
 fn group_execute_splits_branches_and_reads_each_cycle_count() {
     let lanes: Vec<Lane> = (0..8u8)
@@ -220,8 +266,11 @@ fn group_execute_splits_branches_and_reads_each_cycle_count() {
         rd: Reg::R1,
     };
     let (grouped, _) = both_sides(rdcyc, members, &lanes, &others);
+    // Member 1: 1,001 stall cycles, 7 * 3 active ones, then the fetch and
+    // the execute cycle of the RDCYC itself.
     assert_eq!(
-        grouped[1].regs[1], 1002,
+        grouped[1].regs[1],
+        1001 + 21 + 2,
         "RDCYC reads the member's own count"
     );
 }

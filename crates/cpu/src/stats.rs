@@ -52,12 +52,28 @@ pub struct CoreStats {
 impl CoreStats {
     /// Total cycles attributed to this core (active + gated + asleep).
     pub fn total_cycles(&self) -> u64 {
-        self.active_cycles
-            + self.fetch_stall_cycles
-            + self.mem_stall_cycles
-            + self.sync_stall_cycles
-            + self.hold_cycles
-            + self.sleep_cycles
+        self.cycle_counters().iter().sum()
+    }
+
+    /// [`CoreStats::total_cycles`], or `None` if the sum overflows (only
+    /// possible for counters that no run produced).
+    pub fn checked_total_cycles(&self) -> Option<u64> {
+        self.cycle_counters()
+            .iter()
+            .try_fold(0u64, |sum, &c| sum.checked_add(c))
+    }
+
+    /// The counters that each cycle of a core adds one to: exactly one
+    /// of them per cycle.
+    fn cycle_counters(&self) -> [u64; 6] {
+        [
+            self.active_cycles,
+            self.fetch_stall_cycles,
+            self.mem_stall_cycles,
+            self.sync_stall_cycles,
+            self.hold_cycles,
+            self.sleep_cycles,
+        ]
     }
 
     /// Total data-memory accesses (reads + writes), excluding the

@@ -194,19 +194,19 @@ impl BankedMemory {
     /// Counts a single bank access; the `requesters - 1` saved accesses are
     /// recorded in [`MemStats::broadcast_extra`].
     pub fn read_broadcast(&mut self, addr: u16, requesters: usize) -> u16 {
-        self.count_broadcast(self.bank_of(addr), requesters);
+        self.count_broadcasts(self.bank_of(addr), requesters, 1);
         self.words[self.index(addr)]
     }
 
-    /// Counts a [`BankedMemory::read_broadcast`] of a word in `bank`
-    /// without reading it: an I-Xbar grant, which knows the bank; its
-    /// caller reads the word itself.
+    /// Counts `reads` [`BankedMemory::read_broadcast`]s of words in
+    /// `bank`, each to `requesters` cores, without reading them: I-Xbar
+    /// grants, which know the bank; their caller reads the words itself.
     #[inline]
-    pub(crate) fn count_broadcast(&mut self, bank: usize, requesters: usize) {
+    pub(crate) fn count_broadcasts(&mut self, bank: usize, requesters: usize, reads: u64) {
         debug_assert!(requesters >= 1);
-        self.stats.bank_reads += 1;
-        self.stats.broadcast_extra += requesters.saturating_sub(1) as u64;
-        self.per_bank[bank] += 1;
+        self.stats.bank_reads += reads;
+        self.stats.broadcast_extra += reads * requesters.saturating_sub(1) as u64;
+        self.per_bank[bank] += reads;
     }
 
     /// Physical write (counted).

@@ -7,7 +7,8 @@
 //! remaining cores stall, clock-gated — exactly the conflict behaviour of
 //! Section III of the paper. [`IXbar::serve_groups`] is the one arbiter;
 //! the platform's interpreter and its batched cycles both fetch through
-//! it.
+//! it, and [`IXbar::serve_group_run`] serves a lockstep run's grants of
+//! one group as that many `serve_groups` cycles would.
 
 use crate::banked::BankedMemory;
 use crate::fastdiv::{rr_min_distance, rr_next};
@@ -207,8 +208,41 @@ impl IXbar {
         if width < requests {
             self.stats.conflict_cycles += 1;
         }
-        self.broadcast(bank, width, requests, imem);
+        self.broadcast(bank, width, requests, 1, imem);
         1 << g
+    }
+
+    /// `n` consecutive [`IXbar::serve_groups`] cycles of `group` alone,
+    /// served at once: a lockstep run, whose one group is granted every
+    /// fetch cycle. The counters grow by `n` conflict-free broadcast reads
+    /// of `group.bank`. Each grant moves the bank's pointer past the
+    /// member nearest it, so the grants walk the members in cyclic order
+    /// from the first one at or above the starting pointer, and the
+    /// pointer ends one past the `(j0 + n - 1) % width`-th member (counted
+    /// from the lowest), where `j0` is the number of members below the
+    /// starting pointer. `n == 0` serves nothing.
+    pub fn serve_group_run(&mut self, group: &FetchGroup, n: u64, imem: &mut BankedMemory) {
+        debug_assert_eq!(
+            group.width,
+            group.members.count_ones(),
+            "width is the member count"
+        );
+        if n == 0 || group.members == 0 {
+            return;
+        }
+        let members = group.members;
+        let ncores = ((u32::BITS - members.leading_zeros()) as usize).max(self.rr.len().min(64));
+        let bank = usize::from(group.bank);
+        let ptr = wrap_pointer(self.rr[bank], ncores);
+        let j0 = (u64::from(members) & ((1u64 << ptr) - 1)).count_ones();
+        let width = u64::from(group.width);
+        let mut last = members;
+        for _ in 0..(u64::from(j0) + (n - 1) % width) % width {
+            last &= last - 1;
+        }
+        self.rr[bank] = rr_next(last.trailing_zeros() as usize, ncores);
+        self.stats.requests += n * width;
+        self.broadcast(bank, group.width, group.width, n, imem);
     }
 
     /// [`IXbar::serve_groups`] for groups in two or more banks: banks
@@ -251,7 +285,7 @@ impl IXbar {
                 self.stats.conflict_cycles += 1;
             }
             self.grant(usize::from(bank), ptr, best, ncores);
-            self.broadcast(usize::from(bank), width, requests, imem);
+            self.broadcast(usize::from(bank), width, requests, 1, imem);
             served |= 1 << winner;
         }
         served
@@ -271,14 +305,21 @@ impl IXbar {
         winner
     }
 
-    /// One broadcast read of `bank` serving `width` of its `requests`
-    /// requesters; the rest stall.
+    /// `reads` broadcast reads of `bank`, each serving `width` of its
+    /// `requests` requesters; the rest stall.
     #[inline]
-    fn broadcast(&mut self, bank: usize, width: u32, requests: u32, imem: &mut BankedMemory) {
-        imem.count_broadcast(bank, width as usize);
-        self.stats.grants += u64::from(width);
-        self.stats.transfers += u64::from(width);
-        self.stats.stalls += u64::from(requests - width);
+    fn broadcast(
+        &mut self,
+        bank: usize,
+        width: u32,
+        requests: u32,
+        reads: u64,
+        imem: &mut BankedMemory,
+    ) {
+        imem.count_broadcasts(bank, width as usize, reads);
+        self.stats.grants += reads * u64::from(width);
+        self.stats.transfers += reads * u64::from(width);
+        self.stats.stalls += reads * u64::from(requests - width);
     }
 }
 

@@ -468,4 +468,49 @@ proptest! {
             prop_assert_eq!(by_request.1.save(), by_group.1.save());
         }
     }
+
+    /// A lockstep run served at once by [`IXbar::serve_group_run`] is `n`
+    /// [`IXbar::serve_groups`] cycles of its one group: the same priority
+    /// pointers, statistics, memory counters and per-bank counts, at 1 to
+    /// 16 cores with random member masks, from random starting pointers
+    /// (some at or above the core count), on the paper's IM geometry and
+    /// a small one under either mapping, for runs of 1 to 64 grants.
+    #[test]
+    fn a_group_run_is_its_grants_one_by_one(
+        cores in 1usize..=16,
+        members in any::<u32>(),
+        paper in any::<bool>(),
+        interleaved in any::<bool>(),
+        rr in prop::collection::vec(0usize..32, 8),
+        addr in any::<u16>(),
+        n in 1u64..=64,
+    ) {
+        let members = match members & ((1u64 << cores) - 1) as u32 {
+            0 => 1 << (cores - 1),
+            m => m,
+        };
+        let mapping = if interleaved { BankMapping::Interleaved } else { BankMapping::Blocked };
+        let (words, banks) = if paper { (48 * 1024, 8) } else { (64, 4) };
+        let start = IXbarSnapshot { rr: rr[..banks].to_vec(), ..IXbarSnapshot::default() };
+        let mut by_grant = (IXbar::new(banks), BankedMemory::new(words, banks, mapping));
+        let mut by_run = (IXbar::new(banks), BankedMemory::new(words, banks, mapping));
+        prop_assert!(by_grant.0.load_snapshot(&start));
+        prop_assert!(by_run.0.load_snapshot(&start));
+        let addr = (usize::from(addr) % words) as u16;
+        let group = FetchGroup {
+            addr,
+            bank: by_run.1.bank_of(addr) as u16,
+            members,
+            width: members.count_ones(),
+        };
+        for _ in 0..n {
+            let served = by_grant.0.serve_groups(std::slice::from_ref(&group), &mut by_grant.1);
+            prop_assert_eq!(served, 1);
+        }
+        by_run.0.serve_group_run(&group, n, &mut by_run.1);
+        prop_assert_eq!(by_grant.0.save(), by_run.0.save(), "{} grants to {:#x}", n, members);
+        prop_assert_eq!(by_grant.1.stats(), by_run.1.stats());
+        prop_assert_eq!(by_grant.1.per_bank_accesses(), by_run.1.per_bank_accesses());
+        prop_assert_eq!(by_grant.1.save(), by_run.1.save());
+    }
 }

@@ -29,9 +29,6 @@
 //! assert!(trace.rows()[0].iter().all(|pc| *pc == Some(0)));
 //! ```
 
-use crate::error::PlatformError;
-use crate::sim::RunSummary;
-use crate::stats::SimStats;
 use ulp_cpu::{Core, CoreState};
 use ulp_mem::{DmRequest, FetchGroup};
 
@@ -69,20 +66,15 @@ pub trait Observer: std::any::Any {
 
     /// End of a cycle, after every phase has been applied.
     fn on_cycle_end(&mut self, _cycle: u64, _cores: &[Core]) {}
-
-    /// End of a [`crate::Platform::run`] or [`crate::Platform::run_until`]
-    /// run, with its outcome and final statistics. Fires only when the run
-    /// truly completes — not when a `run_until` slice pauses, and never
-    /// for manual [`crate::Platform::step`] driving.
-    fn on_run_end(&mut self, _outcome: &Result<RunSummary, PlatformError>, _stats: &SimStats) {}
 }
 
 /// Lockstep-width accounting (the paper's Fig. 2 metric): per fetch cycle,
 /// the size of the largest group of cores fetching the same PC.
 ///
 /// [`crate::Platform`] keeps one of these attached by default because
-/// [`SimStats::avg_lockstep_width`] is part of every run's statistics; it
-/// is also usable standalone through [`crate::Platform::attach`].
+/// [`crate::SimStats::avg_lockstep_width`] is part of every run's
+/// statistics; it is also usable standalone through
+/// [`crate::Platform::attach`].
 #[derive(Debug, Clone, Default)]
 pub struct LockstepWidth {
     sum: u64,
@@ -111,12 +103,12 @@ impl LockstepWidth {
         self.cycles = 0;
     }
 
-    /// Records one fetch cycle whose largest same-PC group has `width`
-    /// cores. Used by the engine's uniform batched cycles, which know the
-    /// width up front.
-    pub fn note_width(&mut self, width: u64) {
-        self.sum += width;
-        self.cycles += 1;
+    /// Records `cycles` fetch cycles whose largest same-PC group has
+    /// `width` cores. Used by the engine's uniform batched cycles, which
+    /// know the width up front and record a lockstep run at once.
+    pub fn note_width(&mut self, width: u64, cycles: u64) {
+        self.sum += width * cycles;
+        self.cycles += cycles;
     }
 
     /// Replaces the recorded totals (checkpoint restore).
@@ -130,7 +122,7 @@ impl Observer for LockstepWidth {
     #[inline]
     fn on_fetch(&mut self, _cycle: u64, groups: &[FetchGroup]) {
         if let Some(width) = groups.iter().map(|g| g.width).max() {
-            self.note_width(u64::from(width));
+            self.note_width(u64::from(width), 1);
         }
     }
 }

@@ -7,7 +7,7 @@ use crate::error::{ConfigError, PlatformError, RestoreError};
 use crate::observer::{LockstepWidth, Observer};
 use crate::stats::SimStats;
 use std::fmt;
-use ulp_cpu::{Core, CoreState, MemAccess, SyncRequest, WakeReason};
+use ulp_cpu::{Core, CoreState, CoreStats, MemAccess, SyncRequest, WakeReason};
 use ulp_isa::asm::Program;
 use ulp_isa::{decode, CsrOp, Instr, OpClass};
 use ulp_mem::{Access, BankedMemory, DXbar, DXbarOutcome, DmGrant, DmRequest, FetchGroup, IXbar};
@@ -577,8 +577,7 @@ impl Platform {
     }
 
     /// Runs until every core halts, notifying attached observers every
-    /// cycle and once more (via [`Observer::on_run_end`]) when the run
-    /// ends. Equivalent to `run_until(u64::MAX)`.
+    /// cycle. Equivalent to `run_until(u64::MAX)`.
     ///
     /// With no observer attached, the run takes the batched fast path. A
     /// batch starts after a cycle's interrupt poll when the synchronizer
@@ -588,7 +587,7 @@ impl Platform {
     /// has an interrupt both pending and enabled, and some core is awake.
     /// It runs the cycles ahead over the groups of cores that share a PC,
     /// one I-Xbar grant per bank per cycle, with each sleeping core
-    /// charged its cycle. It ends after a cycle in which a core was held,
+    /// charged its cycles. It ends after a cycle in which a core was held,
     /// at the cycle budget or slice limit, and before a cycle in which a
     /// fetching group's op is not batchable or does not decode. A batch is
     /// bit-identical to stepping the same cycles. Observed runs interpret
@@ -609,8 +608,7 @@ impl Platform {
 
     /// Runs until every core halts **or** the simulated cycle count
     /// reaches `limit`, whichever comes first. Attached observers are
-    /// notified throughout; [`Observer::on_run_end`] fires only when the
-    /// run truly completes (not on a pause).
+    /// notified every cycle.
     ///
     /// A paused platform can be resumed with another `run_until` (or
     /// `run`) and/or checkpointed via [`Platform::snapshot`]; slicing a
@@ -635,15 +633,13 @@ impl Platform {
         limit: u64,
         observers: &mut [(u64, Box<dyn Observer>)],
     ) -> Result<RunProgress, PlatformError> {
-        let outcome = loop {
+        loop {
             if self.cycle >= self.cfg.max_cycles {
-                break Err(PlatformError::Timeout {
+                return Err(PlatformError::Timeout {
                     budget: self.cfg.max_cycles,
                 });
             }
             if self.cycle >= limit {
-                // A pause is not a run end: no on_run_end, the run simply
-                // has not finished yet.
                 return Ok(RunProgress::Paused);
             }
             if observers.is_empty() {
@@ -654,22 +650,15 @@ impl Platform {
                 self.step_cycle::<true>(observers, 0);
             }
             if let Some(fault) = self.fault {
-                break Err(fault);
+                return Err(fault);
             }
             if self.all_halted() {
-                break Ok(RunSummary { cycles: self.cycle });
+                return Ok(RunProgress::Done(RunSummary { cycles: self.cycle }));
             }
             if self.is_deadlocked() {
-                break Err(PlatformError::Deadlock { cycle: self.cycle });
-            }
-        };
-        if !observers.is_empty() {
-            let stats = self.stats();
-            for (_, o) in observers.iter_mut() {
-                o.on_run_end(&outcome, &stats);
+                return Err(PlatformError::Deadlock { cycle: self.cycle });
             }
         }
-        outcome.map(RunProgress::Done)
     }
 
     /// The batch, the unobserved run's fast path. Called at the start of
@@ -694,7 +683,8 @@ impl Platform {
     ///   ([`Platform::serve_data`]), so conflicts, stalls, holds and
     ///   broadcasts are the interpreter's, and every other op
     ///   core-locally;
-    /// * charges each sleeping core its cycle.
+    /// * charges each sleeping core its cycle (the uniform loop below
+    ///   charges a lockstep run's sleepers once, when the run ends).
     ///
     /// A cycle's work is in proportion to the cores whose state changed.
     /// The fetch groups, each with its op and bank, and the fetch and
@@ -709,7 +699,8 @@ impl Platform {
     ///
     /// When one group holds every awake core and none executes, the batch
     /// runs whole fetch/execute pairs instead ([`Platform::batch_uniform`],
-    /// the k = 1 case) until a branch or a stall splits the group. The
+    /// the k = 1 case) until a branch or a stall splits the group, charging
+    /// what the group's members share in bulk. The
     /// synchronizer's interpreted phase is a no-op in these cycles: it is
     /// idle and nothing requests it. Nothing inside a batch can wake a
     /// sleeper, put a core to sleep, halt it, fault it or enable an
@@ -761,7 +752,7 @@ impl Platform {
             return false;
         }
         let ran = loop {
-            if k == 1 && exec == 0 {
+            if k == 1 && exec == 0 && self.cycle + 1 < limit {
                 // The uniform loop grants the group in its first cycle.
                 for_each_bit(fetch, |i| {
                     self.cores[i].note_fetch_stalls(self.cycle - since[i]);
@@ -880,12 +871,26 @@ impl Platform {
     /// The batch's uniform case: every awake core fetches the op at one
     /// PC and none executes. Runs fetch/execute pairs, each op's width
     /// and grant known up front, while the group stays together. The
-    /// group is the unit of execution: each op is delivered to all
-    /// members at once ([`Core::fetch_group`]) and, unless it is a memory
-    /// op, executed with one dispatch for the whole group
-    /// ([`Core::execute_group`]). Returns `None` where the batch ends, or
-    /// the fetch and (memory) execute masks once a memory stall or a
-    /// branch splits the group.
+    /// group is the unit of execution: each op is applied to all members
+    /// with one dispatch ([`Core::execute_group`]), which changes only
+    /// what differs per core (registers, flags, PC, branch counts); a
+    /// memory op then completes per core from its D-Xbar grant
+    /// ([`Platform::serve_data`]).
+    ///
+    /// What the members share is charged in bulk when the run ends: each
+    /// member's fetches, active cycles and retired and useful core-local
+    /// ops ([`Core::charge_group`]), the lockstep width, the I-Xbar's run
+    /// of one-group grants ([`IXbar::serve_group_run`], split where the
+    /// group moves to another IM bank) and the sleepers' cycles. The
+    /// members' counts are also charged before a CSR op, because `RDCYC`
+    /// reads its core's cycle count; nothing else inside the run reads
+    /// them. The run never starts a fetch in the limit's cycle, so it
+    /// always ends after an execute cycle; the caller's divergent loop
+    /// runs a last fetch alone.
+    ///
+    /// Returns `None` where the batch ends, or the fetch and (memory)
+    /// execute masks once a memory stall or a branch splits the group, or
+    /// when the next cycle is the limit's.
     fn batch_uniform(
         &mut self,
         buf: &mut CycleBuffers,
@@ -894,22 +899,20 @@ impl Platform {
         asleep: u32,
         limit: u64,
     ) -> Option<(u32, u32)> {
-        let members = group.members;
-        let width = u64::from(group.width);
-        loop {
-            self.cycle += 1;
-            self.lockstep.note_width(width);
-            self.ixbar
-                .serve_groups(std::slice::from_ref(&group), &mut self.imem);
-            Core::fetch_group(&mut self.cores, members, op);
-            for_each_bit(asleep, |i| self.cores[i].note_sleep());
-            if self.cycle == limit {
-                return None;
-            }
-            self.cycle += 1;
+        let (start, members) = (self.cycle, group.members);
+        // The members' counts not yet charged, and the run's I-Xbar grants
+        // in the group's current bank.
+        let (mut shared, mut grants) = (CoreStats::default(), 0u64);
+        let split = loop {
+            // The op's fetch cycle, then its execute cycle.
+            self.cycle += 2;
+            grants += 1;
+            shared.fetches += 1;
+            shared.active_cycles += 1;
             let class = op.op_class();
             let (mut completed, mut held) = (members, false);
             if class == OpClass::Mem {
+                Core::execute_group(&mut self.cores, members, op);
                 buf.dm_reqs.clear();
                 for_each_bit(members, |i| {
                     buf.dm_reqs.extend(dm_request(i, &self.cores[i]))
@@ -923,30 +926,57 @@ impl Platform {
                     }
                 }
             } else {
+                shared.active_cycles += 1;
+                shared.retired += 1;
+                shared.useful_ops += u64::from(op.is_useful_op());
+                if matches!(op, Instr::Csr { .. }) {
+                    Core::charge_group(&mut self.cores, members, &shared);
+                    shared = CoreStats::default();
+                }
                 Core::execute_group(&mut self.cores, members, op);
             }
-            for_each_bit(asleep, |i| self.cores[i].note_sleep());
             if held || self.cycle == limit {
-                return None;
+                break None;
             }
             if completed != members {
-                return Some((completed, members & !completed));
+                break Some((completed, members & !completed));
             }
             let pc = if class == OpClass::Control {
                 let pc = self.cores[members.trailing_zeros() as usize].pc();
                 let mut split = false;
                 for_each_bit(members, |i| split |= self.cores[i].pc() != pc);
                 if split {
-                    return Some((members, 0));
+                    break Some((members, 0));
                 }
                 pc
             } else {
                 group.addr.wrapping_add(1)
             };
-            let next = self.decoded.get(usize::from(pc)).copied().flatten()?;
+            let Some(next) = self.decoded.get(usize::from(pc)).copied().flatten() else {
+                break None;
+            };
+            if self.cycle + 1 == limit {
+                break Some((members, 0));
+            }
+            if next.bank != group.bank {
+                self.ixbar.serve_group_run(&group, grants, &mut self.imem);
+                grants = 0;
+            }
             group.move_to(pc, usize::from(next.bank));
             op = next.op;
-        }
+        };
+        // Every exit follows an execute cycle: the run fetched every other
+        // cycle.
+        let cycles = self.cycle - start;
+        Core::charge_group(&mut self.cores, members, &shared);
+        self.lockstep.note_width(u64::from(group.width), cycles / 2);
+        self.ixbar.serve_group_run(&group, grants, &mut self.imem);
+        let sleep = CoreStats {
+            sleep_cycles: cycles,
+            ..CoreStats::default()
+        };
+        Core::charge_group(&mut self.cores, asleep, &sleep);
+        split
     }
 
     /// A deadlock: no core can make progress again — every non-halted core
